@@ -66,11 +66,47 @@ def assign_slots(positions: np.ndarray) -> np.ndarray:
 
 
 def _thin_to_max(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce oversized lines to MAX_POINTS, keeping endpoints, evenly spaced."""
+    """Reduce oversized lines to MAX_POINTS, keeping endpoints, evenly spaced.
+
+    ``values`` holds one line per row; points are thinned along the last axis.
+    """
     if xs.size <= MAX_POINTS:
         return xs, values
     keep = np.unique(np.round(np.linspace(0, xs.size - 1, MAX_POINTS)).astype(int))
-    return xs[keep], values[keep]
+    return xs[keep], values[..., keep]
+
+
+def encode_lines(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.ndarray:
+    """Encode several measurement lines that share one point layout ``xs``.
+
+    ``values`` holds one row of (median) measurements per line, one column
+    per entry of ``xs``; the result holds one :data:`INPUT_SIZE` row per
+    line. Validation, sorting and slot assignment depend only on ``xs`` and
+    run once per call; the arithmetic on each row is exactly
+    :func:`encode_line`'s, so row ``k`` is bit-identical to
+    ``encode_line(xs, values[k])``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if xs.ndim != 1 or values.ndim != 2 or values.shape[1] != xs.size:
+        raise ValueError("xs must be 1-d and values 2-d with one column per entry of xs")
+    if xs.size < MIN_POINTS:
+        raise ValueError(f"at least {MIN_POINTS} measurement points are required, got {xs.size}")
+    order = np.argsort(xs)
+    xs, values = xs[order], values[:, order]
+    if np.any(np.diff(xs) == 0):
+        raise ValueError("duplicate parameter values in measurement line")
+    xs, values = _thin_to_max(xs, values)
+
+    enriched = values / xs if enrich else values.copy()
+    scale = np.max(np.abs(enriched), axis=1, keepdims=True)
+    # Division by 1.0 is exact: rows whose scale is not positive stay as they are.
+    enriched = enriched / np.where(scale > 0, scale, 1.0)
+
+    slots = assign_slots(normalize_positions(xs))
+    vectors = np.zeros((values.shape[0], INPUT_SIZE), dtype=float)
+    vectors[:, slots] = enriched
+    return vectors
 
 
 def encode_line(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.ndarray:
@@ -81,29 +117,14 @@ def encode_line(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.n
     information), position normalization, nearest-neighbour slot assignment,
     zero masking of free slots, and max-abs value scaling so the network sees
     the *shape* of the measurements rather than their magnitude (coefficients
-    span six decades in the search space).
+    span six decades in the search space). This is the one-row case of
+    :func:`encode_lines`.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.shape != values.shape or xs.ndim != 1:
         raise ValueError("xs and values must be 1-d arrays of equal length")
-    if xs.size < MIN_POINTS:
-        raise ValueError(f"at least {MIN_POINTS} measurement points are required, got {xs.size}")
-    order = np.argsort(xs)
-    xs, values = xs[order], values[order]
-    if np.any(np.diff(xs) == 0):
-        raise ValueError("duplicate parameter values in measurement line")
-    xs, values = _thin_to_max(xs, values)
-
-    enriched = values / xs if enrich else values.copy()
-    scale = np.max(np.abs(enriched))
-    if scale > 0:
-        enriched = enriched / scale
-
-    slots = assign_slots(normalize_positions(xs))
-    vector = np.zeros(INPUT_SIZE, dtype=float)
-    vector[slots] = enriched
-    return vector
+    return encode_lines(xs, values[None, :], enrich=enrich)[0]
 
 
 def encode_parameter_line(

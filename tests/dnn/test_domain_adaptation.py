@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.dnn.domain_adaptation import AdaptationTask, adapt_network
+from repro.dnn.config import NetworkConfig
+from repro.dnn.domain_adaptation import AdaptationTask, adapt_network, adapt_network_for_key
+from repro.dnn.factory import build_network
 from repro.experiment.experiment import Experiment
 from repro.noise.injection import UniformNoise
 from repro.pmnf.function import PerformanceFunction
@@ -10,6 +14,7 @@ from repro.synthesis.measurements import synthesize_experiment
 
 X1 = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
 X2 = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+PINNED_ADAPTED_SHA256 = "2a9ea1fb72e77861aef9205fabc5f82d841e8c0929dfb97f78cb8c6f262fb58a"
 
 
 def experiment(noise_level=0.3, reps=5) -> Experiment:
@@ -68,6 +73,20 @@ class TestAdaptNetwork:
         b = adapt_network(tiny_network, task, rng=9, samples_per_class=5)
         x = np.random.default_rng(0).random((4, 11)).astype(np.float32)
         np.testing.assert_array_equal(a.predict_logits(x), b.predict_logits(x))
+
+    def test_adapted_weights_pinned(self):
+        """The SHA-256 of one key's adapted weights, fixed when the training
+        set was still built one sample at a time. It moves when the
+        training-set draw order (or anything else on the adaptation path)
+        changes, which re-keys every adapted network and the pretrained
+        cache, so such a change must update the pin on purpose."""
+        network = build_network(NetworkConfig(hidden_sizes=(16,), name="pin"), rng=3)
+        key = AdaptationTask((tuple(X1),), (0.07, 0.32), 5).key()
+        adapted = adapt_network_for_key(network, key, samples_per_class=20)
+        digest = hashlib.sha256()
+        for weights in adapted.get_weights():
+            digest.update(np.ascontiguousarray(weights).tobytes())
+        assert digest.hexdigest() == PINNED_ADAPTED_SHA256
 
     @pytest.mark.slow
     def test_adaptation_improves_on_task_distribution(self, tiny_network):

@@ -13,6 +13,7 @@ from repro.preprocessing.encoding import (
     SAMPLE_POSITIONS,
     assign_slots,
     encode_line,
+    encode_lines,
     encode_parameter_line,
     normalize_positions,
 )
@@ -120,6 +121,48 @@ class TestEncodeLine:
         assert np.all(np.isfinite(vec))
         assert np.max(np.abs(vec)) <= 1.0 + 1e-12
         assert np.count_nonzero(vec) == n
+
+
+class TestEncodeLines:
+    @pytest.mark.parametrize("enrich", [True, False])
+    @pytest.mark.parametrize(
+        "xs",
+        [POW2, POW2[[3, 0, 4, 1, 2]], np.arange(2.0, 22.0), random_sequence(11, None, 3)],
+        ids=["pow2", "unsorted", "oversized", "eleven"],
+    )
+    def test_rows_equal_encode_line(self, xs, enrich):
+        gen = np.random.default_rng(0)
+        values = np.vstack(
+            [
+                gen.uniform(0.1, 1e3, size=(4, xs.size)),
+                np.zeros(xs.size),  # scale 0: left unscaled
+                -gen.uniform(0.1, 1e3, size=xs.size),
+                np.full(xs.size, np.nan),
+            ]
+        )
+        batched = encode_lines(xs, values, enrich=enrich)
+        assert batched.shape == (values.shape[0], INPUT_SIZE)
+        assert not np.any(batched[4])
+        for row, line in zip(batched, values):
+            assert row.tobytes() == encode_line(xs, line, enrich=enrich).tobytes()
+
+    @pytest.mark.parametrize(
+        "xs",
+        [POW2[:4], np.array([4.0, 4.0, 8.0, 16.0, 32.0]), np.array([-4.0, 4.0, 8.0, 16.0, 32.0])],
+        ids=["too_few", "duplicate", "nonpositive"],
+    )
+    def test_invalid_lines_raise_identical_errors(self, xs):
+        with pytest.raises(ValueError) as single:
+            encode_line(xs, xs)
+        with pytest.raises(ValueError) as batched:
+            encode_lines(xs, np.vstack([xs, xs]))
+        assert str(batched.value) == str(single.value)
+
+    def test_values_must_be_one_row_per_line(self):
+        with pytest.raises(ValueError, match="one column per entry"):
+            encode_lines(POW2, POW2)
+        with pytest.raises(ValueError, match="one column per entry"):
+            encode_lines(POW2, np.ones((2, 4)))
 
 
 class TestEncodeParameterLine:
