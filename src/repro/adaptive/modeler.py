@@ -43,7 +43,7 @@ class AdaptiveModeler:
         regression: "RegressionModeler | None" = None,
         dnn: "DNNModeler | None" = None,
         thresholds: "Mapping[int, float] | None" = None,
-        engine: "str | bool | None" = None,
+        engine: str = "fast",
     ):
         self.regression = regression or RegressionModeler(engine=engine)
         self.dnn = dnn or DNNModeler(engine=engine)

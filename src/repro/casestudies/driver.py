@@ -8,20 +8,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.casestudies.base import SimulatedApplication
+from repro.dnn.domain_adaptation import AdaptationTask
 from repro.modeling.registry import create_modelers
 from repro.noise.estimation import NoiseSummary, summarize_noise
-from repro.obs import recording, worker_recording
-from repro.obs.sink import TRACE_FILENAME, build_trace_records, write_trace
 from repro.parallel.engine import EngineConfig, EngineSession, Progress, TaskFailure
 from repro.regression.modeler import ModelResult
-from repro.run.manifest import (
-    RunManifest,
-    config_fingerprint,
-    legacy_config_fingerprint,
-    rng_fingerprint,
-)
+from repro.run.lifecycle import RunLifecycle, worker_task
 from repro.util.seeding import as_generator, spawn_generators
-from repro.util.timing import StageTimer, Timer
 
 
 @dataclass(frozen=True)
@@ -95,8 +88,8 @@ def _model_one_modeler(task):
 
     Modelers with an adaptation cache are reset first so repeated driver
     runs stay comparable -- every run pays the same adaptation cost.
-    Returns ``(name, results, seconds)`` -- with a fourth telemetry-payload
-    element appended when telemetry is recording.
+    Returns the worker envelope ``(results, {"model": seconds},
+    telemetry | None)``.
     """
     name, m_rng = task
     modeling = _DRIVER_STATE["modeling"]
@@ -106,13 +99,10 @@ def _model_one_modeler(task):
         dnn.reset_caches()
     elif hasattr(dnn, "_adapted"):
         dnn._adapted = {}
-    with worker_recording() as tel:
-        with tel.tracer.span("casestudy.modeler", modeler=name):
-            with Timer() as timer:
-                results = modeler.model_experiment(modeling, rng=m_rng)
-    if tel.enabled:
-        return name, results, timer.elapsed, tel.export_payload()
-    return name, results, timer.elapsed
+    with worker_task("casestudy.modeler", modeler=name) as work:
+        with work.stages.time("model"):
+            results = modeler.model_experiment(modeling, rng=m_rng)
+    return work.envelope(results)
 
 
 def run_case_study(
@@ -172,144 +162,90 @@ def run_case_study(
     hashed configuration.
     """
     modelers = create_modelers(modelers)
-    adaptation_store, adapting_dnns = (None, [])
-    if adaptation_cache is not None:
-        from repro.dnn.adaptation_cache import resolve_store
-
-        adaptation_store, adapting_dnns = resolve_store(
-            adaptation_cache, list(modelers.values())
-        )
-    if shard is not None and run_dir is None:
-        raise ValueError("shard requires run_dir: the journal is the product")
-    journal = None
-    if run_dir is not None:
-        parts = (application.name, rng_fingerprint(rng), tuple(sorted(modelers)))
-        journal = RunManifest.open(
-            run_dir,
-            config_fingerprint(*parts),
-            resume=resume,
-            meta={"kind": "casestudy", "application": application.name},
-            shard=shard,
-            legacy_config_hash=legacy_config_fingerprint(*parts),
-        )
-    elif resume:
-        raise ValueError("resume=True requires run_dir")
+    run = RunLifecycle(
+        "casestudy",
+        run_dir,
+        application.name,
+        rng,
+        modelers,
+        meta={"application": application.name},
+        resume=resume,
+        shard=shard,
+        adaptation_cache=adaptation_cache,
+    )
     gen = as_generator(rng)
-    stages = StageTimer()
     campaign_rng, *modeler_rngs = spawn_generators(gen, len(modelers) + 1)
-    with recording() as tel:
-        with tel.tracer.span(
-            "casestudy.run", application=application.name, modelers=len(modelers)
-        ):
-            with stages.time("campaign"), tel.tracer.span("casestudy.campaign"):
-                campaign = application.run_campaign(campaign_rng)
-                modeling = application.modeling_experiment(campaign)
-            relevant = {k.name for k in application.relevant_kernels()}
+    with run.recording(
+        "casestudy.run", application=application.name, modelers=len(modelers)
+    ):
+        with run.stages.time("campaign"), run.tel.tracer.span("casestudy.campaign"):
+            campaign = application.run_campaign(campaign_rng)
+            modeling = application.modeling_experiment(campaign)
+        relevant = {k.name for k in application.relevant_kernels()}
 
-            references = {
-                kern.name: kern.measurement_at(application.evaluation_point).median
-                for kern in campaign.kernels
-            }
-            with stages.time("noise"), tel.tracer.span("casestudy.noise"):
-                noise = summarize_noise(modeling)
+        references = {
+            kern.name: kern.measurement_at(application.evaluation_point).median
+            for kern in campaign.kernels
+        }
+        with run.stages.time("noise"), run.tel.tracer.span("casestudy.noise"):
+            noise = summarize_noise(modeling)
 
-            engine_config = engine or EngineConfig()
-            if processes is not None:
-                engine_config = replace(engine_config, processes=processes)
-            pre_pass = None
-            if adaptation_store is not None:
+        engine_config = engine or EngineConfig()
+        if processes is not None:
+            engine_config = replace(engine_config, processes=processes)
+        # The adaptation warm-up is timed as the ``adapt`` stage, a subset
+        # of ``modeling``'s wall time. Every modeler sees the same modeling
+        # experiment: one cluster key. The worker state (that experiment)
+        # is per-run, so the session is one-shot here.
+        with run.stages.time("modeling"):
+            with EngineSession(
+                engine_config,
+                initializer=_init_driver_worker,
+                initargs=(modeling, modelers),
+            ) as session:
+                slots = run.execute(
+                    session,
+                    _model_one_modeler,
+                    list(zip(modelers.keys(), modeler_rngs)),
+                    "casestudy.engine",
+                    progress=progress,
+                    cluster_keys=lambda resolution: [
+                        AdaptationTask.from_experiment(modeling).key(resolution)
+                    ],
+                    tasks=len(modelers),
+                )
 
-                def pre_pass() -> None:
-                    # Timed as the ``adapt`` stage (a subset of ``modeling``'s
-                    # wall time, since the engine invokes it). Every modeler
-                    # sees the same modeling experiment, so there is exactly
-                    # one cluster key per distinct generic network to warm.
-                    from repro.dnn.domain_adaptation import AdaptationTask
-
-                    with stages.time("adapt"):
-                        key = AdaptationTask.from_experiment(modeling).key(
-                            adaptation_store.resolution
-                        )
-                        seen: list = []
-                        for dnn in adapting_dnns:
-                            network = dnn.generic_network
-                            if any(network is other for other in seen):
-                                continue
-                            seen.append(network)
-                            adaptation_store.warm_up(
-                                network, [key], manifest=journal
-                            )
-
-            with stages.time("modeling"):
-                with tel.tracer.span(
-                    "casestudy.engine", tasks=len(modelers)
-                ) as engine_span:
-                    # The worker state (the modeling experiment) is per-run,
-                    # so the session is one-shot here -- but the engine setup
-                    # is the same EngineSession seam the service keeps warm.
-                    with EngineSession(
-                        engine_config,
-                        initializer=_init_driver_worker,
-                        initargs=(modeling, modelers),
-                    ) as engine_session:
-                        raw = engine_session.run(
-                            _model_one_modeler,
-                            list(zip(modelers.keys(), modeler_rngs)),
-                            progress=progress,
-                            journal=journal,
-                            pre_pass=pre_pass,
-                            shard=shard,
-                        )
-
-            outcomes: list[KernelOutcome] = []
-            total_seconds: dict[str, float] = {}
-            eval_array = application.evaluation_point.as_array()
-            # Under on_error='mark' a crashed modeler degrades to a missing
-            # entry (its name absent from the result) instead of aborting the
-            # study. Journaled task payloads may be 3-tuples (telemetry off)
-            # or 4-tuples (telemetry on), independent of the current toggle.
-            # None slots belong to other shards (a sharded study is partial
-            # by design); TaskFailure slots are crashed modelers.
-            for entry in (
-                r for r in raw if r is not None and not isinstance(r, TaskFailure)
-            ):
-                name, results, seconds = entry[0], entry[1], entry[2]
-                total_seconds[name] = seconds
-                if tel.enabled and len(entry) > 3:
-                    tel.absorb_payload(entry[3], engine_span.span_id)
-                for kernel_name, result in results.items():
-                    outcomes.append(
-                        KernelOutcome(
-                            kernel=kernel_name,
-                            modeler=name,
-                            result=result,
-                            prediction=float(result.function.evaluate(eval_array)),
-                            reference=references[kernel_name],
-                            relevant=kernel_name in relevant,
-                        )
+        outcomes: list[KernelOutcome] = []
+        total_seconds: dict[str, float] = {}
+        eval_array = application.evaluation_point.as_array()
+        # Under on_error='mark' a crashed modeler degrades to a missing
+        # entry (its name absent from the result) instead of aborting the
+        # study. None slots belong to other shards (a sharded study is
+        # partial by design); TaskFailure slots are crashed modelers.
+        for name, slot in zip(modelers, slots):
+            if slot is None or isinstance(slot, TaskFailure):
+                continue
+            results, modeler_stages = slot
+            total_seconds[name] = modeler_stages["model"]
+            for kernel_name, result in results.items():
+                outcomes.append(
+                    KernelOutcome(
+                        kernel=kernel_name,
+                        modeler=name,
+                        result=result,
+                        prediction=float(result.function.evaluate(eval_array)),
+                        reference=references[kernel_name],
+                        relevant=kernel_name in relevant,
                     )
-    if tel.enabled:
-        tel.metrics.absorb_stage_seconds(stages.seconds, prefix="casestudy")
+                )
     result = CaseStudyResult(
         application=application.name,
         noise=noise,
         outcomes=outcomes,
         total_seconds=total_seconds,
-        stage_seconds=stages.seconds,
-        partial=any(r is None for r in raw),
+        stage_seconds=run.stages.seconds,
+        partial=any(slot is None for slot in slots),
         shard=shard,
     )
-    if tel.enabled and journal is not None:
-        meta = {"kind": "casestudy", "run_id": journal.run_id}
-        if shard is not None:
-            meta["shard"] = list(shard)
-        records = build_trace_records(
-            tel,
-            stage_seconds=stages.seconds,
-            meta=meta,
-        )
-        trace_file = journal.directory / TRACE_FILENAME
-        digest = write_trace(trace_file, records)
-        journal.record_artifact("trace", TRACE_FILENAME, digest)
-        result.trace_path = str(trace_file)
+    result.trace_path = run.finish()
     return result

@@ -78,6 +78,23 @@ def _print_partial_summary(kind: str, run_dir: str, done: str) -> None:
     )
 
 
+def _adaptation_store(args: argparse.Namespace):
+    """The ``--adaptation-cache`` store, or ``None`` without the flag."""
+    if args.adaptation_cache is None:
+        return None
+    from repro.dnn.adaptation_cache import AdaptationStore
+
+    return AdaptationStore(
+        args.adaptation_cache, resolution=args.adaptation_resolution / 100.0
+    )
+
+
+def _print_trace_path(result) -> None:
+    """Point at a run's telemetry trace, when it wrote one."""
+    if result.trace_path:
+        print(f"telemetry trace: {result.trace_path} (render with 'repro-model trace')")
+
+
 def _method_spec(spec: str) -> str:
     """Argparse type for ``--method``: any registered modeler spec string.
 
@@ -221,15 +238,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "regression": "regression",
         "adaptive": "adaptive(use_domain_adaptation=False)",
     }
-    adaptation_cache = None
-    if args.adaptation_cache is not None:
-        from repro.dnn.adaptation_cache import AdaptationStore
-
+    adaptation_cache = _adaptation_store(args)
+    if adaptation_cache is not None:
         modelers["adaptive"] = "adaptive"
-        adaptation_cache = AdaptationStore(
-            args.adaptation_cache,
-            resolution=args.adaptation_resolution / 100.0,
-        )
     noise_spec, noise_levels = _parse_noise_tokens(args.noise)
     prefilter = getattr(args, "prefilter", None)
     if prefilter is not None:
@@ -274,8 +285,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             args.resume or args.run_dir,
             f"{result.completed_batches}/{result.total_batches} task batch(es)",
         )
-        if result.trace_path:
-            print(f"telemetry trace: {result.trace_path} (render with 'repro-model trace')")
+        _print_trace_path(result)
         return 0
     print(format_accuracy_table(result, title=f"Model accuracy, m={args.params} (Fig. 3)"))
     print()
@@ -301,8 +311,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"\nstage wall-time: {breakdown}")
     if result.engine_failures:
         print(f"warning: {result.engine_failures} task batch(es) failed/timed out")
-    if result.trace_path:
-        print(f"telemetry trace: {result.trace_path} (render with 'repro-model trace')")
+    _print_trace_path(result)
     return 0
 
 
@@ -460,14 +469,6 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
             modelers[f"{label}+{args.prefilter}"] = create_modeler(
                 spec, prefilter=args.prefilter
             )
-    adaptation_cache = None
-    if args.adaptation_cache is not None:
-        from repro.dnn.adaptation_cache import AdaptationStore
-
-        adaptation_cache = AdaptationStore(
-            args.adaptation_cache,
-            resolution=args.adaptation_resolution / 100.0,
-        )
     if args.telemetry:
         _enable_telemetry_env()
     result = run_case_study(
@@ -477,7 +478,7 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
         processes=args.processes,
         run_dir=args.resume or args.run_dir,
         resume=args.resume is not None,
-        adaptation_cache=adaptation_cache,
+        adaptation_cache=_adaptation_store(args),
         shard=args.shard,
     )
     if result.partial:
@@ -485,8 +486,7 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
         _print_partial_summary(
             "case study", args.resume or args.run_dir, f"modeler(s) {done}"
         )
-        if result.trace_path:
-            print(f"telemetry trace: {result.trace_path} (render with 'repro-model trace')")
+        _print_trace_path(result)
         return 0
     print(f"== {result.application} ==")
     print(f"noise (Fig. 5): {result.noise.format()}")
@@ -518,17 +518,17 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
             row.append(str(dropped[name]))
         rows.append(row)
     print(render_table(headers, rows))
-    if result.trace_path:
-        print(f"telemetry trace: {result.trace_path} (render with 'repro-model trace')")
+    _print_trace_path(result)
     return 0
 
 
 def _cmd_merge_run(args: argparse.Namespace) -> int:
+    from repro.run.lifecycle import validate_envelope
     from repro.run.manifest import RunManifestError
     from repro.run.merge import merge_runs
 
     try:
-        merged = merge_runs(args.output, args.shards)
+        merged = merge_runs(args.output, args.shards, validate_envelope)
     except RunManifestError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

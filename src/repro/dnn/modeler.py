@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class DNNModeler:
     Hypothesis fitting and selection run through the shared
     :class:`~repro.modeling.pipeline.ModelingPipeline` with a
     :class:`~repro.modeling.candidates.DNNTopKGenerator`; ``engine`` selects
-    the fitting engine (``'fast'``/``'reference'``; ``None`` follows
-    ``REPRO_FIT_ENGINE``).
+    the fitting engine (``'fast'``/``'reference'``).
     """
 
     method_name = "dnn"
@@ -80,7 +79,7 @@ class DNNModeler:
         aggregation: str = "median",
         adaptation_cache_size: int = DEFAULT_ADAPTATION_CACHE_SIZE,
         line_cache_size: int = DEFAULT_LINE_CACHE_SIZE,
-        engine: "str | bool | None" = None,
+        engine: str = "fast",
         adaptation_resolution: float = DEFAULT_NOISE_RESOLUTION,
         adaptation_store=None,
         prefilter=None,
@@ -369,3 +368,28 @@ class DNNModeler:
         if telemetry.enabled:
             telemetry.metrics.absorb_cache_stats(self.cache_stats(), prefix="dnn.cache")
         return results
+
+
+def prime_candidate_cache(
+    jobs: "Iterable[tuple[object, Sequence[Kernel], int]]",
+) -> None:
+    """Classify ``(modeler, kernels, n_params)`` jobs -- a sweep batch, a
+    service request group -- in one :meth:`DNNModeler.classify_batch` call
+    per distinct DNN and parameter count, each kernel once.
+
+    Only DNNs classifying with their generic network are primed (adapting
+    ones use a per-task network inside ``model_experiment``). Priming only
+    fills the candidate cache the per-kernel path would fill anyway, so
+    results are bit-identical with or without it.
+    """
+    groups: "dict[tuple[int, int], tuple[DNNModeler, dict[int, Kernel]]]" = {}
+    for modeler, kernels, n_params in jobs:
+        dnn = getattr(modeler, "dnn", modeler)
+        if hasattr(dnn, "classify_batch") and not getattr(
+            dnn, "use_domain_adaptation", True
+        ):
+            queued = groups.setdefault((id(dnn), n_params), (dnn, {}))[1]
+            for kernel in kernels:
+                queued.setdefault(id(kernel), kernel)
+    for (_, n_params), (dnn, queued) in groups.items():
+        dnn.classify_batch(list(queued.values()), n_params)

@@ -18,7 +18,9 @@ results are reassembled in task order.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -28,16 +30,9 @@ from repro.evaluation.predictive_power import prediction_smape, relative_predict
 from repro.experiment.experiment import Kernel
 from repro.modeling.registry import create_modelers
 from repro.noise.registry import noise_axis, noise_for_level
-from repro.obs import recording, worker_recording
-from repro.obs.sink import TRACE_FILENAME, build_trace_records, write_trace
+from repro.dnn.modeler import prime_candidate_cache
 from repro.parallel.engine import EngineConfig, EngineSession, Progress, TaskFailure
-from repro.run.claims import ClaimStore
-from repro.run.manifest import (
-    RunManifest,
-    config_fingerprint,
-    legacy_config_fingerprint,
-    rng_fingerprint,
-)
+from repro.run.lifecycle import RunLifecycle, worker_task
 from repro.synthesis.evaluation_points import evaluation_points
 from repro.synthesis.functions import (
     random_multi_parameter_function,
@@ -50,7 +45,7 @@ from repro.synthesis.measurements import (
 )
 from repro.synthesis.sequences import random_sequence
 from repro.util.seeding import as_generator, clone_generator, spawn_generators
-from repro.util.timing import StageTimer, Timer, validate_stage_seconds
+from repro.util.timing import Timer
 
 #: The noise levels of the paper's synthetic evaluation (Sec. V).
 PAPER_NOISE_LEVELS: tuple[float, ...] = (0.02, 0.05, 0.10, 0.20, 0.50, 0.75, 1.00)
@@ -316,40 +311,21 @@ def _model_task(truth, kernel, eval_pts, gen, config, modelers) -> TaskOutcome:
         # recorded as a maximally-wrong outcome (inf distance, NaN errors) so it
         # degrades the modeler's score instead of silently shrinking the sample.
         except Exception:
-            # A failed modeling attempt counts as maximally wrong rather than
-            # silently shrinking the sample (no silent caps).
-            out[name] = (
-                np.inf,
-                np.full(config.n_eval_points, np.nan),
-                0.0,
-                "",
-                np.full(config.n_eval_points, np.nan),
-                0,
-            )
+            out[name] = _failed(config)
     return out
 
 
-def _failure_outcome(config: SweepConfig, modelers: Mapping[str, object]) -> TaskOutcome:
-    """The all-failed outcome assigned to tasks the engine marked failed."""
-    return {
-        name: (
-            np.inf,
-            np.full(config.n_eval_points, np.nan),
-            0.0,
-            "",
-            np.full(config.n_eval_points, np.nan),
-            0,
-        )
-        for name in modelers
-    }
+def _failed(config: SweepConfig) -> tuple:
+    """One modeler's outcome for a failed attempt: maximally wrong (inf
+    distance, NaN errors) rather than silently shrinking the sample."""
+    nan = np.full(config.n_eval_points, np.nan)
+    return (np.inf, nan, 0.0, "", nan.copy(), 0)
 
 
-def _run_batch(
-    batch: "list[tuple[float, np.random.Generator]]",
-) -> "tuple[list[TaskOutcome], dict[str, float]] | tuple[list[TaskOutcome], dict[str, float], dict]":
-    """Model one batch of synthetic functions; returns per-task outcomes
-    plus this batch's per-stage wall-clock seconds -- and, when telemetry is
-    recording, a third element carrying the exported telemetry payload.
+def _run_batch(batch: "list[tuple[float, np.random.Generator]]") -> tuple:
+    """Model one batch of synthetic functions; returns the worker envelope
+    ``(outcomes, stage_seconds, telemetry | None)`` with one outcome per
+    function and this batch's per-stage wall-clock seconds.
 
     Every function carries its own pre-spawned RNG and the per-function
     call order (synthesize, then model) is unchanged from the serial path,
@@ -360,28 +336,17 @@ def _run_batch(
     """
     config: SweepConfig = _WORKER_STATE["config"]
     modelers: Mapping[str, object] = _WORKER_STATE["modelers"]
-    stages = StageTimer()
-    with worker_recording() as tel:
-        with tel.tracer.span("sweep.batch", functions=len(batch)):
-            with stages.time("synthesize"), tel.tracer.span("batch.synthesize"):
-                prepared = [_synthesize_task(noise, gen, config) for noise, gen in batch]
-            with stages.time("classify"), tel.tracer.span("batch.classify"):
-                primed: set[int] = set()
-                kernels = [kernel for _, kernel, _, _ in prepared]
-                for modeler in modelers.values():
-                    dnn = getattr(modeler, "dnn", modeler)
-                    if (
-                        hasattr(dnn, "classify_batch")
-                        and not getattr(dnn, "use_domain_adaptation", True)
-                        and id(dnn) not in primed
-                    ):
-                        primed.add(id(dnn))
-                        dnn.classify_batch(kernels, config.n_params)
-            with stages.time("fit"), tel.tracer.span("batch.fit"):
-                outcomes = [_model_task(*prep, config, modelers) for prep in prepared]
-    if tel.enabled:
-        return outcomes, stages.seconds, tel.export_payload()
-    return outcomes, stages.seconds
+    with worker_task("sweep.batch", functions=len(batch)) as task:
+        with task.stages.time("synthesize"), task.tel.tracer.span("batch.synthesize"):
+            prepared = [_synthesize_task(noise, gen, config) for noise, gen in batch]
+        with task.stages.time("classify"), task.tel.tracer.span("batch.classify"):
+            kernels = [kernel for _, kernel, _, _ in prepared]
+            prime_candidate_cache(
+                (modeler, kernels, config.n_params) for modeler in modelers.values()
+            )
+        with task.stages.time("fit"), task.tel.tracer.span("batch.fit"):
+            outcomes = [_model_task(*prep, config, modelers) for prep in prepared]
+    return task.envelope(outcomes)
 
 
 def _run_task(task: "tuple[float, np.random.Generator]") -> TaskOutcome:
@@ -394,50 +359,20 @@ def _run_task(task: "tuple[float, np.random.Generator]") -> TaskOutcome:
     return _run_batch([task])[0][0]
 
 
-def _validate_batch_payload(index: int, payload) -> None:
-    """Logical validation applied when replaying journaled batch payloads.
+def _adaptation_keys(config: SweepConfig, tasks, resolution: float) -> list:
+    """Every task's adaptation cluster key, for the parent-side warm-up.
 
-    The journal checksum already catches torn pickles; this catches a valid
-    pickle carrying garbage (wrong shape, negative or NaN per-stage seconds)
-    before it poisons a resumed sweep's stage accounting.
-    """
-    if not isinstance(payload, tuple) or len(payload) < 2:
-        raise ValueError(
-            "expected an (outcomes, stage_seconds[, telemetry]) tuple, got "
-            f"{type(payload).__name__}"
-        )
-    validate_stage_seconds(payload[1])
-
-
-def _resolve_adaptation_store(adaptation_cache, modelers: Mapping[str, object]):
-    """Normalize ``adaptation_cache`` into an attached store (lazy import)."""
-    from repro.dnn.adaptation_cache import resolve_store
-
-    return resolve_store(adaptation_cache, list(modelers.values()))
-
-
-def _warm_adaptation_store(store, adapting, config: SweepConfig, tasks, manifest) -> None:
-    """Parent-side warm-up: adapt each task cluster once, before dispatch.
-
-    The cluster keys come from re-synthesizing every task's kernel on a
-    *clone* of its pre-spawned RNG, so the peek consumes nothing from the
-    streams the workers will use. Each distinct generic network is warmed
-    separately (fused across clusters); workers then load the stored
-    weights instead of re-adapting per process.
+    The keys come from re-synthesizing every task's kernel on a *clone* of
+    its pre-spawned RNG, so the peek consumes nothing from the streams the
+    workers will use.
     """
     from repro.dnn.domain_adaptation import AdaptationTask
 
     keys = []
     for noise, gen in tasks:
         _, kernel, _, _ = _synthesize_task(noise, clone_generator(gen), config)
-        keys.append(AdaptationTask.from_kernel(kernel, config.n_params).key(store.resolution))
-    seen: list = []
-    for dnn in adapting:
-        network = dnn.generic_network
-        if any(network is other for other in seen):
-            continue
-        seen.append(network)
-        store.warm_up(network, keys, manifest=manifest)
+        keys.append(AdaptationTask.from_kernel(kernel, config.n_params).key(resolution))
+    return keys
 
 
 def sweep_session(
@@ -541,43 +476,18 @@ def run_sweep(
             )
         if engine is not None or processes is not None:
             raise ValueError("session and engine/processes are mutually exclusive")
-    adaptation_store, adapting_dnns = (
-        _resolve_adaptation_store(adaptation_cache, modelers)
-        if adaptation_cache is not None
-        else (None, [])
+    run = RunLifecycle(
+        "sweep",
+        run_dir,
+        config,
+        rng,
+        modelers,
+        meta={"n_params": config.n_params},
+        resume=resume,
+        shard=shard,
+        steal=steal,
+        adaptation_cache=adaptation_cache,
     )
-    if shard is not None and steal:
-        raise ValueError("shard and steal are mutually exclusive")
-    if (shard is not None or steal) and run_dir is None:
-        raise ValueError("shard/steal require run_dir: the journal is the product")
-    journal = None
-    claims = None
-    if run_dir is not None:
-        parts = (config, rng_fingerprint(rng), tuple(sorted(modelers)))
-        fingerprint = config_fingerprint(*parts)
-        legacy = legacy_config_fingerprint(*parts)
-        meta = {"kind": "sweep", "n_params": config.n_params}
-        if steal:
-            journal = RunManifest.open_shared(
-                run_dir,
-                fingerprint,
-                meta=meta,
-                payload_validator=_validate_batch_payload,
-                legacy_config_hash=legacy,
-            )
-            claims = ClaimStore(run_dir)
-        else:
-            journal = RunManifest.open(
-                run_dir,
-                fingerprint,
-                resume=resume,
-                meta=meta,
-                payload_validator=_validate_batch_payload,
-                shard=shard,
-                legacy_config_hash=legacy,
-            )
-    elif resume:
-        raise ValueError("resume=True requires run_dir")
     gen = as_generator(rng)
     tasks: list[tuple[float, np.random.Generator]] = []
     for noise in config.noise_levels:
@@ -587,93 +497,67 @@ def run_sweep(
         tasks[start : start + config.batch_size]
         for start in range(0, len(tasks), config.batch_size)
     ]
-    engine_config = engine or EngineConfig()
-    if processes is not None:
-        engine_config = replace(engine_config, processes=processes)
-    stages = StageTimer()
-    pre_pass = None
-    if adaptation_store is not None:
-
-        def pre_pass() -> None:
-            # Timed as the run's ``adapt`` stage; runs inside the engine
-            # span and the total timer, so the named total covers it.
-            with stages.time("adapt"):
-                _warm_adaptation_store(
-                    adaptation_store, adapting_dnns, config, tasks, journal
+    # Without a caller's warm session, a one-shot one lives for this call.
+    scope = (
+        nullcontext(session)
+        if session is not None
+        else sweep_session(config, modelers, engine, processes)
+    )
+    with run.recording(
+        "sweep.run",
+        n_params=config.n_params,
+        noise_levels=len(config.noise_levels),
+        n_functions=config.n_functions,
+        batch_size=config.batch_size,
+    ):
+        with Timer() as total:
+            with scope as active:
+                slots = run.execute(
+                    active,
+                    _run_batch,
+                    batches,
+                    "sweep.engine",
+                    progress=progress,
+                    cluster_keys=partial(_adaptation_keys, config, tasks),
+                    batches=len(batches),
                 )
+        raw: list[TaskOutcome] = []
+        engine_failures = 0
+        # A sharded/stealing run sees None in every slot neither it nor
+        # (via the journal) another worker has completed; the sweep is
+        # then partial and carries no cells -- its journal is the product.
+        missing_batches = 0
+        for batch, slot in zip(batches, slots):
+            if slot is None:
+                missing_batches += 1
+            elif isinstance(slot, TaskFailure):
+                engine_failures += 1
+                # The engine marked the whole batch failed.
+                raw.extend({name: _failed(config) for name in modelers} for _ in batch)
+            else:
+                outcomes, batch_stages = slot
+                raw.extend(outcomes)
+                run.stages.merge(batch_stages)
+        run.stages.add("total", total.elapsed)
+    partial_run = missing_batches > 0
+    result = SweepResult(
+        config=config,
+        cells={} if partial_run else _cells(config, modelers, raw),
+        stage_seconds=run.stages.seconds,
+        engine_failures=engine_failures,
+        partial=partial_run,
+        shard=shard if partial_run else None,
+        completed_batches=len(batches) - missing_batches,
+        total_batches=len(batches),
+    )
+    result.trace_path = run.finish()
+    return result
 
-    with recording() as tel:
-        with tel.tracer.span(
-            "sweep.run",
-            n_params=config.n_params,
-            noise_levels=len(config.noise_levels),
-            n_functions=config.n_functions,
-            batch_size=config.batch_size,
-        ):
-            with tel.tracer.span("sweep.engine", batches=len(batches)) as engine_span:
-                with Timer() as total:
-                    if session is not None:
-                        raw_batches = session.run(
-                            _run_batch,
-                            batches,
-                            progress=progress,
-                            journal=journal,
-                            pre_pass=pre_pass,
-                            shard=shard,
-                            claims=claims,
-                        )
-                    else:
-                        with EngineSession(
-                            engine_config,
-                            initializer=_init_worker,
-                            initargs=(config, modelers),
-                        ) as one_shot:
-                            raw_batches = one_shot.run(
-                                _run_batch,
-                                batches,
-                                progress=progress,
-                                journal=journal,
-                                pre_pass=pre_pass,
-                                shard=shard,
-                                claims=claims,
-                            )
-            raw: list[TaskOutcome] = []
-            engine_failures = 0
-            # A sharded/stealing run sees None in every slot neither it nor
-            # (via the journal) another worker has completed; the sweep is
-            # then partial and carries no cells -- its journal is the product.
-            missing_batches = sum(1 for entry in raw_batches if entry is None)
-            for batch, entry in zip(batches, raw_batches):
-                if entry is None:
-                    continue
-                if isinstance(entry, TaskFailure):
-                    engine_failures += 1
-                    raw.extend(_failure_outcome(config, modelers) for _ in batch)
-                else:
-                    # Journaled payloads may be 2-tuples (recorded with
-                    # telemetry off) or 3-tuples (recorded with it on);
-                    # resume must accept either regardless of the current
-                    # toggle state.
-                    outcomes, batch_stages = entry[0], entry[1]
-                    raw.extend(outcomes)
-                    stages.merge(batch_stages)
-                    if tel.enabled and len(entry) > 2:
-                        tel.absorb_payload(entry[2], engine_span.span_id)
-            stages.add("total", total.elapsed)
-    if tel.enabled:
-        tel.metrics.absorb_stage_seconds(stages.seconds, prefix="sweep")
-    if missing_batches:
-        result = SweepResult(
-            config=config,
-            cells={},
-            stage_seconds=stages.seconds,
-            engine_failures=engine_failures,
-            partial=True,
-            shard=shard,
-            completed_batches=len(batches) - missing_batches,
-            total_batches=len(batches),
-        )
-        return _record_trace(result, tel, stages, journal)
+
+def _cells(
+    config: SweepConfig, modelers: Mapping[str, object], raw: "list[TaskOutcome]"
+) -> "dict[tuple[float, str], CellResult]":
+    """Aggregate per-function outcomes (in task order) into sweep cells."""
     cells: dict[tuple[float, str], CellResult] = {}
     for idx, noise in enumerate(config.noise_levels):
         block = raw[idx * config.n_functions : (idx + 1) * config.n_functions]
@@ -695,26 +579,4 @@ def run_sweep(
                 smape=np.stack([r[name][4] for r in block]),
                 dropped=np.asarray([r[name][5] for r in block]),
             )
-    result = SweepResult(
-        config=config,
-        cells=cells,
-        stage_seconds=stages.seconds,
-        engine_failures=engine_failures,
-        completed_batches=len(batches),
-        total_batches=len(batches),
-    )
-    return _record_trace(result, tel, stages, journal)
-
-
-def _record_trace(result: SweepResult, tel, stages, journal) -> SweepResult:
-    """Write and register the run's trace artifact (telemetry + run dir only)."""
-    if tel.enabled and journal is not None:
-        meta = {"kind": "sweep", "run_id": journal.run_id}
-        if result.shard is not None:
-            meta["shard"] = list(result.shard)
-        records = build_trace_records(tel, stage_seconds=stages.seconds, meta=meta)
-        trace_file = journal.directory / TRACE_FILENAME
-        digest = write_trace(trace_file, records)
-        journal.record_artifact("trace", TRACE_FILENAME, digest)
-        result.trace_path = str(trace_file)
-    return result
+    return cells

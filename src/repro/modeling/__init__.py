@@ -1,7 +1,7 @@
 """The unified modeling-pipeline core shared by every modeler.
 
-- :mod:`repro.modeling.engine` -- the ``fast``/``reference`` fitting-engine
-  toggle (``REPRO_FIT_ENGINE``).
+- :mod:`repro.modeling.engine` -- the names of the ``fast``/``reference``
+  fitting engines.
 - :mod:`repro.modeling.pipeline` -- :class:`ModelingPipeline` (aggregate →
   generate → fit → select), :class:`ModelResult` with :class:`Provenance`,
   and the :class:`Modeler` protocol.

@@ -1,4 +1,4 @@
-"""The fitting-engine toggle shared by every PMNF modeler.
+"""The two fitting engines shared by every PMNF modeler.
 
 Two equivalent hypothesis-evaluation engines exist: the ``reference``
 per-hypothesis loop (:func:`repro.regression.selection.evaluate_hypotheses`
@@ -7,40 +7,26 @@ paths (:mod:`repro.regression.fast_single` for single-parameter searches,
 :mod:`repro.regression.fast_multi` for the additive/multiplicative
 combination hypotheses). They select the same models -- the equivalence is
 pinned by ``tests/regression/test_fast_single.py`` and
-``tests/regression/test_fast_multi.py`` -- so the toggle exists for
-verification (CI runs tier-1 under both engines) and for debugging, not for
-choosing different behaviour.
-
-Resolution order: explicit argument beats the ``REPRO_FIT_ENGINE``
-environment variable, which defaults to ``fast``.
+``tests/regression/test_fast_multi.py``. ``fast`` is the default; the
+reference loop is the oracle those suites (and the end-to-end benchmark's
+correctness check) compare against, selected per modeler with
+``engine="reference"`` or the spec argument ``regression(engine=reference)``.
 """
 
 from __future__ import annotations
-
-import os
 
 #: Accepted engine names, fastest first.
 FIT_ENGINES: tuple[str, ...] = ("fast", "reference")
 
 
-def resolve_fit_engine(engine: "str | bool | None" = None) -> str:
-    """Resolve the fitting engine to ``'fast'`` or ``'reference'``.
+def resolve_fit_engine(engine: str = "fast") -> str:
+    """Validate a fitting-engine name (``'fast'`` or ``'reference'``).
 
-    ``engine`` may be an engine name, a legacy ``use_fast_path`` boolean, or
-    ``None`` to consult ``REPRO_FIT_ENGINE`` (default ``fast``). Anything
-    else raises a :class:`ValueError` naming the offending value and the
-    accepted forms.
+    Anything else raises a :class:`ValueError` naming the offending value
+    and the accepted names.
     """
-    source = "engine argument"
-    if engine is None:
-        engine = os.environ.get("REPRO_FIT_ENGINE", "fast")
-        source = "REPRO_FIT_ENGINE"
-    if isinstance(engine, bool):
-        return "fast" if engine else "reference"
-    name = str(engine).strip().lower()
-    if name not in FIT_ENGINES:
+    if engine not in FIT_ENGINES:
         raise ValueError(
-            f"unknown fit engine {engine!r} from {source}: expected one of "
-            f"{', '.join(FIT_ENGINES)} (or a legacy use_fast_path boolean)"
+            f"unknown fit engine {engine!r}: expected one of {', '.join(FIT_ENGINES)}"
         )
-    return name
+    return engine

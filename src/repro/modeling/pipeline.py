@@ -93,10 +93,10 @@ class ModelingPipeline:
 
     ``generator`` supplies the candidate hypotheses (see
     :mod:`repro.modeling.candidates`); ``engine`` picks the fit/select
-    implementation (``'fast'``/``'reference'``, default from
-    ``REPRO_FIT_ENGINE``). Both engines select the same models -- the fast
-    path refits its winner through the reference solver, and the pinned
-    equivalence tests hold the two bit-identical.
+    implementation (``'fast'``, the default, or ``'reference'``). Both
+    engines select the same models -- the fast path refits its winner
+    through the reference solver, and the pinned equivalence tests hold
+    the two bit-identical.
 
     ``prefilter`` (a spec string like ``"mad(k=3)"``, a built
     :class:`~repro.modeling.prefilter.RobustAggregator`, or ``None``)
@@ -109,7 +109,7 @@ class ModelingPipeline:
         self,
         generator,
         aggregation: str = "median",
-        engine: "str | bool | None" = None,
+        engine: str = "fast",
         prefilter=None,
     ):
         self.generator = generator
@@ -210,7 +210,7 @@ class PipelineModeler:
         generator,
         method_name: str,
         aggregation: str = "median",
-        engine: "str | bool | None" = None,
+        engine: str = "fast",
         prefilter=None,
     ):
         self.method_name = method_name

@@ -222,7 +222,7 @@ def _ensure_builtins() -> None:
         return
     _BUILTINS_READY = True
 
-    def regression(aggregation: str = "median", engine=None, prefilter=None):
+    def regression(aggregation: str = "median", engine: str = "fast", prefilter=None):
         from repro.regression.modeler import RegressionModeler
 
         return RegressionModeler(
@@ -235,7 +235,7 @@ def _ensure_builtins() -> None:
         adaptation_epochs: "int | None" = None,
         adaptation_samples_per_class: "int | None" = None,
         aggregation: str = "median",
-        engine=None,
+        engine: str = "fast",
         network=None,
         prefilter=None,
     ):
@@ -262,7 +262,7 @@ def _ensure_builtins() -> None:
         adaptation_samples_per_class: "int | None" = None,
         thresholds=None,
         aggregation: str = "median",
-        engine=None,
+        engine: str = "fast",
         network=None,
         prefilter=None,
     ):
@@ -296,7 +296,7 @@ def _ensure_builtins() -> None:
         top_k: int = 3,
         thresholds=None,
         aggregation: str = "median",
-        engine=None,
+        engine: str = "fast",
         network=None,
         prefilter=None,
     ):

@@ -150,7 +150,8 @@ def worker_recording() -> "Iterator[Telemetry | _NullTelemetry]":
     exported payload has the same shape in serial and pool execution and
     worker spans always travel back through the task result, where the
     driver re-parents them. Yields :data:`NULL_TELEMETRY` when telemetry is
-    off; callers check ``.enabled`` to decide whether to attach the payload.
+    off; the task envelope's telemetry slot is then ``None`` (see
+    :mod:`repro.run.lifecycle`).
     """
     if not (_STACK or telemetry_env_enabled()):
         yield NULL_TELEMETRY

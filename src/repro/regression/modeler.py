@@ -19,7 +19,7 @@ class RegressionModeler:
     :class:`~repro.modeling.candidates.FullSearchGenerator`. The ``rng``
     argument is accepted for interface compatibility; regression is
     deterministic. ``engine`` selects the fitting engine
-    (``'fast'``/``'reference'``; ``None`` follows ``REPRO_FIT_ENGINE``).
+    (``'fast'``/``'reference'``).
     """
 
     method_name = "regression"
@@ -28,7 +28,7 @@ class RegressionModeler:
         self,
         multi: "MultiParameterModeler | None" = None,
         aggregation: str = "median",
-        engine: "str | bool | None" = None,
+        engine: str = "fast",
         prefilter=None,
     ):
         # Imported here, not at module level: candidates.py imports the
@@ -36,7 +36,7 @@ class RegressionModeler:
         from repro.modeling.candidates import FullSearchGenerator
 
         self.multi = multi or MultiParameterModeler(
-            aggregation=aggregation, use_fast_path=engine
+            aggregation=aggregation, engine=engine
         )
         self.pipeline = ModelingPipeline(
             FullSearchGenerator(self.multi),

@@ -70,11 +70,10 @@ class MultiParameterModeler:
     ``aggregation`` selects the representative value of the repetitions
     (``median``/``mean``/``min``); the paper models the median.
 
-    ``use_fast_path`` picks the engine evaluating the combination
-    hypotheses: the batched-SVD fast path of
-    :mod:`repro.regression.fast_multi` (``'fast'``, the default) or the
-    reference per-hypothesis loop (``'reference'``); ``None`` follows
-    ``REPRO_FIT_ENGINE``. Both engines select bit-identical models -- the
+    ``engine`` picks the engine evaluating the combination hypotheses:
+    the batched-SVD fast path of :mod:`repro.regression.fast_multi`
+    (``'fast'``, the default) or the reference per-hypothesis loop
+    (``'reference'``). Both engines select bit-identical models -- the
     equivalence is pinned by ``tests/regression/test_fast_multi.py``.
     """
 
@@ -82,13 +81,13 @@ class MultiParameterModeler:
         self,
         single: "SingleParameterModeler | None" = None,
         aggregation: str = "median",
-        use_fast_path: "bool | str | None" = None,
+        engine: str = "fast",
     ):
         from repro.modeling.engine import resolve_fit_engine
 
-        self.single = single or SingleParameterModeler(use_fast_path=use_fast_path)
+        self.single = single or SingleParameterModeler(engine=engine)
         self.aggregation = aggregation
-        self.engine = resolve_fit_engine(use_fast_path)
+        self.engine = resolve_fit_engine(engine)
         self._fast = None
         if self.engine == "fast":
             from repro.regression.fast_multi import FastMultiParameterSearch

@@ -45,26 +45,24 @@ class SingleParameterModeler:
     batched-SVD fast path (:mod:`repro.regression.fast_single`, default)
     that evaluates all hypotheses in one vectorized pass -- the hot path of
     the synthetic sweeps. They produce the same winner; the equivalence is
-    pinned by ``tests/regression/test_fast_single.py``. ``use_fast_path``
-    accepts an engine name (``'fast'``/``'reference'``), a legacy boolean,
-    or ``None`` to follow ``REPRO_FIT_ENGINE`` (see
-    :func:`repro.modeling.engine.resolve_fit_engine`).
+    pinned by ``tests/regression/test_fast_single.py``. ``engine`` names
+    the engine (``'fast'``/``'reference'``, see
+    :mod:`repro.modeling.engine`).
     """
 
     def __init__(
         self,
         pairs: "Sequence[ExponentPair] | None" = None,
-        use_fast_path: "bool | str | None" = None,
+        engine: str = "fast",
     ):
         from repro.modeling.engine import resolve_fit_engine
         from repro.pmnf.searchspace import EXPONENT_PAIRS
 
         self.pairs = list(EXPONENT_PAIRS if pairs is None else pairs)
         self.hypotheses = single_parameter_hypotheses(self.pairs)
-        self.engine = resolve_fit_engine(use_fast_path)
-        self.use_fast_path = self.engine == "fast"
+        self.engine = resolve_fit_engine(engine)
         self._fast = None
-        if self.use_fast_path:
+        if self.engine == "fast":
             from repro.regression.fast_single import FastSingleParameterSearch
 
             self._fast = FastSingleParameterSearch(self.pairs)

@@ -6,7 +6,6 @@ from repro.run.manifest import (
     RunManifest,
     RunManifestError,
     config_fingerprint,
-    legacy_config_fingerprint,
     rng_fingerprint,
 )
 from repro.run.merge import MergeError, merge_runs
@@ -18,7 +17,6 @@ __all__ = [
     "RunManifest",
     "RunManifestError",
     "config_fingerprint",
-    "legacy_config_fingerprint",
     "merge_runs",
     "rng_fingerprint",
 ]

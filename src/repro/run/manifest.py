@@ -63,7 +63,11 @@ MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 TASKS_DIR = "tasks"
 TENANTS_DIR = "tenants"
-_MANIFEST_VERSION = 1
+#: Journal-format version. Version 2 journals hold fixed
+#: ``(result, stage_seconds, telemetry | None)`` task envelopes (see
+#: :mod:`repro.run.lifecycle`). Version-1 run directories hold
+#: variable-arity payloads; they are refused on load, never partly replayed.
+_MANIFEST_VERSION = 2
 
 
 class RunManifestError(RuntimeError):
@@ -167,30 +171,16 @@ def config_fingerprint(*parts) -> str:
     """Stable hash over the run-defining parts (configs, seeds, names).
 
     Hashes canonical *full* content: dataclasses and containers are walked
-    recursively and numpy arrays contribute dtype/shape/``tobytes()``. The
-    previous ``repr``-based form (see :func:`legacy_config_fingerprint`)
-    elided large arrays under ``np.printoptions``, so two configs differing
-    only past the repr ellipsis fingerprinted identically and a resume
-    could silently mix their results.
+    recursively and numpy arrays contribute dtype/shape/``tobytes()``. A
+    ``repr``-based hash would elide large arrays under ``np.printoptions``,
+    so two configs differing only past the repr ellipsis would fingerprint
+    identically and a resume could silently mix their results.
     """
     digest = hashlib.sha256()
     for part in parts:
         _feed(digest, part)
         digest.update(b"\x1f")
     return digest.hexdigest()[:16]
-
-
-def legacy_config_fingerprint(*parts) -> str:
-    """The pre-canonical ``repr``-join fingerprint (versions <= PR 9).
-
-    Kept only so run directories created before the canonical fingerprint
-    can still be resumed: callers pass it as ``legacy_config_hash`` to
-    :meth:`RunManifest.open`, which accepts either hash on resume. Never
-    used for *new* manifests -- large numpy arrays elide under ``repr``,
-    which is the bug the canonical form fixes.
-    """
-    payload = "\x1f".join(repr(part) for part in parts)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def rng_fingerprint(rng) -> str:
@@ -299,7 +289,8 @@ class RunManifest:
         if version != _MANIFEST_VERSION:
             raise RunManifestError(
                 f"{path}: unsupported manifest version: found {version!r}, "
-                f"supported {_MANIFEST_VERSION}"
+                f"supported {_MANIFEST_VERSION}; the run directory was written "
+                "in another journal format -- start a fresh run dir"
             )
         return cls(directory, data, payload_validator)
 
@@ -312,21 +303,18 @@ class RunManifest:
         meta: "dict | None" = None,
         payload_validator=None,
         shard: "tuple[int, int] | None" = None,
-        legacy_config_hash: "str | None" = None,
     ) -> "RunManifest":
         """Create a fresh run, or -- with ``resume`` -- re-enter a prior one.
 
         Resume verifies the configuration fingerprint so journaled results
-        can never silently leak into a run with different parameters.
-        ``legacy_config_hash`` (the pre-canonical ``repr`` fingerprint of
-        the same parts) is also accepted on resume, so run directories
-        created before the canonical fingerprint still resume. A resumed
-        sharded run must present the same ``shard`` it was created with.
+        can never silently leak into a run with different parameters. A
+        resumed sharded run must present the same ``shard`` it was created
+        with.
         """
         if not resume:
             return cls.create(directory, config_hash, meta, payload_validator, shard=shard)
         manifest = cls.load(directory, payload_validator)
-        manifest._verify_config_hash(config_hash, legacy_config_hash)
+        manifest._verify_config_hash(config_hash)
         recorded = manifest.shard
         requested = None if shard is None else (int(shard[0]), int(shard[1]))
         if recorded != requested:
@@ -344,7 +332,6 @@ class RunManifest:
         config_hash: str,
         meta: "dict | None" = None,
         payload_validator=None,
-        legacy_config_hash: "str | None" = None,
     ) -> "RunManifest":
         """Join (or race to create) a *shared* run directory.
 
@@ -362,17 +349,12 @@ class RunManifest:
             if "already holds a run manifest" not in str(err):
                 raise
             manifest = cls.load(directory, payload_validator)
-            manifest._verify_config_hash(config_hash, legacy_config_hash)
+            manifest._verify_config_hash(config_hash)
         manifest.shared_journal = True
         return manifest
 
-    def _verify_config_hash(
-        self, config_hash: str, legacy_config_hash: "str | None" = None
-    ) -> None:
-        accepted = {config_hash}
-        if legacy_config_hash is not None:
-            accepted.add(legacy_config_hash)
-        if self.config_hash not in accepted:
+    def _verify_config_hash(self, config_hash: str) -> None:
+        if self.config_hash != config_hash:
             raise RunManifestError(
                 f"run {self.run_id} at {self.directory} was started with "
                 f"configuration hash {self.config_hash}, but the resuming call "

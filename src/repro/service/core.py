@@ -38,14 +38,12 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.dnn.modeler import prime_candidate_cache
 from repro.modeling.registry import create_modeler
-from repro.obs import recording, worker_recording
+from repro.obs import recording
 from repro.parallel.engine import EngineConfig, EngineSession, TaskError, TaskFailure
-from repro.run.manifest import (
-    RunManifest,
-    config_fingerprint,
-    legacy_config_fingerprint,
-)
+from repro.run.lifecycle import record_trace, unpack, worker_task
+from repro.run.manifest import MANIFEST_NAME, RunManifest, config_fingerprint
 from repro.service.schema import (
     ModelingRequest,
     build_response,
@@ -144,77 +142,54 @@ def _service_modeler(spec: str):
     return modeler
 
 
-def _prime_classify(group: "list[ModelingRequest]", modelers: list) -> None:
-    """Coalesce the group's kernels into single ``classify_batch`` calls.
-
-    Mirrors the sweep batcher: only non-domain-adapting DNNs are primed
-    (adapting ones classify through their per-task adapted network inside
-    ``model_experiment``), kernels are grouped per distinct network and
-    parameter count, and priming only fills the candidate cache the
-    per-kernel path would fill anyway -- results are bit-identical with or
-    without it.
-    """
-    batches: "dict[tuple[int, int], tuple[object, list]]" = {}
-    for request, modeler in zip(group, modelers):
-        dnn = getattr(modeler, "dnn", modeler)
-        if hasattr(dnn, "classify_batch") and not getattr(
-            dnn, "use_domain_adaptation", True
-        ):
-            key = (id(dnn), request.experiment.n_params)
-            entry = batches.setdefault(key, (dnn, []))
-            entry[1].extend(request.experiment.kernels)
-    for (_, n_params), (dnn, kernels) in batches.items():
-        dnn.classify_batch(kernels, n_params)
-
-
 def _serve_group(group: "list[ModelingRequest]"):
     """Model one coalesced group of requests -- one engine task.
 
-    Returns ``(responses, stage_seconds)`` -- plus an exported telemetry
-    payload when recording -- with one response dict per request, in group
-    order. A request whose modeling fails degrades to an error response
-    (HTTP 422 shape) instead of failing the whole group.
+    Returns the worker envelope ``(responses, stage_seconds, telemetry |
+    None)`` with one response dict per request, in group order. The
+    group's kernels are classified through single ``classify_batch``
+    calls first. A request whose modeling fails degrades to an error
+    response (HTTP 422 shape) instead of failing the whole group.
     """
-    stages = StageTimer()
     responses: list[dict] = []
-    with worker_recording() as tel:
-        with tel.tracer.span("service.group", requests=len(group)):
-            with stages.time("prepare"):
-                modelers = [_service_modeler(request.method) for request in group]
-            with stages.time("classify"), tel.tracer.span("service.classify"):
-                _prime_classify(group, modelers)
-            with stages.time("fit"):
-                for request, modeler in zip(group, modelers):
-                    with tel.tracer.span(
-                        "service.request",
-                        request=request.request_id,
-                        tenant=request.tenant,
-                        kernels=len(request.experiment.kernels),
-                    ):
-                        try:
-                            with Timer() as timer:
-                                results = modeler.model_experiment(
-                                    request.experiment, rng=request.seed
-                                )
-                            responses.append(
-                                build_response(request, results, timer.elapsed)
+    with worker_task("service.group", requests=len(group)) as task:
+        with task.stages.time("prepare"):
+            modelers = [_service_modeler(request.method) for request in group]
+        with task.stages.time("classify"), task.tel.tracer.span("service.classify"):
+            prime_candidate_cache(
+                (modeler, request.experiment.kernels, request.experiment.n_params)
+                for request, modeler in zip(group, modelers)
+            )
+        with task.stages.time("fit"):
+            for request, modeler in zip(group, modelers):
+                with task.tel.tracer.span(
+                    "service.request",
+                    request=request.request_id,
+                    tenant=request.tenant,
+                    kernels=len(request.experiment.kernels),
+                ):
+                    try:
+                        with Timer() as timer:
+                            results = modeler.model_experiment(
+                                request.experiment, rng=request.seed
                             )
-                        # repro-lint: disable-next-line=EXC001 -- not swallowed:
-                        # the failure becomes this request's error response
-                        # (422) so one degenerate request cannot take down the
-                        # others coalesced into the same group.
-                        except Exception as exc:
-                            tel.metrics.counter("service.request_errors").inc()
-                            responses.append(
-                                error_response(
-                                    request.request_id,
-                                    f"{type(exc).__name__}: {exc}",
-                                    422,
-                                )
+                        responses.append(
+                            build_response(request, results, timer.elapsed)
+                        )
+                    # repro-lint: disable-next-line=EXC001 -- not swallowed:
+                    # the failure becomes this request's error response
+                    # (422) so one degenerate request cannot take down the
+                    # others coalesced into the same group.
+                    except Exception as exc:
+                        task.tel.metrics.counter("service.request_errors").inc()
+                        responses.append(
+                            error_response(
+                                request.request_id,
+                                f"{type(exc).__name__}: {exc}",
+                                422,
                             )
-    if tel.enabled:
-        return responses, stages.seconds, tel.export_payload()
-    return responses, stages.seconds
+                        )
+    return task.envelope(responses)
 
 
 # ----------------------------------------------------------------- driver side
@@ -269,14 +244,11 @@ class ModelingService:
         if config.run_dir is not None:
             from pathlib import Path
 
-            fingerprint = config_fingerprint("service", config)
-            resume = (Path(config.run_dir) / "manifest.json").exists()
             self._manifest = RunManifest.open(
                 config.run_dir,
-                fingerprint,
-                resume=resume,
+                config_fingerprint("service", config),
+                resume=(Path(config.run_dir) / MANIFEST_NAME).exists(),
                 meta={"kind": "service"},
-                legacy_config_hash=legacy_config_fingerprint("service", config),
             )
         # The service holds its telemetry session open for its lifetime:
         # spans and counters from every request land in it live (feeding
@@ -318,30 +290,17 @@ class ModelingService:
             pending.set_response(
                 error_response(pending.request.request_id, "service shut down", 503)
             )
-        self._write_trace()
+        if self._tel is not None:
+            with self._stats_lock:
+                stages = dict(self._stages.seconds)
+            if self._started_at is not None:
+                stages["total"] = time.monotonic() - self._started_at
+            record_trace(self._tel, self._manifest, stages, "service")
         if self._tel_cm is not None:
             self._tel_cm.__exit__(None, None, None)
             self._tel_cm = None
             self._tel = None
         self._session.close()
-
-    def _write_trace(self) -> None:
-        if self._tel is None or not self._tel.enabled or self._manifest is None:
-            return
-        from repro.obs.sink import TRACE_FILENAME, build_trace_records, write_trace
-
-        with self._stats_lock:
-            stages = dict(self._stages.seconds)
-        if self._started_at is not None:
-            stages["total"] = time.monotonic() - self._started_at
-        records = build_trace_records(
-            self._tel,
-            stage_seconds=stages,
-            meta={"kind": "service", "run_id": self._manifest.run_id},
-        )
-        trace_file = self._manifest.directory / TRACE_FILENAME
-        digest = write_trace(trace_file, records)
-        self._manifest.record_artifact("trace", TRACE_FILENAME, digest)
 
     # ----------------------------------------------------------------- intake
     def _next_id(self) -> str:
@@ -440,17 +399,17 @@ class ModelingService:
             except (TaskError, RuntimeError) as exc:
                 self._fail_batch(batch, f"{type(exc).__name__}: {exc}")
                 return
-            for group, entry in zip(groups, raw):
-                if entry is None or isinstance(entry, TaskFailure):
-                    detail = entry.error if isinstance(entry, TaskFailure) else "no result"
+            with self._stats_lock:
+                slots = unpack(raw, tel, batch_span.span_id)
+                for slot in slots:
+                    if isinstance(slot, tuple):
+                        self._stages.merge(slot[1])
+            for group, slot in zip(groups, slots):
+                if slot is None or isinstance(slot, TaskFailure):
+                    detail = slot.error if isinstance(slot, TaskFailure) else "no result"
                     self._fail_batch(group, f"engine task failed: {detail}")
                     continue
-                responses, group_stages = entry[0], entry[1]
-                with self._stats_lock:
-                    self._stages.merge(group_stages)
-                    if tel.enabled and len(entry) > 2:
-                        tel.absorb_payload(entry[2], batch_span.span_id)
-                for pending, response in zip(group, responses):
+                for pending, response in zip(group, slot[0]):
                     self._resolve(pending, response)
 
     def _fail_batch(self, batch: "list[PendingRequest]", message: str) -> None:

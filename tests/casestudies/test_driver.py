@@ -5,6 +5,7 @@ from repro.casestudies import relearn
 from repro.casestudies.driver import run_case_study
 from repro.dnn.modeler import DNNModeler
 from repro.regression.modeler import RegressionModeler
+from repro.run.manifest import RunManifest, RunManifestError
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +71,33 @@ class TestRunCaseStudy:
     def test_no_relevant_outcomes_raises(self, relearn_result):
         with pytest.raises(ValueError):
             relearn_result.median_error("missing")
+
+
+class TestJournaledCaseStudy:
+    MODELERS = {
+        "regression": "regression",
+        "reference": "regression(engine=reference)",
+    }
+
+    def test_resume_replays_the_journal(self, tmp_path):
+        first = run_case_study(relearn(), self.MODELERS, rng=3, run_dir=str(tmp_path))
+        resumed = run_case_study(
+            relearn(), self.MODELERS, rng=3, run_dir=str(tmp_path), resume=True
+        )
+        assert resumed.total_seconds == first.total_seconds
+        assert [(o.kernel, o.modeler, o.prediction) for o in resumed.outcomes] == [
+            (o.kernel, o.modeler, o.prediction) for o in first.outcomes
+        ]
+
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    def test_corrupt_journaled_seconds_refused_on_resume(self, tmp_path, seconds):
+        """A valid pickle carrying a bad modeler time must not replay into
+        ``total_seconds`` (the Fig. 6 bars): resume fails naming the task."""
+        run_case_study(relearn(), self.MODELERS, rng=3, run_dir=str(tmp_path))
+        manifest = RunManifest.load(tmp_path)
+        results, _, telemetry = manifest.completed_tasks()[1]
+        manifest.record_task(1, (results, {"model": seconds}, telemetry))
+        with pytest.raises(RunManifestError, match="task 1.*stage 'model'"):
+            run_case_study(
+                relearn(), self.MODELERS, rng=3, run_dir=str(tmp_path), resume=True
+            )

@@ -17,28 +17,19 @@ from repro.regression.modeler import RegressionModeler
 
 
 class TestEngineToggle:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FIT_ENGINE", raising=False)
-        assert resolve_fit_engine(None) == "fast"
+    def test_default_is_fast(self):
+        assert resolve_fit_engine() == "fast"
 
-    def test_env_var_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_ENGINE", "reference")
-        assert resolve_fit_engine(None) == "reference"
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_ENGINE", "reference")
-        assert resolve_fit_engine("fast") == "fast"
-
-    def test_legacy_booleans(self):
-        assert resolve_fit_engine(True) == "fast"
-        assert resolve_fit_engine(False) == "reference"
-
-    def test_invalid_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="warp"):
+    def test_invalid_engine_rejected(self):
+        with pytest.raises(ValueError, match="warp.*fast, reference"):
             resolve_fit_engine("warp")
-        monkeypatch.setenv("REPRO_FIT_ENGINE", "warp")
-        with pytest.raises(ValueError, match="REPRO_FIT_ENGINE"):
-            resolve_fit_engine(None)
+
+    @pytest.mark.parametrize("engine", [True, False, None])
+    def test_only_engine_names_accepted(self, engine):
+        """The boolean ``use_fast_path`` form and the ``None`` fallback are
+        gone: an engine is named."""
+        with pytest.raises(ValueError, match="expected one of fast, reference"):
+            resolve_fit_engine(engine)
 
     def test_engines_tuple(self):
         assert FIT_ENGINES == ("fast", "reference")

@@ -98,7 +98,8 @@ class TestTraceArtifact:
 class TestResumeAcrossToggleStates:
     def test_journal_recorded_on_resumed_off(self, monkeypatch, tmp_path):
         """A journal written with telemetry on must resume cleanly with it
-        off (payloads are 3-tuples), and vice versa -- bit-identically."""
+        off (the envelope's telemetry slot is filled), and vice versa --
+        bit-identically."""
         monkeypatch.setenv(ENV_VAR, "1")
         on = run_sweep(CONFIG, MODELERS, rng=7, run_dir=str(tmp_path))
         monkeypatch.delenv(ENV_VAR, raising=False)
@@ -112,7 +113,8 @@ class TestResumeAcrossToggleStates:
         monkeypatch.setenv(ENV_VAR, "1")
         resumed = run_sweep(CONFIG, MODELERS, rng=7, run_dir=str(tmp_path), resume=True)
         assert _cells_equal(off, resumed)
-        # replayed 2-tuple payloads carry no spans, but the trace still exists
+        # replayed envelopes recorded with telemetry off carry no spans
+        # (their telemetry slot is None), but the trace still exists
         assert resumed.trace_path is not None
 
 
@@ -126,7 +128,8 @@ class TestPayloadValidation:
         run_sweep(CONFIG, MODELERS, rng=7, run_dir=str(tmp_path))
         manifest = RunManifest.load(tmp_path)
         payloads = manifest.completed_tasks()
-        outcomes, _ = payloads[0][0], payloads[0][1]
-        manifest.record_task(0, (outcomes, {"fit": -1.0}))
-        with pytest.raises(RunManifestError, match="task 0"):
+        outcomes, _, telemetry = payloads[0]
+        manifest.record_task(0, (outcomes, {"fit": -1.0}, telemetry))
+        # a well-formed envelope: the refusal comes from the stage check
+        with pytest.raises(RunManifestError, match="task 0.*stage 'fit'"):
             run_sweep(CONFIG, MODELERS, rng=7, run_dir=str(tmp_path), resume=True)

@@ -41,7 +41,7 @@ def combination_task(seed, n_params=2, noise=0.3):
         truth, grid_coordinates(sets), noise_model, rng=gen
     ):
         kernel.add(meas)
-    modeler = MultiParameterModeler(use_fast_path="reference")
+    modeler = MultiParameterModeler(engine="reference")
     lines = parameter_lines(kernel, n_params)
     hypotheses = combination_hypotheses(
         modeler.lead_terms(modeler.model_lines(lines))
@@ -91,8 +91,8 @@ class TestEquivalence:
                 truth, grid_coordinates(sets), UniformNoise(0.2), rng=gen
             ):
                 kernel.add(meas)
-            ref = MultiParameterModeler(use_fast_path="reference").model_kernel(kernel, 2)
-            fst = MultiParameterModeler(use_fast_path="fast").model_kernel(kernel, 2)
+            ref = MultiParameterModeler(engine="reference").model_kernel(kernel, 2)
+            fst = MultiParameterModeler(engine="fast").model_kernel(kernel, 2)
             assert fst.function.structure_key() == ref.function.structure_key()
             assert fst.cv_smape == ref.cv_smape
 

@@ -16,11 +16,11 @@ from repro.util.seeding import as_generator
 
 
 def reference(xs, values):
-    return SingleParameterModeler(use_fast_path=False).model(xs, values)
+    return SingleParameterModeler(engine="reference").model(xs, values)
 
 
 def fast(xs, values):
-    return SingleParameterModeler(use_fast_path=True).model(xs, values)
+    return SingleParameterModeler(engine="fast").model(xs, values)
 
 
 def random_case(seed, noise=0.3, n_points=5):
@@ -67,7 +67,7 @@ class TestEquivalence:
         pairs = [ExponentPair(1, 0), ExponentPair(2, 0), ExponentPair(0, 0)]
         xs = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
         values = 1.0 + 0.5 * xs**2
-        best = SingleParameterModeler(pairs, use_fast_path=True).model(xs, values)
+        best = SingleParameterModeler(pairs, engine="fast").model(xs, values)
         assert best.function.lead_exponents()[0].i == 2
 
     def test_negative_trend_prefers_plausible(self):

@@ -1,5 +1,8 @@
 """Run manifests: lifecycle, fingerprints, journal replay, corruption."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from repro.run.manifest import (
     RunManifest,
     RunManifestError,
     config_fingerprint,
-    legacy_config_fingerprint,
     rng_fingerprint,
 )
 from repro.testing import faults
@@ -44,17 +46,24 @@ class TestFingerprints:
         with pytest.raises(RunManifestError, match="cannot fingerprint"):
             rng_fingerprint("a string")
 
+    @staticmethod
+    def _repr_fingerprint(*parts) -> str:
+        """A repr-join hash: the collision-prone scheme the canonical
+        fingerprint replaced."""
+        payload = "\x1f".join(repr(part) for part in parts)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
     def test_large_arrays_differing_past_repr_ellipsis(self):
         """Regression for the repr-truncation bug: numpy elides the middle of
-        large arrays under its print options, so the legacy repr-based
-        fingerprint COLLIDES for two parameter-value sets that differ only in
-        the elided region. The canonical fingerprint hashes the full buffer
-        and must tell them apart."""
+        large arrays under its print options, so a repr-based fingerprint
+        COLLIDES for two parameter-value sets that differ only in the elided
+        region. The canonical fingerprint hashes the full buffer and must
+        tell them apart."""
         a = np.arange(2000, dtype=float)
         b = a.copy()
         b[1000] += 1.0  # invisible in repr(a) vs repr(b)
         assert repr(a) == repr(b), "precondition: the difference is elided"
-        assert legacy_config_fingerprint(a) == legacy_config_fingerprint(b)
+        assert self._repr_fingerprint(a) == self._repr_fingerprint(b)
         assert config_fingerprint(a) != config_fingerprint(b)
 
     def test_large_arrays_inside_containers(self):
@@ -63,7 +72,7 @@ class TestFingerprints:
         a = {"values": (np.arange(1500),), "n": 1}
         b = {"values": (np.arange(1500),), "n": 1}
         b["values"][0][700] += 1
-        assert legacy_config_fingerprint(a) == legacy_config_fingerprint(b)
+        assert self._repr_fingerprint(a) == self._repr_fingerprint(b)
         assert config_fingerprint(a) != config_fingerprint(b)
 
     def test_canonical_fingerprint_separates_types(self):
@@ -292,32 +301,36 @@ class TestSubManifests:
         assert parent.sub_manifests() == {}
 
 
-class TestLegacyFingerprintResume:
-    def test_legacy_run_dir_resumes_under_canonical_hash(self, tmp_path):
-        """Run dirs created before the canonical fingerprint carry the old
-        repr-based hash; resume must accept them when the caller supplies the
-        legacy hash of the same parts."""
-        parts = ({"n": 1}, "seed:0", ("regression",))
-        RunManifest.create(tmp_path / "run", legacy_config_fingerprint(*parts))
-        resumed = RunManifest.open(
-            tmp_path / "run",
-            config_fingerprint(*parts),
-            resume=True,
-            legacy_config_hash=legacy_config_fingerprint(*parts),
-        )
-        assert resumed.config_hash == legacy_config_fingerprint(*parts)
+class TestJournalFormatVersion:
+    def test_version_1_run_dir_refused_not_replayed(self, tmp_path):
+        """A run dir written in the version-1 journal format (variable-arity
+        payloads) is refused by resume, by merge-run, and by the service --
+        each naming the found and supported versions -- and nothing in it is
+        replayed or rewritten."""
+        from repro.run.merge import merge_runs
+        from repro.service.core import ModelingService, ServiceConfig
 
-    def test_legacy_hash_of_different_parts_still_refuses(self, tmp_path):
-        parts = ({"n": 1}, "seed:0", ("regression",))
-        other = ({"n": 2}, "seed:0", ("regression",))
-        RunManifest.create(tmp_path / "run", legacy_config_fingerprint(*other))
-        with pytest.raises(RunManifestError, match="refusing to mix"):
-            RunManifest.open(
-                tmp_path / "run",
-                config_fingerprint(*parts),
-                resume=True,
-                legacy_config_hash=legacy_config_fingerprint(*parts),
-            )
+        run = tmp_path / "run"
+        manifest = RunManifest.create(run, "h")
+        manifest.record_task(0, ("outcomes", {"fit": 1.0}))  # a v1 2-tuple
+        data = json.loads((run / MANIFEST_NAME).read_text())
+        data["version"] = 1
+        (run / MANIFEST_NAME).write_text(json.dumps(data))
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+
+        refusal = r"found 1, supported 2.*start a fresh run dir"
+        with pytest.raises(RunManifestError, match=refusal):
+            RunManifest.open(run, "h", resume=True)
+        with pytest.raises(RunManifestError, match=refusal):
+            merge_runs(tmp_path / "merged", [run])
+        service = ModelingService(ServiceConfig(run_dir=str(run), processes=1))
+        try:
+            with pytest.raises(RunManifestError, match=refusal):
+                service.start()
+        finally:
+            service.close()
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "merged").exists()
 
 
 class TestShardMeta:

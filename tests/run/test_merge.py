@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.run.manifest import RunManifest
+from repro.run.manifest import MANIFEST_NAME, RunManifest
 from repro.run.merge import MergeError, merge_runs
 
 CONFIG = "merge-test-hash"
@@ -172,3 +172,30 @@ class TestLastRecordWins:
             if json.loads(line).get("type") == "task"
         ]
         assert len(task_lines) == 1  # duplicates collapse on merge
+
+
+class TestMergeRunCLI:
+    ARGS = [
+        "evaluate", "--params", "1", "--noise", "5", "--functions", "4",
+        "--batch", "2", "--seed", "1",
+    ]
+
+    def test_logically_corrupt_shard_refused(self, tmp_path, capsys):
+        """merge-run validates every shard payload's envelope: a valid
+        pickle carrying a negative stage time is refused (exit 2) naming the
+        shard and the task, and no merged run is written."""
+        from repro.cli import main
+
+        for index in range(2):
+            shard_args = ["--run-dir", str(tmp_path / f"s{index}"), "--shard", f"{index}/2"]
+            assert main(self.ARGS + shard_args) == 0
+        shard = RunManifest.load(tmp_path / "s1")
+        outcomes, _, telemetry = shard.completed_tasks()[1]
+        shard.record_task(1, (outcomes, {"fit": -1.0}, telemetry))
+        capsys.readouterr()
+        merged = tmp_path / "merged"
+        assert main(["merge-run", str(merged), str(tmp_path / "s0"), str(tmp_path / "s1")]) == 2
+        err = capsys.readouterr().err
+        assert f"shard {tmp_path / 's1'}" in err
+        assert "task 1" in err and "logically corrupt" in err
+        assert not (merged / MANIFEST_NAME).exists()
