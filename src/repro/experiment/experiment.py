@@ -20,10 +20,13 @@ class Kernel:
         self.name = name
         self.metric = metric
         self._measurements: dict[Coordinate, Measurement] = {}
+        # Sorted coordinates, rebuilt on the first access after an add.
+        self._order: "list[Coordinate] | None" = None
 
     # ----------------------------------------------------------------- build
     def add(self, measurement: Measurement) -> None:
         """Add a measurement; repeated adds at one coordinate merge repetitions."""
+        self._order = None
         existing = self._measurements.get(measurement.coordinate)
         if existing is None:
             self._measurements[measurement.coordinate] = measurement
@@ -39,13 +42,19 @@ class Kernel:
         self.add(Measurement(coordinate, values))
 
     # ---------------------------------------------------------------- access
+    def _sorted(self) -> list[Coordinate]:
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self._measurements)
+        return order
+
     @property
     def coordinates(self) -> list[Coordinate]:
-        return sorted(self._measurements)
+        return list(self._sorted())
 
     @property
     def measurements(self) -> list[Measurement]:
-        return [self._measurements[c] for c in self.coordinates]
+        return [self._measurements[c] for c in self._sorted()]
 
     def measurement_at(self, coordinate: Coordinate) -> Measurement:
         return self._measurements[coordinate]

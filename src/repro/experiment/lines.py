@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.experiment.experiment import Kernel
-from repro.experiment.measurement import Measurement
+from repro.experiment.measurement import Measurement, aggregate_values
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class ParameterLine:
 
     @property
     def medians(self) -> np.ndarray:
-        return np.asarray([m.median for m in self.measurements])
+        return self.values("median")
 
     def values(self, aggregation: str = "median") -> np.ndarray:
         """Representative values under the chosen aggregation strategy."""
-        return np.asarray([m.aggregate(aggregation) for m in self.measurements])
+        return aggregate_values(self.measurements, aggregation)
 
     def __len__(self) -> int:
         return len(self.measurements)

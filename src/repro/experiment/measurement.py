@@ -133,15 +133,35 @@ class Measurement:
         return f"Measurement({self.coordinate!r}, median={self.median:.6g}, rep={self.repetitions})"
 
 
+def aggregate_values(
+    measurements: Sequence[Measurement], aggregation: str = "median"
+) -> np.ndarray:
+    """:meth:`Measurement.aggregate` of every measurement, as one vector.
+
+    Medians are taken in one ``np.median`` call per repetition count over
+    the stacked repetitions; the values are bitwise those of the
+    per-measurement :attr:`Measurement.median`.
+    """
+    if aggregation != "median":
+        return np.asarray([m.aggregate(aggregation) for m in measurements], dtype=float)
+    rows_by_count: dict[int, list[int]] = {}
+    for row, meas in enumerate(measurements):
+        rows_by_count.setdefault(meas.values.size, []).append(row)
+    out = np.empty(len(measurements))
+    for rows in rows_by_count.values():
+        stacked = np.stack([measurements[row].values for row in rows])
+        out[rows] = np.median(stacked, axis=-1)
+    return out
+
+
 def value_table(
     measurements: Sequence[Measurement], aggregation: str = "median"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split measurements into a point matrix ``(n, m)`` and a value vector ``(n,)``."""
     if not measurements:
         raise ValueError("no measurements given")
-    points = np.stack([m.coordinate.as_array() for m in measurements])
-    values = np.asarray([m.aggregate(aggregation) for m in measurements], dtype=float)
-    return points, values
+    points = np.array([m.coordinate.as_tuple() for m in measurements], dtype=float)
+    return points, aggregate_values(measurements, aggregation)
 
 
 def median_table(measurements: Sequence[Measurement]) -> tuple[np.ndarray, np.ndarray]:

@@ -93,7 +93,7 @@ class FullSearchGenerator:
                     "Extra-P requires at least five measurement points per "
                     f"parameter, got {points.shape[0]}"
                 )
-            hypotheses = single_parameter_hypotheses(self.multi.single.pairs)
+            hypotheses = self.multi.single.hypotheses
         else:
             lines = parameter_lines(kernel, n_params)
             single_models = self.multi.model_lines(lines)

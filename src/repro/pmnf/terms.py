@@ -40,6 +40,13 @@ class ExponentPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "i", _as_fraction(self.i))
         object.__setattr__(self, "j", int(self.j))
+        # Pairs key every hypothesis dict and set; hashing the Fraction on
+        # each lookup dominated the fit path. The cache is not a dataclass
+        # field, so repr, ordering and fingerprints see only (i, j).
+        object.__setattr__(self, "_hash", hash((self.i, self.j)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_constant(self) -> bool:
@@ -67,13 +74,21 @@ class ExponentPair:
         return f"({self.i}, {self.j})"
 
 
+def require_positive(x: np.ndarray) -> None:
+    """Refuse parameter values a PMNF term is undefined for (``x <= 0``)."""
+    if np.any(x <= 0):
+        raise ValueError("PMNF terms are defined for positive parameter values only")
+
+
 class CompoundTerm:
     """A single-parameter PMNF factor :math:`x^i \\cdot \\log_2^j(x)`."""
 
-    __slots__ = ("exponents",)
+    __slots__ = ("exponents", "power")
 
     def __init__(self, i: "Fraction | int | float | str", j: int = 0):
         self.exponents = ExponentPair(_as_fraction(i), j)
+        #: ``float(i)``, the scalar exponent handed to ``np.power``.
+        self.power = float(self.exponents.i)
 
     @classmethod
     def from_pair(cls, pair: ExponentPair) -> "CompoundTerm":
@@ -94,9 +109,8 @@ class CompoundTerm:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the factor on positive parameter values ``x``."""
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise ValueError("PMNF terms are defined for positive parameter values only")
-        out = np.power(x, float(self.i)) if self.i != 0 else np.ones_like(x)
+        require_positive(x)
+        out = np.power(x, self.power) if self.i != 0 else np.ones_like(x)
         if self.j != 0:
             out = out * np.power(np.log2(x), self.j)
         return out

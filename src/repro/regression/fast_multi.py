@@ -8,8 +8,10 @@ product of per-parameter choices yields up to ``k^m * Bell(m)`` hypotheses
 per kernel (~136 for k = 3, m = 3). This module evaluates all hypotheses
 with the same coefficient count at once: one stacked ``(h, n, c)`` design
 tensor, one batched SVD, vectorized leave-one-out predictions and SMAPE
-scores. Design columns are cached per term group, so hypotheses sharing a
-partition block (most of them) never recompute it.
+scores. Design columns are built once per kernel: each parameter column's
+term values come from one exponent basis (:func:`_exponent_basis`), and each
+term group's product is formed once, so hypotheses sharing a partition
+block (most of them) never recompute it.
 
 The winner is then refit -- and its LOO score recomputed -- through the
 reference path, so the returned :class:`ScoredModel` is bit-identical to
@@ -19,17 +21,55 @@ random multi-parameter tasks by ``tests/regression/test_fast_multi.py``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.regression.hypothesis import Hypothesis, fit_hypothesis
-from repro.regression.selection import ScoredModel, loo_predictions
+from repro.pmnf.terms import ExponentPair, require_positive
+from repro.regression.hypothesis import Hypothesis
+from repro.regression.selection import ScoredModel, _fit_and_loo
 from repro.regression.smape import smape
 
 #: One scored candidate: (implausible, cv_smape, complexity, order, hypothesis).
 #: ``min`` over the first four fields replicates the reference selection.
 Candidate = "tuple[bool, float, tuple, int, Hypothesis]"
+
+
+def _exponent_basis(
+    x: np.ndarray, pairs: Iterable[ExponentPair]
+) -> dict[ExponentPair, np.ndarray]:
+    """The term column ``x^i * log2(x)^j`` of every pair in ``pairs``.
+
+    Shared work is done once per column: one ``np.power`` per distinct
+    polynomial exponent, one ``np.log2``, one ``np.power`` per distinct log
+    exponent, then one multiply per term. These are the elementwise
+    operations :meth:`CompoundTerm.evaluate` runs, on the same array, so each
+    column is bitwise the term's own evaluation. The exponent is always
+    passed as a Python scalar: broadcasting an array of exponents takes a
+    different SIMD path and changes the last bit for some of them.
+    """
+    require_positive(x)
+    log2x = np.log2(x)
+    # Keyed by (numerator, denominator): hashing a Fraction is slow.
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    logs: dict[int, np.ndarray] = {}
+    columns: dict[ExponentPair, np.ndarray] = {}
+    for pair in pairs:
+        i = pair.i
+        key = (i.numerator, i.denominator)
+        if key[0] == 0:
+            column = np.ones_like(x)
+        else:
+            column = powers.get(key)
+            if column is None:
+                column = powers[key] = np.power(x, float(i))
+        if pair.j != 0:
+            log = logs.get(pair.j)
+            if log is None:
+                log = logs[pair.j] = np.power(log2x, pair.j)
+            column = column * log
+        columns[pair] = column
+    return columns
 
 
 def _batched_scores(
@@ -99,31 +139,31 @@ class FastMultiParameterSearch:
         if points.ndim != 2 or values.ndim != 1 or points.shape[0] != values.shape[0]:
             raise ValueError("points must be (n, m) with one value per row")
         n = values.shape[0]
-        applicable = [
-            (idx, hyp)
-            for idx, hyp in enumerate(hypotheses)
-            if hyp.n_coefficients <= n - 1
-        ]
-        if not applicable:
-            return []
-
-        # Stack hypotheses by coefficient count; cache the design column of
-        # each term group (partition blocks recur across combinations).
+        # Stack hypotheses by coefficient count, skipping those with more
+        # coefficients than n - 1 points. Every distinct term group
+        # (partition block) gets its column once, from the per-parameter
+        # exponent bases.
         by_count: dict[int, list[tuple[int, Hypothesis]]] = {}
-        for idx, hyp in applicable:
-            by_count.setdefault(hyp.n_coefficients, []).append((idx, hyp))
-        column_cache: dict[tuple, np.ndarray] = {}
-        ones = np.ones(n)
-
-        def group_column(group) -> np.ndarray:
-            key = tuple((l, term.exponents) for l, term in group.items())
-            col = column_cache.get(key)
-            if col is None:
-                col = ones
-                for l, term in group.items():
-                    col = col * term.evaluate(points[:, l])
-                column_cache[key] = col
-            return col
+        for idx, hyp in enumerate(hypotheses):
+            c = hyp.n_coefficients
+            if c <= n - 1:
+                by_count.setdefault(c, []).append((idx, hyp))
+        if not by_count:
+            return []
+        blocks = dict.fromkeys(
+            key for bucket in by_count.values() for _, hyp in bucket for key in hyp.group_keys
+        )
+        needed: dict[int, dict[ExponentPair, None]] = {}
+        for key in blocks:
+            for l, pair in key:
+                needed.setdefault(l, {})[pair] = None
+        basis = {l: _exponent_basis(points[:, l], pairs) for l, pairs in needed.items()}
+        for key in blocks:
+            (l, pair), *rest = key
+            col = basis[l][pair]
+            for l, pair in rest:
+                col = col * basis[l][pair]
+            blocks[key] = col
 
         # Candidate tuples: (implausible, cv, complexity, order) per the
         # reference select_best ordering; min() over them replicates the
@@ -132,9 +172,9 @@ class FastMultiParameterSearch:
         for c, bucket in by_count.items():
             designs = np.empty((len(bucket), n, c))
             designs[:, :, 0] = 1.0
-            for k, (_, hyp) in enumerate(bucket):
-                for j, group in enumerate(hyp.groups):
-                    designs[k, :, j + 1] = group_column(group)
+            if c > 1:
+                columns = [blocks[key] for _, hyp in bucket for key in hyp.group_keys]
+                designs[:, :, 1:] = np.reshape(columns, (len(bucket), c - 1, n)).transpose(0, 2, 1)
             cv, beta, pred = _batched_scores(designs, values)
             # Reference pruning: a term whose contribution is numerically
             # negligible is dropped before the plausibility check, so an
@@ -145,12 +185,11 @@ class FastMultiParameterSearch:
             surviving = np.abs(beta) * col_max > 1e-9 * scale[:, None]
             surviving[:, 0] = False  # the intercept is never a term
             plausible = np.all((beta >= 0.0) | ~surviving, axis=1)
-            for k, (idx, hyp) in enumerate(bucket):
-                if not np.isfinite(cv[k]):
-                    continue
-                candidates.append(
-                    (not bool(plausible[k]), float(cv[k]), hyp.complexity_key(), idx, hyp)
-                )
+            for (idx, hyp), finite, implausible, score in zip(
+                bucket, np.isfinite(cv).tolist(), (~plausible).tolist(), cv.tolist()
+            ):
+                if finite:
+                    candidates.append((implausible, score, hyp.complexity_key(), idx, hyp))
         return candidates
 
     def choose(
@@ -170,8 +209,7 @@ class FastMultiParameterSearch:
         points = np.asarray(points, dtype=float)
         values = np.asarray(values, dtype=float)
         _, _, _, _, winner = min(candidates, key=lambda cand: cand[:4])
-        fitted = fit_hypothesis(winner, points, values)
-        loo = loo_predictions(winner.design_matrix(points), values)
+        fitted, loo = _fit_and_loo(winner, points, values)
         return ScoredModel(fitted=fitted, cv_smape=smape(values, loo))
 
     def select(

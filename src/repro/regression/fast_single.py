@@ -1,17 +1,22 @@
 """Vectorized single-parameter hypothesis search.
 
 The reference implementation (:mod:`repro.regression.selection`) loops over
-the 43 hypotheses, each paying a small SVD plus Python dispatch. That loop
-is the hot path of the synthetic sweeps (100 000 functions in the paper's
-setting), so this module evaluates all two-coefficient hypotheses at once:
-one stacked ``(h, n, 2)`` design tensor, one batched SVD, vectorized
-leave-one-out predictions and SMAPE scores. The selected winner is then
-refit through the reference path, so the returned model object is
-bit-identical to what the slow search produces; an equivalence test pins
-winner and CV score against the reference for random inputs.
+the 43 hypotheses, each paying a small SVD plus Python dispatch. This module
+evaluates all two-coefficient hypotheses ``c0 + c1 * x^i log2^j x`` at once:
+the term columns come from one exponent basis of ``x``
+(:func:`repro.regression.fast_multi._exponent_basis`), stacked into an
+``(h, n, 2)`` design tensor and scored by the shared batched-SVD and
+leave-one-out kernel (:func:`repro.regression.fast_multi._batched_scores`).
+The selected winner is then refit through the reference path, so the
+returned model object is bit-identical to what the slow search produces; an
+equivalence test pins winner and CV score against the reference for random
+inputs.
 
-Speedup on the default sweep workload: ~6x per modeling task
-(11.1 -> 1.8 ms on one laptop core, 300 random tasks, 30 % noise).
+It runs on the per-parameter measurement lines of multi-parameter kernels
+(``m >= 2``, through :meth:`MultiParameterModeler.model_lines`) and in
+:meth:`SingleParameterModeler.model`. The modeling pipeline's ``m = 1``
+full search does not come here: it scores its 43 hypotheses through
+:class:`repro.regression.fast_multi.FastMultiParameterSearch`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.pmnf.terms import CompoundTerm, ExponentPair
+from repro.regression.fast_multi import _batched_scores, _exponent_basis
 from repro.regression.hypothesis import Hypothesis, fit_hypothesis
 from repro.regression.selection import ScoredModel
 
@@ -55,47 +61,12 @@ class FastSingleParameterSearch:
                 seen.append(pair)
         self.term_pairs = [p for p in seen if not p.is_constant]
         self.include_constant = any(p.is_constant for p in seen)
-        self._terms = [CompoundTerm.from_pair(p) for p in self.term_pairs]
+        self._hypotheses = [
+            Hypothesis([{0: CompoundTerm.from_pair(p)}], 1) for p in self.term_pairs
+        ]
         # Precomputed ordering keys replicating Hypothesis.complexity_key():
         # (#groups, growth keys descending). Constant = (0, ()).
         self._growth = [p.growth_key() for p in self.term_pairs]
-
-    # ------------------------------------------------------------ evaluation
-    def _batched_scores(
-        self, xs: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CV-SMAPE, term coefficient, and intercept for every term hypothesis."""
-        n = xs.size
-        h = len(self._terms)
-        designs = np.empty((h, n, 2))
-        designs[:, :, 0] = 1.0
-        for k, term in enumerate(self._terms):
-            designs[k, :, 1] = term.evaluate(xs)
-        scales = np.max(np.abs(designs), axis=1)  # (h, 2)
-        scales[scales == 0] = 1.0
-        scaled = designs / scales[:, None, :]
-
-        u, s, vt = np.linalg.svd(scaled, full_matrices=False)  # (h,n,2),(h,2),(h,2,2)
-        cutoff = s[:, :1] * max(n, 2) * np.finfo(float).eps
-        inv_s = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-        rank_mask = s > cutoff  # (h, 2)
-
-        uty = np.einsum("hnk,n->hk", u, values)  # (h, 2)
-        beta_scaled = np.einsum("hkj,hk->hj", vt, uty * inv_s)  # (h, 2)
-        beta = beta_scaled / scales  # undo column scaling
-
-        pred = np.einsum("hnk,hk->hn", scaled, beta_scaled)
-        leverage = np.einsum("hnk,hk->hn", u * u, rank_mask.astype(float))
-        resid = values[None, :] - pred
-        denom_l = np.clip(1.0 - leverage, 1e-12, None)
-        loo = values[None, :] - resid / denom_l
-
-        finite = np.all(np.isfinite(loo), axis=1)
-        denom = np.abs(values)[None, :] + np.abs(loo)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(denom > 0, 2.0 * np.abs(values[None, :] - loo) / denom, 0.0)
-        cv = np.where(finite, np.mean(ratio, axis=1) * 100.0, np.inf)
-        return cv, beta[:, 1], beta[:, 0]
 
     # -------------------------------------------------------------- selection
     def select(self, xs: np.ndarray, values: np.ndarray) -> ScoredModel:
@@ -113,36 +84,42 @@ class FastSingleParameterSearch:
         if xs.size < 3:
             raise ValueError("need at least three points to cross-validate a term fit")
 
-        candidates: list[tuple[bool, float, tuple, "ExponentPair | None"]] = []
+        candidates: list[tuple[bool, float, tuple, "Hypothesis | None"]] = []
         if self.include_constant:
             cv_const = _constant_cv_smape(values)
             candidates.append((True, cv_const, (0, ()), None))
-        if self._terms:
-            cv, coeffs, _ = self._batched_scores(xs, values)
+        if self.term_pairs:
+            basis = _exponent_basis(xs, self.term_pairs)
+            designs = np.empty((len(self.term_pairs), xs.size, 2))
+            designs[:, :, 0] = 1.0
             for k, pair in enumerate(self.term_pairs):
-                if not np.isfinite(cv[k]):
-                    continue
-                # A pruned-to-constant fit (negligible term) counts as
-                # plausible, matching the reference's post-pruning check.
-                scale = max(abs(values).max(), 1e-300)
-                term_magnitude = abs(coeffs[k]) * np.max(
-                    np.abs(self._terms[k].evaluate(xs))
-                )
-                effectively_constant = term_magnitude <= 1e-9 * scale
-                plausible = coeffs[k] >= 0.0 or effectively_constant
-                candidates.append(
-                    (plausible, float(cv[k]), (1, (self._growth[k],)), pair)
-                )
+                designs[k, :, 1] = basis[pair]
+            cv, beta, _ = _batched_scores(designs, values)
+            coeffs = beta[:, 1]
+            # A pruned-to-constant fit (negligible term) counts as
+            # plausible, matching the reference's post-pruning check.
+            scale = max(abs(values).max(), 1e-300)
+            term_magnitude = np.abs(coeffs) * np.max(np.abs(designs[:, :, 1]), axis=1)
+            plausible = (coeffs >= 0.0) | (term_magnitude <= 1e-9 * scale)
+            rows = zip(
+                self._hypotheses,
+                self._growth,
+                np.isfinite(cv).tolist(),
+                plausible.tolist(),
+                cv.tolist(),
+            )
+            candidates.extend(
+                (ok, score, (1, (growth,)), hyp)
+                for hyp, growth, finite, ok, score in rows
+                if finite
+            )
         if not candidates:
             raise ValueError("no valid hypotheses to select from")
 
         plausible_pool = [c for c in candidates if c[0]]
         pool = plausible_pool if plausible_pool else candidates
-        _, best_cv, _, best_pair = min(pool, key=lambda c: (c[1], c[2]))
-
-        if best_pair is None:
+        _, best_cv, _, hypothesis = min(pool, key=lambda c: (c[1], c[2]))
+        if hypothesis is None:
             hypothesis = Hypothesis.constant(1)
-        else:
-            hypothesis = Hypothesis([{0: CompoundTerm.from_pair(best_pair)}], 1)
         fitted = fit_hypothesis(hypothesis, xs[:, None], values)
         return ScoredModel(fitted=fitted, cv_smape=best_cv)

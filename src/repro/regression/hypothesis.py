@@ -23,9 +23,13 @@ TermGroup = Mapping[int, CompoundTerm]
 
 
 class Hypothesis:
-    """An unfitted PMNF structure: intercept + coefficient-per-group."""
+    """An unfitted PMNF structure: intercept + coefficient-per-group.
 
-    __slots__ = ("groups", "n_params")
+    Immutable after construction: the ordering keys are computed here, not
+    on first use, so one hypothesis can be shared by concurrent searches.
+    """
+
+    __slots__ = ("groups", "n_params", "group_keys", "_structure_key", "_complexity_key")
 
     def __init__(self, groups: Sequence[TermGroup], n_params: int):
         self.groups: tuple[dict[int, CompoundTerm], ...] = tuple(
@@ -34,6 +38,14 @@ class Hypothesis:
         # Drop groups that became empty (all-constant factors).
         self.groups = tuple(g for g in self.groups if g)
         self.n_params = int(n_params)
+        #: Per group, its ``(parameter, exponent pair)`` factors in order.
+        self.group_keys: tuple[tuple, ...] = tuple(
+            tuple((l, t.exponents) for l, t in g.items()) for g in self.groups
+        )
+        self._structure_key = tuple(sorted(self.group_keys))
+        # (t.power, t.j) is ExponentPair.growth_key() without re-converting i.
+        growth = sorted(((t.power, t.j) for g in self.groups for t in g.values()), reverse=True)
+        self._complexity_key = (len(self.groups), tuple(growth))
 
     @classmethod
     def constant(cls, n_params: int) -> "Hypothesis":
@@ -56,14 +68,11 @@ class Hypothesis:
         return np.stack(columns, axis=1)
 
     def structure_key(self) -> tuple:
-        return tuple(sorted(tuple((l, t.exponents) for l, t in g.items()) for g in self.groups))
+        return self._structure_key
 
     def complexity_key(self) -> tuple:
         """Tie-breaking key preferring simpler, slower-growing structures."""
-        growth = sorted(
-            (t.exponents.growth_key() for g in self.groups for t in g.values()), reverse=True
-        )
-        return (len(self.groups), growth)
+        return self._complexity_key
 
     def __repr__(self) -> str:
         return f"Hypothesis(groups={self.groups!r}, n_params={self.n_params})"
@@ -92,15 +101,10 @@ def _solve_scaled_lstsq(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     return coef / scales
 
 
-def fit_hypothesis(
+def _checked_design(
     hypothesis: Hypothesis, points: np.ndarray, values: np.ndarray
-) -> FittedModel:
-    """Fit the hypothesis coefficients to ``values`` at ``points``.
-
-    Requires at least as many measurements as coefficients. Returns the
-    fitted function together with its in-sample SMAPE and residual sum of
-    squares.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a fit's inputs; return the design matrix and the values."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     if points.ndim != 2 or points.shape[1] != hypothesis.n_params:
@@ -112,7 +116,11 @@ def fit_hypothesis(
             f"need at least {hypothesis.n_coefficients} measurements to fit "
             f"{hypothesis.n_coefficients} coefficients, got {points.shape[0]}"
         )
-    design = hypothesis.design_matrix(points)
+    return hypothesis.design_matrix(points), values
+
+
+def _fit_design(hypothesis: Hypothesis, design: np.ndarray, values: np.ndarray) -> FittedModel:
+    """Least-squares fit of ``hypothesis`` on its evaluated design matrix."""
     coef = _solve_scaled_lstsq(design, values)
     predicted = design @ coef
     # Prune terms whose contribution over the measured range is numerically
@@ -139,3 +147,15 @@ def fit_hypothesis(
         smape=in_sample,
         rss=float(residual @ residual),
     )
+
+
+def fit_hypothesis(
+    hypothesis: Hypothesis, points: np.ndarray, values: np.ndarray
+) -> FittedModel:
+    """Fit the hypothesis coefficients to ``values`` at ``points``.
+
+    Requires at least as many measurements as coefficients. Returns the
+    fitted function together with its in-sample SMAPE and residual sum of
+    squares.
+    """
+    return _fit_design(hypothesis, *_checked_design(hypothesis, points, values))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.regression.hypothesis import FittedModel, Hypothesis, fit_hypothesis
+from repro.regression.hypothesis import FittedModel, Hypothesis, _checked_design, _fit_design
 from repro.regression.smape import smape
 
 
@@ -57,6 +57,14 @@ def loo_predictions(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     return values - resid / denom
 
 
+def _fit_and_loo(
+    hypothesis: Hypothesis, points: np.ndarray, values: np.ndarray
+) -> tuple[FittedModel, np.ndarray]:
+    """Fit ``hypothesis`` and its exact LOO predictions from one design matrix."""
+    design, values = _checked_design(hypothesis, points, values)
+    return _fit_design(hypothesis, design, values), loo_predictions(design, values)
+
+
 def evaluate_hypotheses(
     hypotheses: Sequence[Hypothesis],
     points: np.ndarray,
@@ -75,8 +83,7 @@ def evaluate_hypotheses(
     for hyp in hypotheses:
         if hyp.n_coefficients > n - 1:
             continue
-        fitted = fit_hypothesis(hyp, points, values)
-        loo = loo_predictions(hyp.design_matrix(points), values)
+        fitted, loo = _fit_and_loo(hyp, points, values)
         if not np.all(np.isfinite(loo)):
             continue
         scored.append(ScoredModel(fitted=fitted, cv_smape=smape(values, loo)))

@@ -43,11 +43,10 @@ class SingleParameterModeler:
 
     Two equivalent engines exist: the reference per-hypothesis loop and a
     batched-SVD fast path (:mod:`repro.regression.fast_single`, default)
-    that evaluates all hypotheses in one vectorized pass -- the hot path of
-    the synthetic sweeps. They produce the same winner; the equivalence is
-    pinned by ``tests/regression/test_fast_single.py``. ``engine`` names
-    the engine (``'fast'``/``'reference'``, see
-    :mod:`repro.modeling.engine`).
+    that evaluates all hypotheses in one vectorized pass. They produce the
+    same winner; the equivalence is pinned by
+    ``tests/regression/test_fast_single.py``. ``engine`` names the engine
+    (``'fast'``/``'reference'``, see :mod:`repro.modeling.engine`).
     """
 
     def __init__(
@@ -59,7 +58,7 @@ class SingleParameterModeler:
         from repro.pmnf.searchspace import EXPONENT_PAIRS
 
         self.pairs = list(EXPONENT_PAIRS if pairs is None else pairs)
-        self.hypotheses = single_parameter_hypotheses(self.pairs)
+        self.hypotheses = tuple(single_parameter_hypotheses(self.pairs))
         self.engine = resolve_fit_engine(engine)
         self._fast = None
         if self.engine == "fast":

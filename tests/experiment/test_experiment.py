@@ -25,6 +25,29 @@ class TestKernel:
             k.add_values([x], [1.0])
         assert [c[0] for c in k.coordinates] == [4.0, 8.0, 16.0]
 
+    def test_measurements_reflect_merging_add(self):
+        """An add merging repetitions at an existing coordinate shows in the
+        next ``measurements`` read, and the returned lists are fresh."""
+        k = Kernel("k")
+        for x in (16.0, 4.0, 8.0):
+            k.add_values([x], [x])
+        before = k.measurements
+        k.add_values([8.0], [2.0, 5.0])
+        after = k.measurements
+        assert [m.coordinate[0] for m in after] == [4.0, 8.0, 16.0]
+        np.testing.assert_array_equal(after[1].values, [8.0, 2.0, 5.0])
+        np.testing.assert_array_equal(before[1].values, [8.0])
+        after.clear()
+        k.coordinates.clear()
+        assert len(k.measurements) == len(k.coordinates) == 3
+
+    def test_coordinates_reflect_new_point(self):
+        k = Kernel("k")
+        k.add_values([8.0], [1.0])
+        assert [c[0] for c in k.coordinates] == [8.0]
+        k.add_values([2.0], [1.0])
+        assert [c[0] for c in k.coordinates] == [2.0, 8.0]
+
     def test_subset(self):
         k = Kernel("k")
         for x in (4.0, 8.0, 16.0):

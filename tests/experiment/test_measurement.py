@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiment.measurement import Coordinate, Measurement, median_table
+from repro.experiment.lines import ParameterLine
+from repro.experiment.measurement import Coordinate, Measurement, median_table, value_table
 
 
 class TestCoordinate:
@@ -86,3 +87,54 @@ class TestMedianTable:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             median_table([])
+
+
+def _measurements(seed, counts):
+    """One measurement per repetition count, at increasing coordinates."""
+    gen = np.random.default_rng(seed)
+    return [
+        Measurement(Coordinate(float(k + 1)), gen.lognormal(0.0, 2.0, size=count))
+        for k, count in enumerate(counts)
+    ]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestBatchedAggregation:
+    """value_table and ParameterLine.values take medians in one call per
+    repetition count; the values must be bitwise the per-measurement ones."""
+
+    COUNTS = {
+        "odd": [5] * 9 + [1, 3],
+        "even": [4] * 9 + [2, 6],
+        "mixed": [5, 4, 1, 2, 3, 5, 6, 4, 5, 2, 7, 8],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(COUNTS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_median_bitwise_per_measurement(self, layout, seed):
+        ms = _measurements(seed, self.COUNTS[layout])
+        expected = _bits([m.median for m in ms])
+        _, values = value_table(ms, "median")
+        line = ParameterLine(0, (), tuple(ms))
+        np.testing.assert_array_equal(_bits(values), expected)
+        np.testing.assert_array_equal(_bits(line.values("median")), expected)
+        np.testing.assert_array_equal(_bits(line.medians), expected)
+
+    @pytest.mark.parametrize("aggregation", ["mean", "min"])
+    def test_mean_and_min_unchanged(self, aggregation):
+        ms = _measurements(3, self.COUNTS["mixed"])
+        expected = _bits([m.aggregate(aggregation) for m in ms])
+        _, values = value_table(ms, aggregation)
+        np.testing.assert_array_equal(_bits(values), expected)
+        line = ParameterLine(0, (), tuple(ms))
+        np.testing.assert_array_equal(_bits(line.values(aggregation)), expected)
+
+    def test_unknown_aggregation_still_raises(self):
+        ms = _measurements(0, [3, 4])
+        with pytest.raises(ValueError, match="unknown aggregation 'mediam'"):
+            value_table(ms, "mediam")
+        with pytest.raises(ValueError, match="unknown aggregation 'mediam'"):
+            ParameterLine(0, (), tuple(ms)).values("mediam")
