@@ -17,7 +17,6 @@ reference solver); the per-task and aggregate speedups are written to
 from __future__ import annotations
 
 import time
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -46,23 +45,17 @@ TASKS = (
 
 
 def _dnn_like_hypotheses(gen, n_params: int, k: int = TOP_K):
-    """Top-k candidate pairs per parameter, expanded like DNNTopKGenerator."""
+    """Top-k candidate pairs per parameter, expanded as DNNTopKGenerator does."""
     candidates = []
     for _ in range(n_params):
         picks = gen.choice(len(EXPONENT_PAIRS), size=k, replace=False)
-        candidates.append([EXPONENT_PAIRS[int(i)] for i in picks])
-    hypotheses, seen = [], set()
-    for combo in product(*candidates):
-        terms = [
-            None if pair.is_constant else CompoundTerm.from_pair(pair)
-            for pair in combo
-        ]
-        for hyp in combination_hypotheses(terms):
-            key = hyp.structure_key()
-            if key not in seen:
-                seen.add(key)
-                hypotheses.append(hyp)
-    return hypotheses
+        candidates.append(
+            [
+                None if pair.is_constant else CompoundTerm.from_pair(pair)
+                for pair in (EXPONENT_PAIRS[int(i)] for i in picks)
+            ]
+        )
+    return combination_hypotheses(candidates)
 
 
 def _make_task(gen, n_params: int):

@@ -22,11 +22,15 @@ class Kernel:
         self._measurements: dict[Coordinate, Measurement] = {}
         # Sorted coordinates, rebuilt on the first access after an add.
         self._order: "list[Coordinate] | None" = None
+        # Best measurement line per parameter, keyed by n_params; filled by
+        # repro.experiment.lines.parameter_lines, dropped on every add.
+        self._lines: dict = {}
 
     # ----------------------------------------------------------------- build
     def add(self, measurement: Measurement) -> None:
         """Add a measurement; repeated adds at one coordinate merge repetitions."""
         self._order = None
+        self._lines = {}
         existing = self._measurements.get(measurement.coordinate)
         if existing is None:
             self._measurements[measurement.coordinate] = measurement

@@ -43,9 +43,27 @@ class ParameterLine:
         return len(self.measurements)
 
 
+def _checked_measurements(kernel: Kernel, n_params: int) -> list[Measurement]:
+    """The kernel's measurements, refused when a coordinate is too short.
+
+    Every line builder indexes the first ``n_params`` coordinate values;
+    a coordinate with fewer would otherwise fail deep inside as a bare
+    ``IndexError``.
+    """
+    measurements = kernel.measurements
+    if measurements:
+        dimensions = min(m.coordinate.dimensions for m in measurements)
+        if dimensions < n_params:
+            raise ValueError(
+                f"kernel {kernel.name!r} has {dimensions}-dimensional coordinates, "
+                f"too few for n_params={n_params}"
+            )
+    return measurements
+
+
 def _lines_for_parameter(kernel: Kernel, n_params: int, parameter: int) -> list[ParameterLine]:
     groups: dict[tuple[float, ...], list[Measurement]] = {}
-    for meas in kernel.measurements:
+    for meas in _checked_measurements(kernel, n_params):
         key = tuple(
             meas.coordinate[l] for l in range(n_params) if l != parameter
         )
@@ -66,6 +84,49 @@ def all_parameter_lines(
     return lines
 
 
+def _best_lines(kernel: Kernel, n_params: int) -> tuple[ParameterLine, ...]:
+    """Each parameter's longest line, ties to the smallest ``fixed`` tuple.
+
+    Points are grouped by integer codes instead of float tuples: each
+    column's values are ranked (``np.unique``), and a point's group for
+    parameter ``p`` is the mixed-radix number of its ranks in the other
+    columns, in index order. Ranks preserve value order, so the lowest
+    code of the most populous group is the line ``all_parameter_lines``
+    sorts first.
+    """
+    measurements = _checked_measurements(kernel, n_params)
+    if not measurements:
+        return ()
+    if n_params == 1:
+        # Kernels keep coordinates sorted, so by their first value too.
+        return (ParameterLine(0, (), tuple(measurements)),)
+    n_points = len(measurements)
+    points = np.array(
+        [m.coordinate.as_tuple()[:n_params] for m in measurements], dtype=float
+    )
+    ranked = [np.unique(column, return_inverse=True) for column in points.T]
+    best = []
+    for parameter in range(n_params):
+        code = np.zeros(n_points, dtype=np.int64)
+        radix = 1
+        for l, (uniques, ranks) in enumerate(ranked):
+            if l == parameter:
+                continue
+            code = code * len(uniques) + ranks
+            radix *= len(uniques)
+            if radix > n_points:
+                # Re-rank to keep codes below n_points**2; order is kept.
+                groups, code = np.unique(code, return_inverse=True)
+                radix = len(groups)
+        members = np.flatnonzero(code == np.argmax(np.bincount(code)))
+        members = members[np.argsort(points[members, parameter], kind="stable")]
+        first = measurements[members[0]].coordinate
+        fixed = tuple(first[l] for l in range(n_params) if l != parameter)
+        line = tuple(measurements[row] for row in members)
+        best.append(ParameterLine(parameter, fixed, line))
+    return tuple(best)
+
+
 def parameter_lines(
     kernel: Kernel, n_params: int, min_points: int = 5
 ) -> list[ParameterLine]:
@@ -76,18 +137,22 @@ def parameter_lines(
     cheapest experiments). A :class:`ValueError` is raised when a parameter
     has no line with ``min_points`` points, mirroring Extra-P's requirement of
     at least five values per parameter.
+
+    The lines are built once per kernel and ``n_params`` and memoized on the
+    kernel until its next :meth:`~repro.experiment.experiment.Kernel.add`,
+    so the modelers and the DNN encoder of one task share them.
     """
-    result = []
+    lines = kernel._lines.get(n_params)
+    if lines is None:
+        lines = kernel._lines[n_params] = _best_lines(kernel, n_params)
     for parameter in range(n_params):
-        lines = all_parameter_lines(kernel, n_params, parameter, min_points=1)
-        if not lines or len(lines[0]) < min_points:
-            found = len(lines[0]) if lines else 0
+        found = len(lines[parameter]) if lines else 0
+        if not lines or found < min_points:
             raise ValueError(
                 f"parameter {parameter} has only {found} measurement points along "
                 f"its best line; at least {min_points} are required"
             )
-        result.append(lines[0])
-    return result
+    return list(lines)
 
 
 def line_coordinates(lines: Sequence[ParameterLine]) -> set:

@@ -144,14 +144,29 @@ def aggregate_values(
     """
     if aggregation != "median":
         return np.asarray([m.aggregate(aggregation) for m in measurements], dtype=float)
+    out = np.empty(len(measurements))
+    for rows, stacked in stacked_by_repetitions(measurements):
+        out[rows] = np.median(stacked, axis=-1)
+    return out
+
+
+def stacked_by_repetitions(
+    measurements: Sequence[Measurement],
+) -> list[tuple[list[int], np.ndarray]]:
+    """Repetition values stacked per repetition count.
+
+    One ``(rows, stacked)`` pair per distinct count, in order of first
+    appearance: ``stacked[i]`` holds the values of ``measurements[rows[i]]``.
+    Row-wise reductions over ``stacked`` are bitwise those of the
+    individual measurements.
+    """
     rows_by_count: dict[int, list[int]] = {}
     for row, meas in enumerate(measurements):
         rows_by_count.setdefault(meas.values.size, []).append(row)
-    out = np.empty(len(measurements))
-    for rows in rows_by_count.values():
-        stacked = np.stack([measurements[row].values for row in rows])
-        out[rows] = np.median(stacked, axis=-1)
-    return out
+    return [
+        (rows, np.stack([measurements[row].values for row in rows]))
+        for rows in rows_by_count.values()
+    ]
 
 
 def value_table(

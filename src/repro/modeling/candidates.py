@@ -20,7 +20,6 @@ what varies is how candidate hypotheses are generated:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
@@ -140,18 +139,12 @@ class DNNTopKGenerator:
             pairs = candidates[0] + [ExponentPair(0, 0)]
             hypotheses = single_parameter_hypotheses(pairs)
         else:
-            hypotheses = []
-            seen = set()
-            for combo in product(*candidates):
-                terms = [
-                    None if pair.is_constant else CompoundTerm.from_pair(pair)
-                    for pair in combo
+            hypotheses = combination_hypotheses(
+                [
+                    [None if pair.is_constant else CompoundTerm.from_pair(pair) for pair in row]
+                    for row in candidates
                 ]
-                for hyp in combination_hypotheses(terms):
-                    key = hyp.structure_key()
-                    if key not in seen:
-                        seen.add(key)
-                        hypotheses.append(hyp)
+            )
         return CandidateSet(tuple(hypotheses), generator=self.name, cache_hits=cache_hits)
 
 

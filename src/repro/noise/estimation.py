@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.experiment.experiment import Experiment, Kernel
-from repro.experiment.measurement import Measurement
+from repro.experiment.measurement import Measurement, stacked_by_repetitions
 from repro.util.seeding import as_generator
 
 
@@ -42,11 +42,25 @@ def _measurement_list(
 def pooled_relative_deviations(
     source: "Experiment | Kernel | Iterable[Measurement]",
 ) -> np.ndarray:
-    """The set ``D_V``: relative deviations of all repetitions of all points."""
+    """The set ``D_V``: relative deviations of all repetitions of all points.
+
+    Bitwise the concatenated :meth:`Measurement.relative_deviations`,
+    grouped by repetition count (one mean per count instead of one per
+    measurement); within a count, measurements keep their order.
+    """
     measurements = _measurement_list(source)
     if not measurements:
         raise ValueError("no measurements to estimate noise from")
-    return np.concatenate([m.relative_deviations() for m in measurements])
+    pooled = []
+    for _, stacked in stacked_by_repetitions(measurements):
+        means = stacked.mean(axis=1, keepdims=True)
+        # An exactly zero mean yields zero deviations, as in
+        # Measurement.relative_deviations: those rows are not divided.
+        deviations = np.divide(
+            stacked - means, means, out=np.zeros_like(stacked), where=means.astype(bool)
+        )
+        pooled.append(deviations.ravel())
+    return np.concatenate(pooled)
 
 
 def estimate_noise_level(

@@ -11,6 +11,7 @@ and the winner is chosen by LOO CV with SMAPE.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Sequence
 
 from repro.experiment.experiment import Kernel
@@ -38,29 +39,62 @@ def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
 
 
 def combination_hypotheses(
-    per_parameter_terms: "Sequence[CompoundTerm | None]",
+    per_parameter_candidates: "Sequence[CompoundTerm | None | Sequence[CompoundTerm | None]]",
 ) -> list[Hypothesis]:
     """All additive/multiplicative combinations of one term per parameter.
 
-    ``per_parameter_terms[l]`` is parameter ``l``'s single-parameter term, or
-    ``None``/constant if the parameter was found not to influence
-    performance. The constant hypothesis is always included.
+    ``per_parameter_candidates[l]`` lists parameter ``l``'s candidate terms;
+    ``None`` or a constant term marks the parameter as not influencing
+    performance. A bare term (or ``None``) stands for a one-element list.
+    Every choice of one candidate per parameter (in ``itertools.product``
+    order) is expanded over the set partitions of its active parameters;
+    the constant hypothesis comes first, and each structure is kept at its
+    first occurrence. That order is the last tie-break of model selection.
+
+    Each partition block is built once and shared, and a hypothesis is only
+    assembled for a structure not seen before.
     """
-    n_params = len(per_parameter_terms)
-    active = {
-        l: t
-        for l, t in enumerate(per_parameter_terms)
-        if t is not None and not t.is_constant
-    }
+    options = [
+        [c] if c is None or isinstance(c, CompoundTerm) else list(c)
+        for c in per_parameter_candidates
+    ]
+    n_params = len(options)
+    is_active = [[t is not None and not t.is_constant for t in o] for o in options]
     hypotheses = [Hypothesis.constant(n_params)]
     seen = {hypotheses[0].structure_key()}
-    for partition in set_partitions(sorted(active)):
-        groups = [{l: active[l] for l in block} for block in partition]
-        hyp = Hypothesis(groups, n_params)
-        key = hyp.structure_key()
-        if key not in seen:
+    partitions: dict[tuple, list[list[list[int]]]] = {}
+    # (parameter, candidate index) per member -> (group, group key, growth)
+    blocks: dict[tuple, tuple] = {}
+    for choice in product(*(range(len(o)) for o in options)):
+        active = tuple(l for l, c in enumerate(choice) if is_active[l][c])
+        if active not in partitions:
+            partitions[active] = list(set_partitions(active))
+        for partition in partitions[active]:
+            built = []
+            for block in partition:
+                block_id = tuple((l, choice[l]) for l in block)
+                entry = blocks.get(block_id)
+                if entry is None:
+                    group = {l: options[l][c] for l, c in block_id}
+                    entry = blocks[block_id] = (
+                        group,
+                        tuple((l, t.exponents) for l, t in group.items()),
+                        [(t.power, t.j) for t in group.values()],
+                    )
+                built.append(entry)
+            key = tuple(sorted(entry[1] for entry in built))
+            if key in seen:
+                continue
             seen.add(key)
-            hypotheses.append(hyp)
+            hypotheses.append(
+                Hypothesis._from_blocks(
+                    tuple(entry[0] for entry in built),
+                    tuple(entry[1] for entry in built),
+                    key,
+                    [g for entry in built for g in entry[2]],
+                    n_params,
+                )
+            )
     return hypotheses
 
 

@@ -48,6 +48,11 @@ class TestModelKernel:
         result = adaptive.model_kernel(clean_experiment_1p.only_kernel(), rng=0)
         assert result.seconds > 0
 
+    def test_n_params_beyond_coordinates_raises_value_error(self, adaptive, clean_experiment_2p):
+        kern = clean_experiment_2p.only_kernel()
+        with pytest.raises(ValueError, match=r"2-dimensional coordinates.*n_params=3"):
+            adaptive.model_kernel(kern, 3, rng=0)
+
     def test_cv_never_worse_than_dnn_alone(self, adaptive, clean_experiment_1p):
         kern = clean_experiment_1p.only_kernel()
         adaptive_result = adaptive.model_kernel(kern, rng=0)

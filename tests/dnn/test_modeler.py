@@ -72,6 +72,11 @@ class TestBatchedClassification:
         messages = [str(w.message) for w in record]
         assert any("1 of 1 kernel(s)" in m and "bad_kernel" in m for m in messages)
 
+    def test_kernel_with_too_few_dimensions_is_skipped(self, modeler, clean_experiment_2p):
+        short = clean_experiment_2p.only_kernel()
+        with pytest.warns(RuntimeWarning, match="1 of 1 kernel"):
+            assert modeler.classify_batch([short], 3) == [None]
+
     def test_no_warning_when_all_kernels_encode(self, modeler, clean_experiment_1p, recwarn):
         modeler.classify_batch([clean_experiment_1p.only_kernel()], 1)
         assert not [w for w in recwarn if w.category is RuntimeWarning]

@@ -216,3 +216,61 @@ class TestPooledDeviations:
     def test_pooled_size(self):
         kern = noisy_kernel(0.2, n_points=10, reps=5)
         assert pooled_relative_deviations(kern).size == 50
+
+    @staticmethod
+    def mixed_measurements(seed: int) -> list:
+        """Repetition counts 1-7, magnitudes over six decades, one exact-zero
+        mean, one taint-sized outlier."""
+        gen = np.random.default_rng(seed)
+        out = []
+        for i in range(40):
+            reps = int(gen.integers(1, 8))
+            values = gen.normal(10.0, 2.0, size=reps) * 10.0 ** gen.uniform(-3, 3)
+            out.append(Measurement(Coordinate(float(i + 1)), values))
+        out.append(Measurement(Coordinate(41.0), [-1.5, 1.5, 0.0]))
+        out.append(Measurement(Coordinate(42.0), [1.0, 1.0, 1.0, 50.0, 1.0]))
+        return out
+
+    @staticmethod
+    def reference(measurements) -> np.ndarray:
+        return np.concatenate([m.relative_deviations() for m in measurements])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_per_measurement_deviations(self, seed):
+        measurements = self.mixed_measurements(seed)
+        pooled = pooled_relative_deviations(measurements)
+        expected = self.reference(measurements)
+        assert pooled.dtype == expected.dtype and pooled.shape == expected.shape
+        assert np.sort(pooled).tobytes() == np.sort(expected).tobytes()
+
+    def test_equal_repetition_counts_keep_measurement_order(self):
+        measurements = [m for m in self.mixed_measurements(0) if m.repetitions == 5]
+        pooled = pooled_relative_deviations(measurements)
+        assert pooled.tobytes() == self.reference(measurements).tobytes()
+
+    def test_exact_zero_mean_gives_zero_deviations(self):
+        pooled = pooled_relative_deviations([Measurement(Coordinate(1.0), [-2.0, 2.0])])
+        assert pooled.tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize("robust", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_estimate_bitwise_equal_with_reference_pooling(self, monkeypatch, robust, seed):
+        import warnings
+
+        import repro.noise.estimation as estimation
+
+        measurements = self.mixed_measurements(seed)
+
+        def estimate():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                level = estimate_noise_level(measurements, robust=robust)
+            return level, [str(w.message) for w in caught]
+
+        level, messages = estimate()
+        monkeypatch.setattr(estimation, "pooled_relative_deviations", self.reference)
+        ref_level, ref_messages = estimate()
+        assert np.float64(level).tobytes() == np.float64(ref_level).tobytes()
+        assert messages == ref_messages
+        if robust:
+            assert any("tainted" in m for m in messages)

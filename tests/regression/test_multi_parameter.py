@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from repro.experiment.experiment import Kernel
 from repro.pmnf.function import PerformanceFunction
+from repro.pmnf.searchspace import EXPONENT_PAIRS
 from repro.pmnf.terms import CompoundTerm, ExponentPair
+from repro.regression.hypothesis import Hypothesis
 from repro.regression.multi_parameter import (
     MultiParameterModeler,
     combination_hypotheses,
@@ -61,6 +64,88 @@ class TestCombinationHypotheses:
         assert len(hyps) == 6  # constant + Bell(3)
 
 
+def reference_combinations(candidates) -> list[Hypothesis]:
+    """The per-combination expansion: one public-constructor hypothesis per
+    partition of every candidate product, deduplicated by structure."""
+    hypotheses, seen = [], set()
+    for combo in product(*candidates):
+        n_params = len(combo)
+        active = {l: t for l, t in enumerate(combo) if t is not None and not t.is_constant}
+        for partition in [None, *set_partitions(sorted(active))]:
+            if partition is None:
+                hyp = Hypothesis.constant(n_params)
+            else:
+                hyp = Hypothesis([{l: active[l] for l in block} for block in partition], n_params)
+            if hyp.structure_key() not in seen:
+                seen.add(hyp.structure_key())
+                hypotheses.append(hyp)
+    return hypotheses
+
+
+def assert_same_hypothesis(hyp: Hypothesis, ref: Hypothesis) -> None:
+    assert type(hyp) is type(ref)
+    for slot in Hypothesis.__slots__:
+        assert getattr(hyp, slot) == getattr(ref, slot), slot
+    assert hyp.structure_key() == ref.structure_key()
+    assert hyp.complexity_key() == ref.complexity_key()
+    for group, ref_group in zip(hyp.groups, ref.groups):
+        assert list(group) == list(ref_group)
+        assert all(a is b for a, b in zip(group.values(), ref_group.values()))
+
+
+def random_top_k(gen, n_params: int, k: int = 3) -> list:
+    """Top-k-like candidate lists with constant and repeated pairs mixed in."""
+    candidates = []
+    for _ in range(n_params):
+        row = []
+        for _ in range(k):
+            pair = EXPONENT_PAIRS[int(gen.integers(len(EXPONENT_PAIRS)))]
+            if gen.random() < 0.2:
+                pair = ExponentPair(0, 0)
+            row.append(None if pair.is_constant else CompoundTerm.from_pair(pair))
+        if gen.random() < 0.3:
+            row.append(CompoundTerm.from_pair(row[0].exponents) if row[0] else None)
+        candidates.append(row)
+    return candidates
+
+
+class TestBlockBuiltExpansion:
+    @pytest.mark.parametrize("n_params", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_combination_loop(self, n_params, seed):
+        candidates = random_top_k(np.random.default_rng(seed), n_params)
+        hypotheses = combination_hypotheses(candidates)
+        expected = reference_combinations(candidates)
+        assert len(hypotheses) == len(expected)
+        for hyp, ref in zip(hypotheses, expected):
+            assert hyp.group_keys == ref.group_keys
+            assert_same_hypothesis(hyp, ref)
+
+    def test_bare_terms_are_one_element_lists(self):
+        terms = [CompoundTerm(1), None, CompoundTerm(F(1, 2), 1)]
+        bare = combination_hypotheses(terms)
+        listed = combination_hypotheses([[t] for t in terms])
+        assert [h.group_keys for h in bare] == [h.group_keys for h in listed]
+
+    def test_repeated_candidate_keeps_first_term_object(self):
+        first, again = CompoundTerm(2), CompoundTerm(2)
+        hypotheses = combination_hypotheses([[first, again], [CompoundTerm(1)]])
+        assert len(hypotheses) == 3  # constant, product, sum; the repeat adds none
+        assert all(t is not again for h in hypotheses for g in h.groups for t in g.values())
+
+    def test_private_constructor_matches_public(self):
+        groups = ({0: CompoundTerm(F(3, 2), 1), 2: CompoundTerm(1)}, {1: CompoundTerm(0, 2)})
+        public = Hypothesis(groups, 3)
+        private = Hypothesis._from_blocks(
+            groups,
+            tuple(tuple((l, t.exponents) for l, t in g.items()) for g in groups),
+            tuple(sorted(tuple((l, t.exponents) for l, t in g.items()) for g in groups)),
+            [(t.power, t.j) for g in groups for t in g.values()],
+            3,
+        )
+        assert_same_hypothesis(private, public)
+
+
 class TestMultiParameterModeler:
     def test_multiplicative_recovery(self):
         truth = PerformanceFunction.single_term(
@@ -101,3 +186,11 @@ class TestMultiParameterModeler:
         truth = PerformanceFunction.single_term(1.0, 2.0, [ExponentPair(1, 0)])
         best = MultiParameterModeler().model_kernel(kernel_for(truth, [X1]), 1)
         assert best.function.lead_exponents()[0].i == 1
+
+    def test_n_params_beyond_coordinates_raises_value_error(self):
+        from repro.modeling.registry import create_modeler
+
+        truth = PerformanceFunction.single_term(1.0, 2.0, [ExponentPair(1, 0), ExponentPair(1, 0)])
+        kern = kernel_for(truth, [X1, X2])
+        with pytest.raises(ValueError, match=r"kernel 'k' has 2-dimensional.*n_params=3"):
+            create_modeler("regression").model_kernel(kern, 3)
