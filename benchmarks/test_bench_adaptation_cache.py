@@ -14,17 +14,18 @@ Because adaptation RNG streams are derived from the cluster keys, all
 three runs are bit-identical -- the store may only move wall-clock time.
 The summed adapt seconds (telemetry spans ``dnn.adapt_network`` +
 ``dnn.adapt_fused``, CPU-seconds across all processes) must drop by >= 2x
-from seed to cold; the honest numbers land in
-``benchmarks/results/BENCH_adaptation_cache.json`` together with
-:func:`repro.parallel.pool.execution_profile` so oversubscribed containers
-can be read in context.
+from seed to cold. The printed table names the worker and CPU counts so
+oversubscribed containers can be read in context.
+
+This bench stays beside the end-to-end benchmark (``benchmarks/e2e``)
+because no e2e workload exercises a warm or cold adaptation store:
+``casestudy_adapt`` adapts on every unit.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -34,9 +35,6 @@ from repro.evaluation.sweep import SweepConfig, run_sweep
 from repro.obs import ENV_VAR as TELEMETRY_ENV
 from repro.obs.report import load_run_trace, summarize_trace
 from repro.parallel.pool import execution_profile
-from repro.util.artifacts import atomic_write_json
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def adaptation_samples_per_class() -> int:
@@ -106,7 +104,7 @@ def _assert_identical(a, b):
         assert cell.functions == b.cells[key].functions
 
 
-def test_adaptation_cache_speedup(generic_network, record_table, tmp_path):
+def test_adaptation_cache_speedup(generic_network, tmp_path):
     store = AdaptationStore(
         tmp_path / "store",
         samples_per_class=adaptation_samples_per_class(),
@@ -127,40 +125,16 @@ def test_adaptation_cache_speedup(generic_network, record_table, tmp_path):
 
     clusters = len(list((tmp_path / "store").glob("adapted-*.npz")))
     reduction = seed_adapt / cold_adapt if cold_adapt > 0 else float("inf")
-    payload = {
-        "bench": "adaptation_cache",
-        "seed": SEED,
-        "tasks": len(CONFIG.noise_levels) * CONFIG.n_functions,
-        "clusters": clusters,
-        "samples_per_class": adaptation_samples_per_class(),
-        "execution_profile": execution_profile(WORKERS),
-        "seed_path": {
-            "seconds": round(seed_seconds, 3),
-            "adapt_seconds_summed": round(seed_adapt, 3),
-        },
-        "cold_cache": {
-            "seconds": round(cold_seconds, 3),
-            "adapt_seconds_summed": round(cold_adapt, 3),
-        },
-        "warm_cache": {
-            "seconds": round(warm_seconds, 3),
-            "adapt_seconds_summed": round(warm_adapt, 3),
-        },
-        "adapt_reduction_cold": round(reduction, 3),
-        "bit_identical": True,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    atomic_write_json(RESULTS_DIR / "BENCH_adaptation_cache.json", payload)
-
-    lines = [
-        f"{'arm':<12} {'wall s':>8} {'adapt s (summed)':>17}",
-        f"{'seed':<12} {seed_seconds:>8.2f} {seed_adapt:>17.2f}",
-        f"{'cold':<12} {cold_seconds:>8.2f} {cold_adapt:>17.2f}",
-        f"{'warm':<12} {warm_seconds:>8.2f} {warm_adapt:>17.2f}",
-        f"{clusters} cluster(s), {WORKERS} workers; adapt reduction "
-        f"{reduction:.2f}x cold, results bit-identical",
-    ]
-    record_table("Adaptation cache vs per-worker retraining", "\n".join(lines))
+    profile = execution_profile(WORKERS)
+    print(
+        f"\n{'arm':<12} {'wall s':>8} {'adapt s (summed)':>17}\n"
+        f"{'seed':<12} {seed_seconds:>8.2f} {seed_adapt:>17.2f}\n"
+        f"{'cold':<12} {cold_seconds:>8.2f} {cold_adapt:>17.2f}\n"
+        f"{'warm':<12} {warm_seconds:>8.2f} {warm_adapt:>17.2f}\n"
+        f"{clusters} cluster(s), {profile['processes']} workers on "
+        f"{profile['cpu_count']} CPU(s); adapt reduction {reduction:.2f}x cold, "
+        f"results bit-identical"
+    )
 
     tasks = len(CONFIG.noise_levels) * CONFIG.n_functions
     assert 1 <= clusters < tasks, (

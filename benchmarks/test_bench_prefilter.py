@@ -13,14 +13,15 @@ plus a micro-timing of the robust aggregate stage against the plain
   total modeling time stays within 50 % of the unfiltered arm, and the
   per-kernel aggregate stage stays a small fraction of the pipeline.
 
-Honest numbers land in ``benchmarks/results/BENCH_prefilter.json``.
+The degradation table is deterministic and lands in ``benchmarks/results/``.
+This bench stays beside the end-to-end benchmark (``benchmarks/e2e``)
+because no e2e workload runs the pre-filter.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +33,6 @@ from repro.noise.injection import TaintedRepetitionNoise
 from repro.synthesis.measurements import synthesize_experiment
 from repro.pmnf.function import PerformanceFunction
 from repro.pmnf.terms import ExponentPair
-from repro.util.artifacts import atomic_write_json
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 SEED = 20210517
 LEVELS = (0.0, 0.1, 0.3)
@@ -83,35 +81,14 @@ def test_prefilter_degradation_and_overhead(record_table):
         rng=SEED,
     )
     plain_s, filtered_s = _timed_aggregate(experiment.only_kernel().measurements)
+    print(
+        f"\naggregate stage: value_table {plain_s * 1e6:.1f}us, "
+        f"{PREFILTER} {filtered_s * 1e6:.1f}us"
+    )
 
     rows = {}
     for level in LEVELS:
         rows[level] = report.comparison(level)
-    payload = {
-        "bench": "prefilter",
-        "seed": SEED,
-        "functions_per_cell": functions,
-        "prefilter": PREFILTER,
-        "noise": "tainted(level=0.05)",
-        "contamination_levels": list(LEVELS),
-        "degradation": {
-            str(level): [
-                {
-                    "modeler": entry["modeler"],
-                    "median_smape": round(float(entry["smape"]), 3),
-                    "median_smape_filtered": round(float(entry["smape_filtered"]), 3),
-                    "dropped_repetitions": int(entry["dropped"]),
-                }
-                for entry in entries
-            ]
-            for level, entries in rows.items()
-        },
-        "aggregate_stage_micro_seconds": {
-            "value_table": round(plain_s * 1e6, 2),
-            "mad_prefilter": round(filtered_s * 1e6, 2),
-            "slowdown": round(filtered_s / plain_s, 2) if plain_s > 0 else None,
-        },
-    }
 
     # Overhead at the modeling level: total seconds of the filtered vs the
     # unfiltered arm at contamination 0 (same campaigns, same candidates).
@@ -123,9 +100,6 @@ def test_prefilter_degradation_and_overhead(record_table):
             "seconds": round(plain_cell.seconds, 3),
             "seconds_filtered": round(filtered_cell.seconds, 3),
         }
-    payload["modeling_overhead"] = overhead
-    RESULTS_DIR.mkdir(exist_ok=True)
-    atomic_write_json(RESULTS_DIR / "BENCH_prefilter.json", payload)
 
     record_table(
         "Tainted-measurement degradation with and without the MAD pre-filter",

@@ -78,5 +78,4 @@ __all__ = [
     "create_modelers",
     "estimate_noise_level",
     "register_modeler",
-    "__version__",
 ]

@@ -15,7 +15,7 @@ from repro.casestudies.kripke import kripke
 from repro.casestudies.fastest import fastest
 from repro.casestudies.relearn import relearn
 from repro.casestudies.tainted import tainted
-from repro.casestudies.driver import CaseStudyResult, KernelOutcome, run_case_study
+from repro.casestudies.driver import CaseStudyResult, run_case_study
 
 ALL_STUDIES = {
     "kripke": kripke,
@@ -33,6 +33,5 @@ __all__ = [
     "tainted",
     "ALL_STUDIES",
     "CaseStudyResult",
-    "KernelOutcome",
     "run_case_study",
 ]

@@ -13,8 +13,6 @@
 
 from repro.modeling.candidates import (
     AdaptiveGenerator,
-    CandidateGenerator,
-    CandidateSet,
     DNNTopKGenerator,
     FullSearchGenerator,
 )
@@ -35,11 +33,9 @@ from repro.modeling.prefilter import (
     apply_prefilter,
     available_prefilters,
     create_prefilter,
-    register_prefilter,
     validate_prefilter_spec,
 )
 from repro.modeling.registry import (
-    RegisteredModeler,
     available_modelers,
     create_modeler,
     create_modelers,
@@ -50,8 +46,6 @@ from repro.modeling.registry import (
 
 __all__ = [
     "AdaptiveGenerator",
-    "CandidateGenerator",
-    "CandidateSet",
     "DNNTopKGenerator",
     "FIT_ENGINES",
     "FullSearchGenerator",
@@ -63,13 +57,11 @@ __all__ = [
     "PipelineModeler",
     "PrefilterReport",
     "Provenance",
-    "RegisteredModeler",
     "RobustAggregator",
     "TrimmedMean",
     "apply_prefilter",
     "available_prefilters",
     "create_prefilter",
-    "register_prefilter",
     "validate_prefilter_spec",
     "available_modelers",
     "create_modeler",

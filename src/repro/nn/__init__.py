@@ -22,11 +22,10 @@ from repro.nn.optimizers import Optimizer, SGD, Adam, AdaMax
 from repro.nn.network import Sequential, TrainingHistory
 from repro.nn.metrics import accuracy, top_k_accuracy
 from repro.nn.regularization import Dropout
-from repro.nn.schedules import Schedule, ConstantSchedule, StepDecay, CosineDecay
+from repro.nn.schedules import ConstantSchedule, StepDecay, CosineDecay
 
 __all__ = [
     "Dropout",
-    "Schedule",
     "ConstantSchedule",
     "StepDecay",
     "CosineDecay",

@@ -23,13 +23,11 @@ from repro.noise.injection import (
     DriftNoise,
 )
 from repro.noise.registry import (
-    RegisteredNoise,
     available_noise_models,
     create_noise,
     noise_axis,
     noise_for_level,
     parse_noise_spec,
-    register_noise,
     validate_noise_spec,
 )
 from repro.noise.estimation import (
@@ -55,13 +53,11 @@ __all__ = [
     "TaintedRepetitionNoise",
     "HeteroscedasticNoise",
     "DriftNoise",
-    "RegisteredNoise",
     "available_noise_models",
     "create_noise",
     "noise_axis",
     "noise_for_level",
     "parse_noise_spec",
-    "register_noise",
     "validate_noise_spec",
     "DEFAULT_BIAS_SEED",
     "estimate_noise_level",

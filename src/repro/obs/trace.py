@@ -30,7 +30,7 @@ import itertools
 import os
 import time
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_SPAN"]
+__all__ = ["Tracer", "NullTracer", "NULL_SPAN"]
 
 
 class Span:

@@ -10,7 +10,6 @@ multiplicative combinations of the single-parameter terms (Calotoiu et al.,
 builds on).
 """
 
-from repro.regression.smape import smape
 from repro.regression.hypothesis import Hypothesis, fit_hypothesis, FittedModel
 from repro.regression.selection import ScoredModel, evaluate_hypotheses, select_best
 from repro.regression.single_parameter import SingleParameterModeler
@@ -18,7 +17,6 @@ from repro.regression.multi_parameter import MultiParameterModeler, combination_
 from repro.regression.modeler import RegressionModeler, ModelResult
 
 __all__ = [
-    "smape",
     "Hypothesis",
     "fit_hypothesis",
     "FittedModel",

@@ -27,14 +27,11 @@ or from the CLI: ``repro-model serve --socket /tmp/repro.sock``.
 
 from repro.service.core import (
     ModelingService,
-    PendingRequest,
     ServiceBusy,
     ServiceClosed,
     ServiceConfig,
 )
 from repro.service.http import (
-    LocalHTTPServer,
-    UnixHTTPServer,
     serve_http,
     serve_unix,
     start_server,
@@ -51,12 +48,9 @@ from repro.service.schema import (
 
 __all__ = [
     "ModelingService",
-    "PendingRequest",
     "ServiceBusy",
     "ServiceClosed",
     "ServiceConfig",
-    "LocalHTTPServer",
-    "UnixHTTPServer",
     "serve_http",
     "serve_unix",
     "start_server",

@@ -25,7 +25,6 @@ from repro.synthesis.measurements import (
     cross_coordinates,
 )
 from repro.synthesis.training import TrainingSetConfig, generate_training_set
-from repro.synthesis.evaluation_points import evaluation_points
 
 __all__ = [
     "SequenceKind",
@@ -41,5 +40,4 @@ __all__ = [
     "cross_coordinates",
     "TrainingSetConfig",
     "generate_training_set",
-    "evaluation_points",
 ]

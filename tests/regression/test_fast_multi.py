@@ -4,7 +4,8 @@ The fast engine must select the same winner hypothesis as the reference
 per-hypothesis loop and -- because the winner is refit through the reference
 solver -- return bit-identical coefficients and CV-SMAPE. Pinned here
 across several hundred random multi-parameter tasks at multiple noise
-levels, plus explicitly rank-deficient designs.
+levels, the DNN modeler's top-k combination shape, plus explicitly
+rank-deficient designs.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.experiment.experiment import Kernel
 from repro.experiment.lines import parameter_lines
 from repro.experiment.measurement import value_table
 from repro.noise.injection import UniformNoise
+from repro.pmnf.searchspace import EXPONENT_PAIRS
 from repro.pmnf.terms import CompoundTerm, ExponentPair
 from repro.regression.fast_multi import FastMultiParameterSearch
 from repro.regression.hypothesis import Hypothesis
@@ -50,6 +52,32 @@ def combination_task(seed, n_params=2, noise=0.3):
     return hypotheses, points, values
 
 
+def dnn_like_tasks(seed=20210517, shapes=((2, 30), (3, 20)), top_k=3):
+    """Tasks shaped like the DNN modeler's multi-parameter hot path.
+
+    Each parameter gets ``top_k`` random candidate pairs, expanded over all
+    additive/multiplicative combinations as ``DNNTopKGenerator`` does, on a
+    ``5^m`` grid: about 19 hypotheses per task at m = 2 and 133 at m = 3,
+    where :func:`combination_task` has one lead term per parameter. One
+    generator draws every task of every ``(n_params, count)`` shape in turn.
+    """
+    gen = as_generator(seed)
+    for n_params, count in shapes:
+        for _ in range(count):
+            truth = random_multi_parameter_function(n_params, gen)
+            sets = [random_sequence(5, None, gen) for _ in range(n_params)]
+            points = np.stack([c.as_array() for c in grid_coordinates(sets)])
+            values = UniformNoise(0.2).apply(np.atleast_1d(truth.evaluate(points)), gen)
+            candidates = []
+            for _ in range(n_params):
+                picks = gen.choice(len(EXPONENT_PAIRS), size=top_k, replace=False)
+                pairs = (EXPONENT_PAIRS[int(i)] for i in picks)
+                candidates.append(
+                    [None if p.is_constant else CompoundTerm.from_pair(p) for p in pairs]
+                )
+            yield combination_hypotheses(candidates), points, values
+
+
 def assert_engines_agree(hypotheses, points, values):
     ref = select_best(evaluate_hypotheses(hypotheses, points, values))
     fst = SEARCH.select(hypotheses, points, values)
@@ -78,6 +106,10 @@ class TestEquivalence:
     def test_three_parameter_tasks(self, noise):
         for seed in range(15):
             hypotheses, points, values = combination_task(seed, 3, noise)
+            assert_engines_agree(hypotheses, points, values)
+
+    def test_dnn_like_top_k_tasks(self):
+        for hypotheses, points, values in dnn_like_tasks():
             assert_engines_agree(hypotheses, points, values)
 
     def test_modeler_level_equivalence(self):
