@@ -13,7 +13,7 @@ settings:
 Because adaptation RNG streams are derived from the cluster keys, all
 three runs are bit-identical -- the store may only move wall-clock time.
 The summed adapt seconds (telemetry spans ``dnn.adapt_network`` +
-``dnn.adapt_fused``, CPU-seconds across all processes) must drop by >= 2x
+``dnn.adapt_fused``, wall-seconds summed over all processes) must drop by >= 2x
 from seed to cold. The printed table names the worker and CPU counts so
 oversubscribed containers can be read in context.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from typing import Mapping
 
@@ -12,7 +13,6 @@ from repro.noise.classification import NoiseClass, classify_noise
 from repro.noise.estimation import estimate_noise_level
 from repro.regression.modeler import ModelResult, RegressionModeler
 from repro.util.seeding import as_generator
-from repro.util.timing import Timer
 
 
 class AdaptiveModeler:
@@ -71,20 +71,20 @@ class AdaptiveModeler:
                 raise ValueError(f"kernel {kernel.name!r} has no measurements")
             n_params = kernel.coordinates[0].dimensions
         gen = as_generator(rng)
-        with Timer() as timer:
-            _, noise_class = self.route(kernel, n_params)
-            dnn_result = self.dnn.model_kernel(kernel, n_params, gen, network=network)
-            if noise_class is NoiseClass.NOISY:
-                winner = dnn_result
-            else:
-                reg_result = self.regression.model_kernel(kernel, n_params)
-                # "We identify the model that fits the data best" -- smaller
-                # cross-validation SMAPE wins.
-                winner = min((dnn_result, reg_result), key=lambda r: r.cv_smape)
+        started = time.perf_counter()
+        _, noise_class = self.route(kernel, n_params)
+        dnn_result = self.dnn.model_kernel(kernel, n_params, gen, network=network)
+        if noise_class is NoiseClass.NOISY:
+            winner = dnn_result
+        else:
+            reg_result = self.regression.model_kernel(kernel, n_params)
+            # "We identify the model that fits the data best" -- smaller
+            # cross-validation SMAPE wins.
+            winner = min((dnn_result, reg_result), key=lambda r: r.cv_smape)
         return replace(
             winner,
             method=f"{self.method_name}[{winner.method}]",
-            seconds=timer.elapsed,
+            seconds=time.perf_counter() - started,
         )
 
     def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:

@@ -100,7 +100,7 @@ def _model_one_modeler(task):
     elif hasattr(dnn, "_adapted"):
         dnn._adapted = {}
     with worker_task("casestudy.modeler", modeler=name) as work:
-        with work.stages.time("model"):
+        with work.stage("model", "casestudy.model"):
             results = modeler.model_experiment(modeling, rng=m_rng)
     return work.envelope(results)
 
@@ -178,7 +178,7 @@ def run_case_study(
     with run.recording(
         "casestudy.run", application=application.name, modelers=len(modelers)
     ):
-        with run.stages.time("campaign"), run.tel.tracer.span("casestudy.campaign"):
+        with run.stage("campaign", "casestudy.campaign"):
             campaign = application.run_campaign(campaign_rng)
             modeling = application.modeling_experiment(campaign)
         relevant = {k.name for k in application.relevant_kernels()}
@@ -187,7 +187,7 @@ def run_case_study(
             kern.name: kern.measurement_at(application.evaluation_point).median
             for kern in campaign.kernels
         }
-        with run.stages.time("noise"), run.tel.tracer.span("casestudy.noise"):
+        with run.stage("noise", "casestudy.noise"):
             noise = summarize_noise(modeling)
 
         engine_config = engine or EngineConfig()
@@ -197,7 +197,7 @@ def run_case_study(
         # of ``modeling``'s wall time. Every modeler sees the same modeling
         # experiment: one cluster key. The worker state (that experiment)
         # is per-run, so the session is one-shot here.
-        with run.stages.time("modeling"):
+        with run.stage("modeling", "casestudy.modeling"):
             with EngineSession(
                 engine_config,
                 initializer=_init_driver_worker,
@@ -243,7 +243,7 @@ def run_case_study(
         noise=noise,
         outcomes=outcomes,
         total_seconds=total_seconds,
-        stage_seconds=run.stages.seconds,
+        stage_seconds=run.stage_seconds,
         partial=any(slot is None for slot in slots),
         shard=shard,
     )

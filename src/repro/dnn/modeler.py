@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import replace
 from typing import Iterable, Sequence
@@ -32,7 +33,6 @@ from repro.pmnf.terms import ExponentPair
 from repro.preprocessing.encoding import encode_parameter_line
 from repro.util.cache import LRUCache
 from repro.util.seeding import as_generator
-from repro.util.timing import Timer
 
 #: Default bound of the adapted-network memo; adaptation dominates runtime,
 #: but adapted networks are large, so long sweeps over many distinct tasks
@@ -322,14 +322,14 @@ class DNNModeler:
         gen = as_generator(rng)
         adapt_seconds = 0.0
         if network is None:
-            with Timer() as adapt_timer:
-                task = (
-                    AdaptationTask.from_kernel(kernel, n_params)
-                    if self.use_domain_adaptation
-                    else None
-                )
-                network = self.network_for_task(task)
-            adapt_seconds = adapt_timer.elapsed
+            started = time.perf_counter()
+            task = (
+                AdaptationTask.from_kernel(kernel, n_params)
+                if self.use_domain_adaptation
+                else None
+            )
+            network = self.network_for_task(task)
+            adapt_seconds = time.perf_counter() - started
         result = self.pipeline.model_kernel(
             kernel, n_params, rng=gen, network=network, method=self.method_name
         )

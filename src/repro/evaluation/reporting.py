@@ -10,6 +10,7 @@ driver is the "give me everything in one command" entry point for users.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +26,6 @@ from repro.modeling.registry import create_modeler
 from repro.util.artifacts import atomic_write_text
 from repro.util.seeding import as_generator, spawn_generators
 from repro.util.tables import render_table
-from repro.util.timing import Timer
 
 
 @dataclass
@@ -179,40 +179,40 @@ def run_reproduction(
     emit = progress or (lambda message: None)
     gen = as_generator(config.seed)
     report = ReproductionReport()
-    with Timer() as total:
-        emit("loading / pretraining the generic network ...")
-        network = load_or_pretrain()
-        sweep_modelers = {
-            "regression": create_modeler("regression"),
-            "adaptive": create_modeler(
-                "adaptive(use_domain_adaptation=False)", network=network
-            ),
-        }
-        for m in config.parameter_counts:
-            emit(f"running the m={m} synthetic sweep ...")
-            sweep_config = SweepConfig(
-                n_params=m,
-                n_functions=max(10, config.functions_per_cell // (2 ** (m - 1))),
+    started = time.perf_counter()
+    emit("loading / pretraining the generic network ...")
+    network = load_or_pretrain()
+    sweep_modelers = {
+        "regression": create_modeler("regression"),
+        "adaptive": create_modeler(
+            "adaptive(use_domain_adaptation=False)", network=network
+        ),
+    }
+    for m in config.parameter_counts:
+        emit(f"running the m={m} synthetic sweep ...")
+        sweep_config = SweepConfig(
+            n_params=m,
+            n_functions=max(10, config.functions_per_cell // (2 ** (m - 1))),
+        )
+        report.sweeps[m] = run_sweep(
+            sweep_config, sweep_modelers, gen, processes=config.processes
+        )
+    if config.include_case_studies:
+        for name, factory in ALL_STUDIES.items():
+            emit(f"running the {name} case study ...")
+            modelers = {
+                "regression": create_modeler("regression"),
+                "adaptive": create_modeler(
+                    "adaptive(use_domain_adaptation=True, "
+                    f"adaptation_samples_per_class={config.adaptation_samples_per_class})",
+                    network=network,
+                ),
+            }
+            report.case_studies[name] = run_case_study(
+                factory(), modelers, gen, processes=config.processes
             )
-            report.sweeps[m] = run_sweep(
-                sweep_config, sweep_modelers, gen, processes=config.processes
-            )
-        if config.include_case_studies:
-            for name, factory in ALL_STUDIES.items():
-                emit(f"running the {name} case study ...")
-                modelers = {
-                    "regression": create_modeler("regression"),
-                    "adaptive": create_modeler(
-                        "adaptive(use_domain_adaptation=True, "
-                        f"adaptation_samples_per_class={config.adaptation_samples_per_class})",
-                        network=network,
-                    ),
-                }
-                report.case_studies[name] = run_case_study(
-                    factory(), modelers, gen, processes=config.processes
-                )
-        if config.include_estimator:
-            emit("running the noise-estimator experiment ...")
-            report.estimator_error = _estimator_experiment(config.estimator_trials, gen)
-    report.seconds = total.elapsed
+    if config.include_estimator:
+        emit("running the noise-estimator experiment ...")
+        report.estimator_error = _estimator_experiment(config.estimator_trials, gen)
+    report.seconds = time.perf_counter() - started
     return report

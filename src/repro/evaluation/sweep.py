@@ -18,6 +18,7 @@ results are reassembled in task order.
 from __future__ import annotations
 
 import os
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -32,7 +33,7 @@ from repro.modeling.registry import create_modelers
 from repro.noise.registry import noise_axis, noise_for_level
 from repro.dnn.modeler import prime_candidate_cache
 from repro.parallel.engine import EngineConfig, EngineSession, Progress, TaskFailure
-from repro.run.lifecycle import RunLifecycle, worker_task
+from repro.run.lifecycle import RunLifecycle, merge_stage_seconds, worker_task
 from repro.synthesis.evaluation_points import evaluation_points
 from repro.synthesis.functions import (
     random_multi_parameter_function,
@@ -45,7 +46,6 @@ from repro.synthesis.measurements import (
 )
 from repro.synthesis.sequences import random_sequence
 from repro.util.seeding import as_generator, clone_generator, spawn_generators
-from repro.util.timing import Timer
 
 #: The noise levels of the paper's synthetic evaluation (Sec. V).
 PAPER_NOISE_LEVELS: tuple[float, ...] = (0.02, 0.05, 0.10, 0.20, 0.50, 0.75, 1.00)
@@ -299,14 +299,15 @@ def _model_task(truth, kernel, eval_pts, gen, config, modelers) -> TaskOutcome:
                     dropped,
                 )
             else:
-                with Timer() as timer:
-                    predicted = modeler.predict_at(kernel, eval_pts)
+                started = time.perf_counter()
+                predicted = modeler.predict_at(kernel, eval_pts)
+                elapsed = time.perf_counter() - started
                 reference = np.atleast_1d(truth.evaluate(
                     np.stack([p.as_array() for p in eval_pts])
                 ))
                 errors = 100.0 * np.abs(predicted - reference) / np.abs(reference)
                 smape = prediction_smape(predicted, truth, eval_pts)
-                out[name] = (np.nan, errors, timer.elapsed, "<predictor>", smape, 0)
+                out[name] = (np.nan, errors, elapsed, "<predictor>", smape, 0)
         # repro-lint: disable-next-line=EXC001 -- not swallowed: the failure is
         # recorded as a maximally-wrong outcome (inf distance, NaN errors) so it
         # degrades the modeler's score instead of silently shrinking the sample.
@@ -337,14 +338,14 @@ def _run_batch(batch: "list[tuple[float, np.random.Generator]]") -> tuple:
     config: SweepConfig = _WORKER_STATE["config"]
     modelers: Mapping[str, object] = _WORKER_STATE["modelers"]
     with worker_task("sweep.batch", functions=len(batch)) as task:
-        with task.stages.time("synthesize"), task.tel.tracer.span("batch.synthesize"):
+        with task.stage("synthesize", "batch.synthesize"):
             prepared = [_synthesize_task(noise, gen, config) for noise, gen in batch]
-        with task.stages.time("classify"), task.tel.tracer.span("batch.classify"):
+        with task.stage("classify", "batch.classify"):
             kernels = [kernel for _, kernel, _, _ in prepared]
             prime_candidate_cache(
                 (modeler, kernels, config.n_params) for modeler in modelers.values()
             )
-        with task.stages.time("fit"), task.tel.tracer.span("batch.fit"):
+        with task.stage("fit", "batch.fit"):
             outcomes = [_model_task(*prep, config, modelers) for prep in prepared]
     return task.envelope(outcomes)
 
@@ -510,7 +511,7 @@ def run_sweep(
         n_functions=config.n_functions,
         batch_size=config.batch_size,
     ):
-        with Timer() as total:
+        with run.stage("total", "sweep.total"):
             with scope as active:
                 slots = run.execute(
                     active,
@@ -521,29 +522,28 @@ def run_sweep(
                     cluster_keys=partial(_adaptation_keys, config, tasks),
                     batches=len(batches),
                 )
-        raw: list[TaskOutcome] = []
-        engine_failures = 0
-        # A sharded/stealing run sees None in every slot neither it nor
-        # (via the journal) another worker has completed; the sweep is
-        # then partial and carries no cells -- its journal is the product.
-        missing_batches = 0
-        for batch, slot in zip(batches, slots):
-            if slot is None:
-                missing_batches += 1
-            elif isinstance(slot, TaskFailure):
-                engine_failures += 1
-                # The engine marked the whole batch failed.
-                raw.extend({name: _failed(config) for name in modelers} for _ in batch)
-            else:
-                outcomes, batch_stages = slot
-                raw.extend(outcomes)
-                run.stages.merge(batch_stages)
-        run.stages.add("total", total.elapsed)
+            raw: list[TaskOutcome] = []
+            engine_failures = 0
+            # A sharded/stealing run sees None in every slot neither it nor
+            # (via the journal) another worker has completed; the sweep is
+            # then partial and carries no cells -- its journal is the product.
+            missing_batches = 0
+            for batch, slot in zip(batches, slots):
+                if slot is None:
+                    missing_batches += 1
+                elif isinstance(slot, TaskFailure):
+                    engine_failures += 1
+                    # The engine marked the whole batch failed.
+                    raw.extend({name: _failed(config) for name in modelers} for _ in batch)
+                else:
+                    outcomes, batch_stages = slot
+                    raw.extend(outcomes)
+                    merge_stage_seconds(run.stage_seconds, batch_stages)
     partial_run = missing_batches > 0
     result = SweepResult(
         config=config,
         cells={} if partial_run else _cells(config, modelers, raw),
-        stage_seconds=run.stages.seconds,
+        stage_seconds=run.stage_seconds,
         engine_failures=engine_failures,
         partial=partial_run,
         shard=shard if partial_run else None,

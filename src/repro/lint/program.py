@@ -63,7 +63,7 @@ THREAD_SAFE_TYPES = LOCK_TYPES | {
 
 #: Method names treated as in-place mutations of their receiver. The list
 #: is intentionally name-based (no type inference): it covers the stdlib
-#: containers plus the project's own mutating verbs (``StageTimer.merge``,
+#: containers plus the project's own mutating verbs (``MetricsRegistry.merge``,
 #: metric ``inc``/``observe``). ``set`` is deliberately absent -- it would
 #: swallow ``threading.Event.set``.
 MUTATOR_METHODS = {

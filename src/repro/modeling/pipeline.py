@@ -18,6 +18,7 @@ how many candidates were evaluated, cache hits, and per-stage seconds.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -30,7 +31,6 @@ from repro.pmnf.function import PerformanceFunction
 from repro.regression.fast_multi import FastMultiParameterSearch
 from repro.regression.selection import evaluate_hypotheses, select_best
 from repro.util.seeding import as_generator
-from repro.util.timing import StageTimer
 
 
 @dataclass(frozen=True)
@@ -132,33 +132,33 @@ class ModelingPipeline:
         if n_params is None:
             n_params = kernel.coordinates[0].dimensions
         telemetry = get_telemetry()
-        stages = StageTimer()
         with telemetry.tracer.span(
             "pipeline.model_kernel", kernel=kernel.name, engine=self.engine
         ) as span:
-            with stages.time("aggregate"):
-                if self.prefilter is None:
-                    points, values = value_table(kernel.measurements, self.aggregation)
-                    dropped = 0
-                else:
-                    points, values, report = apply_prefilter(
-                        kernel.measurements, self.prefilter, self.aggregation
-                    )
-                    dropped = report.dropped_total
-            with stages.time("generate"):
-                candidates = self.generator.generate(
-                    kernel, n_params, points, values, rng=rng, network=network
-                )
-            if self.engine == "fast":
-                with stages.time("fit"):
-                    scored = self._search.score(candidates.hypotheses, points, values)
-                with stages.time("select"):
-                    best = self._search.choose(scored, points, values)
+            # One perf_counter chain: each stage ends where the next begins.
+            started = time.perf_counter()
+            if self.prefilter is None:
+                points, values = value_table(kernel.measurements, self.aggregation)
+                dropped = 0
             else:
-                with stages.time("fit"):
-                    scored = evaluate_hypotheses(candidates.hypotheses, points, values)
-                with stages.time("select"):
-                    best = select_best(scored)
+                points, values, report = apply_prefilter(
+                    kernel.measurements, self.prefilter, self.aggregation
+                )
+                dropped = report.dropped_total
+            aggregated = time.perf_counter()
+            candidates = self.generator.generate(
+                kernel, n_params, points, values, rng=rng, network=network
+            )
+            generated = time.perf_counter()
+            if self.engine == "fast":
+                scored = self._search.score(candidates.hypotheses, points, values)
+                fitted = time.perf_counter()
+                best = self._search.choose(scored, points, values)
+            else:
+                scored = evaluate_hypotheses(candidates.hypotheses, points, values)
+                fitted = time.perf_counter()
+                best = select_best(scored)
+            selected = time.perf_counter()
             span.set(
                 n_candidates=len(candidates.hypotheses),
                 cache_hits=candidates.cache_hits,
@@ -166,8 +166,15 @@ class ModelingPipeline:
             )
             if self.prefilter is not None:
                 span.set(dropped_repetitions=dropped)
+        stage_seconds = {
+            "aggregate": aggregated - started,
+            "generate": generated - aggregated,
+            "fit": fitted - generated,
+            "select": selected - fitted,
+        }
         if telemetry.enabled:
-            telemetry.metrics.absorb_stage_seconds(stages.seconds, prefix="pipeline")
+            for stage, seconds in stage_seconds.items():
+                telemetry.metrics.counter(f"pipeline.{stage}.seconds").inc(seconds)
             telemetry.metrics.counter("pipeline.kernels").inc()
             telemetry.metrics.counter("pipeline.candidates").inc(
                 len(candidates.hypotheses)
@@ -182,7 +189,7 @@ class ModelingPipeline:
             engine=self.engine,
             n_candidates=len(candidates.hypotheses),
             cache_hits=candidates.cache_hits,
-            stage_seconds=dict(stages.seconds),
+            stage_seconds=stage_seconds,
             prefilter=repr(self.prefilter) if self.prefilter is not None else "",
             dropped_repetitions=dropped,
         )
@@ -190,7 +197,7 @@ class ModelingPipeline:
             function=best.function,
             cv_smape=best.cv_smape,
             method=method or candidates.generator,
-            seconds=sum(stages.seconds.values()),
+            seconds=selected - started,
             kernel=kernel.name,
             provenance=provenance,
         )

@@ -1,11 +1,12 @@
 """Unified observability: tracing, metrics, and trace artifacts.
 
-One subsystem replaces the four ad-hoc reporting channels that grew around
-the sweep (``StageTimer`` seconds, ``LRUCache.stats()``, engine
-retry/progress counters, per-epoch training metrics):
+One subsystem replaces the ad-hoc reporting channels that grew around the
+sweep (``LRUCache.stats()``, engine retry/progress counters, per-epoch
+training metrics), and its spans are the one timing channel:
 
 * :mod:`repro.obs.trace` -- nested spans with wall + monotonic timestamps
-  and export/re-parent propagation across pool workers;
+  and export/re-parent propagation across pool workers; a run's stages
+  (``stage_seconds``) are spans too, so each stage is measured once;
 * :mod:`repro.obs.metrics` -- counters, gauges, fixed-bucket histograms;
 * :mod:`repro.obs.sink` -- the schema-versioned JSONL trace artifact,
   written through the atomic writers of :mod:`repro.util.artifacts` and
@@ -19,7 +20,9 @@ Telemetry defaults **off** and must be zero-overhead when off. A
 :class:`Telemetry` session (tracer + metrics registry) only exists inside a
 :func:`recording` scope; instrumented call sites fetch the active session
 with :func:`get_telemetry`, which costs one list check and returns the
-shared :data:`NULL_TELEMETRY` no-op when nothing is recording.
+shared :data:`NULL_TELEMETRY` no-op when nothing is recording. Stages
+are still timed then, through :data:`~repro.obs.trace.TIMING_TRACER`,
+which is never pushed on the session stack and keeps no record.
 
 The toggle is the ``REPRO_TELEMETRY`` environment variable (the CLI's
 ``--telemetry`` flag sets it): entry points (``run_sweep``,

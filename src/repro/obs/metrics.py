@@ -1,10 +1,11 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
 One registry unifies the channels that used to report separately --
-:class:`repro.util.timing.StageTimer` seconds,
 :meth:`repro.util.cache.LRUCache.stats`, the parallel engine's
 retry/timeout/skip counters, and per-epoch training loss/accuracy -- into a
 single named snapshot that the trace sink serializes next to the spans.
+Stage timings are not metrics: a stage is a span, and the trace's
+``stage`` records carry the per-stage totals.
 
 Three instrument kinds, deliberately minimal:
 
@@ -131,13 +132,6 @@ class MetricsRegistry:
         return instrument
 
     # ------------------------------------------------------------- absorption
-    def absorb_stage_seconds(
-        self, seconds: "Mapping[str, float]", prefix: str = "stage"
-    ) -> None:
-        """Fold a :class:`~repro.util.timing.StageTimer` report into counters."""
-        for stage, value in seconds.items():
-            self.counter(f"{prefix}.{stage}.seconds").inc(float(value))
-
     def absorb_cache_stats(
         self, stats: "Mapping[str, Mapping[str, int]]", prefix: str = "cache"
     ) -> None:
@@ -241,9 +235,6 @@ class NullMetricsRegistry:
         self, name: str, boundaries: "Sequence[float] | None" = None
     ) -> _NullInstrument:
         return _NULL_INSTRUMENT
-
-    def absorb_stage_seconds(self, seconds, prefix: str = "stage") -> None:
-        return None
 
     def absorb_cache_stats(self, stats, prefix: str = "cache") -> None:
         return None

@@ -66,16 +66,17 @@ def summarize_trace(records: "list[dict]") -> dict:
     stage_total = named_total if named_total else summed
     for entry in stages:
         entry["share"] = entry["seconds"] / stage_total if stage_total > 0 else 0.0
-    # Worker stage timings are summed CPU-seconds across every process;
-    # only 'total' is wall time. Under parallelism the sum legitimately
-    # exceeds it (e.g. fit 10.852s vs total 3.456s with 4 workers), so
-    # flag that and say so in the rendered report rather than letting the
-    # >100 % shares read as a bookkeeping bug.
+    # Worker stage timings are perf_counter wall-seconds, summed over every
+    # worker process; 'total' is the driver's own wall time. Under
+    # parallelism the sum legitimately exceeds it (e.g. fit 10.852s vs
+    # total 3.456s with 4 workers), so flag that and say so in the rendered
+    # report rather than letting the >100 % shares read as a bookkeeping bug.
     stage_note = None
     if named_total is not None and summed > named_total:
         stage_note = (
-            "worker stages are CPU-seconds summed across processes; only "
-            "'total' is wall time, so stages can sum past it under parallelism"
+            "worker stages are wall-seconds summed over worker processes; "
+            "'total' is the run's wall time, so stages can sum past it under "
+            "parallelism"
         )
 
     span_groups: dict[str, dict] = {}

@@ -9,8 +9,9 @@ Each finished span records both a wall-clock timestamp (``start_unix``, for
 correlating with external logs) and a monotonic timestamp plus duration
 (``start_mono`` / ``duration_s``, immune to clock steps -- all interval
 arithmetic uses the monotonic pair). Span ids are ``<pid>-<seq>`` strings
-drawn from a plain counter: no RNG is touched, so tracing can never perturb
-the deterministic modeling streams.
+drawn from one plain counter per process, so a worker session opened in
+the driver's process (serial engine path) cannot reuse the driver's ids.
+No RNG is touched, so tracing can never perturb the modeling streams.
 
 Cross-process propagation works by *export and re-parent*: a pool worker
 records into its own short-lived tracer, serializes the finished spans into
@@ -22,6 +23,10 @@ per-worker breakdown stays possible after the merge.
 :class:`NullTracer` is the zero-overhead disabled path: ``span()`` returns
 one shared no-op context manager, so an instrumented call site costs an
 attribute lookup and a no-op ``__enter__``/``__exit__`` pair.
+
+A finished span keeps its ``duration_s``, so a stage can be a span
+(:class:`repro.run.lifecycle.StageScope`); with telemetry off, stages are
+timed through :data:`TIMING_TRACER`, which records nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ import itertools
 import os
 import time
 
-__all__ = ["Tracer", "NullTracer", "NULL_SPAN"]
+__all__ = ["Tracer", "NullTracer", "NULL_SPAN", "TIMING_TRACER"]
+
+_SPAN_SEQ = itertools.count(1)
 
 
 class Span:
@@ -39,7 +46,8 @@ class Span:
     ``set(**attrs)`` attaches attributes to the span while it is running
     (values must be JSON-serializable). The finished record is appended to
     the owning tracer when the span exits -- also on exception, in which
-    case ``error`` carries the exception type name.
+    case ``error`` carries the exception type name -- and its duration
+    stays readable as ``duration_s``.
     """
 
     __slots__ = (
@@ -49,17 +57,19 @@ class Span:
         "attrs",
         "start_unix",
         "start_mono",
+        "duration_s",
         "_tracer",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict):
         self._tracer = tracer
         self.name = name
-        self.span_id = f"{tracer.pid:x}-{next(tracer._ids):x}"
+        self.span_id = f"{tracer.pid:x}-{next(_SPAN_SEQ):x}"
         self.parent_id: "str | None" = None
         self.attrs = attrs
         self.start_unix = 0.0
         self.start_mono = 0.0
+        self.duration_s = 0.0
 
     def set(self, **attrs) -> "Span":
         self.attrs.update(attrs)
@@ -74,7 +84,7 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        duration = time.perf_counter() - self.start_mono
+        self.duration_s = duration = time.perf_counter() - self.start_mono
         stack = self._tracer._stack
         # Exception-transparent bookkeeping: a torn stack (a span closed out
         # of order by a crashing body) must not mask the in-flight exception.
@@ -102,7 +112,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self.pid = os.getpid()
-        self._ids = itertools.count(1)
         self._stack: list[Span] = []
         self._finished: list[dict] = []
 
@@ -178,3 +187,29 @@ class NullTracer:
 
     def clear(self) -> None:
         return None
+
+
+class _TimedSpan:
+    """A span that measures its duration but keeps no record."""
+
+    __slots__ = ("start_mono", "duration_s")
+
+    def __enter__(self) -> "_TimedSpan":
+        self.start_mono = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.duration_s = time.perf_counter() - self.start_mono
+
+
+class _TimingTracer(NullTracer):
+    """Stage timing with telemetry off: spans measure, nothing is kept.
+    Never pushed on the telemetry stack, so fine-grained spans stay free."""
+
+    __slots__ = ()
+
+    def span(self, name: str, **attrs) -> _TimedSpan:
+        return _TimedSpan()
+
+
+TIMING_TRACER = _TimingTracer()

@@ -54,8 +54,9 @@ def execution_profile(processes: "int | None" = None) -> dict:
     """The resolved worker count next to the machine's CPU count.
 
     Benchmark records embed this so perf numbers can be read in context: a
-    "4-process" run on a 1-CPU container is oversubscribed, and its summed
-    worker CPU-seconds legitimately exceed the wall-clock stage totals.
+    "4-process" run on a 1-CPU container is oversubscribed, and its worker
+    stage wall-seconds, summed over processes, legitimately exceed the
+    run's wall-clock ``total``.
     """
     resolved = resolve_processes(processes)
     cpu_count = os.cpu_count() or 1

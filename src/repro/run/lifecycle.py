@@ -7,6 +7,9 @@ domain-adaptation store and warms it before dispatch, and owns the driver
 telemetry session, the engine span and the trace artifact
 (:func:`record_trace`).
 
+A stage is a span (:class:`StageScope`): its one ``perf_counter`` pair is
+both the scope's ``stage_seconds`` and the span record's ``duration_s``.
+
 Every engine task body runs inside :func:`worker_task` and returns one
 fixed envelope, ``(result, stage_seconds, telemetry_payload | None)``,
 whether telemetry is on or off -- so a journal recorded either way
@@ -21,13 +24,16 @@ from typing import Callable, Iterator, Mapping
 
 from repro.obs import NULL_TELEMETRY, recording, worker_recording
 from repro.obs.sink import TRACE_FILENAME, build_trace_records, write_trace
+from repro.obs.trace import TIMING_TRACER
 from repro.parallel.engine import EngineSession, Progress, TaskFailure
 from repro.run.claims import ClaimStore
 from repro.run.manifest import RunManifest, config_fingerprint, rng_fingerprint
-from repro.util.timing import StageTimer, validate_stage_seconds
+from repro.util.timing import validate_stage_seconds
 
 __all__ = [
     "RunLifecycle",
+    "StageScope",
+    "merge_stage_seconds",
     "record_trace",
     "unpack",
     "validate_envelope",
@@ -57,17 +63,51 @@ def validate_envelope(index: int, payload) -> None:
         raise ValueError(f"telemetry must be a dict or None, got {type(telemetry).__name__}")
 
 
-class WorkerTask:
-    """The worker side of one engine task: its stage timer and telemetry."""
+def merge_stage_seconds(into: "dict[str, float]", seconds: "Mapping[str, float]") -> None:
+    """Add a worker's per-stage seconds into ``into``. They crossed a
+    process or journal boundary, so a corrupt value raises
+    :class:`ValueError` naming the stage, before anything is applied."""
+    validate_stage_seconds(seconds)
+    for stage, value in seconds.items():
+        into[stage] = into.get(stage, 0.0) + value
+
+
+class StageScope:
+    """The owner of one scope's ``stage_seconds``: a worker task or a run.
+
+    Totals belong to the scope, not to the telemetry session: nested runs
+    share one session (``recording()`` reuses an enclosing one), and each
+    must still report only its own stages.
+    """
 
     def __init__(self, tel) -> None:
         self.tel = tel
-        self.stages = StageTimer()
+        self.stage_seconds: "dict[str, float]" = {}
+
+    @contextmanager
+    def stage(self, name: str, span: str) -> Iterator[None]:
+        """Time the body once, as stage ``name`` and span ``span``.
+
+        The duration is added to ``stage_seconds`` even when the body
+        raises; with telemetry recording it is also the span record's
+        ``duration_s`` (tagged ``stage=name``).
+        """
+        tracer = self.tel.tracer if self.tel.enabled else TIMING_TRACER
+        timed = tracer.span(span, stage=name)
+        try:
+            with timed:
+                yield
+        finally:
+            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + timed.duration_s
+
+
+class WorkerTask(StageScope):
+    """The worker side of one engine task: its stages and telemetry."""
 
     def envelope(self, result) -> tuple:
         """``(result, stage_seconds, telemetry_payload | None)``."""
         payload = self.tel.export_payload() if self.tel.enabled else None
-        return result, self.stages.seconds, payload
+        return result, self.stage_seconds, payload
 
 
 @contextmanager
@@ -122,14 +162,14 @@ def record_trace(
 
 
 # ------------------------------------------------------------------- driver
-class RunLifecycle:
+class RunLifecycle(StageScope):
     """The driver side of one batch run (a sweep or a case study).
 
     Construction checks the run arguments, opens the journal when
     ``run_dir`` is set -- fingerprinting ``config`` (what determines the
     task stream), the seed ``rng`` and the modeler names -- and attaches
     the adaptation store to the ``modelers``. ``kind`` names the run in the
-    manifest and trace meta and prefixes the stage metrics.
+    manifest and trace meta and prefixes the ``adapt`` stage's span.
     """
 
     def __init__(
@@ -181,8 +221,7 @@ class RunLifecycle:
             self.store, self.adapting = resolve_store(
                 adaptation_cache, list(modelers.values())
             )
-        self.stages = StageTimer()
-        self.tel = NULL_TELEMETRY
+        super().__init__(NULL_TELEMETRY)
 
     @contextmanager
     def recording(self, span: str, **attrs) -> Iterator[None]:
@@ -215,7 +254,7 @@ class RunLifecycle:
         if self.store is not None and cluster_keys is not None:
 
             def pre_pass() -> None:
-                with self.stages.time("adapt"):
+                with self.stage("adapt", f"{self.kind}.adapt"):
                     keys = cluster_keys(self.store.resolution)
                     seen: list = []
                     for dnn in self.adapting:
@@ -238,8 +277,5 @@ class RunLifecycle:
         return unpack(raw, self.tel, engine_span.span_id)
 
     def finish(self) -> "str | None":
-        """Absorb the stage seconds into the metrics and write the trace;
-        returns the trace path (telemetry and run dir only)."""
-        if self.tel.enabled:
-            self.tel.metrics.absorb_stage_seconds(self.stages.seconds, prefix=self.kind)
-        return record_trace(self.tel, self.journal, self.stages.seconds, self.kind, self.shard)
+        """Write the trace; returns its path (telemetry and run dir only)."""
+        return record_trace(self.tel, self.journal, self.stage_seconds, self.kind, self.shard)

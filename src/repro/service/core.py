@@ -42,7 +42,7 @@ from repro.dnn.modeler import prime_candidate_cache
 from repro.modeling.registry import create_modeler
 from repro.obs import recording
 from repro.parallel.engine import EngineConfig, EngineSession, TaskError, TaskFailure
-from repro.run.lifecycle import record_trace, unpack, worker_task
+from repro.run.lifecycle import merge_stage_seconds, record_trace, unpack, worker_task
 from repro.run.manifest import MANIFEST_NAME, RunManifest, config_fingerprint
 from repro.service.schema import (
     ModelingRequest,
@@ -50,7 +50,6 @@ from repro.service.schema import (
     error_response,
     parse_request,
 )
-from repro.util.timing import StageTimer, Timer
 
 
 class ServiceBusy(RuntimeError):
@@ -153,14 +152,14 @@ def _serve_group(group: "list[ModelingRequest]"):
     """
     responses: list[dict] = []
     with worker_task("service.group", requests=len(group)) as task:
-        with task.stages.time("prepare"):
+        with task.stage("prepare", "service.prepare"):
             modelers = [_service_modeler(request.method) for request in group]
-        with task.stages.time("classify"), task.tel.tracer.span("service.classify"):
+        with task.stage("classify", "service.classify"):
             prime_candidate_cache(
                 (modeler, request.experiment.kernels, request.experiment.n_params)
                 for request, modeler in zip(group, modelers)
             )
-        with task.stages.time("fit"):
+        with task.stage("fit", "service.fit"):
             for request, modeler in zip(group, modelers):
                 with task.tel.tracer.span(
                     "service.request",
@@ -169,12 +168,14 @@ def _serve_group(group: "list[ModelingRequest]"):
                     kernels=len(request.experiment.kernels),
                 ):
                     try:
-                        with Timer() as timer:
-                            results = modeler.model_experiment(
-                                request.experiment, rng=request.seed
-                            )
+                        started = time.perf_counter()
+                        results = modeler.model_experiment(
+                            request.experiment, rng=request.seed
+                        )
                         responses.append(
-                            build_response(request, results, timer.elapsed)
+                            build_response(
+                                request, results, time.perf_counter() - started
+                            )
                         )
                     # repro-lint: disable-next-line=EXC001 -- not swallowed:
                     # the failure becomes this request's error response
@@ -221,7 +222,7 @@ class ModelingService:
         self._seq_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._stats = {"served": 0, "rejected": 0, "errors": 0, "batches": 0}
-        self._stages = StageTimer()
+        self._stage_seconds: "dict[str, float]" = {}
         self._tel_cm = None
         self._tel = None
         self._manifest: "RunManifest | None" = None
@@ -292,7 +293,7 @@ class ModelingService:
             )
         if self._tel is not None:
             with self._stats_lock:
-                stages = dict(self._stages.seconds)
+                stages = dict(self._stage_seconds)
             if self._started_at is not None:
                 stages["total"] = time.monotonic() - self._started_at
             record_trace(self._tel, self._manifest, stages, "service")
@@ -403,7 +404,7 @@ class ModelingService:
                 slots = unpack(raw, tel, batch_span.span_id)
                 for slot in slots:
                     if isinstance(slot, tuple):
-                        self._stages.merge(slot[1])
+                        merge_stage_seconds(self._stage_seconds, slot[1])
             for group, slot in zip(groups, slots):
                 if slot is None or isinstance(slot, TaskFailure):
                     detail = slot.error if isinstance(slot, TaskFailure) else "no result"

@@ -1,12 +1,14 @@
-"""Lightweight wall-clock timing used by the overhead analysis (Fig. 6)."""
+"""Validation of per-stage wall-clock seconds (the Fig. 6 overhead analysis).
+
+Stages are timed as spans (:meth:`repro.run.lifecycle.StageScope.stage`);
+this module checks the per-stage mappings that cross process and journal
+boundaries.
+"""
 
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 def validate_stage_seconds(seconds: "Mapping[str, float]") -> None:
@@ -27,96 +29,3 @@ def validate_stage_seconds(seconds: "Mapping[str, float]") -> None:
                 "and non-negative)"
             )
 
-
-@dataclass
-class Timer:
-    """Accumulating wall-clock timer usable as a context manager.
-
-    >>> t = Timer()
-    >>> with t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    elapsed: float = 0.0
-    _started: float | None = field(default=None, repr=False)
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # Idempotent and exception-transparent: if the timed body already
-        # stopped the timer (e.g. a fault-injection path calling stop()
-        # before re-raising), exiting must not replace the in-flight
-        # exception with a bookkeeping RuntimeError.
-        if self._started is not None:
-            self.stop()
-
-    def start(self) -> None:
-        if self._started is not None:
-            raise RuntimeError("timer already running")
-        self._started = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the timer and return the duration of this interval."""
-        if self._started is None:
-            raise RuntimeError("timer not running")
-        interval = time.perf_counter() - self._started
-        self.elapsed += interval
-        self._started = None
-        return interval
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._started = None
-
-
-class StageTimer:
-    """Accumulates wall-clock time per named pipeline stage.
-
-    Used by the sweep engine integration to attribute a sweep's runtime to
-    its stages (synthesize / classify / fit / ...). Stage dictionaries from
-    parallel workers are combined with :meth:`merge`.
-
-    >>> stages = StageTimer()
-    >>> with stages.time("fit"):
-    ...     pass
-    >>> set(stages.seconds) == {"fit"}
-    True
-    """
-
-    def __init__(self) -> None:
-        self.seconds: dict[str, float] = {}
-
-    @contextmanager
-    def time(self, stage: str) -> Iterator[None]:
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            # repro-lint: disable-next-line=CONC001 -- StageTimer is
-            # documented single-owner: each worker/run accumulates into its
-            # own instance, and the one cross-thread consumer (the service's
-            # stage aggregate) serializes every merge() under _stats_lock at
-            # the call site, which lexical lock tracking cannot see.
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed
-
-    def add(self, stage: str, seconds: float) -> None:
-        validate_stage_seconds({stage: seconds})
-        # repro-lint: disable-next-line=CONC001 -- same single-owner contract
-        # as time() above; the service holds _stats_lock around merge()/add().
-        self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
-
-    def merge(self, other: "Mapping[str, float]") -> None:
-        """Add another run's per-stage seconds (e.g. from a pool worker).
-
-        The payload crossed a process boundary (or a crash-resume journal),
-        so it is validated first: a negative or NaN stage time names the
-        stage and value instead of silently poisoning the aggregate.
-        """
-        validate_stage_seconds(other)
-        for stage, seconds in other.items():
-            self.add(stage, seconds)

@@ -13,6 +13,7 @@ from repro.modeling.candidates import (
 from repro.modeling.engine import FIT_ENGINES, resolve_fit_engine
 from repro.modeling.pipeline import Modeler, ModelingPipeline, PipelineModeler
 from repro.modeling.registry import create_modeler
+from repro.obs import recording
 from repro.regression.modeler import RegressionModeler
 
 
@@ -46,6 +47,18 @@ class TestPipeline:
         assert set(prov.stage_seconds) == {"aggregate", "generate", "fit", "select"}
         assert result.seconds == pytest.approx(sum(prov.stage_seconds.values()))
         assert result.kernel == clean_experiment_1p.only_kernel().name
+
+    def test_stage_seconds_counters(self, clean_experiment_1p):
+        """Telemetry's ``pipeline.<stage>.seconds`` counters carry exactly
+        the provenance's per-stage seconds."""
+        pipeline = ModelingPipeline(FullSearchGenerator(), engine="fast")
+        with recording(force=True) as tel:
+            result = pipeline.model_kernel(clean_experiment_1p.only_kernel())
+        counters = tel.metrics.snapshot()["counters"]
+        assert {
+            stage: counters[f"pipeline.{stage}.seconds"]
+            for stage in result.provenance.stage_seconds
+        } == result.provenance.stage_seconds
 
     @pytest.mark.parametrize("engine", FIT_ENGINES)
     def test_engines_select_same_model(self, engine, clean_experiment_2p):

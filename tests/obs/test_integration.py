@@ -2,20 +2,32 @@
 
 These are the acceptance criteria of the telemetry layer: enabling it must
 not change any modeling output, the emitted trace's per-stage totals must
-agree with ``SweepResult.stage_seconds`` exactly, and the merged span tree
-must stay connected across process boundaries and resume cycles.
+agree with ``SweepResult.stage_seconds`` exactly -- and with the summed
+durations of each stage's spans, since a stage is a span -- and the merged
+span tree must stay connected across process boundaries and resume cycles.
 """
 
 import numpy as np
 import pytest
 
 from repro.evaluation.sweep import SweepConfig, run_sweep
-from repro.obs import ENV_VAR
+from repro.obs import ENV_VAR, recording
+from repro.obs import trace as obs_trace
 from repro.obs.sink import read_trace
 from repro.run.manifest import RunManifest
 
 CONFIG = SweepConfig(n_params=1, noise_levels=(0.05,), n_functions=6, batch_size=3)
 MODELERS = {"regression": "regression"}
+
+
+def _stage_span_sums(spans) -> dict:
+    """Per stage, the summed ``duration_s`` of the spans tagged with it."""
+    sums: dict = {}
+    for span in spans:
+        stage = span["attrs"].get("stage")
+        if stage is not None:
+            sums[stage] = sums.get(stage, 0) + span["duration_s"]
+    return sums
 
 
 def _cells_equal(a, b) -> bool:
@@ -72,6 +84,19 @@ class TestTraceArtifact:
         stages = {r["stage"]: r["seconds"] for r in records if r["type"] == "stage"}
         assert stages == result.stage_seconds
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_stage_records_equal_their_span_sums(self, telemetry_on, tmp_path, processes):
+        """One source: each stage record is the summed duration of that
+        stage's spans, not a second measurement of the same interval."""
+        result = run_sweep(
+            CONFIG, MODELERS, rng=1, processes=processes, run_dir=str(tmp_path)
+        )
+        records = read_trace(result.trace_path)
+        stages = {r["stage"]: r["seconds"] for r in records if r["type"] == "stage"}
+        spans = [r for r in records if r["type"] == "span"]
+        assert set(stages) == {"synthesize", "classify", "fit", "total"}
+        assert stages == _stage_span_sums(spans)
+
     def test_span_tree_is_connected(self, telemetry_on, tmp_path):
         result = run_sweep(
             CONFIG, MODELERS, rng=1, processes=2, run_dir=str(tmp_path)
@@ -93,6 +118,53 @@ class TestTraceArtifact:
         result = run_sweep(CONFIG, MODELERS, rng=1, run_dir=str(tmp_path))
         assert result.trace_path is None
         assert not (tmp_path / "trace.jsonl").exists()
+
+
+class TestStageScopes:
+    def test_sweeps_sharing_a_session_keep_their_own_stages(self, telemetry_off):
+        """Nested entry points share one telemetry session; each sweep's
+        stage_seconds still covers only its own spans."""
+        other = SweepConfig(n_params=1, noise_levels=(0.05,), n_functions=4, batch_size=2)
+        with recording(force=True) as tel:
+            first = run_sweep(CONFIG, MODELERS, rng=1)
+            second = run_sweep(other, MODELERS, rng=2)
+        spans = tel.tracer.export()
+        parents = {s["span_id"]: s["parent_id"] for s in spans}
+
+        def root(span_id):
+            while parents[span_id] is not None:
+                span_id = parents[span_id]
+            return span_id
+
+        # a root span is exported when its sweep finishes: first, then second
+        roots = [s["span_id"] for s in spans if s["parent_id"] is None]
+        assert len(roots) == 2
+        sums = [
+            _stage_span_sums([s for s in spans if root(s["span_id"]) == r]) for r in roots
+        ]
+        assert sums == [first.stage_seconds, second.stage_seconds]
+
+    def test_telemetry_off_retains_no_span(self, telemetry_off, monkeypatch):
+        """A serial sweep with telemetry off times its stages but leaves no
+        span record in any tracer it creates, and opens no recording span."""
+        created = {"tracers": [], "spans": 0}
+        tracer_init, span_init = obs_trace.Tracer.__init__, obs_trace.Span.__init__
+
+        def track_tracer(self):
+            tracer_init(self)
+            created["tracers"].append(self)
+
+        def track_span(self, *args):
+            span_init(self, *args)
+            created["spans"] += 1
+
+        monkeypatch.setattr(obs_trace.Tracer, "__init__", track_tracer)
+        monkeypatch.setattr(obs_trace.Span, "__init__", track_span)
+        result = run_sweep(CONFIG, MODELERS, rng=1, processes=1)
+        assert set(result.stage_seconds) == {"synthesize", "classify", "fit", "total"}
+        assert all(tracer.export() == [] for tracer in created["tracers"])
+        assert created["spans"] == 0
+        assert obs_trace.TIMING_TRACER.export() == []
 
 
 class TestResumeAcrossToggleStates:

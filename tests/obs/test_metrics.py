@@ -94,13 +94,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="boundaries"):
             driver.merge(worker.snapshot())
 
-    def test_absorb_stage_seconds(self):
-        registry = MetricsRegistry()
-        registry.absorb_stage_seconds({"fit": 1.5, "select": 0.5}, prefix="pipeline")
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["pipeline.fit.seconds"] == 1.5
-        assert snapshot["counters"]["pipeline.select.seconds"] == 0.5
-
     def test_absorb_cache_stats_rereading_overwrites(self):
         """Cache stats are cumulative totals: gauges, not counters -- reading
         the same cache twice must not double its numbers."""
@@ -131,7 +124,6 @@ class TestNullRegistry:
         registry.counter("a").inc(5)
         registry.gauge("b").set(1)
         registry.histogram("c").observe(2)
-        registry.absorb_stage_seconds({"fit": 1.0})
         registry.absorb_cache_stats({"x": {"hits": 1}})
         registry.merge({"counters": {"a": 1.0}})
         assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}

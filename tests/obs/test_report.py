@@ -51,6 +51,17 @@ class TestSummarize:
         assert groups["pipeline.model_kernel"]["count"] == 2
         assert groups["sweep.run"]["count"] == 1
 
+    def test_stages_past_total_are_labelled_wall_seconds(self):
+        """Parallel worker stages can sum past 'total'; the note says they
+        are wall-seconds summed over worker processes, not CPU-seconds."""
+        records = build_trace_records(
+            Telemetry(), stage_seconds={"fit": 10.852, "total": 3.456}
+        )
+        note = summarize_trace(records)["stage_note"]
+        assert note.startswith("worker stages are wall-seconds summed over worker processes")
+        assert "CPU" not in note
+        assert f"note: {note}" in render_trace_text(summarize_trace(records))
+
     def test_kernels_extracted_from_span_attrs(self, trace_records):
         summary = summarize_trace(trace_records)
         assert {k["kernel"] for k in summary["kernels"]} == {"alpha", "beta"}

@@ -49,6 +49,15 @@ class TestSpanNesting:
         assert len(set(ids)) == 2
         assert all(i.startswith(f"{os.getpid():x}-") for i in ids)
 
+    def test_tracers_in_one_process_never_share_ids(self):
+        """A worker session in the driver's process (the serial engine
+        path) must not reuse the driver's span ids."""
+        driver, worker = Tracer(), Tracer()
+        with driver.span("sweep.run"):
+            with worker.span("sweep.batch"):
+                pass
+        assert driver.export()[0]["span_id"] != worker.export()[0]["span_id"]
+
     def test_current_span_id_tracks_stack(self):
         tracer = Tracer()
         assert tracer.current_span_id is None

@@ -1,6 +1,8 @@
-"""The shared run lifecycle: one fixed worker envelope for every driver."""
+"""The shared run lifecycle: one fixed worker envelope for every driver,
+and stages timed as spans."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ import pytest
 from repro.casestudies import driver, relearn
 from repro.evaluation import sweep
 from repro.experiment.io import to_json_dict
-from repro.obs import ENV_VAR
+from repro.obs import ENV_VAR, NULL_TELEMETRY, Telemetry, get_telemetry
 from repro.regression.modeler import RegressionModeler
-from repro.run.lifecycle import validate_envelope
+from repro.run.lifecycle import StageScope, merge_stage_seconds, validate_envelope
 from repro.service import core
 from repro.service.schema import REQUEST_SCHEMA, parse_request
+from repro.testing import faults
 
 
 def _sweep_worker():
@@ -92,3 +95,88 @@ class TestValidateEnvelope:
     def test_well_formed_envelopes_pass(self):
         validate_envelope(0, ([], {}, None))
         validate_envelope(0, ([], {"fit": 0.5}, {"spans": [], "metrics": {}}))
+
+
+class TestStageScope:
+    def test_stage_accumulates_per_name(self):
+        scope = StageScope(NULL_TELEMETRY)
+        for name in ("fit", "select", "fit"):
+            with scope.stage(name, f"batch.{name}"):
+                pass
+        assert set(scope.stage_seconds) == {"fit", "select"}
+        assert all(seconds >= 0.0 for seconds in scope.stage_seconds.values())
+
+    def test_stage_measures_body_duration(self):
+        scope = StageScope(NULL_TELEMETRY)
+        with scope.stage("fit", "batch.fit"):
+            time.sleep(0.01)
+        assert scope.stage_seconds["fit"] >= 0.009
+
+    def test_stage_accumulates_across_intervals(self):
+        scope = StageScope(NULL_TELEMETRY)
+        with scope.stage("fit", "batch.fit"):
+            pass
+        first = scope.stage_seconds["fit"]
+        with scope.stage("fit", "batch.fit"):
+            time.sleep(0.002)
+        assert scope.stage_seconds["fit"] >= first + 0.0019
+
+    @pytest.mark.parametrize("recording", [False, True], ids=["telemetry-off", "telemetry-on"])
+    def test_stage_accumulates_when_body_raises(self, recording):
+        tel = Telemetry() if recording else NULL_TELEMETRY
+        scope = StageScope(tel)
+        with pytest.raises(ValueError, match="boom"):
+            with scope.stage("fit", "batch.fit"):
+                time.sleep(0.005)
+                raise ValueError("boom")
+        assert scope.stage_seconds["fit"] >= 0.004
+        if recording:
+            (record,) = tel.tracer.export()
+            assert record["duration_s"] == scope.stage_seconds["fit"]
+
+    @pytest.mark.parametrize("recording", [False, True], ids=["telemetry-off", "telemetry-on"])
+    def test_injected_fault_propagates_untouched(self, recording):
+        """A fault firing inside a stage propagates as itself; the stage
+        still records its elapsed time, and so does its span."""
+        tel = Telemetry() if recording else NULL_TELEMETRY
+        scope = StageScope(tel)
+        faults.activate("stage.body:raise@1")
+        try:
+            with pytest.raises(faults.InjectedFault):
+                with scope.stage("fit", "batch.fit"):
+                    faults.fault_point("stage.body")
+        finally:
+            faults.deactivate()
+        assert scope.stage_seconds["fit"] >= 0.0
+        if recording:
+            (record,) = tel.tracer.export()
+            assert (record["name"], record["attrs"]) == ("batch.fit", {"stage": "fit"})
+            assert record["error"] == "InjectedFault"
+            # one measurement: the stage's seconds are the span's duration
+            assert record["duration_s"] == scope.stage_seconds["fit"]
+
+    def test_telemetry_off_pushes_no_session(self):
+        scope = StageScope(NULL_TELEMETRY)
+        with scope.stage("fit", "batch.fit"):
+            # the timing tracer is never pushed: fine-grained spans stay free
+            assert get_telemetry() is NULL_TELEMETRY
+        assert scope.stage_seconds["fit"] >= 0.0
+
+    def test_merge_adds(self):
+        into = {"fit": 1.0}
+        merge_stage_seconds(into, {"fit": 0.5, "select": 0.25})
+        assert into == {"fit": 1.5, "select": 0.25}
+
+    def test_merge_rejects_negative(self):
+        into: "dict[str, float]" = {}
+        with pytest.raises(ValueError, match="'fit'"):
+            merge_stage_seconds(into, {"fit": -0.5})
+        assert into == {}
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_merge_rejects_corrupt_values_naming_stage(self, bad):
+        into = {"fit": 1.0}
+        with pytest.raises(ValueError, match="'select'"):
+            merge_stage_seconds(into, {"fit": 0.5, "select": bad})
+        # a rejected merge applies nothing, not even its valid stages
+        assert into == {"fit": 1.0}

@@ -1,77 +1,6 @@
-import time
-
 import pytest
 
-from repro.testing import faults
-from repro.util.timing import StageTimer, Timer, validate_stage_seconds
-
-
-class TestTimer:
-    def test_context_manager_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_accumulates_across_intervals(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            time.sleep(0.005)
-        assert t.elapsed > first
-
-    def test_stop_returns_interval(self):
-        t = Timer()
-        t.start()
-        interval = t.stop()
-        assert interval >= 0
-        assert t.elapsed == pytest.approx(interval)
-
-    def test_double_start_raises(self):
-        t = Timer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-
-    def test_exit_is_idempotent_after_manual_stop(self):
-        """A body that already called stop() must not blow up on exit with
-        'timer not running' -- exiting an already-stopped timer is a no-op."""
-        t = Timer()
-        with t:
-            t.stop()
-        assert t.elapsed >= 0.0
-
-    def test_exit_is_exception_transparent(self):
-        """The original exception must propagate even when the body stopped
-        the timer first (the fault-injection paths do exactly this); before
-        the fix, __exit__ raised RuntimeError('timer not running') and
-        masked it."""
-        t = Timer()
-        with pytest.raises(ValueError, match="original"):
-            with t:
-                t.stop()
-                raise ValueError("original")
-
-    def test_exit_with_exception_still_accumulates(self):
-        t = Timer()
-        with pytest.raises(ValueError):
-            with t:
-                time.sleep(0.005)
-                raise ValueError("boom")
-        assert t.elapsed >= 0.004
+from repro.util.timing import validate_stage_seconds
 
 
 class TestValidateStageSeconds:
@@ -92,53 +21,3 @@ class TestValidateStageSeconds:
         with pytest.raises(ValueError, match=r"stage 'classify'.*-2\.0"):
             validate_stage_seconds({"classify": -2.0})
 
-
-class TestStageTimer:
-    def test_time_accumulates_per_stage(self):
-        stages = StageTimer()
-        with stages.time("fit"):
-            pass
-        with stages.time("fit"):
-            pass
-        assert set(stages.seconds) == {"fit"}
-        assert stages.seconds["fit"] >= 0.0
-
-    def test_time_records_even_when_body_raises(self):
-        stages = StageTimer()
-        with pytest.raises(ValueError):
-            with stages.time("fit"):
-                time.sleep(0.005)
-                raise ValueError("boom")
-        assert stages.seconds["fit"] >= 0.004
-
-    def test_time_survives_injected_fault(self):
-        """Audit under fault injection: a fault firing inside a timed stage
-        propagates untouched and the stage still records its elapsed time."""
-        faults.activate("stage.body:raise@1")
-        try:
-            stages = StageTimer()
-            with pytest.raises(faults.InjectedFault):
-                with stages.time("fit"):
-                    faults.fault_point("stage.body")
-            assert stages.seconds["fit"] >= 0.0
-        finally:
-            faults.deactivate()
-
-    def test_merge_adds_and_validates(self):
-        stages = StageTimer()
-        stages.add("fit", 1.0)
-        stages.merge({"fit": 0.5, "select": 0.25})
-        assert stages.seconds == {"fit": 1.5, "select": 0.25}
-
-    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
-    def test_merge_rejects_corrupt_values_naming_stage(self, bad):
-        stages = StageTimer()
-        stages.add("fit", 1.0)
-        with pytest.raises(ValueError, match="'select'"):
-            stages.merge({"select": bad})
-        # a rejected merge must not have partially applied
-        assert stages.seconds == {"fit": 1.0}
-
-    def test_add_rejects_negative(self):
-        with pytest.raises(ValueError, match="'fit'"):
-            StageTimer().add("fit", -0.5)
