@@ -14,16 +14,15 @@ losing any completed work and without perturbing the results:
 
 ``journal.jsonl``
     Append-only, one JSON record per line, fsynced after every append.
-    ``task`` records name a completed engine task and the SHA-256 of its
-    pickled payload under ``tasks/``; ``quarantine`` records name input
-    kernels rejected by the validation pass. A crash can tear at most the
-    trailing line, which replay skips; a payload whose checksum no longer
-    matches is treated as never-completed and simply re-run.
-
-``tasks/task-NNNNNN.pkl``
-    One atomically-written pickle per completed task. Payloads are whatever
-    the engine task returned -- they already crossed a process boundary via
-    pickle in pool mode, so picklability is guaranteed by construction.
+    ``task`` records carry a completed engine task's pickled payload inline
+    (base64) with the SHA-256 of the pickle, so one append and one fsync
+    make a task durable. Payloads are whatever the engine task returned --
+    they already crossed a process boundary via pickle in pool mode, so
+    picklability is guaranteed by construction. ``quarantine`` records name
+    input kernels rejected by the validation pass. A crash can tear at most
+    the trailing record, which replay skips; a record whose payload cannot
+    be decoded or no longer matches its checksum is treated as
+    never-completed and simply re-run.
 
 ``tenants/<name>/``
     Optional per-tenant sub-journals (see :meth:`RunManifest.sub_manifest`):
@@ -40,6 +39,7 @@ bit-identical either way.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -52,30 +52,26 @@ from pathlib import Path
 import numpy as np
 
 from repro.testing import faults
-from repro.util.artifacts import (
-    atomic_create_json,
-    atomic_write_bytes,
-    fsync_directory,
-    sha256_bytes,
-)
+from repro.util.artifacts import atomic_create_json, fsync_directory, sha256_bytes
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
-TASKS_DIR = "tasks"
 TENANTS_DIR = "tenants"
-#: Journal-format version. Version 2 journals hold fixed
-#: ``(result, stage_seconds, telemetry | None)`` task envelopes (see
-#: :mod:`repro.run.lifecycle`). Version-1 run directories hold
-#: variable-arity payloads; they are refused on load, never partly replayed.
-_MANIFEST_VERSION = 2
+#: Journal-format version. Version 3 journals carry each task's fixed
+#: ``(result, stage_seconds, telemetry | None)`` envelope (see
+#: :mod:`repro.run.lifecycle`) inline in its ``task`` record. Version-2 run
+#: directories keep payloads in ``tasks/*.pkl`` files and version-1 ones
+#: hold variable-arity payloads; both are refused on load, never partly
+#: replayed.
+_MANIFEST_VERSION = 3
 
 
 class RunManifestError(RuntimeError):
     """A run directory cannot be created, loaded, or safely resumed."""
 
 
-def _last_newline_end(handle, size: int) -> int:
-    """Offset just past the last ``\\n`` in ``handle`` (0 when none exists).
+def _last_newline_end(fd: int, size: int) -> int:
+    """Offset just past the last ``\\n`` in file ``fd`` (0 when none exists).
 
     Scans backwards in chunks so a journal with a huge torn tail does not
     have to be read in full.
@@ -84,13 +80,32 @@ def _last_newline_end(handle, size: int) -> int:
     end = size
     while end > 0:
         start = max(0, end - chunk_size)
-        handle.seek(start)
-        chunk = handle.read(end - start)
+        os.lseek(fd, start, os.SEEK_SET)
+        chunk = os.read(fd, end - start)
         position = chunk.rfind(b"\n")
         if position != -1:
             return start + position + 1
         end = start
     return 0
+
+
+def decode_task_payload(record: dict) -> bytes:
+    """The checksum-verified pickle bytes a ``task`` record carries inline.
+
+    Raises :class:`ValueError` naming the defect -- no payload, a payload
+    that is not base64, or bytes that fail the record's SHA-256 -- before
+    anything is unpickled.
+    """
+    payload = record.get("payload")
+    if not isinstance(payload, str):
+        raise ValueError("has no inline payload")
+    try:
+        blob = base64.b64decode(payload, validate=True)
+    except ValueError as err:
+        raise ValueError(f"payload is not valid base64: {err}") from None
+    if sha256_bytes(blob) != record.get("sha256"):
+        raise ValueError("payload fails its checksum")
+    return blob
 
 
 def _safe_component(name: str) -> str:
@@ -250,7 +265,6 @@ class RunManifest:
         directory = Path(directory)
         path = directory / MANIFEST_NAME
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / TASKS_DIR).mkdir(exist_ok=True)
         data = {
             "version": _MANIFEST_VERSION,
             "run_id": uuid.uuid4().hex[:12],
@@ -389,58 +403,62 @@ class RunManifest:
 
     # --------------------------------------------------------------- journal
     def _append(self, record: dict) -> None:
-        """Durably append one journal record (write, flush, fsync).
+        """Durably append one journal record: one ``os.write``, one fsync.
+
+        A single writer heals a torn tail through the same descriptor first
+        and writes the bare line. A journal shared by concurrent processes
+        (work-stealing mode) instead frames the record with a *leading* and
+        a trailing newline and skips the heal: a single ``os.write`` on an
+        ``O_APPEND`` descriptor lands at record granularity with respect to
+        other appenders, but a heal seeks to a position measured before the
+        write, which under concurrency could land inside another process's
+        fresh record. The extra blank lines are skipped by replay.
+
+        The append that creates the journal also fsyncs the run directory,
+        so the new directory entry -- and every record after it -- survives
+        a power cut. A short write raises: the record is torn (replay skips
+        it, and the framing or the next heal isolates the fragment), so the
+        caller must not acknowledge it as recorded.
 
         The ``journal.append`` fault point models the two crash shapes an
         append can see: a crash *before* the write (``raise``/``kill``) and
-        a torn line flushed halfway (``tear``).
+        a torn record flushed halfway (``tear``).
         """
         line = json.dumps(record, sort_keys=True)
         spec = faults.check("journal.append")
         if spec is not None and spec.action != "tear":
             faults.execute(spec)
-        if self.shared_journal:
-            self._append_shared(line, spec)
-            return
-        self._heal_torn_tail()
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            if spec is not None:  # tear: flush half the line, then die
-                handle.write(line[: max(1, len(line) // 2)])
-                handle.flush()
-                os.fsync(handle.fileno())
-                raise faults.InjectedFault(
-                    f"injected 'tear' fault at 'journal.append' (call #{spec.nth})"
-                )
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _append_shared(self, line: str, spec) -> None:
-        """Append one record to a journal shared by concurrent processes.
-
-        A single ``os.write`` on an ``O_APPEND`` descriptor is atomic with
-        respect to other appenders, so concurrent records interleave only
-        at record granularity. The record is framed with a *leading* and a
-        trailing newline instead of healing the tail first: healing seeks
-        to a position measured before the write, which under concurrency
-        could land inside another process's freshly-appended record. The
-        extra blank lines are skipped by replay.
-        """
-        data = ("\n" + line + "\n").encode("utf-8")
-        if spec is not None:  # tear: flush half the record, then die
-            data = data[: max(2, len(data) // 2)]
-        fd = os.open(self.journal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+        framing = "\n" if self.shared_journal else ""
+        data = (framing + line + "\n").encode("utf-8")
+        if spec is not None:  # tear: land half the record, then die
+            data = data[: len(data) // 2]
+        path = self.journal_path
+        created = False
         try:
-            os.write(fd, data)
+            fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        except FileNotFoundError:
+            fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            created = True
+        try:
+            if not self.shared_journal:
+                self._heal_torn_tail(fd)
+            written = os.write(fd, data)
             os.fsync(fd)
         finally:
             os.close(fd)
+        if created:
+            fsync_directory(self.directory)
         if spec is not None:
             raise faults.InjectedFault(
                 f"injected 'tear' fault at 'journal.append' (call #{spec.nth})"
             )
+        if written != len(data):
+            raise RunManifestError(
+                f"short journal write to {path}: {written} of {len(data)} bytes; "
+                "the record is torn and will not replay"
+            )
 
-    def _heal_torn_tail(self) -> None:
+    def _heal_torn_tail(self, fd: int) -> None:
         """Truncate a torn trailing line so the next append stays on its own
         line. Without this, a record appended after a crash would fuse with
         the torn fragment and both would be lost to the malformed-line skip.
@@ -453,20 +471,15 @@ class RunManifest:
         The ``journal.heal`` fault point models a crash between the
         truncate and the fsync.
         """
-        try:
-            with open(self.journal_path, "rb+") as handle:
-                size = handle.seek(0, os.SEEK_END)
-                if size == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) == b"\n":
-                    return
-                handle.truncate(_last_newline_end(handle, size))
-                faults.fault_point("journal.heal", path=str(self.journal_path))
-                handle.flush()
-                os.fsync(handle.fileno())
-        except FileNotFoundError:
+        size = os.lseek(fd, 0, os.SEEK_END)
+        if size == 0:
             return
+        os.lseek(fd, -1, os.SEEK_END)
+        if os.read(fd, 1) == b"\n":
+            return
+        os.ftruncate(fd, _last_newline_end(fd, size))
+        faults.fault_point("journal.heal", path=str(self.journal_path))
+        os.fsync(fd)
         fsync_directory(self.directory)
 
     def _records(self) -> "list[dict]":
@@ -497,33 +510,43 @@ class RunManifest:
 
     # ---------------------------------------------------------------- tasks
     def record_task(self, index: int, payload) -> None:
-        """Journal one completed engine task: payload first, pointer second.
+        """Journal one completed engine task as one self-checking record.
 
-        Ordering gives crash safety: a crash between the two steps leaves an
-        orphan payload file that replay never references -- the task simply
-        re-runs. The reverse order could reference a missing payload.
+        The pickled payload travels inline (base64) beside the SHA-256 of
+        the pickle, so a single append and fsync make the task durable. A
+        torn record, or one whose payload no longer decodes to its
+        checksum, replays as never completed and the task re-runs.
         """
-        name = f"task-{index:06d}.pkl"
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = atomic_write_bytes(self.directory / TASKS_DIR / name, blob)
         self._append(
-            {"type": "task", "task": int(index), "file": f"{TASKS_DIR}/{name}", "sha256": digest}
+            {
+                "type": "task",
+                "task": int(index),
+                "sha256": sha256_bytes(blob),
+                "payload": base64.b64encode(blob).decode("ascii"),
+            }
         )
+
+    def task_records(self) -> "dict[int, dict]":
+        """The surviving ``task`` record per index: the last one journaled.
+
+        A re-run task is journaled again; the journal contract is
+        last-record-wins, so earlier records for the index are superseded.
+        """
+        latest: dict[int, dict] = {}
+        for record in self._records():
+            if record.get("type") == "task":
+                latest[int(record["task"])] = record
+        return latest
 
     def completed_tasks(self) -> "dict[int, object]":
         """Replay completed task payloads, dropping any that fail their checksum."""
         out: dict[int, object] = {}
-        for record in self._records():
-            if record.get("type") != "task":
-                continue
-            payload_path = self.directory / record.get("file", "")
+        for index, record in self.task_records().items():
             try:
-                blob = payload_path.read_bytes()
-            except OSError:
-                continue
-            if sha256_bytes(blob) != record.get("sha256"):
+                blob = decode_task_payload(record)
+            except ValueError:
                 continue  # corrupt payload: treat the task as never completed
-            index = int(record["task"])
             payload = pickle.loads(blob)
             if self.payload_validator is not None:
                 try:
@@ -543,9 +566,9 @@ class RunManifest:
     def record_artifact(self, name: str, relative_path: str, sha256: str) -> None:
         """Journal one named run artifact (e.g. the telemetry trace).
 
-        Like task payloads, the artifact file is written (atomically) first
-        and the journal pointer second, so a crash between the two leaves an
-        orphan file rather than a dangling reference.
+        The artifact file is written (atomically) first and the journal
+        pointer second, so a crash between the two leaves an orphan file
+        rather than a dangling reference.
         """
         self._append(
             {"type": "artifact", "name": name, "file": relative_path, "sha256": sha256}
@@ -566,8 +589,8 @@ class RunManifest:
         """Open (or create) a named sub-journal under this run directory.
 
         Sub-manifests give one long-lived service run a per-tenant audit
-        trail: each lives in ``tenants/<name>/`` with its own manifest,
-        journal, and task payloads, but shares the parent's run identity --
+        trail: each lives in ``tenants/<name>/`` with its own manifest and
+        journal, but shares the parent's run identity --
         the parent ``run_id`` and the tenant name are recorded in the
         child's meta, and re-opening verifies them so a stale directory
         from a different run is refused rather than silently appended to.

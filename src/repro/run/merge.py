@@ -12,17 +12,19 @@ Same configuration
     with a different shard ``count``, is refused.
 
 Disjoint, checksum-verified work
-    Each shard's ``journal.jsonl`` is replayed record by record; every task
-    payload is re-read and its SHA-256 re-verified (a shard carrying a
-    corrupt payload is refused -- merging is the wrong place to silently
-    drop work). Two shards claiming the same task index are refused.
+    Each shard's ``journal.jsonl`` is replayed record by record; every
+    surviving task record's inline payload is decoded and its SHA-256
+    re-verified, and so is every task record of every tenant journal (a
+    shard carrying a corrupt payload is refused -- merging is the wrong
+    place to silently drop work). Two shards claiming the same task index
+    are refused.
 
 Bit-identical reassembly
-    Task payload files are copied byte for byte and the merged journal
-    lists task records in ascending index order -- the order an unsharded
-    serial run journals them -- with the same ``json.dumps(sort_keys=True)``
-    framing, so journal task lines and payload files match the unsharded
-    run exactly. Quarantine records are carried over in a canonical sort
+    Task records are copied verbatim and the merged journal lists them in
+    ascending index order -- the order an unsharded serial run journals
+    them -- with the same ``json.dumps(sort_keys=True)`` framing, so the
+    merged journal matches the unsharded run's byte for byte. Quarantine
+    records are carried over in a canonical sort
     (shard completion order is not meaningful after the split), tenant
     sub-manifests are re-created under the merged run's identity, and
     shard telemetry traces are merged into one re-parented trace via
@@ -36,10 +38,16 @@ the merged tables without recomputing anything.
 from __future__ import annotations
 
 import json
+import pickle
 from pathlib import Path
 
-from repro.run.manifest import MANIFEST_NAME, RunManifest, RunManifestError
-from repro.util.artifacts import atomic_write_bytes, atomic_write_text, sha256_bytes
+from repro.run.manifest import (
+    MANIFEST_NAME,
+    RunManifest,
+    RunManifestError,
+    decode_task_payload,
+)
+from repro.util.artifacts import atomic_write_text
 
 __all__ = ["MergeError", "merge_runs"]
 
@@ -48,39 +56,28 @@ class MergeError(RunManifestError):
     """The shard set cannot be merged into one consistent run."""
 
 
+def _verified_payload(source: str, index: int, record: dict) -> bytes:
+    """Decode and checksum one task record, refusing the merge when it fails."""
+    try:
+        return decode_task_payload(record)
+    except ValueError as err:
+        raise MergeError(
+            f"{source}: journaled task {index} {err}; refusing to merge corrupt work"
+        ) from err
+
+
 def _verified_tasks(shard: RunManifest) -> "dict[int, dict]":
-    """Replay one shard's task records, re-verifying every payload checksum.
+    """One shard's surviving task records, each payload re-verified.
 
-    Later records win per index (a shard that re-ran a task after a torn
-    payload journals it twice; the journal contract is last-record-wins).
-    Unlike resume -- where a bad checksum just means "re-run the task" --
-    merge has no way to recompute, so corruption is an error here.
+    Later records win per index (a shard that re-ran a task journals it
+    twice; the journal contract is last-record-wins). Unlike resume --
+    where a bad checksum just means "re-run the task" -- merge has no way
+    to recompute, so corruption is an error here.
     """
-    latest: dict[int, dict] = {}
-    for record in shard.journal_records():
-        if record.get("type") == "task":
-            latest[int(record["task"])] = record
-    out: dict[int, dict] = {}
-    for index, record in latest.items():
-        # Only the surviving record per index is verified: a re-run task
-        # overwrites its payload file, so a superseded record's checksum
-        # legitimately no longer matches anything on disk.
-        payload_path = shard.directory / record.get("file", "")
-        try:
-            blob = payload_path.read_bytes()
-        except OSError as err:
-            raise MergeError(
-                f"shard {shard.directory}: journaled task {index} payload "
-                f"{record.get('file')!r} is unreadable: {err}"
-            ) from err
-        if sha256_bytes(blob) != record.get("sha256"):
-            raise MergeError(
-                f"shard {shard.directory}: journaled task {index} payload fails "
-                "its checksum; refusing to merge corrupt work"
-            )
+    records = shard.task_records()
+    for index, record in records.items():
+        blob = _verified_payload(f"shard {shard.directory}", index, record)
         if shard.payload_validator is not None:
-            import pickle
-
             try:
                 shard.payload_validator(index, pickle.loads(blob))
             except ValueError as err:
@@ -88,8 +85,7 @@ def _verified_tasks(shard: RunManifest) -> "dict[int, dict]":
                     f"shard {shard.directory}: journaled task {index} payload is "
                     f"logically corrupt: {err}"
                 ) from err
-        out[index] = {**record, "blob": blob}
-    return out
+    return records
 
 
 def _consensus_meta(shards: "list[RunManifest]") -> dict:
@@ -132,16 +128,18 @@ def _merge_traces(shards: "list[RunManifest]", output: RunManifest) -> "str | No
     return str(trace_path)
 
 
-def _copy_tenants(shards: "list[RunManifest]", output: RunManifest) -> None:
-    """Re-create every shard's tenant sub-journals under the merged run.
+def _verified_tenants(shards: "list[RunManifest]") -> "list[tuple[str, dict, list[str]]]":
+    """Every shard's tenant sub-journals as ``(name, meta, journal lines)``.
 
-    Child manifests are re-created (their ``parent_run_id`` must point at
-    the merged run, not the dead shard), then task payloads and journal
-    records are carried over byte for byte. The same tenant name on two
+    Each journal record is carried over verbatim -- task records only once
+    their payload passes the same checksum check as the shard's own. The
+    meta drops the parent identity: the child manifests are re-created
+    under the merged run, not the dead shard. The same tenant name on two
     shards is refused: tenant journals are audit trails, and interleaving
     two of them would fabricate an order that never happened.
     """
     seen: dict[str, Path] = {}
+    tenants = []
     for shard in shards:
         for name, child in shard.sub_manifests().items():
             if name in seen:
@@ -150,20 +148,27 @@ def _copy_tenants(shards: "list[RunManifest]", output: RunManifest) -> None:
                     f"{shard.directory}: refusing to interleave two audit trails"
                 )
             seen[name] = shard.directory
+            lines = []
+            for record in child.journal_records():
+                if record.get("type") == "task":
+                    _verified_payload(
+                        f"shard {shard.directory}, tenant {name!r}",
+                        record.get("task"),
+                        record,
+                    )
+                lines.append(json.dumps(record, sort_keys=True))
             child_meta = {
                 key: value
                 for key, value in child.meta.items()
                 if key not in ("parent_run_id", "tenant")
             }
-            merged_child = output.sub_manifest(name, meta=child_meta)
-            lines = []
-            for record in child.journal_records():
-                if record.get("type") == "task":
-                    blob = (child.directory / record["file"]).read_bytes()
-                    atomic_write_bytes(merged_child.directory / record["file"], blob)
-                lines.append(json.dumps(record, sort_keys=True))
-            if lines:
-                atomic_write_text(merged_child.journal_path, "\n".join(lines) + "\n")
+            tenants.append((name, child_meta, lines))
+    return tenants
+
+
+def _write_journal(manifest: RunManifest, lines: "list[str]") -> None:
+    if lines:
+        atomic_write_text(manifest.journal_path, "\n".join(lines) + "\n")
 
 
 def merge_runs(
@@ -218,6 +223,7 @@ def merge_runs(
             owners[index] = shard.directory
             tasks[index] = record
         quarantines.extend(shard.quarantined())
+    tenants = _verified_tenants(shards)
 
     meta = _consensus_meta(shards)
     meta["merged_from"] = [
@@ -231,18 +237,13 @@ def merge_runs(
     output = RunManifest.create(
         output_dir, reference.config_hash, meta, payload_validator
     )
-    lines = []
-    for index in sorted(tasks):
-        record = tasks[index]
-        atomic_write_bytes(output_dir / record["file"], record["blob"])
-        journal_record = {key: value for key, value in record.items() if key != "blob"}
-        lines.append(json.dumps(journal_record, sort_keys=True))
+    lines = [json.dumps(tasks[index], sort_keys=True) for index in sorted(tasks)]
     # Quarantine order across shards is arbitrary after the split; a
     # canonical sort keeps the merge independent of shard argument order.
     for record in sorted(quarantines, key=lambda r: json.dumps(r, sort_keys=True)):
         lines.append(json.dumps(record, sort_keys=True))
-    if lines:
-        atomic_write_text(output.journal_path, "\n".join(lines) + "\n")
+    _write_journal(output, lines)
     _merge_traces(shards, output)
-    _copy_tenants(shards, output)
+    for name, child_meta, child_lines in tenants:
+        _write_journal(output.sub_manifest(name, meta=child_meta), child_lines)
     return output

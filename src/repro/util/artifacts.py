@@ -13,8 +13,8 @@ intermediate, no matter where a crash lands. The recipe is the classic one:
 3. ``os.replace`` onto the target (atomic on POSIX and Windows),
 4. ``fsync`` the directory so the rename itself survives a power cut.
 
-Writers return the payload's SHA-256 so callers (the run manifest's task
-journal) can detect corruption on read-back. The ``artifacts.replace``
+Writers return the payload's SHA-256 so callers (the run manifest's
+artifact records) can detect corruption on read-back. The ``artifacts.replace``
 fault point sits between steps 2 and 3, which is what the torn-write tests
 hook to prove the target is never exposed to a partial write.
 """

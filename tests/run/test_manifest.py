@@ -1,10 +1,15 @@
 """Run manifests: lifecycle, fingerprints, journal replay, corruption."""
 
+import base64
 import hashlib
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+
+import repro.run.manifest as manifest_module
 
 from repro.run.manifest import (
     JOURNAL_NAME,
@@ -15,6 +20,7 @@ from repro.run.manifest import (
     rng_fingerprint,
 )
 from repro.testing import faults
+from tests.run.conftest import edit_task_record, flip_checksum
 
 
 @pytest.fixture(autouse=True)
@@ -129,22 +135,59 @@ class TestJournal:
         manifest.record_task(1, "second")
         journal = tmp_path / "run" / JOURNAL_NAME
         with open(journal, "a") as handle:
-            handle.write('{"type": "task", "task": 2, "fi')  # torn mid-append
+            handle.write('{"payload": "gASV')  # torn mid-append
         assert set(manifest.completed_tasks()) == {0, 1}
 
+    def test_task_record_carries_its_payload_inline(self, tmp_path):
+        manifest = RunManifest.create(tmp_path / "run", "h")
+        manifest.record_task(5, ("inline", 1))
+        (record,) = manifest.journal_records()
+        blob = base64.b64decode(record["payload"])
+        assert record == {
+            "type": "task",
+            "task": 5,
+            "sha256": hashlib.sha256(blob).hexdigest(),
+            "payload": record["payload"],
+        }
+        assert sorted(p.name for p in manifest.directory.iterdir()) == [
+            JOURNAL_NAME,
+            MANIFEST_NAME,
+        ]
+
     def test_corrupt_payload_treated_as_never_completed(self, tmp_path):
+        """A flipped checksum and a payload that is not base64 both replay
+        as never completed; nothing is unpickled from either."""
         manifest = RunManifest.create(tmp_path / "run", "h")
         manifest.record_task(0, "keep")
-        manifest.record_task(1, "corrupt me")
-        (tmp_path / "run" / "tasks" / "task-000001.pkl").write_bytes(b"garbage")
+        manifest.record_task(1, "flip my checksum")
+        manifest.record_task(2, "break my base64")
+
+        def break_base64(record):
+            record["payload"] = "not*base64!"
+
+        edit_task_record(manifest.journal_path, 1, flip_checksum)
+        edit_task_record(manifest.journal_path, 2, break_base64)
         assert set(manifest.completed_tasks()) == {0}
 
     def test_missing_payload_treated_as_never_completed(self, tmp_path):
         manifest = RunManifest.create(tmp_path / "run", "h")
         manifest.record_task(0, "keep")
         manifest.record_task(1, "delete me")
-        (tmp_path / "run" / "tasks" / "task-000001.pkl").unlink()
+        edit_task_record(manifest.journal_path, 1, lambda record: record.pop("payload"))
         assert set(manifest.completed_tasks()) == {0}
+
+    def test_last_record_wins_and_only_it_is_validated(self, tmp_path):
+        """A re-run task is journaled twice; replay returns the last payload
+        and never validates the superseded one."""
+
+        def check(index, payload):
+            if payload == "bad first attempt":
+                raise ValueError("superseded payload was validated")
+
+        manifest = RunManifest.create(tmp_path / "run", "h", payload_validator=check)
+        manifest.record_task(0, "bad first attempt")
+        manifest.record_task(0, "second attempt")
+        assert manifest.completed_tasks() == {0: "second attempt"}
 
     def test_torn_journal_append_loses_only_that_task(self, tmp_path):
         manifest = RunManifest.create(tmp_path / "run", "h")
@@ -153,7 +196,7 @@ class TestJournal:
         with pytest.raises(faults.InjectedFault):
             manifest.record_task(1, "torn mid-append")
         faults.deactivate()
-        # The torn line is skipped on replay; the orphan payload is ignored.
+        # The torn line is skipped on replay.
         assert set(manifest.completed_tasks()) == {0}
         # The journal keeps accepting appends afterwards.
         manifest.record_task(2, "after recovery")
@@ -302,23 +345,25 @@ class TestSubManifests:
 
 
 class TestJournalFormatVersion:
-    def test_version_1_run_dir_refused_not_replayed(self, tmp_path):
-        """A run dir written in the version-1 journal format (variable-arity
-        payloads) is refused by resume, by merge-run, and by the service --
-        each naming the found and supported versions -- and nothing in it is
-        replayed or rewritten."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_run_dir_refused_not_replayed(self, tmp_path, version):
+        """A run dir written in an older journal format -- version 1
+        (variable-arity payloads) or version 2 (payload files under
+        ``tasks/``) -- is refused by resume, by merge-run, and by the
+        service, each naming the found and supported versions, and nothing
+        in it is replayed or rewritten."""
         from repro.run.merge import merge_runs
         from repro.service.core import ModelingService, ServiceConfig
 
         run = tmp_path / "run"
         manifest = RunManifest.create(run, "h")
-        manifest.record_task(0, ("outcomes", {"fit": 1.0}))  # a v1 2-tuple
+        manifest.record_task(0, ("outcomes", {"fit": 1.0}))
         data = json.loads((run / MANIFEST_NAME).read_text())
-        data["version"] = 1
+        data["version"] = version
         (run / MANIFEST_NAME).write_text(json.dumps(data))
         before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
 
-        refusal = r"found 1, supported 2.*start a fresh run dir"
+        refusal = rf"found {version}, supported 3.*start a fresh run dir"
         with pytest.raises(RunManifestError, match=refusal):
             RunManifest.open(run, "h", resume=True)
         with pytest.raises(RunManifestError, match=refusal):
@@ -400,6 +445,93 @@ class TestSharedJournal:
         # No tail healing in shared mode: the torn fragment stays in the file
         # but the leading-newline framing isolates it on its own line.
         assert set(manifest.completed_tasks()) == {0, 2}
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "single"])
+    def test_short_write_raises_and_replay_skips_the_record(
+        self, tmp_path, monkeypatch, shared
+    ):
+        """A short ``os.write`` tears the record: the call must raise, not
+        report the task as recorded, and replay must skip the fragment."""
+        manifest = RunManifest.create(tmp_path / "run", "h")
+        manifest.shared_journal = shared
+        manifest.record_task(0, "before")
+        real_write = os.write
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", lambda fd, data: real_write(fd, data[: len(data) // 2]))
+            with pytest.raises(RunManifestError, match="short journal write"):
+                manifest.record_task(1, "x" * 10_000)
+        manifest.record_task(2, "after")
+        assert manifest.completed_tasks() == {0: "before", 2: "after"}
+
+    def test_two_processes_race_payload_sized_records(self, tmp_path):
+        """Two forked processes append 100 records each to one shared
+        journal at once. Every record (a 64 KiB payload, far beyond
+        ``PIPE_BUF``) must land whole: replay returns all 200 exactly."""
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        workers = [
+            context.Process(target=_race_appender, args=(tmp_path / "run", base, barrier))
+            for base in (0, 100)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            for worker in workers:
+                worker.join(timeout=120)
+            assert [worker.exitcode for worker in workers] == [0, 0]
+        finally:
+            for worker in workers:
+                if worker.is_alive():
+                    worker.kill()
+        replayed = RunManifest.load(tmp_path / "run").completed_tasks()
+        assert replayed == {index: _race_payload(index) for index in range(200)}
+
+
+def _race_payload(index: int) -> bytes:
+    return hashlib.sha256(str(index).encode()).digest() * 2048  # 64 KiB
+
+
+def _race_appender(directory, base: int, barrier) -> None:
+    manifest = RunManifest.open_shared(directory, "h")
+    barrier.wait(timeout=60)
+    for index in range(base, base + 100):
+        manifest.record_task(index, _race_payload(index))
+
+
+class TestDurableAppend:
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "single"])
+    def test_only_the_creating_append_fsyncs_the_directory(
+        self, tmp_path, monkeypatch, shared
+    ):
+        calls = []
+        monkeypatch.setattr(manifest_module, "fsync_directory", calls.append)
+        manifest = RunManifest.create(tmp_path / "run", "h")
+        manifest.shared_journal = shared
+        manifest.record_task(0, "creates the journal")
+        assert calls == [manifest.directory]
+        manifest.record_task(1, "appends")
+        manifest.record_quarantine("kern", "nan runtime")
+        assert calls == [manifest.directory]
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "single"])
+    def test_one_fsync_per_task_on_an_existing_journal(
+        self, tmp_path, monkeypatch, shared
+    ):
+        manifest = RunManifest.create(tmp_path / "run", "h")
+        manifest.shared_journal = shared
+        manifest.record_task(0, "creates the journal")
+        real_fsync = os.fsync
+        calls = []
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        for index in range(1, 4):
+            manifest.record_task(index, {"payload": index})
+            assert len(calls) == index
+        assert not (manifest.directory / "tasks").exists()
 
 
 class TestHealDurability:

@@ -6,12 +6,15 @@ the order the shard directories are given in -- and refuses anything that
 is not provably N disjoint slices of one configuration.
 """
 
+import base64
 import json
+import pickle
 
 import pytest
 
 from repro.run.manifest import MANIFEST_NAME, RunManifest
 from repro.run.merge import MergeError, merge_runs
+from tests.run.conftest import edit_task_record, flip_checksum
 
 CONFIG = "merge-test-hash"
 
@@ -42,11 +45,12 @@ class TestBitIdenticalReassembly:
         assert (
             merged.journal_path.read_bytes() == reference.journal_path.read_bytes()
         )
-        for i in range(5):
-            name = f"tasks/task-{i:06d}.pkl"
-            assert (merged.directory / name).read_bytes() == (
-                reference.directory / name
-            ).read_bytes()
+        # The payloads travel inline: each merged task record decodes to the
+        # unsharded run's pickle, and no run dir holds payload files.
+        for index, record in merged.task_records().items():
+            assert pickle.loads(base64.b64decode(record["payload"])) == index * index
+        for run in ("s0", "s1", "ref", "merged"):
+            assert not (tmp_path / run / "tasks").exists()
 
     def test_merge_is_shard_order_independent(self, tmp_path):
         _make_shard(tmp_path / "s0", 0, 3, [0, 3])
@@ -119,18 +123,41 @@ class TestRefusals:
 
     def test_refuses_corrupt_payload(self, tmp_path):
         shard = _make_shard(tmp_path / "s0", 0, 2, [0])
-        record = next(r for r in shard.journal_records() if r["type"] == "task")
-        (shard.directory / record["file"]).write_bytes(b"flipped bits")
+
+        edit_task_record(shard.journal_path, 0, flip_checksum)
         _make_shard(tmp_path / "s1", 1, 2, [1])
-        with pytest.raises(MergeError, match="checksum"):
+        with pytest.raises(MergeError, match="task 0 payload fails its checksum"):
             merge_runs(tmp_path / "merged", [tmp_path / "s0", tmp_path / "s1"])
+
+    def test_refuses_undecodable_payload(self, tmp_path):
+        shard = _make_shard(tmp_path / "s0", 0, 1, [0])
+        edit_task_record(
+            shard.journal_path, 0, lambda record: record.update(payload="not*base64!")
+        )
+        with pytest.raises(MergeError, match="task 0 payload is not valid base64"):
+            merge_runs(tmp_path / "merged", [tmp_path / "s0"])
 
     def test_refuses_missing_payload(self, tmp_path):
         shard = _make_shard(tmp_path / "s0", 0, 2, [0])
-        record = next(r for r in shard.journal_records() if r["type"] == "task")
-        (shard.directory / record["file"]).unlink()
-        with pytest.raises(MergeError, match="unreadable"):
+        edit_task_record(shard.journal_path, 0, lambda record: record.pop("payload"))
+        with pytest.raises(MergeError, match="task 0 has no inline payload"):
             merge_runs(tmp_path / "merged", [tmp_path / "s0"])
+
+    def test_refuses_corrupt_tenant_payload(self, tmp_path):
+        """A corrupt tenant task is refused like a top-level one, naming the
+        tenant and the task, before any merged run dir is written."""
+        s0 = _make_shard(tmp_path / "s0", 0, 2, [0])
+        child = s0.sub_manifest("tenant-a")
+        child.record_task(0, "intact")
+        child.record_task(1, "corrupt me")
+
+        edit_task_record(child.journal_path, 1, flip_checksum)
+        _make_shard(tmp_path / "s1", 1, 2, [1])
+        with pytest.raises(
+            MergeError, match="tenant 'tenant-a': journaled task 1 payload fails its checksum"
+        ):
+            merge_runs(tmp_path / "merged", [tmp_path / "s0", tmp_path / "s1"])
+        assert not (tmp_path / "merged" / MANIFEST_NAME).exists()
 
     def test_refuses_existing_output_directory(self, tmp_path):
         _make_shard(tmp_path / "s0", 0, 1, [0])
