@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.dnn.domain_adaptation import AdaptationTask
 from repro.dnn.modeler import DNNModeler
 from repro.experiment.experiment import Experiment, Kernel
+from repro.modeling.batch import Outcome, attempt, failed, unwrap
+from repro.modeling.pipeline import results_by_kernel
 from repro.noise.classification import NoiseClass, classify_noise
 from repro.noise.estimation import estimate_noise_level
 from repro.regression.modeler import ModelResult, RegressionModeler
@@ -66,26 +68,84 @@ class AdaptiveModeler:
         ``network`` optionally injects an already-adapted network (used by
         :meth:`model_experiment` so the whole task shares one retraining).
         """
+        return unwrap(self.model_kernels([kernel], n_params, [rng], network=network)[0])
+
+    def model_kernels(
+        self,
+        kernels: "Sequence[Kernel]",
+        n_params: "int | None" = None,
+        rngs: "Sequence | None" = None,
+        network=None,
+        memo: "dict | None" = None,
+    ) -> "list[Outcome[ModelResult]]":
+        """Model a batch adaptively, one outcome per kernel.
+
+        Every kernel is routed, the DNN models the whole batch, and the
+        regression modeler the calm kernels, each as one batch. With a
+        shared ``memo`` a regression modeler that already modeled these
+        kernels in the batch serves its results (see
+        :func:`repro.modeling.registry.create_modelers`). A result's
+        ``seconds`` is its routing time plus the seconds of every job it
+        used, the regression search included.
+        """
+        kernels = list(kernels)
+        rngs = [None] * len(kernels) if rngs is None else list(rngs)
+        outcomes: list = []
+        for kernel, rng in zip(kernels, rngs):
+            started = time.perf_counter()
+            routed = attempt(self._route_kernel, kernel, n_params, rng)
+            outcomes.append(routed if failed(routed) else (*routed, time.perf_counter() - started))
+        routed = [i for i, outcome in enumerate(outcomes) if not failed(outcome)]
+        dnn_results = dict(
+            zip(
+                routed,
+                self.dnn.model_kernels(
+                    [kernels[i] for i in routed],
+                    n_params,
+                    [outcomes[i][1] for i in routed],
+                    network=network,
+                    memo=memo,
+                ),
+            )
+        )
+        calm = [
+            i
+            for i in routed
+            if outcomes[i][0] is not NoiseClass.NOISY and not failed(dnn_results[i])
+        ]
+        reg_results = dict(
+            zip(
+                calm,
+                self.regression.model_kernels([kernels[i] for i in calm], n_params, memo=memo),
+            )
+        )
+        for i in routed:
+            used = [dnn_results[i]]
+            if i in reg_results:
+                used.append(reg_results[i])
+            broken = [result for result in used if failed(result)]
+            if broken:
+                outcomes[i] = broken[0]
+                continue
+            # "We identify the model that fits the data best" -- smaller
+            # cross-validation SMAPE wins.
+            winner = min(used, key=lambda r: r.cv_smape)
+            outcomes[i] = replace(
+                winner,
+                method=f"{self.method_name}[{winner.method}]",
+                seconds=outcomes[i][2] + sum(result.seconds for result in used),
+            )
+        return outcomes
+
+    def _route_kernel(self, kernel: Kernel, n_params: "int | None", rng):
+        """``(noise class, generator)`` of one kernel."""
         if n_params is None:
             if len(kernel) == 0:
                 raise ValueError(f"kernel {kernel.name!r} has no measurements")
             n_params = kernel.coordinates[0].dimensions
         gen = as_generator(rng)
-        started = time.perf_counter()
         _, noise_class = self.route(kernel, n_params)
-        dnn_result = self.dnn.model_kernel(kernel, n_params, gen, network=network)
-        if noise_class is NoiseClass.NOISY:
-            winner = dnn_result
-        else:
-            reg_result = self.regression.model_kernel(kernel, n_params)
-            # "We identify the model that fits the data best" -- smaller
-            # cross-validation SMAPE wins.
-            winner = min((dnn_result, reg_result), key=lambda r: r.cv_smape)
-        return replace(
-            winner,
-            method=f"{self.method_name}[{winner.method}]",
-            seconds=time.perf_counter() - started,
-        )
+        return noise_class, gen
 
     def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:
         """Model every kernel; the DNN adapts once for the whole experiment."""
@@ -100,7 +160,12 @@ class AdaptiveModeler:
             # One stacked forward pass primes the DNN's candidate cache for
             # every kernel, so the per-kernel calls below skip the network.
             self.dnn.classify_batch(experiment.kernels, experiment.n_params, network)
-        return {
-            kern.name: self.model_kernel(kern, experiment.n_params, gen, network=network)
-            for kern in experiment.kernels
-        }
+        return results_by_kernel(
+            experiment,
+            self.model_kernels(
+                experiment.kernels,
+                experiment.n_params,
+                [gen] * len(experiment.kernels),
+                network=network,
+            ),
+        )

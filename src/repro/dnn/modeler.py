@@ -24,7 +24,8 @@ from repro.dnn.pretrained import load_or_pretrain
 from repro.experiment.experiment import Experiment, Kernel
 from repro.experiment.lines import parameter_lines
 from repro.modeling.candidates import DNNTopKGenerator
-from repro.modeling.pipeline import ModelingPipeline, ModelResult
+from repro.modeling.batch import Outcome, attempt, failed, unwrap
+from repro.modeling.pipeline import ModelingPipeline, ModelResult, results_by_kernel
 from repro.obs import get_telemetry
 from repro.nn.metrics import top_k_classes
 from repro.nn.network import Sequential
@@ -315,39 +316,74 @@ class DNNModeler:
         seconds (plus ``adapt`` when a network was resolved here) appear in
         the result's provenance.
         """
+        return unwrap(self.model_kernels([kernel], n_params, [rng], network=network)[0])
+
+    def model_kernels(
+        self,
+        kernels: "Sequence[Kernel]",
+        n_params: "int | None" = None,
+        rngs: "Sequence | None" = None,
+        network: "Sequential | None" = None,
+        memo: "dict | None" = None,
+    ) -> "list[Outcome[ModelResult]]":
+        """Model a batch of kernels, one outcome per kernel.
+
+        Each kernel without a given ``network`` gets its own (adapted or
+        generic) network first, as :meth:`model_kernel` does; the batch then
+        runs through :meth:`ModelingPipeline.model_kernels`.
+        """
+        kernels = list(kernels)
+        rngs = [None] * len(kernels) if rngs is None else list(rngs)
+        outcomes: list = []
+        adapt_seconds: "dict[int, float]" = {}
+        for index, (kernel, rng) in enumerate(zip(kernels, rngs)):
+            started = time.perf_counter()
+            outcomes.append(attempt(self._network_for_kernel, kernel, n_params, rng, network))
+            if network is None:
+                adapt_seconds[index] = time.perf_counter() - started
+        ready = [i for i, outcome in enumerate(outcomes) if not failed(outcome)]
+        results = self.pipeline.model_kernels(
+            [kernels[i] for i in ready],
+            n_params,
+            rngs=[outcomes[i][1] for i in ready],
+            networks=[outcomes[i][0] for i in ready],
+            method=self.method_name,
+            memo=memo,
+        )
+        for i, result in zip(ready, results):
+            outcomes[i] = result
+            if adapt_seconds.get(i) and not failed(result) and result.provenance is not None:
+                # The named ``total`` must cover every stage listed next to
+                # it, adaptation included -- stage shares computed against it
+                # would otherwise exceed 100% whenever adaptation ran.
+                seconds = result.seconds + adapt_seconds[i]
+                provenance = replace(
+                    result.provenance,
+                    stage_seconds={
+                        "adapt": adapt_seconds[i],
+                        **result.provenance.stage_seconds,
+                        "total": seconds,
+                    },
+                )
+                outcomes[i] = replace(result, seconds=seconds, provenance=provenance)
+        return outcomes
+
+    def _network_for_kernel(self, kernel: Kernel, n_params, rng, network):
+        """``(network, generator)`` for one kernel: ``network`` if given,
+        else this kernel's adapted (or the generic) network."""
         if len(kernel) == 0:
             raise ValueError(f"kernel {kernel.name!r} has no measurements")
         if n_params is None:
             n_params = kernel.coordinates[0].dimensions
         gen = as_generator(rng)
-        adapt_seconds = 0.0
         if network is None:
-            started = time.perf_counter()
             task = (
                 AdaptationTask.from_kernel(kernel, n_params)
                 if self.use_domain_adaptation
                 else None
             )
             network = self.network_for_task(task)
-            adapt_seconds = time.perf_counter() - started
-        result = self.pipeline.model_kernel(
-            kernel, n_params, rng=gen, network=network, method=self.method_name
-        )
-        if adapt_seconds and result.provenance is not None:
-            # The named ``total`` must cover every stage listed next to it,
-            # adaptation included -- stage shares computed against it would
-            # otherwise exceed 100% whenever adaptation ran.
-            seconds = result.seconds + adapt_seconds
-            provenance = replace(
-                result.provenance,
-                stage_seconds={
-                    "adapt": adapt_seconds,
-                    **result.provenance.stage_seconds,
-                    "total": seconds,
-                },
-            )
-            result = replace(result, seconds=seconds, provenance=provenance)
-        return result
+        return network, gen
 
     def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:
         """Model every kernel, adapting the network once for the whole task.
@@ -360,10 +396,15 @@ class DNNModeler:
         task = AdaptationTask.from_experiment(experiment) if self.use_domain_adaptation else None
         network = self.network_for_task(task)
         self.classify_batch(experiment.kernels, experiment.n_params, network)
-        results = {
-            kern.name: self.model_kernel(kern, experiment.n_params, gen, network=network)
-            for kern in experiment.kernels
-        }
+        results = results_by_kernel(
+            experiment,
+            self.model_kernels(
+                experiment.kernels,
+                experiment.n_params,
+                [gen] * len(experiment.kernels),
+                network=network,
+            ),
+        )
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.metrics.absorb_cache_stats(self.cache_stats(), prefix="dnn.cache")

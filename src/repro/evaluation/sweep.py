@@ -29,6 +29,7 @@ import numpy as np
 from repro.evaluation.accuracy import ACCURACY_BUCKETS, bucket_fractions, lead_exponent_distance
 from repro.evaluation.predictive_power import prediction_smape, relative_prediction_errors
 from repro.experiment.experiment import Kernel
+from repro.modeling.batch import attempt, unwrap
 from repro.modeling.registry import create_modelers
 from repro.noise.registry import noise_axis, noise_for_level
 from repro.dnn.modeler import prime_candidate_cache
@@ -269,51 +270,73 @@ def _synthesize_task(noise: float, gen: np.random.Generator, config: SweepConfig
     return truth, kernel, eval_pts, gen
 
 
-def _model_task(truth, kernel, eval_pts, gen, config, modelers) -> TaskOutcome:
-    """Model one synthesized function with every modeler.
+def _model_batch(prepared, config: SweepConfig, modelers) -> "list[TaskOutcome]":
+    """Model a batch of synthesized functions, one modeler at a time.
 
-    Closed-form modelers run through ``model_kernel``; predictor-only
-    baselines (GPR's ``predict_at``) contribute prediction errors and
-    SMAPE but no lead-exponent distance (recorded as NaN -- model accuracy
-    is undefined for a black-box posterior, not failed).
+    Closed-form modelers model the whole batch in one ``model_kernels``
+    call (one ``model_kernel`` call per function for a modeler without
+    it), sharing one job memo: a ``(pipeline, kernel)`` job runs once per
+    batch, however many modelers use it (the adaptive modeler's calm-kernel
+    regression is the sibling regression modeler's). Predictor-only
+    baselines (GPR's ``predict_at``) contribute prediction errors and SMAPE
+    but no lead-exponent distance (recorded as NaN -- model accuracy is
+    undefined for a black-box posterior, not failed).
     """
-    out: TaskOutcome = {}
+    kernels = [kernel for _, kernel, _, _ in prepared]
+    rngs = [gen for _, _, _, gen in prepared]
+    memo: dict = {}
+    out: "list[TaskOutcome]" = [{} for _ in prepared]
     for name, modeler in modelers.items():
-        try:
-            if hasattr(modeler, "model_kernel"):
-                result = modeler.model_kernel(kernel, config.n_params, rng=gen)
-                distance = lead_exponent_distance(result.function, truth)
-                errors = relative_prediction_errors(result.function, truth, eval_pts)
-                smape = prediction_smape(result.function, truth, eval_pts)
-                dropped = (
-                    result.provenance.dropped_repetitions
-                    if result.provenance is not None
-                    else 0
-                )
-                out[name] = (
-                    distance,
-                    errors,
-                    result.seconds,
-                    result.function.format(),
-                    smape,
-                    dropped,
-                )
-            else:
-                started = time.perf_counter()
-                predicted = modeler.predict_at(kernel, eval_pts)
-                elapsed = time.perf_counter() - started
-                reference = np.atleast_1d(truth.evaluate(
-                    np.stack([p.as_array() for p in eval_pts])
-                ))
-                errors = 100.0 * np.abs(predicted - reference) / np.abs(reference)
-                smape = prediction_smape(predicted, truth, eval_pts)
-                out[name] = (np.nan, errors, elapsed, "<predictor>", smape, 0)
-        # repro-lint: disable-next-line=EXC001 -- not swallowed: the failure is
-        # recorded as a maximally-wrong outcome (inf distance, NaN errors) so it
-        # degrades the modeler's score instead of silently shrinking the sample.
-        except Exception:
-            out[name] = _failed(config)
+        if not hasattr(modeler, "model_kernel"):
+            for task, (truth, kernel, eval_pts, _) in zip(out, prepared):
+                task[name] = _predicted_outcome(modeler, truth, kernel, eval_pts, config)
+            continue
+        if hasattr(modeler, "model_kernels"):
+            results = modeler.model_kernels(kernels, config.n_params, rngs, memo=memo)
+        else:
+            results = [
+                attempt(modeler.model_kernel, kernel, config.n_params, rng=gen)
+                for kernel, gen in zip(kernels, rngs)
+            ]
+        for task, (truth, _, eval_pts, _), result in zip(out, prepared, results):
+            task[name] = _scored_outcome(result, truth, eval_pts, config)
     return out
+
+
+def _scored_outcome(result, truth, eval_pts, config: SweepConfig) -> tuple:
+    """One closed-form modeler's outcome on one function."""
+    try:
+        model = unwrap(result)
+        function = model.function
+        return (
+            lead_exponent_distance(function, truth),
+            relative_prediction_errors(function, truth, eval_pts),
+            model.seconds,
+            function.format(),
+            prediction_smape(function, truth, eval_pts),
+            model.provenance.dropped_repetitions if model.provenance is not None else 0,
+        )
+    # repro-lint: disable-next-line=EXC001 -- not swallowed: the failure is
+    # recorded as a maximally-wrong outcome (inf distance, NaN errors) so it
+    # degrades the modeler's score instead of silently shrinking the sample.
+    except Exception:
+        return _failed(config)
+
+
+def _predicted_outcome(modeler, truth, kernel, eval_pts, config: SweepConfig) -> tuple:
+    """One predictor-only baseline's outcome on one function."""
+    try:
+        started = time.perf_counter()
+        predicted = modeler.predict_at(kernel, eval_pts)
+        elapsed = time.perf_counter() - started
+        reference = np.atleast_1d(truth.evaluate(np.stack([p.as_array() for p in eval_pts])))
+        errors = 100.0 * np.abs(predicted - reference) / np.abs(reference)
+        smape = prediction_smape(predicted, truth, eval_pts)
+        return (np.nan, errors, elapsed, "<predictor>", smape, 0)
+    # repro-lint: disable-next-line=EXC001 -- not swallowed: recorded as a
+    # maximally-wrong outcome, as for the closed-form modelers.
+    except Exception:
+        return _failed(config)
 
 
 def _failed(config: SweepConfig) -> tuple:
@@ -328,12 +351,13 @@ def _run_batch(batch: "list[tuple[float, np.random.Generator]]") -> tuple:
     ``(outcomes, stage_seconds, telemetry | None)`` with one outcome per
     function and this batch's per-stage wall-clock seconds.
 
-    Every function carries its own pre-spawned RNG and the per-function
-    call order (synthesize, then model) is unchanged from the serial path,
-    so batching does not perturb any random stream. The batched
-    classification pass only *precomputes* what the per-kernel path would
-    compute anyway (the DNN's top-k candidates), priming the modeler's
-    candidate cache.
+    Every function carries its own pre-spawned RNG, and the modelers take
+    the batch in turn, so each stream meets the modelers in the same order
+    as in a per-function loop: batching perturbs no random stream. The
+    batched classification pass only *precomputes* what the per-kernel path
+    would compute anyway (the DNN's top-k candidates), priming the
+    modeler's candidate cache; each modeler then models the batch stage by
+    stage (:func:`_model_batch`).
     """
     config: SweepConfig = _WORKER_STATE["config"]
     modelers: Mapping[str, object] = _WORKER_STATE["modelers"]
@@ -346,7 +370,7 @@ def _run_batch(batch: "list[tuple[float, np.random.Generator]]") -> tuple:
                 (modeler, kernels, config.n_params) for modeler in modelers.values()
             )
         with task.stage("fit", "batch.fit"):
-            outcomes = [_model_task(*prep, config, modelers) for prep in prepared]
+            outcomes = _model_batch(prepared, config, modelers)
     return task.envelope(outcomes)
 
 
@@ -415,8 +439,8 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full sweep through the fault-tolerant engine.
 
-    ``modelers`` maps display names to objects with the common
-    ``model_kernel(kernel, n_params, rng=...)`` interface -- or to registry
+    ``modelers`` maps display names to objects with the common modeler
+    interface (``model_kernels`` / ``model_kernel``) -- or to registry
     spec strings (``"adaptive(use_domain_adaptation=False)"``), resolved
     through :func:`repro.modeling.registry.create_modelers`; a plain
     sequence of spec strings labels each modeler by its spec. The same

@@ -20,12 +20,13 @@ what varies is how candidate hypotheses are generated:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.experiment.experiment import Kernel
 from repro.experiment.lines import parameter_lines
+from repro.modeling.batch import GenerateJob, Outcome, attempt, failed, unwrap
 from repro.noise.classification import NoiseClass, classify_noise
 from repro.noise.estimation import estimate_noise_level
 from repro.pmnf.terms import CompoundTerm, ExponentPair
@@ -45,7 +46,12 @@ class CandidateSet:
 
 @runtime_checkable
 class CandidateGenerator(Protocol):
-    """Produces the candidate hypotheses for one kernel."""
+    """Produces the candidate hypotheses for one kernel, or for a batch.
+
+    ``generate_many`` returns one outcome per job -- its
+    :class:`CandidateSet`, or the exception that kernel raised -- and
+    ``generate`` is the same path on a one-job batch.
+    """
 
     name: str
 
@@ -59,6 +65,8 @@ class CandidateGenerator(Protocol):
         rng=None,
         network=None,
     ) -> CandidateSet: ...
+
+    def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]": ...
 
 
 class FullSearchGenerator:
@@ -86,17 +94,45 @@ class FullSearchGenerator:
         rng=None,
         network=None,
     ) -> CandidateSet:
-        if n_params == 1:
-            if points.shape[0] < 5:
-                raise ValueError(
-                    "Extra-P requires at least five measurement points per "
-                    f"parameter, got {points.shape[0]}"
-                )
-            hypotheses = self.multi.single.hypotheses
-        else:
-            lines = parameter_lines(kernel, n_params)
-            single_models = self.multi.model_lines(lines)
-            hypotheses = combination_hypotheses(self.multi.lead_terms(single_models))
+        job = GenerateJob(kernel, n_params, points, values, rng, network)
+        return unwrap(self.generate_many([job])[0])
+
+    def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]":
+        """Candidates for a batch, with the measurement lines of all its
+        multi-parameter kernels selected in one stacked line search."""
+        outcomes: list = []
+        line_sets: "dict[int, list[tuple[np.ndarray, np.ndarray]]]" = {}
+        for index, job in enumerate(jobs):
+            if job.n_params == 1:
+                outcomes.append(attempt(self._single_parameter, job.points))
+            else:
+                outcomes.append(attempt(self._line_arrays, job))
+                if not failed(outcomes[-1]):
+                    line_sets[index] = outcomes[-1]
+        if line_sets:
+            single = self.multi.single.prescored(list(line_sets.values()))
+        for index, lines in line_sets.items():
+            outcomes[index] = attempt(self._combinations, single, lines)
+        return outcomes
+
+    def _single_parameter(self, points: np.ndarray) -> CandidateSet:
+        if points.shape[0] < 5:
+            raise ValueError(
+                "Extra-P requires at least five measurement points per "
+                f"parameter, got {points.shape[0]}"
+            )
+        return CandidateSet(self.multi.single.hypotheses, generator=self.name)
+
+    def _line_arrays(self, job: GenerateJob) -> "list[tuple[np.ndarray, np.ndarray]]":
+        # Built once: the stacked line search finds each line by identity.
+        return [
+            (line.xs, line.values(self.multi.aggregation))
+            for line in parameter_lines(job.kernel, job.n_params)
+        ]
+
+    def _combinations(self, single, lines) -> CandidateSet:
+        models = [single.model(xs, values) for xs, values in lines]
+        hypotheses = combination_hypotheses(self.multi.lead_terms(models))
         return CandidateSet(tuple(hypotheses), generator=self.name)
 
 
@@ -127,13 +163,21 @@ class DNNTopKGenerator:
         rng=None,
         network=None,
     ) -> CandidateSet:
-        if network is None:
-            network = self.dnn.generic_network
+        job = GenerateJob(kernel, n_params, points, values, rng, network)
+        return unwrap(self.generate_many([job])[0])
+
+    def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]":
+        """Candidates per job; classification is batched upstream
+        (:func:`repro.dnn.modeler.prime_candidate_cache`)."""
+        return [attempt(self._top_k, job) for job in jobs]
+
+    def _top_k(self, job: GenerateJob) -> CandidateSet:
+        network = job.network if job.network is not None else self.dnn.generic_network
         cache = self.dnn._candidate_cache
         hits_before = getattr(cache, "hits", 0)
-        candidates = self.dnn.classify_lines(kernel, n_params, network)
+        candidates = self.dnn.classify_lines(job.kernel, job.n_params, network)
         cache_hits = getattr(cache, "hits", 0) - hits_before
-        if n_params == 1:
+        if job.n_params == 1:
             # Constant pair appended as a safety net: the classifier may
             # miss it, but a constant kernel must still be modelable.
             pairs = candidates[0] + [ExponentPair(0, 0)]
@@ -180,18 +224,43 @@ class AdaptiveGenerator:
         rng=None,
         network=None,
     ) -> CandidateSet:
-        level = estimate_noise_level(kernel)
-        noise_class = classify_noise(level, n_params, self.thresholds)
-        dnn_set = self.dnn.generate(
-            kernel, n_params, points, values, rng=rng, network=network
+        job = GenerateJob(kernel, n_params, points, values, rng, network)
+        return unwrap(self.generate_many([job])[0])
+
+    def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]":
+        """Route every job, then run each sub-generator once on its share."""
+        outcomes: list = [attempt(self._noise_class, job) for job in jobs]
+        routed = [i for i, outcome in enumerate(outcomes) if not failed(outcome)]
+        dnn_sets = dict(zip(routed, self.dnn.generate_many([jobs[i] for i in routed])))
+        calm = [
+            i
+            for i in routed
+            if outcomes[i] is not NoiseClass.NOISY and not failed(dnn_sets[i])
+        ]
+        full_sets = dict(
+            zip(calm, self.full.generate_many([jobs[i]._replace(network=None) for i in calm]))
         )
-        if noise_class is NoiseClass.NOISY:
-            return CandidateSet(
-                dnn_set.hypotheses,
-                generator=f"{self.name}[dnn]",
-                cache_hits=dnn_set.cache_hits,
-            )
-        full_set = self.full.generate(kernel, n_params, points, values, rng=rng)
+        for i in routed:
+            dnn_set = dnn_sets[i]
+            if failed(dnn_set):
+                outcomes[i] = dnn_set
+            elif i not in full_sets:
+                outcomes[i] = CandidateSet(
+                    dnn_set.hypotheses,
+                    generator=f"{self.name}[dnn]",
+                    cache_hits=dnn_set.cache_hits,
+                )
+            elif failed(full_sets[i]):
+                outcomes[i] = full_sets[i]
+            else:
+                outcomes[i] = self._union(full_sets[i], dnn_set)
+        return outcomes
+
+    def _noise_class(self, job: GenerateJob) -> NoiseClass:
+        level = estimate_noise_level(job.kernel)
+        return classify_noise(level, job.n_params, self.thresholds)
+
+    def _union(self, full_set: CandidateSet, dnn_set: CandidateSet) -> CandidateSet:
         hypotheses = list(full_set.hypotheses)
         seen = {hyp.structure_key() for hyp in hypotheses}
         for hyp in dnn_set.hypotheses:

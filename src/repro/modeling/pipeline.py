@@ -14,16 +14,24 @@ The fit/select stages run on one of two equivalent engines (see
 batched-SVD ``fast`` path of :mod:`repro.regression.fast_multi`. Every
 result carries :class:`Provenance` -- which generator ran, which engine,
 how many candidates were evaluated, cache hits, and per-stage seconds.
+
+:meth:`ModelingPipeline.model_kernels` runs a batch of kernels (a sweep's
+engine task, an experiment's kernels) stage by stage: the generate stage
+selects every kernel's measurement lines in one stacked pass, and the fast
+fit stage scores every kernel's hypotheses in another. Each kernel's
+outcome is its result or the exception it raised; ``model_kernel`` is the
+one-kernel batch.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from repro.experiment.experiment import Experiment, Kernel
 from repro.experiment.measurement import value_table
+from repro.modeling.batch import GenerateJob, Outcome, attempt, failed, split_seconds, unwrap
 from repro.modeling.engine import resolve_fit_engine
 from repro.modeling.prefilter import apply_prefilter, create_prefilter
 from repro.obs import get_telemetry
@@ -77,13 +85,21 @@ class ModelResult:
 
 @runtime_checkable
 class Modeler(Protocol):
-    """The common modeler interface every registry entry satisfies."""
+    """The common modeler interface every registry entry satisfies.
+
+    ``model_kernels`` models a batch, one outcome per kernel (its result or
+    the exception it raised); ``model_kernel`` is the one-kernel batch.
+    """
 
     method_name: str
 
     def model_kernel(
         self, kernel: Kernel, n_params: "int | None" = None, rng=None
     ) -> ModelResult: ...
+
+    def model_kernels(
+        self, kernels: "Sequence[Kernel]", n_params: "int | None" = None, rngs=None
+    ) -> "list[Outcome[ModelResult]]": ...
 
     def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]: ...
 
@@ -127,80 +143,176 @@ class ModelingPipeline:
         method: "str | None" = None,
     ) -> ModelResult:
         """Run all four stages on one kernel and return the provenanced result."""
+        return unwrap(
+            self.model_kernels([kernel], n_params, rngs=[rng], networks=[network], method=method)[0]
+        )
+
+    def model_kernels(
+        self,
+        kernels: "Sequence[Kernel]",
+        n_params: "int | None" = None,
+        *,
+        rngs: "Sequence | None" = None,
+        networks: "Sequence | None" = None,
+        method: "str | None" = None,
+        memo: "dict | None" = None,
+    ) -> "list[Outcome[ModelResult]]":
+        """Run the four stages across a batch of kernels, one stage at a time.
+
+        Returns one outcome per kernel: its :class:`ModelResult`, or the
+        exception modeling it raised (the other kernels are unaffected).
+        ``rngs`` and ``networks`` give each kernel's generator inputs.
+        ``memo`` (a dict the caller holds for one batch) makes each
+        ``(pipeline, kernel)`` job run once: a kernel this pipeline already
+        modeled into the same memo returns that outcome, so two modelers
+        sharing a pipeline share the work.
+
+        Each stage's wall time is shared out across the kernels that
+        entered it -- the fit stage by candidate count, the others evenly --
+        and a kernel's ``seconds`` is the sum of its shares.
+        """
+        kernels = list(kernels)
+        count = len(kernels)
+        rngs = [None] * count if rngs is None else list(rngs)
+        networks = [None] * count if networks is None else list(networks)
+        if memo is None:
+            outcomes = self._run_stages(kernels, n_params, rngs, networks, method)
+        else:
+            keys = [
+                (id(self), id(kernel), n_params, id(network), method)
+                for kernel, network in zip(kernels, networks)
+            ]
+            todo = [i for i, key in enumerate(keys) if memo.get(key, (None,))[0] is not kernels[i]]
+            computed = self._run_stages(
+                [kernels[i] for i in todo],
+                n_params,
+                [rngs[i] for i in todo],
+                [networks[i] for i in todo],
+                method,
+            )
+            for i, outcome in zip(todo, computed):
+                memo[keys[i]] = (kernels[i], outcome)
+            outcomes = [memo[key][1] for key in keys]
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            self._count(telemetry.metrics, [o for o in outcomes if not failed(o)])
+        return outcomes
+
+    def _aggregate(self, kernel: Kernel, n_params: "int | None"):
         if len(kernel) == 0:
             raise ValueError(f"kernel {kernel.name!r} has no measurements")
         if n_params is None:
             n_params = kernel.coordinates[0].dimensions
+        if self.prefilter is None:
+            points, values = value_table(kernel.measurements, self.aggregation)
+            return n_params, points, values, 0
+        points, values, report = apply_prefilter(
+            kernel.measurements, self.prefilter, self.aggregation
+        )
+        return n_params, points, values, report.dropped_total
+
+    def _run_stages(self, kernels, n_params, rngs, networks, method) -> list:
+        if not kernels:
+            return []
+        outcomes: list = [None] * len(kernels)
+        shares: "list[dict[str, float]]" = [{} for _ in kernels]
+        live = list(range(len(kernels)))
+
+        def stage(name: str, started: float, results: list, weights=None) -> dict:
+            """Book the stage's wall time to the kernels that entered it and
+            keep those that came through; the others' outcome is their error."""
+            nonlocal live
+            seconds = split_seconds(time.perf_counter() - started, weights or [1.0] * len(live))
+            kept = {}
+            for i, result, share in zip(live, results, seconds):
+                shares[i][name] = share
+                if failed(result):
+                    outcomes[i] = result
+                else:
+                    kept[i] = result
+            live = list(kept)
+            return kept
+
         telemetry = get_telemetry()
         with telemetry.tracer.span(
-            "pipeline.model_kernel", kernel=kernel.name, engine=self.engine
+            "pipeline.model_kernels", kernels=len(kernels), engine=self.engine
         ) as span:
-            # One perf_counter chain: each stage ends where the next begins.
             started = time.perf_counter()
-            if self.prefilter is None:
-                points, values = value_table(kernel.measurements, self.aggregation)
-                dropped = 0
-            else:
-                points, values, report = apply_prefilter(
-                    kernel.measurements, self.prefilter, self.aggregation
-                )
-                dropped = report.dropped_total
-            aggregated = time.perf_counter()
-            candidates = self.generator.generate(
-                kernel, n_params, points, values, rng=rng, network=network
+            tables = stage(
+                "aggregate", started, [attempt(self._aggregate, k, n_params) for k in kernels]
             )
-            generated = time.perf_counter()
+            started = time.perf_counter()
+            jobs = [
+                GenerateJob(kernels[i], *tables[i][:3], rng=rngs[i], network=networks[i])
+                for i in live
+            ]
+            candidates = stage("generate", started, self.generator.generate_many(jobs))
+            started = time.perf_counter()
+            fit_jobs = [(candidates[i].hypotheses, *tables[i][1:3]) for i in live]
             if self.engine == "fast":
-                scored = self._search.score(candidates.hypotheses, points, values)
-                fitted = time.perf_counter()
-                best = self._search.choose(scored, points, values)
+                # A sole kernel has nothing to stack with: score() alone is
+                # the same pass.
+                search = self._search.prescored(fit_jobs) if len(fit_jobs) > 1 else self._search
+                fit, choose = search.score, search.choose
             else:
-                scored = evaluate_hypotheses(candidates.hypotheses, points, values)
-                fitted = time.perf_counter()
-                best = select_best(scored)
-            selected = time.perf_counter()
-            span.set(
-                n_candidates=len(candidates.hypotheses),
-                cache_hits=candidates.cache_hits,
-                cv_smape=best.cv_smape,
+                fit, choose = evaluate_hypotheses, _select_reference
+            scored = stage(
+                "fit",
+                started,
+                [attempt(fit, *job) for job in fit_jobs],
+                [len(job[0]) for job in fit_jobs],
             )
-            if self.prefilter is not None:
-                span.set(dropped_repetitions=dropped)
-        stage_seconds = {
-            "aggregate": aggregated - started,
-            "generate": generated - aggregated,
-            "fit": fitted - generated,
-            "select": selected - fitted,
-        }
-        if telemetry.enabled:
-            for stage, seconds in stage_seconds.items():
-                telemetry.metrics.counter(f"pipeline.{stage}.seconds").inc(seconds)
-            telemetry.metrics.counter("pipeline.kernels").inc()
-            telemetry.metrics.counter("pipeline.candidates").inc(
-                len(candidates.hypotheses)
+            started = time.perf_counter()
+            best = stage(
+                "select",
+                started,
+                [attempt(choose, scored[i], *tables[i][1:3]) for i in live],
             )
-            telemetry.metrics.counter("pipeline.cache_hits").inc(candidates.cache_hits)
+            span.set(candidates=sum(len(candidates[i].hypotheses) for i in live))
+
+        for i, chosen in best.items():
+            stage_seconds = shares[i]
+            if telemetry.enabled:
+                for name, seconds in stage_seconds.items():
+                    telemetry.metrics.counter(f"pipeline.{name}.seconds").inc(seconds)
+            provenance = Provenance(
+                generator=candidates[i].generator,
+                engine=self.engine,
+                n_candidates=len(candidates[i].hypotheses),
+                cache_hits=candidates[i].cache_hits,
+                stage_seconds=stage_seconds,
+                prefilter=repr(self.prefilter) if self.prefilter is not None else "",
+                dropped_repetitions=tables[i][3],
+            )
+            outcomes[i] = ModelResult(
+                function=chosen.function,
+                cv_smape=chosen.cv_smape,
+                method=method or candidates[i].generator,
+                seconds=sum(stage_seconds.values()),
+                kernel=kernels[i].name,
+                provenance=provenance,
+            )
+        return outcomes
+
+    def _count(self, metrics, results: "list[ModelResult]") -> None:
+        """Per-kernel counters, for every result served (a memoized job
+        counts for each modeler it serves, as when each ran it)."""
+        for result in results:
+            provenance = result.provenance
+            metrics.counter("pipeline.kernels").inc()
+            metrics.counter("pipeline.candidates").inc(provenance.n_candidates)
+            metrics.counter("pipeline.cache_hits").inc(provenance.cache_hits)
             if self.prefilter is not None:
                 # inc(0) still materializes the counter, so clean runs show
                 # an explicit zero next to the tainted runs' positive count.
-                telemetry.metrics.counter("pipeline.prefilter.dropped").inc(dropped)
-        provenance = Provenance(
-            generator=candidates.generator,
-            engine=self.engine,
-            n_candidates=len(candidates.hypotheses),
-            cache_hits=candidates.cache_hits,
-            stage_seconds=stage_seconds,
-            prefilter=repr(self.prefilter) if self.prefilter is not None else "",
-            dropped_repetitions=dropped,
-        )
-        return ModelResult(
-            function=best.function,
-            cv_smape=best.cv_smape,
-            method=method or candidates.generator,
-            seconds=selected - started,
-            kernel=kernel.name,
-            provenance=provenance,
-        )
+                metrics.counter("pipeline.prefilter.dropped").inc(
+                    provenance.dropped_repetitions
+                )
+
+
+def _select_reference(scored, points, values):
+    """The reference engine's select stage (the points are in its scores)."""
+    return select_best(scored)
 
 
 class PipelineModeler:
@@ -228,13 +340,35 @@ class PipelineModeler:
     def model_kernel(
         self, kernel: Kernel, n_params: "int | None" = None, rng=None, network=None
     ) -> ModelResult:
-        return self.pipeline.model_kernel(
-            kernel, n_params, rng=rng, network=network, method=self.method_name
+        return unwrap(self.model_kernels([kernel], n_params, [rng], network=network)[0])
+
+    def model_kernels(
+        self,
+        kernels: "Sequence[Kernel]",
+        n_params: "int | None" = None,
+        rngs: "Sequence | None" = None,
+        network=None,
+        memo: "dict | None" = None,
+    ) -> "list[Outcome[ModelResult]]":
+        kernels = list(kernels)
+        return self.pipeline.model_kernels(
+            kernels,
+            n_params,
+            rngs=rngs,
+            networks=[network] * len(kernels),
+            method=self.method_name,
+            memo=memo,
         )
 
     def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:
-        gen = as_generator(rng)
-        return {
-            kern.name: self.model_kernel(kern, experiment.n_params, rng=gen)
-            for kern in experiment.kernels
-        }
+        rngs = [as_generator(rng)] * len(experiment.kernels)
+        return results_by_kernel(
+            experiment, self.model_kernels(experiment.kernels, experiment.n_params, rngs)
+        )
+
+
+def results_by_kernel(
+    experiment: Experiment, outcomes: "Sequence[Outcome[ModelResult]]"
+) -> dict[str, ModelResult]:
+    """``model_experiment``'s mapping; raises the first kernel's failure."""
+    return {kern.name: unwrap(outcome) for kern, outcome in zip(experiment.kernels, outcomes)}

@@ -201,17 +201,45 @@ def create_modelers(
     A sequence of spec strings labels each modeler by its spec; a mapping
     may mix spec-string values (resolved) with already-built modeler
     objects (passed through), which is what the drivers accept.
+
+    Modelers built here from specs share work: an ``adaptive`` modeler
+    whose regression half matches a sibling ``regression`` modeler
+    (aggregation, engine and pre-filter) uses that sibling object, so a
+    batch that memoizes jobs by pipeline identity runs the regression
+    search once for both.
     """
     if isinstance(specs, Mapping):
         items = list(specs.items())
     else:
         items = [(spec.strip(), spec) for spec in specs]
     resolved: dict[str, object] = {}
+    built: list[object] = []
     for label, value in items:
-        resolved[label] = create_modeler(value) if isinstance(value, str) else value
+        if isinstance(value, str):
+            value = create_modeler(value)
+            built.append(value)
+        resolved[label] = value
     if not resolved:
         raise ValueError("at least one modeler spec is required")
+    _share_regressions(built)
     return resolved
+
+
+def _share_regressions(built: "list[object]") -> None:
+    from repro.adaptive.modeler import AdaptiveModeler
+    from repro.regression.modeler import RegressionModeler
+
+    def setting(modeler) -> tuple:
+        pipeline = modeler.pipeline
+        return (pipeline.aggregation, pipeline.engine, repr(pipeline.prefilter))
+
+    siblings: dict[tuple, object] = {}
+    for modeler in built:
+        if type(modeler) is RegressionModeler:
+            siblings.setdefault(setting(modeler), modeler)
+    for modeler in built:
+        if type(modeler) is AdaptiveModeler and type(modeler.regression) is RegressionModeler:
+            modeler.regression = siblings.get(setting(modeler.regression), modeler.regression)
 
 
 # ------------------------------------------------------------------ builtins

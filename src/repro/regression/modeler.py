@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.experiment.experiment import Experiment, Kernel
-from repro.modeling.pipeline import ModelingPipeline, ModelResult, Provenance
+from repro.modeling.batch import Outcome, unwrap
+from repro.modeling.pipeline import (
+    ModelingPipeline,
+    ModelResult,
+    Provenance,
+    results_by_kernel,
+)
 from repro.regression.multi_parameter import MultiParameterModeler
 
 __all__ = ["ModelResult", "Provenance", "RegressionModeler"]
@@ -49,11 +57,23 @@ class RegressionModeler:
         self, kernel: Kernel, n_params: "int | None" = None, rng=None
     ) -> ModelResult:
         """Model one kernel; ``n_params`` defaults to the coordinate arity."""
-        return self.pipeline.model_kernel(kernel, n_params, method=self.method_name)
+        return unwrap(self.model_kernels([kernel], n_params)[0])
+
+    def model_kernels(
+        self,
+        kernels: "Sequence[Kernel]",
+        n_params: "int | None" = None,
+        rngs=None,
+        memo: "dict | None" = None,
+    ) -> "list[Outcome[ModelResult]]":
+        """Model a batch of kernels stage by stage (see
+        :meth:`ModelingPipeline.model_kernels`), one outcome per kernel."""
+        return self.pipeline.model_kernels(
+            kernels, n_params, method=self.method_name, memo=memo
+        )
 
     def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:
         """Model every kernel of an experiment."""
-        return {
-            kern.name: self.model_kernel(kern, experiment.n_params)
-            for kern in experiment.kernels
-        }
+        return results_by_kernel(
+            experiment, self.model_kernels(experiment.kernels, experiment.n_params)
+        )

@@ -107,8 +107,10 @@ class MultiParameterModeler:
     ``engine`` picks the engine evaluating the combination hypotheses:
     the batched-SVD fast path of :mod:`repro.regression.fast_multi`
     (``'fast'``, the default) or the reference per-hypothesis loop
-    (``'reference'``). Both engines select bit-identical models -- the
-    equivalence is pinned by ``tests/regression/test_fast_multi.py``.
+    (``'reference'``). Over the same hypotheses both engines select
+    bit-identical models, pinned by ``tests/regression/test_fast_multi.py``;
+    the lines' single-parameter searches may break exact ties differently
+    (see :mod:`repro.regression.fast_single`).
     """
 
     def __init__(

@@ -41,11 +41,12 @@ class SingleParameterModeler:
     Searches all exponent pairs of ``E``, fits coefficients by least
     squares, and selects via LOO cross-validation with SMAPE.
 
-    Two equivalent engines exist: the reference per-hypothesis loop and a
-    batched-SVD fast path (:mod:`repro.regression.fast_single`, default)
-    that evaluates all hypotheses in one vectorized pass. They produce the
-    same winner; the equivalence is pinned by
-    ``tests/regression/test_fast_single.py``. ``engine`` names the engine
+    Two engines exist: the reference per-hypothesis loop and a batched-SVD
+    fast path (:mod:`repro.regression.fast_single`, default) that evaluates
+    all hypotheses in one vectorized pass. They agree on the winner except
+    where scores tie to within rounding (near-constant lines; see that
+    module), pinned by ``tests/regression/test_fast_single.py``.
+    ``engine`` names the engine
     (``'fast'``/``'reference'``, see :mod:`repro.modeling.engine`).
     """
 
@@ -65,6 +66,18 @@ class SingleParameterModeler:
             from repro.regression.fast_single import FastSingleParameterSearch
 
             self._fast = FastSingleParameterSearch(self.pairs)
+
+    def prescored(
+        self, line_sets: "Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]"
+    ) -> "SingleParameterModeler":
+        """A modeler whose :meth:`model` serves these lines (one list of
+        ``(xs, values)`` per kernel) from one stacked fast-engine pass; the
+        reference engine has nothing to stack and returns itself."""
+        if self._fast is None:
+            return self
+        modeler = object.__new__(SingleParameterModeler)
+        modeler.__dict__.update(self.__dict__, _fast=self._fast.prescored(line_sets))
+        return modeler
 
     def model(self, xs: np.ndarray, values: np.ndarray) -> ScoredModel:
         """Model one measurement line (``values`` are the per-point medians)."""

@@ -17,7 +17,13 @@ from repro.experiment.measurement import value_table
 from repro.noise.injection import UniformNoise
 from repro.pmnf.searchspace import EXPONENT_PAIRS
 from repro.pmnf.terms import CompoundTerm, ExponentPair
-from repro.regression.fast_multi import FastMultiParameterSearch
+from repro.regression.fast_multi import (
+    STACK_CHUNK,
+    DesignGroup,
+    FastMultiParameterSearch,
+    _batched_scores,
+    score_stacked,
+)
 from repro.regression.hypothesis import Hypothesis
 from repro.regression.multi_parameter import (
     MultiParameterModeler,
@@ -181,3 +187,110 @@ class TestEdgeCases:
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"\(n, m\)"):
             SEARCH.score(hand_hypotheses(), np.zeros(5), np.zeros(5))
+
+
+# ---------------------------------------------------------------- stacking
+#: The design shapes of the sweeps: m = 1 and measurement lines (5 points),
+#: m = 3 grids (125 points) with up to four coefficients.
+SWEEP_SHAPES = ((5, 1), (5, 2), (125, 1), (125, 2), (125, 3), (125, 4))
+
+
+def random_designs(gen, n, c, h):
+    """``h`` designs of shape ``(n, c)`` with their own value vectors.
+
+    Term columns are PMNF term evaluations on random positive columns; every
+    third design is rank-deficient (a duplicated or intercept-proportional
+    column), and every fifth value vector contains an infinity, so its LOO
+    predictions are non-finite.
+    """
+    designs = np.empty((h, n, c))
+    designs[:, :, 0] = 1.0
+    for k in range(h):
+        x = gen.uniform(1.0, 512.0, n)
+        for j in range(1, c):
+            pair = EXPONENT_PAIRS[int(gen.integers(len(EXPONENT_PAIRS)))]
+            designs[k, :, j] = CompoundTerm.from_pair(pair).evaluate(x)
+        if k % 3 == 1 and c > 1:
+            designs[k, :, c - 1] = designs[k, :, 1] if c > 2 else 7.0
+    values = gen.uniform(0.5, 1e4, (h, n))
+    values[::5, n // 2] = np.inf
+    return designs, values
+
+
+def assert_same_bits(actual, expected):
+    for a, e in zip(actual, expected):
+        assert a.shape == e.shape
+        assert np.array_equal(a, e, equal_nan=True)
+
+
+class TestStackingInvariance:
+    """A design's scores do not depend on what it is stacked with.
+
+    The cross-kernel batch path rests on this: ``cv``, ``beta`` and ``pred``
+    of every design are bitwise equal whether it is scored alone or stacked
+    with unrelated designs that carry other value vectors, in any chunk.
+    """
+
+    @pytest.mark.parametrize("n, c", SWEEP_SHAPES)
+    def test_alone_equals_stacked(self, n, c):
+        gen = as_generator(n * 10 + c)
+        designs, values = random_designs(gen, n, c, 40)
+        with np.errstate(all="ignore"):
+            stacked = _batched_scores(designs, values)
+            for k in range(designs.shape[0]):
+                alone = _batched_scores(designs[k : k + 1], values[k : k + 1])
+                assert_same_bits(alone, [out[k : k + 1] for out in stacked])
+        assert np.isinf(stacked[0][::5]).all()  # the non-finite LOO rows
+
+    def test_groups_across_chunk_boundaries(self):
+        """Groups of mixed shapes and sizes, more designs than several chunks
+        hold, score as each would alone -- and as each design would alone."""
+        gen = as_generator(2021)
+        groups = []
+        for size in (1, 300, 17, STACK_CHUNK, 90, STACK_CHUNK + 1):
+            n = (5, 125)[size % 2]
+            buckets, values = {}, gen.uniform(0.5, 1e4, n)
+            for c in (1, 2, 3, 4) if n == 125 else (1, 2):
+                designs, _ = random_designs(gen, n, c, max(1, size // c))
+                buckets[c] = (
+                    len(designs),
+                    [designs[k, :, j] for k in range(len(designs)) for j in range(1, c)],
+                )
+            groups.append(DesignGroup(values, buckets, scale=(None, 3.0)[size % 3 == 0]))
+        with np.errstate(all="ignore"):
+            calls = score_stacked(groups)
+            assert calls < sum(g.designs for g in groups)
+            stacked = [dict(group.scores) for group in groups]
+            for group, scores in zip(groups, stacked):
+                score_stacked([group])
+                for c, (cv, plausible) in scores.items():
+                    assert_same_bits((cv, plausible), group.scores[c])
+                    design = group.buckets[c][1][: c - 1]
+                    single = DesignGroup(group.values, {c: (1, design)}, group.scale)
+                    score_stacked([single])
+                    assert_same_bits(single.scores[c], (cv[:1], plausible[:1]))
+
+    def test_chunk_failure_is_isolated(self):
+        """A design whose SVD cannot converge fails its chunk; with
+        ``isolate`` the other chunks' groups are still scored."""
+        gen = as_generator(7)
+        good = [DesignGroup(gen.uniform(1, 9, 5), {2: (1, [gen.uniform(1, 9, 5)])}) for _ in range(3)]
+        bad = DesignGroup(gen.uniform(1, 9, 5), {2: (1, [np.full(5, np.nan)])})
+        far = DesignGroup(gen.uniform(1, 9, 6), {2: (1, [gen.uniform(1, 9, 6)])})
+        with pytest.raises(np.linalg.LinAlgError):
+            score_stacked([*good, bad, far])
+        score_stacked([*good, bad, far], isolate=True)
+        assert all(group.scores is None for group in (*good, bad))
+        assert far.scores is not None
+
+    def test_prescored_search_serves_identical_candidates(self):
+        """``prescored`` answers ``score`` from the stacked pass with the
+        candidates scoring alone gives, and scores unknown jobs alone."""
+        jobs = [combination_task(seed, 2, 0.3) for seed in range(6)]
+        jobs += list(dnn_like_tasks(shapes=((3, 4),)))
+        jobs = [(tuple(h), p, v) for h, p, v in jobs]
+        search = SEARCH.prescored(jobs)
+        for job in jobs:
+            assert search.score(*job) == SEARCH.score(*job)
+        other = combination_task(99, 2, 0.3)
+        assert search.score(*other) == SEARCH.score(*other)
