@@ -15,7 +15,7 @@ from repro.experiment.experiment import Kernel
 from repro.noise.injection import LognormalSpikeNoise, NoiseModel, UniformNoise
 from repro.regression.modeler import RegressionModeler
 from repro.synthesis.functions import random_single_parameter_function
-from repro.synthesis.measurements import grid_coordinates, synthesize_measurements
+from repro.synthesis.measurements import grid_points, synthesize_measurements
 from repro.synthesis.sequences import random_sequence
 from repro.util.seeding import spawn_generators
 from repro.util.tables import render_table
@@ -30,8 +30,8 @@ def _accuracy(aggregation: str, noise: NoiseModel, seed: int) -> float:
         truth = random_single_parameter_function(gen)
         xs = random_sequence(5, None, gen)
         kernel = Kernel("k")
-        for meas in synthesize_measurements(truth, grid_coordinates([xs]), noise, 5, gen):
-            kernel.add(meas)
+        points = grid_points([xs])
+        kernel.add_rows(points, synthesize_measurements(truth, points, noise, 5, gen))
         result = modeler.model_kernel(kernel, 1)
         if lead_exponent_distance(result.function, truth) <= 0.25 + 1e-12:
             correct += 1

@@ -21,7 +21,7 @@ from repro.experiment.measurement import Coordinate
 from repro.noise.injection import UniformNoise
 from repro.synthesis.evaluation_points import evaluation_points
 from repro.synthesis.functions import random_single_parameter_function
-from repro.synthesis.measurements import grid_coordinates, synthesize_measurements
+from repro.synthesis.measurements import grid_coordinates, grid_points, synthesize_measurements
 from repro.synthesis.sequences import random_sequence
 from repro.util.seeding import spawn_generators
 from repro.util.tables import render_table
@@ -38,8 +38,7 @@ def _run(modelers, gpr, noise, seed):
         xs = random_sequence(5, None, gen)
         coords = grid_coordinates([xs])
         kernel = Kernel("k")
-        for meas in synthesize_measurements(truth, coords, UniformNoise(noise), 5, gen):
-            kernel.add(meas)
+        kernel.add_rows(coords, synthesize_measurements(truth, coords, UniformNoise(noise), 5, gen))
         p_extra = evaluation_points([xs], 4)[3:]  # P+4 only
         mid = Coordinate(float(np.sqrt(xs[1] * xs[2])))  # in-range midpoint
         truth_extra = [float(truth.evaluate(p_extra[0].as_array()))]
@@ -102,8 +101,6 @@ def test_gpr_baseline(generic_network, record_table, benchmark):
     gen = spawn_generators(1, 1)[0]
     truth = random_single_parameter_function(gen, exclude_constant=True)
     xs = random_sequence(5, None, gen)
-    for meas in synthesize_measurements(
-        truth, grid_coordinates([xs]), UniformNoise(0.2), 5, gen
-    ):
-        kernel.add(meas)
+    points = grid_points([xs])
+    kernel.add_rows(points, synthesize_measurements(truth, points, UniformNoise(0.2), 5, gen))
     benchmark(lambda: gpr.predict_at(kernel, [Coordinate(float(xs[-1] * 2))]))

@@ -142,7 +142,7 @@ class AdaptiveModeler:
         if n_params is None:
             if len(kernel) == 0:
                 raise ValueError(f"kernel {kernel.name!r} has no measurements")
-            n_params = kernel.coordinates[0].dimensions
+            n_params = kernel.table.points.shape[1]
         gen = as_generator(rng)
         _, noise_class = self.route(kernel, n_params)
         return noise_class, gen

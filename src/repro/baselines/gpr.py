@@ -182,13 +182,11 @@ class GPRModeler:
     def fit_kernel(self, kernel: Kernel) -> GaussianProcessRegressor:
         """Fit a GP to one kernel's aggregated measurements."""
         if self.prefilter is None:
-            points, values = value_table(kernel.measurements, self.aggregation)
+            points, values = value_table(kernel, self.aggregation)
         else:
             from repro.modeling.prefilter import apply_prefilter
 
-            points, values, _ = apply_prefilter(
-                kernel.measurements, self.prefilter, self.aggregation
-            )
+            points, values, _ = apply_prefilter(kernel, self.prefilter, self.aggregation)
         gpr = GaussianProcessRegressor(n_restarts=self.n_restarts, rng=self._rng)
         return gpr.fit(points, values)
 

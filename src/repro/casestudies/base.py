@@ -79,13 +79,14 @@ class SimulatedApplication:
         """Simulate the full measurement campaign (all kernels, all points)."""
         gen = as_generator(rng)
         exp = Experiment(self.parameters)
-        coords = self.campaign_coordinates()
+        points = np.array([c.as_tuple() for c in self.campaign_coordinates()])
         for kernel in self.kernels:
-            kern = exp.create_kernel(kernel.name)
-            for meas in synthesize_measurements(
-                kernel.function, coords, kernel.noise, self.repetitions, gen
-            ):
-                kern.add(meas)
+            exp.create_kernel(kernel.name).add_rows(
+                points,
+                synthesize_measurements(
+                    kernel.function, points, kernel.noise, self.repetitions, gen
+                ),
+            )
         return exp
 
     # ------------------------------------------------------------- modeling

@@ -116,7 +116,8 @@ class AdaptationTask:
             xs = tuple(float(v) for v in lines[0].xs[:MAX_POINTS])
             value_sets.append(xs)
         levels = noise_levels_per_point(kernel)
-        reps = int(round(float(np.mean([m.repetitions for m in kernel.measurements]))))
+        table = kernel.table
+        reps = int(round(sum(values.size for _, values in table.groups) / len(table)))
         return cls(
             parameter_value_sets=tuple(value_sets),
             noise_range=(float(np.min(levels)), float(np.max(levels))),

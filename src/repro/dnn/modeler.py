@@ -209,16 +209,21 @@ class DNNModeler:
 
     # ------------------------------------------------------------ classification
     def encode_kernel(self, kernel: Kernel, n_params: int) -> np.ndarray:
-        """The kernel's stacked 11-slot input vectors, one row per parameter."""
-        key = (id(kernel), n_params, self.aggregation)
+        """The kernel's stacked 11-slot input vectors, one row per parameter.
+
+        Memoized per measurement table, so an add to the kernel (which
+        builds a new table) is encoded afresh.
+        """
+        table = kernel.table
+        key = (id(table), n_params, self.aggregation)
         entry = self._encoding_cache.get(key)
-        if entry is not None and entry[0] is kernel:
+        if entry is not None and entry[0] is table:
             return entry[1]
         lines = parameter_lines(kernel, n_params)
         vectors = np.stack(
             [encode_parameter_line(line, aggregation=self.aggregation) for line in lines]
         )
-        self._encoding_cache[key] = (kernel, vectors)
+        self._encoding_cache[key] = (table, vectors)
         return vectors
 
     def _candidates_from_probs(self, probs: np.ndarray) -> list[list[ExponentPair]]:
@@ -227,13 +232,14 @@ class DNNModeler:
 
     def classify_lines(self, kernel: Kernel, n_params: int, network: Sequential) -> list[list[ExponentPair]]:
         """Top-k exponent pairs per parameter line, most probable first."""
-        key = (id(network), id(kernel), n_params)
+        table = kernel.table
+        key = (id(network), id(table), n_params)
         entry = self._candidate_cache.get(key)
-        if entry is not None and entry[0] is network and entry[1] is kernel:
+        if entry is not None and entry[0] is network and entry[1] is table:
             return entry[2]
         probs = network.predict_proba(self.encode_kernel(kernel, n_params))
         candidates = self._candidates_from_probs(probs)
-        self._candidate_cache[key] = (network, kernel, candidates)
+        self._candidate_cache[key] = (network, table, candidates)
         return candidates
 
     def classify_batch(
@@ -291,11 +297,8 @@ class DNNModeler:
                 continue
             candidates = self._candidates_from_probs(probs[offset : offset + len(vectors)])
             offset += len(vectors)
-            self._candidate_cache[(id(network), id(kernel), n_params)] = (
-                network,
-                kernel,
-                candidates,
-            )
+            table = kernel.table
+            self._candidate_cache[(id(network), id(table), n_params)] = (network, table, candidates)
             out.append(candidates)
         return out
 
@@ -374,7 +377,7 @@ class DNNModeler:
         if len(kernel) == 0:
             raise ValueError(f"kernel {kernel.name!r} has no measurements")
         if n_params is None:
-            n_params = kernel.coordinates[0].dimensions
+            n_params = kernel.table.points.shape[1]
         gen = as_generator(rng)
         if network is None:
             task = (

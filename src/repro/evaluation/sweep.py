@@ -42,7 +42,7 @@ from repro.synthesis.functions import (
 )
 from repro.synthesis.measurements import (
     cross_coordinates,
-    grid_coordinates,
+    grid_points,
     synthesize_measurements,
 )
 from repro.synthesis.sequences import random_sequence
@@ -258,14 +258,16 @@ def _synthesize_task(noise: float, gen: np.random.Generator, config: SweepConfig
             random_sequence(config.points_per_parameter, None, gen) for _ in range(m)
         ]
     if config.layout == "cross":
-        coords = cross_coordinates(value_sets)
+        points = cross_coordinates(value_sets)
     else:
-        coords = grid_coordinates(value_sets)
+        points = grid_points(value_sets)
     kernel = Kernel("synthetic")
-    for meas in synthesize_measurements(
-        truth, coords, noise_for_level(config.noise, noise), config.repetitions, gen
-    ):
-        kernel.add(meas)
+    kernel.add_rows(
+        points,
+        synthesize_measurements(
+            truth, points, noise_for_level(config.noise, noise), config.repetitions, gen
+        ),
+    )
     eval_pts = evaluation_points(value_sets, config.n_eval_points)
     return truth, kernel, eval_pts, gen
 

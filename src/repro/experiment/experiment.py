@@ -6,7 +6,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.experiment.measurement import Coordinate, Measurement
+from repro.experiment.measurement import Coordinate, Measurement, MeasurementTable
 
 
 class Kernel:
@@ -14,67 +14,158 @@ class Kernel:
 
     Kernels are what Extra-P models individually: the paper creates one
     performance model per application kernel, not per application.
+
+    The measurements are held as arrays in a :class:`MeasurementTable`
+    (:attr:`table`): a sorted ``(n, m)`` point array and one ``(k, r)``
+    value array per repetition count ``r``. Adds are buffered and merged
+    into a new table on the next read, so a point-by-point builder pays
+    for one stack and one sort, not one per add. :attr:`measurements`,
+    :attr:`coordinates` and :meth:`measurement_at` are read-only views of
+    the table, kept for IO, the service schema and reporting.
     """
 
     def __init__(self, name: str, metric: str = "time"):
         self.name = name
         self.metric = metric
-        self._measurements: dict[Coordinate, Measurement] = {}
-        # Sorted coordinates, rebuilt on the first access after an add.
-        self._order: "list[Coordinate] | None" = None
-        # Best measurement line per parameter, keyed by n_params; filled by
-        # repro.experiment.lines.parameter_lines, dropped on every add.
-        self._lines: dict = {}
+        self._table = MeasurementTable.build([])
+        # Validated (points (k, m), values (k, r)) blocks not yet merged,
+        # and the (point, values) single adds since the last block.
+        self._pending: "list[tuple[np.ndarray, np.ndarray]]" = []
+        self._added: "list[tuple[tuple[float, ...], np.ndarray]]" = []
+        self._arity: "int | None" = None
+        self._memo: dict = {}
 
     # ----------------------------------------------------------------- build
+    def _check_arity(self, arity: int, point: "tuple[float, ...]") -> None:
+        if self._arity is None:
+            self._arity = arity
+        elif arity != self._arity:
+            raise ValueError(
+                f"coordinate {point} has arity {arity}, but kernel {self.name!r} "
+                f"holds {self._arity}-dimensional coordinates"
+            )
+
     def add(self, measurement: Measurement) -> None:
         """Add a measurement; repeated adds at one coordinate merge repetitions."""
-        self._order = None
-        self._lines = {}
-        existing = self._measurements.get(measurement.coordinate)
-        if existing is None:
-            self._measurements[measurement.coordinate] = measurement
+        point = measurement.coordinate.as_tuple()
+        self._check_arity(len(point), point)
+        self._added.append((point, measurement.values))
+
+    def _seal(self) -> None:
+        """Turn the single adds into blocks, keeping their order."""
+        added, self._added = self._added, []
+        if not added:
+            return
+        if len({values.size for _, values in added}) == 1:
+            points = np.array([point for point, _ in added])
+            values = np.concatenate([values for _, values in added]).reshape(len(added), -1)
+            self._pending.append((points, values))
         else:
-            merged = np.concatenate([existing.values, measurement.values])
-            self._measurements[measurement.coordinate] = Measurement(
-                measurement.coordinate, merged
-            )
+            self._pending.extend((np.array([point]), values[None, :]) for point, values in added)
 
     def add_values(self, coordinate: "Coordinate | Sequence[float]", values: Iterable[float]) -> None:
         if not isinstance(coordinate, Coordinate):
             coordinate = Coordinate(*coordinate)
         self.add(Measurement(coordinate, values))
 
+    def add_rows(self, points, values) -> None:
+        """Add ``values[i]`` (``r`` repetitions) at ``points[i]``, for all rows at once.
+
+        ``points`` is ``(k, m)`` (an array, or a sequence of coordinates) and
+        ``values`` is ``(k, r)``. Coordinates must be positive and finite and
+        values finite, checked in one pass; the semantics are those of
+        :meth:`add` per row, in row order.
+        """
+        points = np.array(points, dtype=float)
+        values = np.array(values, dtype=float)
+        if points.ndim != 2 or values.ndim != 2 or len(points) != len(values) or not (
+            points.shape[1] and values.shape[1]
+        ):
+            raise ValueError(
+                f"add_rows needs points (k, m) and values (k, r) with m, r >= 1, got shapes "
+                f"{points.shape} and {values.shape}"
+            )
+        bad = ~(np.isfinite(points) & (points > 0)).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                "parameter values must be positive and finite, got "
+                f"{tuple(points[np.argmax(bad)].tolist())}"
+            )
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"measurement values must be finite, got {tuple(values[np.argmax(bad)].tolist())}"
+            )
+        if len(points):
+            self._check_arity(points.shape[1], tuple(points[0].tolist()))
+            self._seal()
+            self._pending.append((points, values))
+
     # ---------------------------------------------------------------- access
-    def _sorted(self) -> list[Coordinate]:
-        order = self._order
-        if order is None:
-            order = self._order = sorted(self._measurements)
-        return order
+    def _merge(self) -> None:
+        """Merge every add so far into a new table."""
+        self._seal()
+        if self._pending:
+            self._table = MeasurementTable.build(self._table.blocks() + self._pending)
+            self._pending = []
+            self._memo = {}
+
+    @property
+    def table(self) -> MeasurementTable:
+        """The measurements as arrays, with every add so far merged in."""
+        self._merge()
+        return self._table
+
+    def memo(self, key, build):
+        """``build()``, computed once per ``key`` until the next add.
+
+        For values that refer to the table, such as measurement lines: on
+        the table itself they would form a reference cycle, which only the
+        cyclic garbage collector frees, so a served request's kernels would
+        outlive it.
+        """
+        self._merge()
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def coordinates(self) -> list[Coordinate]:
-        return list(self._sorted())
+        return [m.coordinate for m in self.table.measurements()]
 
     @property
     def measurements(self) -> list[Measurement]:
-        return [self._measurements[c] for c in self._sorted()]
+        return list(self.table.measurements())
+
+    def _row(self, coordinate: Coordinate) -> "int | None":
+        points = self.table.points
+        if len(coordinate) != points.shape[1]:
+            return None
+        hits = np.flatnonzero((points == coordinate.as_tuple()).all(axis=1))
+        return int(hits[0]) if len(hits) else None
 
     def measurement_at(self, coordinate: Coordinate) -> Measurement:
-        return self._measurements[coordinate]
+        row = self._row(coordinate)
+        if row is None:
+            raise KeyError(coordinate)
+        return self.table.measurements()[row]
 
     def __contains__(self, coordinate: Coordinate) -> bool:
-        return coordinate in self._measurements
+        return self._row(coordinate) is not None
 
     def __len__(self) -> int:
-        return len(self._measurements)
+        return len(self.table)
 
     def subset(self, keep: Iterable[Coordinate], name: str | None = None) -> "Kernel":
         """New kernel restricted to the coordinates in ``keep``."""
+        wanted = {tuple(c) for c in keep}
+        table = self.table
+        kept = np.array([tuple(p) in wanted for p in table.points.tolist()], dtype=bool)
         out = Kernel(name or self.name, self.metric)
-        for c in keep:
-            if c in self._measurements:
-                out.add(self._measurements[c])
+        for rows, values in table.groups:
+            mask = kept[rows]
+            if mask.any():
+                out.add_rows(table.points[rows[mask]], values[mask])
         return out
 
     def __repr__(self) -> str:
@@ -155,30 +246,34 @@ class Experiment:
             raise ValueError(f"experiment has {len(self._kernels)} kernels, expected exactly 1")
         return next(iter(self._kernels.values()))
 
+    def _points(self) -> np.ndarray:
+        """Every kernel's points stacked, duplicates kept."""
+        tables = [kern.table for kern in self._kernels.values()]
+        points = [table.points for table in tables if len(table)]
+        if len({p.shape[1] for p in points}) > 1:
+            raise ValueError("kernels hold coordinates of different arities; see validate()")
+        return np.concatenate(points) if points else np.empty((0, self.n_params))
+
     def coordinates(self) -> list[Coordinate]:
-        """Union of all coordinates across kernels."""
-        coords: set[Coordinate] = set()
-        for kern in self._kernels.values():
-            coords.update(kern.coordinates)
-        return sorted(coords)
+        """Union of all coordinates across kernels, sorted."""
+        points = self._points()
+        points = points[np.lexsort(points.T[::-1])]
+        distinct = np.concatenate(([True], (points[1:] != points[:-1]).any(axis=1)))
+        return [Coordinate(*row) for row in points[distinct].tolist()]
 
     def parameter_values(self) -> list[np.ndarray]:
         """Per-parameter sorted unique values occurring in any coordinate."""
-        coords = self.coordinates()
-        out = []
-        for l in range(self.n_params):
-            out.append(np.unique([c[l] for c in coords]))
-        return out
+        return [np.unique(column) for column in self._points().T]
 
     def validate(self) -> None:
         """Check structural invariants (arity, minimum point counts)."""
         for kern in self._kernels.values():
-            for coord in kern.coordinates:
-                if coord.dimensions != self.n_params:
-                    raise ValueError(
-                        f"kernel {kern.name!r} has coordinate {coord!r} with arity "
-                        f"{coord.dimensions}, expected {self.n_params}"
-                    )
+            points = kern.table.points
+            if len(points) and points.shape[1] != self.n_params:
+                raise ValueError(
+                    f"kernel {kern.name!r} has coordinate {kern.coordinates[0]!r} with arity "
+                    f"{points.shape[1]}, expected {self.n_params}"
+                )
 
     def __repr__(self) -> str:
         return (

@@ -280,10 +280,10 @@ def save_text(experiment: Experiment, path: "str | Path") -> None:
     for kern in experiment.kernels:
         lines.append(f"METRIC {kern.metric}")
         lines.append(f"REGION {kern.name}")
+        at = {meas.coordinate: meas for meas in kern.measurements}
         for coord in coords:
-            if coord in kern:
-                meas = kern.measurement_at(coord)
-                lines.append("DATA " + " ".join(f"{v:.10g}" for v in meas.values))
+            if coord in at:
+                lines.append("DATA " + " ".join(f"{v:.10g}" for v in at[coord].values))
             else:
                 lines.append("DATA")
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -405,11 +405,19 @@ def _assemble(
         if skip and raw.name in skip:
             continue
         kernel = experiment.create_kernel(raw.name, raw.metric)
-        for location, coord, values in raw.points:
-            try:
-                kernel.add(Measurement(coord, values))
-            except ValueError as err:
-                raise ExperimentFormatError(f"{location}: {err}") from None
+        try:
+            kernel.add_rows(
+                [coord.as_tuple() for _, coord, _ in raw.points],
+                [values for _, _, values in raw.points],
+            )
+        except ValueError:
+            # Ragged repetition counts or a bad value: add point by point,
+            # which names the location of a bad one.
+            for location, coord, values in raw.points:
+                try:
+                    kernel.add(Measurement(coord, values))
+                except ValueError as err:
+                    raise ExperimentFormatError(f"{location}: {err}") from None
     experiment.validate()
     return experiment
 

@@ -9,27 +9,34 @@ finds those lines in an arbitrary set of coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.experiment.experiment import Kernel
-from repro.experiment.measurement import Measurement, aggregate_values
+from repro.experiment.measurement import Coordinate, Measurement, MeasurementTable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterLine:
-    """Measurements along which only parameter ``parameter`` varies."""
+    """Points of one kernel along which only parameter ``parameter`` varies.
+
+    ``rows`` index the points of the kernel's :class:`MeasurementTable` at
+    the time the line was found, in increasing order of the varying
+    parameter; a later add to the kernel builds a new table and leaves the
+    line as it was.
+    """
 
     parameter: int
     fixed: tuple[float, ...]  # values of the other parameters, in index order
-    measurements: tuple[Measurement, ...]
+    table: MeasurementTable = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
     @property
     def xs(self) -> np.ndarray:
         """Sorted values of the varying parameter."""
-        return np.asarray([m.coordinate[self.parameter] for m in self.measurements])
+        return self.table.points[self.rows, self.parameter]
 
     @property
     def medians(self) -> np.ndarray:
@@ -37,42 +44,49 @@ class ParameterLine:
 
     def values(self, aggregation: str = "median") -> np.ndarray:
         """Representative values under the chosen aggregation strategy."""
-        return aggregate_values(self.measurements, aggregation)
+        return self.table.aggregate(aggregation)[self.rows]
+
+    @property
+    def measurements(self) -> "tuple[Measurement, ...]":
+        """The line's points as :class:`Measurement` views."""
+        views = self.table.measurements()
+        return tuple(views[row] for row in self.rows.tolist())
 
     def __len__(self) -> int:
-        return len(self.measurements)
+        return len(self.rows)
 
 
-def _checked_measurements(kernel: Kernel, n_params: int) -> list[Measurement]:
-    """The kernel's measurements, refused when a coordinate is too short.
+def _checked_table(kernel: Kernel, n_params: int) -> MeasurementTable:
+    """The kernel's table, refused when its coordinates are too short.
 
     Every line builder indexes the first ``n_params`` coordinate values;
     a coordinate with fewer would otherwise fail deep inside as a bare
     ``IndexError``.
     """
-    measurements = kernel.measurements
-    if measurements:
-        dimensions = min(m.coordinate.dimensions for m in measurements)
-        if dimensions < n_params:
-            raise ValueError(
-                f"kernel {kernel.name!r} has {dimensions}-dimensional coordinates, "
-                f"too few for n_params={n_params}"
-            )
-    return measurements
+    table = kernel.table
+    dimensions = table.points.shape[1]
+    if len(table) and dimensions < n_params:
+        raise ValueError(
+            f"kernel {kernel.name!r} has {dimensions}-dimensional coordinates, "
+            f"too few for n_params={n_params}"
+        )
+    return table
+
+
+def _line(table: MeasurementTable, parameter: int, members: np.ndarray, others: list) -> ParameterLine:
+    """The line through ``members`` (table rows), sorted by the varying parameter."""
+    members = members[np.argsort(table.points[members, parameter], kind="stable")]
+    fixed = tuple(table.points[members[0], others].tolist())
+    return ParameterLine(parameter, fixed, table, members)
 
 
 def _lines_for_parameter(kernel: Kernel, n_params: int, parameter: int) -> list[ParameterLine]:
-    groups: dict[tuple[float, ...], list[Measurement]] = {}
-    for meas in _checked_measurements(kernel, n_params):
-        key = tuple(
-            meas.coordinate[l] for l in range(n_params) if l != parameter
-        )
-        groups.setdefault(key, []).append(meas)
-    lines = []
-    for key, members in groups.items():
-        members.sort(key=lambda m: m.coordinate[parameter])
-        lines.append(ParameterLine(parameter, key, tuple(members)))
-    return lines
+    table = _checked_table(kernel, n_params)
+    others = [l for l in range(n_params) if l != parameter]
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for row, key in enumerate(table.points[:, others].tolist()):
+        groups.setdefault(tuple(key), []).append(row)
+    return [_line(table, parameter, np.array(rows), others) for rows in groups.values()]
 
 
 def all_parameter_lines(
@@ -94,16 +108,14 @@ def _best_lines(kernel: Kernel, n_params: int) -> tuple[ParameterLine, ...]:
     code of the most populous group is the line ``all_parameter_lines``
     sorts first.
     """
-    measurements = _checked_measurements(kernel, n_params)
-    if not measurements:
+    table = _checked_table(kernel, n_params)
+    n_points = len(table)
+    if not n_points:
         return ()
     if n_params == 1:
-        # Kernels keep coordinates sorted, so by their first value too.
-        return (ParameterLine(0, (), tuple(measurements)),)
-    n_points = len(measurements)
-    points = np.array(
-        [m.coordinate.as_tuple()[:n_params] for m in measurements], dtype=float
-    )
+        # Table rows are sorted, so by their first value too.
+        return (ParameterLine(0, (), table, np.arange(n_points)),)
+    points = table.points[:, :n_params]
     ranked = [np.unique(column, return_inverse=True) for column in points.T]
     best = []
     for parameter in range(n_params):
@@ -119,11 +131,8 @@ def _best_lines(kernel: Kernel, n_params: int) -> tuple[ParameterLine, ...]:
                 groups, code = np.unique(code, return_inverse=True)
                 radix = len(groups)
         members = np.flatnonzero(code == np.argmax(np.bincount(code)))
-        members = members[np.argsort(points[members, parameter], kind="stable")]
-        first = measurements[members[0]].coordinate
-        fixed = tuple(first[l] for l in range(n_params) if l != parameter)
-        line = tuple(measurements[row] for row in members)
-        best.append(ParameterLine(parameter, fixed, line))
+        others = [l for l in range(n_params) if l != parameter]
+        best.append(_line(table, parameter, members, others))
     return tuple(best)
 
 
@@ -138,13 +147,11 @@ def parameter_lines(
     has no line with ``min_points`` points, mirroring Extra-P's requirement of
     at least five values per parameter.
 
-    The lines are built once per kernel and ``n_params`` and memoized on the
-    kernel until its next :meth:`~repro.experiment.experiment.Kernel.add`,
-    so the modelers and the DNN encoder of one task share them.
+    The lines are built once per ``n_params`` and memoized on the kernel
+    until its next add, so the modelers and the DNN encoder of one task
+    share them.
     """
-    lines = kernel._lines.get(n_params)
-    if lines is None:
-        lines = kernel._lines[n_params] = _best_lines(kernel, n_params)
+    lines = kernel.memo(("lines", n_params), lambda: _best_lines(kernel, n_params))
     for parameter in range(n_params):
         found = len(lines[parameter]) if lines else 0
         if not lines or found < min_points:
@@ -157,7 +164,4 @@ def parameter_lines(
 
 def line_coordinates(lines: Sequence[ParameterLine]) -> set:
     """Union of the coordinates used by a set of lines."""
-    coords = set()
-    for line in lines:
-        coords.update(m.coordinate for m in line.measurements)
-    return coords
+    return {Coordinate(*line.table.points[row]) for line in lines for row in line.rows}

@@ -133,52 +133,138 @@ class Measurement:
         return f"Measurement({self.coordinate!r}, median={self.median:.6g}, rep={self.repetitions})"
 
 
-def aggregate_values(
-    measurements: Sequence[Measurement], aggregation: str = "median"
-) -> np.ndarray:
-    """:meth:`Measurement.aggregate` of every measurement, as one vector.
+def _view(cls, **slots):
+    """A ``cls`` instance over already validated slot values, unchecked."""
+    view = object.__new__(cls)
+    for name, value in slots.items():
+        setattr(view, name, value)
+    return view
 
-    Medians are taken in one ``np.median`` call per repetition count over
-    the stacked repetitions; the values are bitwise those of the
-    per-measurement :attr:`Measurement.median`.
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+#: Row-wise reductions of a ``(k, r)`` repetition array; each row's value is
+#: bitwise the one :meth:`Measurement.aggregate` gives for that row alone.
+_REDUCERS = {"median": np.median, "mean": np.mean, "min": np.min}
+
+
+class MeasurementTable:
+    """An immutable set of measurements held as arrays.
+
+    ``points`` is an ``(n, m)`` float array of distinct coordinates in
+    lexicographic order -- the order of ``sorted(Coordinate)``. ``groups``
+    holds the repetitions: one ``(rows, values)`` pair per repetition count
+    ``r``, in order of first appearance, where ``values`` is ``(k, r)`` and
+    ``values[i]`` are the repetitions at ``points[rows[i]]``. Every array is
+    read-only.
+
+    Aggregates and :class:`Measurement` views are memoized on the table, so
+    they live exactly as long as the data they were derived from.
     """
-    if aggregation != "median":
-        return np.asarray([m.aggregate(aggregation) for m in measurements], dtype=float)
-    out = np.empty(len(measurements))
-    for rows, stacked in stacked_by_repetitions(measurements):
-        out[rows] = np.median(stacked, axis=-1)
-    return out
+
+    __slots__ = ("points", "groups", "_memo")
+
+    def __init__(self, points: np.ndarray, groups: "tuple[tuple[np.ndarray, np.ndarray], ...]"):
+        self.points = points
+        self.groups = groups
+        self._memo: dict = {}
+
+    @classmethod
+    def build(cls, blocks: "Sequence[tuple[np.ndarray, np.ndarray]]") -> "MeasurementTable":
+        """Table of validated ``(points (k, m), values (k, r))`` blocks.
+
+        Rows are sorted lexicographically; rows at one coordinate merge
+        their repetitions in block order, earlier blocks first.
+        """
+        if not blocks:
+            return cls(_frozen(np.empty((0, 0))), ())
+        points = np.concatenate([p for p, _ in blocks])
+        # lexsort is stable: rows at one coordinate keep their block order.
+        order = np.lexsort(points.T[::-1])
+        points = points[order]
+        repeated = (points[1:] == points[:-1]).all(axis=1)
+        if not repeated.any() and len({v.shape[1] for _, v in blocks}) == 1:
+            values = np.concatenate([v for _, v in blocks])[order]
+            return cls(_frozen(points), ((_frozen(np.arange(len(points))), _frozen(values)),))
+        # Repeated coordinates or mixed repetition counts: one row at a time.
+        flat = [row for _, values in blocks for row in values]
+        rows = [flat[i] for i in order.tolist()]
+        if repeated.any():
+            starts = np.flatnonzero(np.concatenate(([True], ~repeated))).tolist()
+            rows = [np.concatenate(rows[a:b]) for a, b in zip(starts, [*starts[1:], len(rows)])]
+            points = points[starts]
+        by_count: "dict[int, list[int]]" = {}
+        for index, row in enumerate(rows):
+            by_count.setdefault(row.size, []).append(index)
+        groups = tuple(
+            (_frozen(np.array(indices)), _frozen(np.stack([rows[i] for i in indices])))
+            for indices in by_count.values()
+        )
+        return cls(_frozen(points), groups)
+
+    def blocks(self) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """The table as :meth:`build` input, one block per repetition count."""
+        return [(self.points[rows], values) for rows, values in self.groups]
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __reduce__(self):
+        # Pickle the arrays, not the memo; unpickling rebuilds them read-only.
+        return (MeasurementTable.build, (self.blocks(),))
+
+    def _derive(self, key, build):
+        """``build()``, computed once per ``key`` for this table."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def aggregate(self, aggregation: str = "median") -> np.ndarray:
+        """:meth:`Measurement.aggregate` of every point, as one read-only vector.
+
+        One row-wise reduction per repetition count; each value is bitwise
+        the per-measurement one.
+        """
+        reduce = _REDUCERS.get(aggregation)
+        if reduce is None:
+            raise ValueError(f"unknown aggregation {aggregation!r} (median/mean/min)")
+
+        def build() -> np.ndarray:
+            out = np.empty(len(self.points))
+            for rows, values in self.groups:
+                out[rows] = reduce(values, axis=1)
+            return _frozen(out)
+
+        return self._derive(("aggregate", aggregation), build)
+
+    def measurements(self) -> "tuple[Measurement, ...]":
+        """One read-only :class:`Measurement` view per point, in row order."""
+
+        def build() -> "tuple[Measurement, ...]":
+            coordinates = [_view(Coordinate, _values=tuple(row)) for row in self.points.tolist()]
+            views: "list[Measurement | None]" = [None] * len(coordinates)
+            for rows, values in self.groups:
+                for row, repetitions in zip(rows.tolist(), values):
+                    views[row] = _view(Measurement, coordinate=coordinates[row], values=repetitions)
+            return tuple(views)
+
+        return self._derive("measurements", build)
 
 
-def stacked_by_repetitions(
-    measurements: Sequence[Measurement],
-) -> list[tuple[list[int], np.ndarray]]:
-    """Repetition values stacked per repetition count.
+def value_table(kernel, aggregation: str = "median") -> tuple[np.ndarray, np.ndarray]:
+    """A kernel's point matrix ``(n, m)`` and aggregated value vector ``(n,)``.
 
-    One ``(rows, stacked)`` pair per distinct count, in order of first
-    appearance: ``stacked[i]`` holds the values of ``measurements[rows[i]]``.
-    Row-wise reductions over ``stacked`` are bitwise those of the
-    individual measurements.
+    Both are read-only arrays of the kernel's :class:`MeasurementTable`.
     """
-    rows_by_count: dict[int, list[int]] = {}
-    for row, meas in enumerate(measurements):
-        rows_by_count.setdefault(meas.values.size, []).append(row)
-    return [
-        (rows, np.stack([measurements[row].values for row in rows]))
-        for rows in rows_by_count.values()
-    ]
+    table = kernel.table
+    if not len(table):
+        raise ValueError(f"kernel {kernel.name!r} has no measurements")
+    return table.points, table.aggregate(aggregation)
 
 
-def value_table(
-    measurements: Sequence[Measurement], aggregation: str = "median"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split measurements into a point matrix ``(n, m)`` and a value vector ``(n,)``."""
-    if not measurements:
-        raise ValueError("no measurements given")
-    points = np.array([m.coordinate.as_tuple() for m in measurements], dtype=float)
-    return points, aggregate_values(measurements, aggregation)
-
-
-def median_table(measurements: Sequence[Measurement]) -> tuple[np.ndarray, np.ndarray]:
+def median_table(kernel) -> tuple[np.ndarray, np.ndarray]:
     """Shorthand for :func:`value_table` with the paper's median aggregation."""
-    return value_table(measurements, "median")
+    return value_table(kernel, "median")

@@ -202,13 +202,11 @@ class ModelingPipeline:
         if len(kernel) == 0:
             raise ValueError(f"kernel {kernel.name!r} has no measurements")
         if n_params is None:
-            n_params = kernel.coordinates[0].dimensions
+            n_params = kernel.table.points.shape[1]
         if self.prefilter is None:
-            points, values = value_table(kernel.measurements, self.aggregation)
+            points, values = value_table(kernel, self.aggregation)
             return n_params, points, values, 0
-        points, values, report = apply_prefilter(
-            kernel.measurements, self.prefilter, self.aggregation
-        )
+        points, values, report = apply_prefilter(kernel, self.prefilter, self.aggregation)
         return n_params, points, values, report.dropped_total
 
     def _run_stages(self, kernels, n_params, rngs, networks, method) -> list:

@@ -39,11 +39,11 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.experiment.measurement import Measurement
+from repro.experiment.experiment import Kernel
 from repro.util.validation import require_in_range
 
 #: Consistency constant making ``1.4826 * MAD`` estimate a Gaussian sigma.
@@ -163,28 +163,28 @@ class PrefilterReport:
 
 
 def apply_prefilter(
-    measurements: "Sequence[Measurement]",
+    kernel: Kernel,
     prefilter: RobustAggregator,
     aggregation: str = "median",
 ) -> "tuple[np.ndarray, np.ndarray, PrefilterReport]":
     """Robust counterpart of :func:`repro.experiment.measurement.value_table`.
 
-    Returns the ``(n, m)`` point matrix, the ``(n,)`` filtered-aggregate
-    vector, and a :class:`PrefilterReport` recording which repetitions
-    each point lost.
+    Returns the kernel's ``(n, m)`` point matrix, the ``(n,)``
+    filtered-aggregate vector, and a :class:`PrefilterReport` recording
+    which repetitions each point lost.
     """
-    if not measurements:
-        raise ValueError("no measurements given")
-    points = np.stack([m.coordinate.as_array() for m in measurements])
-    values = np.empty(len(measurements), dtype=float)
-    dropped: "list[int]" = []
-    masks: "list[np.ndarray]" = []
-    for index, measurement in enumerate(measurements):
-        value, mask = prefilter.aggregate(measurement.values, aggregation)
-        values[index] = value
-        dropped.append(int(mask.size - mask.sum()))
-        masks.append(mask)
-    return points, values, PrefilterReport(tuple(dropped), tuple(masks))
+    table = kernel.table
+    if not len(table):
+        raise ValueError(f"kernel {kernel.name!r} has no measurements")
+    values = np.empty(len(table), dtype=float)
+    dropped = [0] * len(table)
+    masks: "list[np.ndarray | None]" = [None] * len(table)
+    for rows, repetitions in table.groups:
+        for row, point_values in zip(rows.tolist(), repetitions):
+            values[row], mask = prefilter.aggregate(point_values, aggregation)
+            dropped[row] = int(mask.size - mask.sum())
+            masks[row] = mask
+    return table.points, values, PrefilterReport(tuple(dropped), tuple(masks))
 
 
 # ------------------------------------------------------------------ registry

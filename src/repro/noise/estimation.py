@@ -22,45 +22,58 @@ from typing import Iterable
 import numpy as np
 
 from repro.experiment.experiment import Experiment, Kernel
-from repro.experiment.measurement import Measurement, stacked_by_repetitions
+from repro.experiment.measurement import Measurement
 from repro.util.seeding import as_generator
 
 
-def _measurement_list(
-    source: "Experiment | Kernel | Iterable[Measurement]",
-) -> list[Measurement]:
-    if isinstance(source, Experiment):
-        out: list[Measurement] = []
-        for kern in source.kernels:
-            out.extend(kern.measurements)
-        return out
+def _row_groups(source) -> "tuple[int, list[tuple[np.ndarray, np.ndarray]]]":
+    """``(n, groups)``: the number of points and their repetitions.
+
+    ``groups`` holds one ``(rows, values)`` pair per repetition count, as
+    in :class:`~repro.experiment.measurement.MeasurementTable`: row
+    ``rows[i]`` of the ``n`` points has the repetitions ``values[i]``.
+    Kernels hand over their table's arrays; an experiment's points are its
+    kernels' in turn; measurements are stacked per count, in order.
+    """
     if isinstance(source, Kernel):
-        return list(source.measurements)
-    return list(source)
+        table = source.table
+        return len(table), list(table.groups)
+    if isinstance(source, Experiment):
+        n, groups = 0, []
+        for kern in source.kernels:
+            table = kern.table
+            groups.extend((rows + n, values) for rows, values in table.groups)
+            n += len(table)
+        return n, groups
+    measurements = list(source)
+    rows_by_count: "dict[int, list[int]]" = {}
+    for row, meas in enumerate(measurements):
+        rows_by_count.setdefault(meas.values.size, []).append(row)
+    return len(measurements), [
+        (np.array(rows), np.stack([measurements[row].values for row in rows]))
+        for rows in rows_by_count.values()
+    ]
 
 
-def pooled_relative_deviations(
-    source: "Experiment | Kernel | Iterable[Measurement]",
-) -> np.ndarray:
+def _relative_deviations(values: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`Measurement.relative_deviations` of a ``(k, r)`` array."""
+    means = values.mean(axis=1, keepdims=True)
+    # An exactly zero mean yields zero deviations, as in
+    # Measurement.relative_deviations: those rows are not divided.
+    return np.divide(values - means, means, out=np.zeros_like(values), where=means.astype(bool))
+
+
+def pooled_relative_deviations(source: "Experiment | Kernel | Iterable[Measurement]") -> np.ndarray:
     """The set ``D_V``: relative deviations of all repetitions of all points.
 
     Bitwise the concatenated :meth:`Measurement.relative_deviations`,
     grouped by repetition count (one mean per count instead of one per
-    measurement); within a count, measurements keep their order.
+    measurement); within a count, points keep their order.
     """
-    measurements = _measurement_list(source)
-    if not measurements:
+    n, groups = _row_groups(source)
+    if not n:
         raise ValueError("no measurements to estimate noise from")
-    pooled = []
-    for _, stacked in stacked_by_repetitions(measurements):
-        means = stacked.mean(axis=1, keepdims=True)
-        # An exactly zero mean yields zero deviations, as in
-        # Measurement.relative_deviations: those rows are not divided.
-        deviations = np.divide(
-            stacked - means, means, out=np.zeros_like(stacked), where=means.astype(bool)
-        )
-        pooled.append(deviations.ravel())
-    return np.concatenate(pooled)
+    return np.concatenate([_relative_deviations(values).ravel() for _, values in groups])
 
 
 def estimate_noise_level(
@@ -86,8 +99,10 @@ def estimate_noise_level(
     -- a cheap taint detector: gross outliers stretch the range but barely
     move the MAD. Pass ``taint_factor=None`` to disable the check.
     """
-    measurements = _measurement_list(source)
-    if measurements and all(m.repetitions == 1 for m in measurements):
+    if not isinstance(source, (Experiment, Kernel)):
+        source = list(source)
+    _, groups = _row_groups(source)
+    if groups and all(values.shape[1] == 1 for _, values in groups):
         warnings.warn(
             "all measurements have a single repetition; the noise level "
             "cannot be estimated and 0.0 is returned -- repeat measurements "
@@ -96,7 +111,7 @@ def estimate_noise_level(
             stacklevel=2,
         )
         return 0.0
-    deviations = pooled_relative_deviations(measurements)
+    deviations = pooled_relative_deviations(source)
     classic = float(np.max(deviations) - np.min(deviations))
     if not robust:
         return classic
@@ -120,14 +135,14 @@ def noise_levels_per_point(
     source: "Experiment | Kernel | Iterable[Measurement]",
 ) -> np.ndarray:
     """Per-measurement-point rrd values (the distributions of Fig. 5)."""
-    measurements = _measurement_list(source)
-    if not measurements:
+    n, groups = _row_groups(source)
+    if not n:
         raise ValueError("no measurements to estimate noise from")
-    levels = []
-    for meas in measurements:
-        dev = meas.relative_deviations()
-        levels.append(float(np.max(dev) - np.min(dev)))
-    return np.asarray(levels)
+    levels = np.empty(n)
+    for rows, values in groups:
+        deviations = _relative_deviations(values)
+        levels[rows] = deviations.max(axis=1) - deviations.min(axis=1)
+    return levels
 
 
 @dataclass(frozen=True)
@@ -225,8 +240,10 @@ def estimate_noise_level_corrected(
     stream ``rng`` controls); an extension beyond the paper (which uses the
     raw heuristic), exposed for the estimator ablation benchmark.
     """
-    measurements = _measurement_list(source)
-    raw = estimate_noise_level(measurements)
-    reps = int(round(float(np.mean([m.repetitions for m in measurements]))))
-    factor = repetition_bias_factor(max(reps, 2), len(measurements), rng=rng)
+    if not isinstance(source, (Experiment, Kernel)):
+        source = list(source)
+    raw = estimate_noise_level(source)
+    n, groups = _row_groups(source)
+    reps = int(round(sum(values.size for _, values in groups) / n))
+    factor = repetition_bias_factor(max(reps, 2), n, rng=rng)
     return raw / factor if factor > 0 else raw

@@ -16,11 +16,30 @@ from repro.util.validation import require_in_range
 
 
 class NoiseModel(abc.ABC):
-    """Strategy object perturbing an array of true values."""
+    """Strategy object perturbing an array of true values.
+
+    One :meth:`apply` call perturbs the repetitions of one measurement
+    point; :meth:`apply_rows` perturbs many points, one per row, and must
+    draw exactly what one :meth:`apply` call per row would draw.
+    """
 
     @abc.abstractmethod
     def apply(self, values: np.ndarray, rng: "np.random.Generator | int | None" = None) -> np.ndarray:
         """Return a noisy copy of ``values`` (the input is not modified)."""
+
+    def apply_rows(self, values: np.ndarray, rng: "np.random.Generator | int | None" = None) -> np.ndarray:
+        """Noisy copy of a ``(k, r)`` array: row ``i`` holds the repetitions of point ``i``.
+
+        The default calls :meth:`apply` once per row, in row order, on one
+        generator -- the per-point ``Generator`` call order synthesis has
+        always had. A model may replace it with one batched draw only where
+        that draw is bitwise equal and leaves the generator in the same
+        state, which ``tests/noise/test_batched_draw.py`` checks for every
+        registered spec.
+        """
+        gen = as_generator(rng)
+        values = np.asarray(values, dtype=float)
+        return np.array([self.apply(row, gen) for row in values]).reshape(values.shape)
 
     @abc.abstractmethod
     def nominal_level(self) -> float:
@@ -32,6 +51,8 @@ class NoNoise(NoiseModel):
 
     def apply(self, values: np.ndarray, rng=None) -> np.ndarray:
         return np.array(values, dtype=float, copy=True)
+
+    apply_rows = apply
 
     def nominal_level(self) -> float:
         return 0.0
@@ -51,6 +72,9 @@ class UniformNoise(NoiseModel):
         values = np.asarray(values, dtype=float)
         half = self.level / 2.0
         return values * (1.0 + gen.uniform(-half, half, size=values.shape))
+
+    # One draw of ``values.shape`` is the per-row draws back to back.
+    apply_rows = apply
 
     def nominal_level(self) -> float:
         return self.level
@@ -76,6 +100,9 @@ class GaussianNoise(NoiseModel):
         gen = as_generator(rng)
         values = np.asarray(values, dtype=float)
         return values * (1.0 + gen.normal(0.0, self.level / 4.0, size=values.shape))
+
+    # One draw of ``values.shape`` is the per-row draws back to back.
+    apply_rows = apply
 
     def nominal_level(self) -> float:
         return self.level

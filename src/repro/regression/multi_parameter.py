@@ -160,10 +160,10 @@ class MultiParameterModeler:
         search over all measurements.
         """
         if n_params == 1:
-            points, values = value_table(kernel.measurements, self.aggregation)
+            points, values = value_table(kernel, self.aggregation)
             return self.single.model(points[:, 0], values)
         lines = parameter_lines(kernel, n_params)
         single_models = self.model_lines(lines)
         hypotheses = combination_hypotheses(self.lead_terms(single_models))
-        points, values = value_table(kernel.measurements, self.aggregation)
+        points, values = value_table(kernel, self.aggregation)
         return self.evaluate_and_select(hypotheses, points, values)

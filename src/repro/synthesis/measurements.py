@@ -7,19 +7,26 @@ from typing import Sequence
 import numpy as np
 
 from repro.experiment.experiment import Experiment
-from repro.experiment.measurement import Coordinate, Measurement
+from repro.experiment.measurement import Coordinate
 from repro.noise.injection import NoiseModel, NoNoise
 from repro.pmnf.function import PerformanceFunction
 from repro.util.seeding import as_generator
 
 
-def grid_coordinates(parameter_values: Sequence[np.ndarray]) -> list[Coordinate]:
-    """Full cartesian grid of coordinates (the ``5^m`` points of Sec. V)."""
+def grid_points(parameter_values: Sequence[np.ndarray]) -> np.ndarray:
+    """Full cartesian grid (the ``5^m`` points of Sec. V) as an ``(n, m)`` array.
+
+    Rows are in ``meshgrid`` ``ij`` order: the last parameter varies fastest.
+    """
     if not parameter_values:
         raise ValueError("need at least one parameter-value set")
     mesh = np.meshgrid(*[np.asarray(v, dtype=float) for v in parameter_values], indexing="ij")
-    stacked = np.stack([m.ravel() for m in mesh], axis=1)
-    return [Coordinate(*row) for row in stacked]
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def grid_coordinates(parameter_values: Sequence[np.ndarray]) -> list[Coordinate]:
+    """:func:`grid_points` as coordinates."""
+    return [Coordinate(*row) for row in grid_points(parameter_values)]
 
 
 def cross_coordinates(
@@ -56,29 +63,29 @@ def cross_coordinates(
 
 def synthesize_measurements(
     function: PerformanceFunction,
-    coordinates: Sequence[Coordinate],
+    points,
     noise: "NoiseModel | None" = None,
     repetitions: int = 5,
     rng: "np.random.Generator | int | None" = None,
-) -> list[Measurement]:
-    """Simulate repeated noisy measurements of ``function`` at ``coordinates``.
+) -> np.ndarray:
+    """Simulate repeated noisy measurements of ``function`` at ``points``.
 
     Mirrors the paper's protocol: the true value at each point is perturbed
     independently for each of the ``repetitions`` runs; downstream modeling
-    uses the median of the repetitions.
+    uses the median of the repetitions. ``points`` is ``(n, m)`` (an array
+    or a sequence of coordinates); the result is ``(n, repetitions)``, row
+    ``i`` holding the repetitions at ``points[i]`` -- ready for
+    :meth:`~repro.experiment.experiment.Kernel.add_rows`. The truth is one
+    ``function.evaluate`` call and the noise one
+    :meth:`~repro.noise.injection.NoiseModel.apply_rows` draw, which
+    consumes ``rng`` point by point in row order.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     gen = as_generator(rng)
     noise = noise or NoNoise()
-    points = np.stack([c.as_array() for c in coordinates])
-    truth = function.evaluate(points)
-    truth = np.atleast_1d(truth)
-    out = []
-    for coord, value in zip(coordinates, truth):
-        reps = noise.apply(np.full(repetitions, value), gen)
-        out.append(Measurement(coord, reps))
-    return out
+    truth = np.atleast_1d(function.evaluate(np.asarray(points, dtype=float)))
+    return noise.apply_rows(np.repeat(truth[:, None], repetitions, axis=1), gen)
 
 
 def synthesize_experiment(
@@ -95,8 +102,8 @@ def synthesize_experiment(
     if len(names) != function.n_params or len(parameter_values) != function.n_params:
         raise ValueError("parameter arity mismatch")
     exp = Experiment(names)
-    kern = exp.create_kernel(kernel)
-    coords = grid_coordinates(parameter_values)
-    for meas in synthesize_measurements(function, coords, noise, repetitions, rng):
-        kern.add(meas)
+    points = grid_points(parameter_values)
+    exp.create_kernel(kernel).add_rows(
+        points, synthesize_measurements(function, points, noise, repetitions, rng)
+    )
     return exp

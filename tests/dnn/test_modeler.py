@@ -55,6 +55,22 @@ class TestBatchedClassification:
         assert first is second
         assert modeler._encoding_cache.hits >= 1
 
+    def test_add_after_encoding_is_encoded_afresh(self, modeler, clean_experiment_1p):
+        kernel = clean_experiment_1p.only_kernel()
+        before = modeler.encode_kernel(kernel, 1).copy()
+        candidates = modeler.classify_lines(kernel, 1, modeler.generic_network)
+        kernel.add_values([128.0], [1e6, 1e6, 1e6])
+        after = modeler.encode_kernel(kernel, 1)
+        fresh = DNNModeler(network=modeler.generic_network, use_domain_adaptation=False)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, fresh.encode_kernel(kernel, 1))
+        hits = modeler._candidate_cache.hits
+        assert modeler.classify_lines(kernel, 1, modeler.generic_network) == fresh.classify_lines(
+            kernel, 1, modeler.generic_network
+        )
+        assert modeler._candidate_cache.hits == hits
+        assert candidates is not None
+
     def test_unencodable_kernel_yields_none(self, modeler, clean_experiment_1p):
         from repro.experiment.experiment import Experiment
 

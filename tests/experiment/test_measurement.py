@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiment.lines import ParameterLine
+from repro.experiment.experiment import Kernel
+from repro.experiment.lines import parameter_lines
 from repro.experiment.measurement import Coordinate, Measurement, median_table, value_table
+
+
+def _kernel(measurements) -> Kernel:
+    kernel = Kernel("k")
+    for meas in measurements:
+        kernel.add(meas)
+    return kernel
 
 
 class TestCoordinate:
@@ -80,13 +88,13 @@ class TestMedianTable:
             Measurement(Coordinate(2.0, 10.0), [1.0, 3.0]),
             Measurement(Coordinate(4.0, 10.0), [5.0]),
         ]
-        points, medians = median_table(ms)
+        points, medians = median_table(_kernel(ms))
         assert points.shape == (2, 2)
         np.testing.assert_allclose(medians, [2.0, 5.0])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            median_table([])
+            median_table(Kernel("empty"))
 
 
 def _measurements(seed, counts):
@@ -109,16 +117,17 @@ class TestBatchedAggregation:
     COUNTS = {
         "odd": [5] * 9 + [1, 3],
         "even": [4] * 9 + [2, 6],
-        "mixed": [5, 4, 1, 2, 3, 5, 6, 4, 5, 2, 7, 8],
+        "mixed": [5, 4, 1, 2, 3, 5, 6, 4, 5, 2, 7, 8, 9, 12, 17],
     }
 
     @pytest.mark.parametrize("layout", sorted(COUNTS))
     @pytest.mark.parametrize("seed", range(5))
     def test_median_bitwise_per_measurement(self, layout, seed):
         ms = _measurements(seed, self.COUNTS[layout])
+        kernel = _kernel(ms)
         expected = _bits([m.median for m in ms])
-        _, values = value_table(ms, "median")
-        line = ParameterLine(0, (), tuple(ms))
+        _, values = value_table(kernel, "median")
+        (line,) = parameter_lines(kernel, 1, min_points=1)
         np.testing.assert_array_equal(_bits(values), expected)
         np.testing.assert_array_equal(_bits(line.values("median")), expected)
         np.testing.assert_array_equal(_bits(line.medians), expected)
@@ -126,15 +135,17 @@ class TestBatchedAggregation:
     @pytest.mark.parametrize("aggregation", ["mean", "min"])
     def test_mean_and_min_unchanged(self, aggregation):
         ms = _measurements(3, self.COUNTS["mixed"])
+        kernel = _kernel(ms)
         expected = _bits([m.aggregate(aggregation) for m in ms])
-        _, values = value_table(ms, aggregation)
+        _, values = value_table(kernel, aggregation)
         np.testing.assert_array_equal(_bits(values), expected)
-        line = ParameterLine(0, (), tuple(ms))
+        (line,) = parameter_lines(kernel, 1, min_points=1)
         np.testing.assert_array_equal(_bits(line.values(aggregation)), expected)
 
     def test_unknown_aggregation_still_raises(self):
-        ms = _measurements(0, [3, 4])
+        kernel = _kernel(_measurements(0, [3, 4]))
         with pytest.raises(ValueError, match="unknown aggregation 'mediam'"):
-            value_table(ms, "mediam")
+            value_table(kernel, "mediam")
+        (line,) = parameter_lines(kernel, 1, min_points=1)
         with pytest.raises(ValueError, match="unknown aggregation 'mediam'"):
-            ParameterLine(0, (), tuple(ms)).values("mediam")
+            line.values("mediam")

@@ -23,7 +23,7 @@ from repro.modeling.registry import create_modeler, create_modelers
 from repro.noise.injection import UniformNoise
 from repro.regression.modeler import RegressionModeler
 from repro.synthesis.functions import random_multi_parameter_function
-from repro.synthesis.measurements import grid_coordinates, synthesize_measurements
+from repro.synthesis.measurements import grid_points, synthesize_measurements
 from repro.synthesis.sequences import random_sequence
 from repro.util.seeding import as_generator, clone_generator
 
@@ -35,8 +35,8 @@ def synthetic_kernel(seed, n_params, noise=0.1, name="good"):
     truth = random_multi_parameter_function(n_params, gen)
     sets = [random_sequence(5, None, gen) for _ in range(n_params)]
     kernel = Kernel(name)
-    for meas in synthesize_measurements(truth, grid_coordinates(sets), UniformNoise(noise), rng=gen):
-        kernel.add(meas)
+    points = grid_points(sets)
+    kernel.add_rows(points, synthesize_measurements(truth, points, UniformNoise(noise), rng=gen))
     return kernel
 
 
@@ -160,7 +160,7 @@ class TestStackedCalls:
         for generator in (full, dnn):
             shapes = Counter()
             for kernel in kernels:
-                points, values = value_table(kernel.measurements)
+                points, values = value_table(kernel)
                 hypotheses = generator.generate(kernel, 2, points, values).hypotheses
                 shapes.update((25, hyp.n_coefficients) for hyp in hypotheses)
             expected += chunks(shapes)

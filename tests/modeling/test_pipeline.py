@@ -103,7 +103,7 @@ class TestPipeline:
 class TestGenerators:
     def test_full_search_needs_five_points(self, clean_experiment_1p):
         kernel = clean_experiment_1p.only_kernel()
-        points, values = value_table(kernel.measurements, "median")
+        points, values = value_table(kernel, "median")
         gen = FullSearchGenerator()
         with pytest.raises(ValueError, match="five measurement points"):
             gen.generate(kernel, 1, points[:3], values[:3])
@@ -111,7 +111,7 @@ class TestGenerators:
     def test_dnn_top_k_candidates(self, clean_experiment_1p, tiny_network):
         dnn = DNNModeler(network=tiny_network, use_domain_adaptation=False, top_k=3)
         kernel = clean_experiment_1p.only_kernel()
-        points, values = value_table(kernel.measurements, "median")
+        points, values = value_table(kernel, "median")
         out = DNNTopKGenerator(dnn).generate(kernel, 1, points, values)
         assert out.generator == "dnn-top-k"
         # top-3 pairs plus the constant safety net, minus duplicates
@@ -120,7 +120,7 @@ class TestGenerators:
     def test_dnn_cache_hits_reported(self, clean_experiment_1p, tiny_network):
         dnn = DNNModeler(network=tiny_network, use_domain_adaptation=False)
         kernel = clean_experiment_1p.only_kernel()
-        points, values = value_table(kernel.measurements, "median")
+        points, values = value_table(kernel, "median")
         generator = DNNTopKGenerator(dnn)
         first = generator.generate(kernel, 1, points, values, network=tiny_network)
         assert first.cache_hits == 0
@@ -133,7 +133,7 @@ class TestGenerators:
         dnn = DNNModeler(network=tiny_network, use_domain_adaptation=False)
         generator = AdaptiveGenerator(FullSearchGenerator(), DNNTopKGenerator(dnn))
         calm_kernel = clean_experiment_1p.only_kernel()
-        points, values = value_table(calm_kernel.measurements, "median")
+        points, values = value_table(calm_kernel, "median")
         calm = generator.generate(calm_kernel, 1, points, values)
         assert calm.generator == "adaptive-switch[union]"
         assert len(calm.hypotheses) == 43  # union dedups into the full search
@@ -149,7 +149,7 @@ class TestGenerators:
             thresholds={1: 0.0},
         )
         kernel = noisy_experiment_1p.only_kernel()
-        points, values = value_table(kernel.measurements, "median")
+        points, values = value_table(kernel, "median")
         out = generator.generate(kernel, 1, points, values)
         assert out.generator == "adaptive-switch[dnn]"
         assert len(out.hypotheses) <= 4

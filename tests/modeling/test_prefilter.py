@@ -71,7 +71,7 @@ class TestMADOutlierRejection:
         a point with 3+ of 5 reps tainted would break any filter."""
         kern, masks = tainted_kernel(seed=1)
         pf = MADOutlierRejection(k=3.0)
-        _, _, report = apply_prefilter(kern.measurements, pf, "median")
+        _, _, report = apply_prefilter(kern, pf, "median")
         assert report.dropped_total == int(sum(m.sum() for m in masks))
         assert report.dropped_total > 0
         for kept, taint in zip(report.kept_masks, masks):
@@ -140,19 +140,15 @@ class TestApplyPrefilter:
         kern = kernel_from_rows(
             [np.array([1.0, 2.0, 3.0]), np.array([4.0, 6.0, 8.0]), np.array([5.0, 5.5, 6.5])]
         )
-        plain_points, plain_values = value_table(kern.measurements, aggregation)
-        points, values, report = apply_prefilter(
-            kern.measurements, MADOutlierRejection(k=50.0), aggregation
-        )
+        plain_points, plain_values = value_table(kern, aggregation)
+        points, values, report = apply_prefilter(kern, MADOutlierRejection(k=50.0), aggregation)
         np.testing.assert_array_equal(points, plain_points)
         np.testing.assert_array_equal(values, plain_values)
         assert report.dropped_total == 0
 
     def test_report_shapes(self):
         kern, _ = tainted_kernel()
-        _, _, report = apply_prefilter(
-            kern.measurements, MADOutlierRejection(k=3.0), "median"
-        )
+        _, _, report = apply_prefilter(kern, MADOutlierRejection(k=3.0), "median")
         assert isinstance(report, PrefilterReport)
         assert len(report.dropped_per_point) == len(kern.measurements)
         assert len(report.kept_masks) == len(kern.measurements)
@@ -160,7 +156,7 @@ class TestApplyPrefilter:
 
     def test_empty_measurements_rejected(self):
         with pytest.raises(ValueError, match="no measurements"):
-            apply_prefilter([], MADOutlierRejection(), "median")
+            apply_prefilter(Kernel("empty"), MADOutlierRejection(), "median")
 
 
 class TestRegistry:

@@ -31,7 +31,7 @@ from repro.regression.multi_parameter import (
 )
 from repro.regression.selection import evaluate_hypotheses, select_best
 from repro.synthesis.functions import random_multi_parameter_function
-from repro.synthesis.measurements import grid_coordinates, synthesize_measurements
+from repro.synthesis.measurements import grid_coordinates, grid_points, synthesize_measurements
 from repro.synthesis.sequences import random_sequence
 from repro.util.seeding import as_generator
 
@@ -45,16 +45,14 @@ def combination_task(seed, n_params=2, noise=0.3):
     sets = [random_sequence(5, None, gen) for _ in range(n_params)]
     kernel = Kernel("task")
     noise_model = UniformNoise(noise) if noise > 0 else None
-    for meas in synthesize_measurements(
-        truth, grid_coordinates(sets), noise_model, rng=gen
-    ):
-        kernel.add(meas)
+    points = grid_points(sets)
+    kernel.add_rows(points, synthesize_measurements(truth, points, noise_model, rng=gen))
     modeler = MultiParameterModeler(engine="reference")
     lines = parameter_lines(kernel, n_params)
     hypotheses = combination_hypotheses(
         modeler.lead_terms(modeler.model_lines(lines))
     )
-    points, values = value_table(kernel.measurements, "median")
+    points, values = value_table(kernel, "median")
     return hypotheses, points, values
 
 
@@ -125,10 +123,8 @@ class TestEquivalence:
             truth = random_multi_parameter_function(2, gen)
             sets = [random_sequence(5, None, gen) for _ in range(2)]
             kernel = Kernel("task")
-            for meas in synthesize_measurements(
-                truth, grid_coordinates(sets), UniformNoise(0.2), rng=gen
-            ):
-                kernel.add(meas)
+            points = grid_points(sets)
+            kernel.add_rows(points, synthesize_measurements(truth, points, UniformNoise(0.2), rng=gen))
             ref = MultiParameterModeler(engine="reference").model_kernel(kernel, 2)
             fst = MultiParameterModeler(engine="fast").model_kernel(kernel, 2)
             assert fst.function.structure_key() == ref.function.structure_key()

@@ -16,7 +16,7 @@ from repro.regression.fast_single import FastSingleParameterSearch, _constant_cv
 from repro.regression.modeler import RegressionModeler
 from repro.regression.single_parameter import SingleParameterModeler
 from repro.synthesis.functions import random_single_parameter_function
-from repro.synthesis.measurements import grid_coordinates, synthesize_measurements
+from repro.synthesis.measurements import grid_points, synthesize_measurements
 from repro.synthesis.sequences import random_sequence
 from repro.util.seeding import as_generator
 
@@ -136,10 +136,11 @@ def constant_parameter_kernel(seed, n_params):
     sets = [random_sequence(5, None, gen) for _ in range(n_params)]
     noise = float(gen.choice([0.0, 0.01, 0.1, 0.5]))
     kernel = Kernel("constant-parameter")
-    for meas in synthesize_measurements(
-        truth, grid_coordinates(sets), UniformNoise(noise) if noise else None, rng=gen
-    ):
-        kernel.add(meas)
+    points = grid_points(sets)
+    kernel.add_rows(
+        points,
+        synthesize_measurements(truth, points, UniformNoise(noise) if noise else None, rng=gen),
+    )
     return kernel
 
 
@@ -163,7 +164,7 @@ class TestConstantParameterKernels:
             fst = fast_modeler.model_kernel(kernel, n_params)
             ref = reference_modeler.model_kernel(kernel, n_params)
             assert fst.function.structure_key() == ref.function.structure_key(), seed
-            points, values = value_table(kernel.measurements)
+            points, values = value_table(kernel)
             np.testing.assert_allclose(
                 fst.function.evaluate(points), ref.function.evaluate(points), rtol=1e-4
             )

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from repro.evaluation.accuracy import lead_exponent_distance
 from repro.pmnf.function import PerformanceFunction
 from repro.experiment.experiment import Kernel
-from repro.experiment.measurement import Coordinate, Measurement
 from repro.pmnf.searchspace import EXPONENT_PAIRS
 from repro.pmnf.terms import CompoundTerm
 from repro.regression.modeler import RegressionModeler
 from repro.regression.single_parameter import SingleParameterModeler
 from repro.synthesis.functions import random_multi_parameter_function
-from repro.synthesis.measurements import grid_coordinates, synthesize_measurements
+from repro.synthesis.measurements import grid_points, synthesize_measurements
 from repro.util.seeding import as_generator
 
 XS = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
@@ -63,17 +62,13 @@ class TestParameterPermutation:
         gen = as_generator(seed)
         truth = random_multi_parameter_function(2, gen)
         sets = [XS, np.array([10.0, 20.0, 30.0, 40.0, 50.0])]
-        measurements = synthesize_measurements(truth, grid_coordinates(sets), None, 1, gen)
+        points = grid_points(sets)
+        values = synthesize_measurements(truth, points, None, 1, gen)
 
         forward = Kernel("f")
         swapped = Kernel("s")
-        for meas in measurements:
-            forward.add(meas)
-            swapped.add(
-                Measurement(
-                    Coordinate(meas.coordinate[1], meas.coordinate[0]), meas.values
-                )
-            )
+        forward.add_rows(points, values)
+        swapped.add_rows(points[:, ::-1], values)
         modeler = RegressionModeler()
         res_f = modeler.model_kernel(forward, 2)
         res_s = modeler.model_kernel(swapped, 2)

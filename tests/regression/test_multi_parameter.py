@@ -14,7 +14,7 @@ from repro.regression.multi_parameter import (
     combination_hypotheses,
     set_partitions,
 )
-from repro.synthesis.measurements import grid_coordinates, synthesize_measurements
+from repro.synthesis.measurements import grid_points, synthesize_measurements
 
 F = Fraction
 X1 = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
@@ -24,8 +24,8 @@ X3 = np.array([3.0, 6.0, 9.0, 12.0, 15.0])
 
 def kernel_for(function: PerformanceFunction, value_sets) -> Kernel:
     kern = Kernel("k")
-    for meas in synthesize_measurements(function, grid_coordinates(value_sets), rng=0):
-        kern.add(meas)
+    points = grid_points(value_sets)
+    kern.add_rows(points, synthesize_measurements(function, points, rng=0))
     return kern
 
 

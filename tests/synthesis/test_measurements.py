@@ -7,6 +7,7 @@ from repro.pmnf.function import PerformanceFunction
 from repro.pmnf.terms import ExponentPair
 from repro.synthesis.measurements import (
     grid_coordinates,
+    grid_points,
     synthesize_experiment,
     synthesize_measurements,
 )
@@ -28,37 +29,51 @@ class TestGridCoordinates:
         with pytest.raises(ValueError):
             grid_coordinates([])
 
+    def test_points_in_ij_order(self):
+        points = grid_points([np.array([2.0, 4.0]), np.array([10.0, 20.0, 30.0])])
+        assert points.shape == (6, 2)
+        assert [Coordinate(*row) for row in points] == grid_coordinates(
+            [np.array([2.0, 4.0]), np.array([10.0, 20.0, 30.0])]
+        )
+        np.testing.assert_array_equal(points[:3, 1], [10.0, 20.0, 30.0])
+
 
 class TestSynthesizeMeasurements:
     def test_noise_free_equals_truth(self):
-        coords = grid_coordinates([np.array([2.0, 4.0, 8.0])])
-        ms = synthesize_measurements(LINEAR, coords, repetitions=3, rng=0)
-        for meas in ms:
-            expected = LINEAR.evaluate(meas.coordinate.as_array())
-            np.testing.assert_allclose(meas.values, expected)
+        points = grid_points([np.array([2.0, 4.0, 8.0])])
+        values = synthesize_measurements(LINEAR, points, repetitions=3, rng=0)
+        assert values.shape == (3, 3)
+        for point, row in zip(points, values):
+            np.testing.assert_allclose(row, LINEAR.evaluate(point))
 
     def test_repetition_count(self):
-        coords = grid_coordinates([np.array([2.0])])
-        (meas,) = synthesize_measurements(LINEAR, coords, repetitions=5, rng=0)
-        assert meas.repetitions == 5
+        values = synthesize_measurements(LINEAR, grid_points([np.array([2.0])]), repetitions=5, rng=0)
+        assert values.shape == (1, 5)
 
     def test_noise_bounded(self):
-        coords = grid_coordinates([np.array([2.0, 4.0, 8.0, 16.0])])
-        ms = synthesize_measurements(LINEAR, coords, UniformNoise(0.2), 5, rng=1)
-        for meas in ms:
-            truth = LINEAR.evaluate(meas.coordinate.as_array())
-            assert np.all(np.abs(meas.values / truth - 1.0) <= 0.1 + 1e-12)
+        points = grid_points([np.array([2.0, 4.0, 8.0, 16.0])])
+        values = synthesize_measurements(LINEAR, points, UniformNoise(0.2), 5, rng=1)
+        for point, row in zip(points, values):
+            truth = LINEAR.evaluate(point)
+            assert np.all(np.abs(row / truth - 1.0) <= 0.1 + 1e-12)
 
     def test_deterministic(self):
-        coords = grid_coordinates([np.array([2.0, 4.0])])
-        a = synthesize_measurements(LINEAR, coords, UniformNoise(0.5), 5, rng=7)
-        b = synthesize_measurements(LINEAR, coords, UniformNoise(0.5), 5, rng=7)
-        for ma, mb in zip(a, b):
-            np.testing.assert_array_equal(ma.values, mb.values)
+        points = grid_points([np.array([2.0, 4.0])])
+        a = synthesize_measurements(LINEAR, points, UniformNoise(0.5), 5, rng=7)
+        b = synthesize_measurements(LINEAR, points, UniformNoise(0.5), 5, rng=7)
+        np.testing.assert_array_equal(a, b)
+
+    def test_coordinates_accepted_as_points(self):
+        coords = grid_coordinates([np.array([2.0, 4.0, 8.0])])
+        points = grid_points([np.array([2.0, 4.0, 8.0])])
+        np.testing.assert_array_equal(
+            synthesize_measurements(LINEAR, coords, UniformNoise(0.5), 5, rng=7),
+            synthesize_measurements(LINEAR, points, UniformNoise(0.5), 5, rng=7),
+        )
 
     def test_invalid_repetitions(self):
         with pytest.raises(ValueError):
-            synthesize_measurements(LINEAR, grid_coordinates([np.array([2.0])]), repetitions=0)
+            synthesize_measurements(LINEAR, grid_points([np.array([2.0])]), repetitions=0)
 
 
 class TestSynthesizeExperiment:
