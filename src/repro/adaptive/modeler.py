@@ -9,15 +9,15 @@ from typing import Mapping, Sequence
 from repro.dnn.domain_adaptation import AdaptationTask
 from repro.dnn.modeler import DNNModeler
 from repro.experiment.experiment import Experiment, Kernel
-from repro.modeling.batch import Outcome, attempt, failed, unwrap
-from repro.modeling.pipeline import results_by_kernel
+from repro.modeling.batch import Outcome, attempt, failed
+from repro.modeling.pipeline import Modeler, kernel_arity
 from repro.noise.classification import NoiseClass, classify_noise
 from repro.noise.estimation import estimate_noise_level
 from repro.regression.modeler import ModelResult, RegressionModeler
 from repro.util.seeding import as_generator
 
 
-class AdaptiveModeler:
+class AdaptiveModeler(Modeler):
     """The paper's contribution: adaptive noise-routed modeling.
 
     The five components of Fig. 1 map to this class as follows: noise
@@ -55,20 +55,6 @@ class AdaptiveModeler:
         """Estimate the kernel's noise level and classify it."""
         level = estimate_noise_level(kernel)
         return level, classify_noise(level, n_params, self.thresholds)
-
-    def model_kernel(
-        self,
-        kernel: Kernel,
-        n_params: "int | None" = None,
-        rng=None,
-        network=None,
-    ) -> ModelResult:
-        """Model one kernel adaptively.
-
-        ``network`` optionally injects an already-adapted network (used by
-        :meth:`model_experiment` so the whole task shares one retraining).
-        """
-        return unwrap(self.model_kernels([kernel], n_params, [rng], network=network)[0])
 
     def model_kernels(
         self,
@@ -139,33 +125,20 @@ class AdaptiveModeler:
 
     def _route_kernel(self, kernel: Kernel, n_params: "int | None", rng):
         """``(noise class, generator)`` of one kernel."""
-        if n_params is None:
-            if len(kernel) == 0:
-                raise ValueError(f"kernel {kernel.name!r} has no measurements")
-            n_params = kernel.table.points.shape[1]
-        gen = as_generator(rng)
-        _, noise_class = self.route(kernel, n_params)
-        return noise_class, gen
+        _, noise_class = self.route(kernel, kernel_arity(kernel, n_params))
+        return noise_class, as_generator(rng)
 
-    def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:
-        """Model every kernel; the DNN adapts once for the whole experiment."""
-        gen = as_generator(rng)
+    def experiment_network(self, experiment: Experiment):
+        """The DNN's network, adapted once for the whole experiment (``None``
+        without domain adaptation), after one stacked classification pass
+        over the experiment's kernels."""
         network = None
         if self.dnn.use_domain_adaptation:
             task = AdaptationTask.from_experiment(experiment)
             # No rng: the adaptation stream is derived from the task key, so
             # results stay bit-identical whether or not the cache is warm.
             network = self.dnn.network_for_task(task)
-        if hasattr(self.dnn, "classify_batch"):
-            # One stacked forward pass primes the DNN's candidate cache for
-            # every kernel, so the per-kernel calls below skip the network.
-            self.dnn.classify_batch(experiment.kernels, experiment.n_params, network)
-        return results_by_kernel(
-            experiment,
-            self.model_kernels(
-                experiment.kernels,
-                experiment.n_params,
-                [gen] * len(experiment.kernels),
-                network=network,
-            ),
-        )
+        # One stacked forward pass primes the DNN's candidate cache for
+        # every kernel, so the per-kernel calls skip the network.
+        self.dnn.classify_batch(experiment.kernels, experiment.n_params, network)
+        return network

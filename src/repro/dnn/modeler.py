@@ -24,8 +24,8 @@ from repro.dnn.pretrained import load_or_pretrain
 from repro.experiment.experiment import Experiment, Kernel
 from repro.experiment.lines import parameter_lines
 from repro.modeling.candidates import DNNTopKGenerator
-from repro.modeling.batch import Outcome, attempt, failed, unwrap
-from repro.modeling.pipeline import ModelingPipeline, ModelResult, results_by_kernel
+from repro.modeling.batch import Outcome, attempt, failed
+from repro.modeling.pipeline import Modeler, ModelingPipeline, ModelResult, kernel_arity
 from repro.obs import get_telemetry
 from repro.nn.metrics import top_k_classes
 from repro.nn.network import Sequential
@@ -45,7 +45,7 @@ DEFAULT_ADAPTATION_CACHE_SIZE = 16
 DEFAULT_LINE_CACHE_SIZE = 512
 
 
-class DNNModeler:
+class DNNModeler(Modeler):
     """Creates performance models by exponent classification (Sec. IV-D).
 
     Per parameter, the measurement line is encoded into the 11-slot input
@@ -303,24 +303,6 @@ class DNNModeler:
         return out
 
     # ---------------------------------------------------------------- modeling
-    def model_kernel(
-        self,
-        kernel: Kernel,
-        n_params: "int | None" = None,
-        rng=None,
-        network: "Sequential | None" = None,
-    ) -> ModelResult:
-        """Model one kernel.
-
-        When ``network`` is given (e.g. adapted once for a whole experiment)
-        it is used directly; otherwise a task-specific adaptation is derived
-        from this kernel's measurements. Candidate generation, fitting, and
-        selection run through the shared modeling pipeline; the per-stage
-        seconds (plus ``adapt`` when a network was resolved here) appear in
-        the result's provenance.
-        """
-        return unwrap(self.model_kernels([kernel], n_params, [rng], network=network)[0])
-
     def model_kernels(
         self,
         kernels: "Sequence[Kernel]",
@@ -331,9 +313,12 @@ class DNNModeler:
     ) -> "list[Outcome[ModelResult]]":
         """Model a batch of kernels, one outcome per kernel.
 
-        Each kernel without a given ``network`` gets its own (adapted or
-        generic) network first, as :meth:`model_kernel` does; the batch then
-        runs through :meth:`ModelingPipeline.model_kernels`.
+        When ``network`` is given (e.g. adapted once for a whole experiment)
+        every kernel classifies with it; otherwise each kernel first gets
+        its own network, adapted from its measurements (or the generic one),
+        and its result's provenance adds that ``adapt`` time and a
+        ``total``. The batch then runs through
+        :meth:`ModelingPipeline.model_kernels`.
         """
         kernels = list(kernels)
         rngs = [None] * len(kernels) if rngs is None else list(rngs)
@@ -369,15 +354,15 @@ class DNNModeler:
                     },
                 )
                 outcomes[i] = replace(result, seconds=seconds, provenance=provenance)
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.metrics.absorb_cache_stats(self.cache_stats(), prefix="dnn.cache")
         return outcomes
 
     def _network_for_kernel(self, kernel: Kernel, n_params, rng, network):
         """``(network, generator)`` for one kernel: ``network`` if given,
         else this kernel's adapted (or the generic) network."""
-        if len(kernel) == 0:
-            raise ValueError(f"kernel {kernel.name!r} has no measurements")
-        if n_params is None:
-            n_params = kernel.table.points.shape[1]
+        n_params = kernel_arity(kernel, n_params)
         gen = as_generator(rng)
         if network is None:
             task = (
@@ -388,30 +373,18 @@ class DNNModeler:
             network = self.network_for_task(task)
         return network, gen
 
-    def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:
-        """Model every kernel, adapting the network once for the whole task.
+    def experiment_network(self, experiment: Experiment) -> Sequential:
+        """Adapt the network once for the whole experiment and classify its
+        kernels in one stacked pass.
 
         This mirrors the paper's per-modeling-task retraining: the noise
         range is pooled over all kernels and a single adapted network serves
         them all, so the (dominant) retraining cost is paid once.
         """
-        gen = as_generator(rng)
         task = AdaptationTask.from_experiment(experiment) if self.use_domain_adaptation else None
         network = self.network_for_task(task)
         self.classify_batch(experiment.kernels, experiment.n_params, network)
-        results = results_by_kernel(
-            experiment,
-            self.model_kernels(
-                experiment.kernels,
-                experiment.n_params,
-                [gen] * len(experiment.kernels),
-                network=network,
-            ),
-        )
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.absorb_cache_stats(self.cache_stats(), prefix="dnn.cache")
-        return results
+        return network
 
 
 def prime_candidate_cache(

@@ -29,7 +29,7 @@ import numpy as np
 from repro.evaluation.accuracy import ACCURACY_BUCKETS, bucket_fractions, lead_exponent_distance
 from repro.evaluation.predictive_power import prediction_smape, relative_prediction_errors
 from repro.experiment.experiment import Kernel
-from repro.modeling.batch import attempt, unwrap
+from repro.modeling.batch import unwrap
 from repro.modeling.registry import create_modelers
 from repro.noise.registry import noise_axis, noise_for_level
 from repro.dnn.modeler import prime_candidate_cache
@@ -276,8 +276,7 @@ def _model_batch(prepared, config: SweepConfig, modelers) -> "list[TaskOutcome]"
     """Model a batch of synthesized functions, one modeler at a time.
 
     Closed-form modelers model the whole batch in one ``model_kernels``
-    call (one ``model_kernel`` call per function for a modeler without
-    it), sharing one job memo: a ``(pipeline, kernel)`` job runs once per
+    call, sharing one job memo: a ``(pipeline, kernel)`` job runs once per
     batch, however many modelers use it (the adaptive modeler's calm-kernel
     regression is the sibling regression modeler's). Predictor-only
     baselines (GPR's ``predict_at``) contribute prediction errors and SMAPE
@@ -289,20 +288,24 @@ def _model_batch(prepared, config: SweepConfig, modelers) -> "list[TaskOutcome]"
     memo: dict = {}
     out: "list[TaskOutcome]" = [{} for _ in prepared]
     for name, modeler in modelers.items():
-        if not hasattr(modeler, "model_kernel"):
+        if not hasattr(modeler, "model_kernels"):
             for task, (truth, kernel, eval_pts, _) in zip(out, prepared):
                 task[name] = _predicted_outcome(modeler, truth, kernel, eval_pts, config)
             continue
-        if hasattr(modeler, "model_kernels"):
-            results = modeler.model_kernels(kernels, config.n_params, rngs, memo=memo)
-        else:
-            results = [
-                attempt(modeler.model_kernel, kernel, config.n_params, rng=gen)
-                for kernel, gen in zip(kernels, rngs)
-            ]
+        results = modeler.model_kernels(kernels, config.n_params, rngs, memo=memo)
         for task, (truth, _, eval_pts, _), result in zip(out, prepared, results):
             task[name] = _scored_outcome(result, truth, eval_pts, config)
     return out
+
+
+def _sweep_modelers(modelers) -> "dict[str, object]":
+    """Resolve ``modelers``; each must model batches (``model_kernels``) or
+    predict (``predict_at``), else it is refused by label."""
+    modelers = create_modelers(modelers)
+    for label, modeler in modelers.items():
+        if not (hasattr(modeler, "model_kernels") or hasattr(modeler, "predict_at")):
+            raise TypeError(f"modeler {label!r} has neither model_kernels nor predict_at")
+    return modelers
 
 
 def _scored_outcome(result, truth, eval_pts, config: SweepConfig) -> tuple:
@@ -416,7 +419,7 @@ def sweep_session(
     sweeps instead of re-forking per call. Close the session (or use it as
     a context manager) when done.
     """
-    modelers = create_modelers(modelers)
+    modelers = _sweep_modelers(modelers)
     engine_config = engine or EngineConfig()
     if processes is not None:
         engine_config = replace(engine_config, processes=processes)
@@ -441,13 +444,14 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full sweep through the fault-tolerant engine.
 
-    ``modelers`` maps display names to objects with the common modeler
-    interface (``model_kernels`` / ``model_kernel``) -- or to registry
-    spec strings (``"adaptive(use_domain_adaptation=False)"``), resolved
-    through :func:`repro.modeling.registry.create_modelers`; a plain
-    sequence of spec strings labels each modeler by its spec. The same
-    noisy campaign is given to every modeler (paired comparison), matching
-    the paper's protocol.
+    ``modelers`` maps display names to
+    :class:`~repro.modeling.pipeline.Modeler` objects or predictor-only
+    baselines (``predict_at``) -- or to registry spec strings
+    (``"adaptive(use_domain_adaptation=False)"``), resolved through
+    :func:`repro.modeling.registry.create_modelers`; a plain sequence of
+    spec strings labels each modeler by its spec. The same noisy campaign
+    is given to every modeler (paired comparison), matching the paper's
+    protocol.
 
     ``engine`` sets the execution policy (workers, retries, chunk timeout);
     ``processes`` is a shorthand overriding just the worker count. Batches
@@ -494,7 +498,7 @@ def run_sweep(
     """
     if not modelers:
         raise ValueError("at least one modeler is required")
-    modelers = create_modelers(modelers)
+    modelers = _sweep_modelers(modelers)
     if session is not None:
         if session.initargs and session.initargs[0] != config:
             raise ValueError(

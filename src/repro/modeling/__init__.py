@@ -4,7 +4,7 @@
   fitting engines.
 - :mod:`repro.modeling.pipeline` -- :class:`ModelingPipeline` (aggregate →
   generate → fit → select), :class:`ModelResult` with :class:`Provenance`,
-  and the :class:`Modeler` protocol.
+  and the :class:`Modeler` base.
 - :mod:`repro.modeling.candidates` -- the :class:`CandidateGenerator`
   implementations (full search, DNN top-k, adaptive switching).
 - :mod:`repro.modeling.registry` -- the string-spec modeler registry

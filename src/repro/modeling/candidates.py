@@ -46,27 +46,33 @@ class CandidateSet:
 
 @runtime_checkable
 class CandidateGenerator(Protocol):
-    """Produces the candidate hypotheses for one kernel, or for a batch.
+    """Produces the candidate hypotheses for a batch of kernels.
 
-    ``generate_many`` returns one outcome per job -- its
-    :class:`CandidateSet`, or the exception that kernel raised -- and
-    ``generate`` is the same path on a one-job batch.
+    ``generate_many`` returns one outcome per job: its
+    :class:`CandidateSet`, or the exception that kernel raised.
     """
 
     name: str
 
-    def generate(
-        self,
-        kernel: Kernel,
-        n_params: int,
-        points: np.ndarray,
-        values: np.ndarray,
-        *,
-        rng=None,
-        network=None,
-    ) -> CandidateSet: ...
-
     def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]": ...
+
+
+def _generate_one(
+    self,
+    kernel: Kernel,
+    n_params: int,
+    points: np.ndarray,
+    values: np.ndarray,
+    *,
+    rng=None,
+    network=None,
+) -> CandidateSet:
+    """One kernel's candidates: the one-job ``generate_many``, raising its
+    failure. Nothing in the library calls it; each generator names it as
+    its own ``generate`` because the e2e benchmark's layer table wraps
+    ``FullSearchGenerator.generate`` and ``DNNTopKGenerator.generate``."""
+    job = GenerateJob(kernel, n_params, points, values, rng, network)
+    return unwrap(self.generate_many([job])[0])
 
 
 class FullSearchGenerator:
@@ -84,18 +90,7 @@ class FullSearchGenerator:
     def __init__(self, multi: "MultiParameterModeler | None" = None, aggregation: str = "median"):
         self.multi = multi or MultiParameterModeler(aggregation=aggregation)
 
-    def generate(
-        self,
-        kernel: Kernel,
-        n_params: int,
-        points: np.ndarray,
-        values: np.ndarray,
-        *,
-        rng=None,
-        network=None,
-    ) -> CandidateSet:
-        job = GenerateJob(kernel, n_params, points, values, rng, network)
-        return unwrap(self.generate_many([job])[0])
+    generate = _generate_one
 
     def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]":
         """Candidates for a batch, with the measurement lines of all its
@@ -109,10 +104,11 @@ class FullSearchGenerator:
                 outcomes.append(attempt(self._line_arrays, job))
                 if not failed(outcomes[-1]):
                     line_sets[index] = outcomes[-1]
-        if line_sets:
-            single = self.multi.single.prescored(list(line_sets.values()))
+        fast = self.multi.single.fast
+        if line_sets and fast is not None:
+            fast = fast.prescored(list(line_sets.values()))
         for index, lines in line_sets.items():
-            outcomes[index] = attempt(self._combinations, single, lines)
+            outcomes[index] = attempt(self._combinations, fast, lines)
         return outcomes
 
     def _single_parameter(self, points: np.ndarray) -> CandidateSet:
@@ -130,8 +126,8 @@ class FullSearchGenerator:
             for line in parameter_lines(job.kernel, job.n_params)
         ]
 
-    def _combinations(self, single, lines) -> CandidateSet:
-        models = [single.model(xs, values) for xs, values in lines]
+    def _combinations(self, search, lines) -> CandidateSet:
+        models = [self.multi.single.model(xs, values, search) for xs, values in lines]
         hypotheses = combination_hypotheses(self.multi.lead_terms(models))
         return CandidateSet(tuple(hypotheses), generator=self.name)
 
@@ -153,18 +149,7 @@ class DNNTopKGenerator:
     def __init__(self, dnn):
         self.dnn = dnn
 
-    def generate(
-        self,
-        kernel: Kernel,
-        n_params: int,
-        points: np.ndarray,
-        values: np.ndarray,
-        *,
-        rng=None,
-        network=None,
-    ) -> CandidateSet:
-        job = GenerateJob(kernel, n_params, points, values, rng, network)
-        return unwrap(self.generate_many([job])[0])
+    generate = _generate_one
 
     def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]":
         """Candidates per job; classification is batched upstream
@@ -213,19 +198,6 @@ class AdaptiveGenerator:
         self.full = full
         self.dnn = dnn
         self.thresholds = thresholds
-
-    def generate(
-        self,
-        kernel: Kernel,
-        n_params: int,
-        points: np.ndarray,
-        values: np.ndarray,
-        *,
-        rng=None,
-        network=None,
-    ) -> CandidateSet:
-        job = GenerateJob(kernel, n_params, points, values, rng, network)
-        return unwrap(self.generate_many([job])[0])
 
     def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]":
         """Route every job, then run each sub-generator once on its share."""

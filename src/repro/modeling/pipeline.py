@@ -7,9 +7,11 @@ and select the winner by leave-one-out CV with SMAPE. This module provides
 that pipeline once, so :class:`repro.regression.modeler.RegressionModeler`,
 :class:`repro.dnn.modeler.DNNModeler`, and the registry-built modelers all
 share the same orchestration and differ only in their
-:class:`~repro.modeling.candidates.CandidateGenerator`.
+:class:`~repro.modeling.candidates.CandidateGenerator`. Every modeler
+derives from :class:`Modeler`: it implements ``model_kernels``, and the
+base writes ``model_kernel`` and ``model_experiment`` once over it.
 
-The fit/select stages run on one of two equivalent engines (see
+The fit/select stages run on one of two engines (see
 :mod:`repro.modeling.engine`): the ``reference`` per-hypothesis loop or the
 batched-SVD ``fast`` path of :mod:`repro.regression.fast_multi`. Every
 result carries :class:`Provenance` -- which generator ran, which engine,
@@ -26,8 +28,9 @@ one-kernel batch.
 from __future__ import annotations
 
 import time
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from repro.experiment.experiment import Experiment, Kernel
 from repro.experiment.measurement import value_table
@@ -83,25 +86,69 @@ class ModelResult:
         )
 
 
-@runtime_checkable
-class Modeler(Protocol):
-    """The common modeler interface every registry entry satisfies.
+class Modeler(ABC):
+    """The base every modeler of the registry derives from (the
+    predictor-only ``gpr`` baseline aside).
 
-    ``model_kernels`` models a batch, one outcome per kernel (its result or
-    the exception it raised); ``model_kernel`` is the one-kernel batch.
+    A modeler implements :meth:`model_kernels`, which models a batch, one
+    outcome per kernel (its result or the exception it raised).
+    :meth:`model_kernel` and :meth:`model_experiment` are written here once
+    over it; a modeler that classifies with a network overrides
+    :meth:`experiment_network`, the experiment-level hook.
     """
 
-    method_name: str
+    method_name: str = ""
+
+    @abstractmethod
+    def model_kernels(
+        self,
+        kernels: "Sequence[Kernel]",
+        n_params: "int | None" = None,
+        rngs: "Sequence | None" = None,
+        network=None,
+        memo: "dict | None" = None,
+    ) -> "list[Outcome[ModelResult]]":
+        """Model a batch of kernels, one outcome per kernel.
+
+        ``network`` is shared by every kernel (``None``: each resolves its
+        own); ``memo`` is as in :meth:`ModelingPipeline.model_kernels`.
+        """
 
     def model_kernel(
-        self, kernel: Kernel, n_params: "int | None" = None, rng=None
-    ) -> ModelResult: ...
+        self, kernel: Kernel, n_params: "int | None" = None, rng=None, network=None
+    ) -> ModelResult:
+        """Model one kernel: the one-kernel batch, raising its failure."""
+        return unwrap(self.model_kernels([kernel], n_params, [rng], network=network)[0])
 
-    def model_kernels(
-        self, kernels: "Sequence[Kernel]", n_params: "int | None" = None, rngs=None
-    ) -> "list[Outcome[ModelResult]]": ...
+    def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:
+        """Model every kernel of an experiment in one batch, keyed by kernel
+        name; raises the first kernel's failure.
 
-    def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]: ...
+        Every kernel draws from one generator seeded from ``rng``, and every
+        kernel shares the network :meth:`experiment_network` resolves.
+        """
+        gen = as_generator(rng)
+        kernels = experiment.kernels
+        outcomes = self.model_kernels(
+            kernels,
+            experiment.n_params,
+            [gen] * len(kernels),
+            network=self.experiment_network(experiment),
+        )
+        return {kernel.name: unwrap(outcome) for kernel, outcome in zip(kernels, outcomes)}
+
+    def experiment_network(self, experiment: Experiment):
+        """The network every kernel of ``experiment`` shares; ``None`` (the
+        default) leaves each kernel to resolve its own."""
+        return None
+
+
+def kernel_arity(kernel: Kernel, n_params: "int | None" = None) -> int:
+    """``n_params``, or by default the kernel's coordinate arity; refuses a
+    kernel without measurements, naming it."""
+    if len(kernel) == 0:
+        raise ValueError(f"kernel {kernel.name!r} has no measurements")
+    return kernel.table.points.shape[1] if n_params is None else n_params
 
 
 class ModelingPipeline:
@@ -109,10 +156,12 @@ class ModelingPipeline:
 
     ``generator`` supplies the candidate hypotheses (see
     :mod:`repro.modeling.candidates`); ``engine`` picks the fit/select
-    implementation (``'fast'``, the default, or ``'reference'``). Both
-    engines select the same models -- the fast path refits its winner
-    through the reference solver, and the pinned equivalence tests hold
-    the two bit-identical.
+    implementation (``'fast'``, the default, or ``'reference'``). Over the
+    same hypothesis list both engines select bit-identical models (the
+    fast path refits its winner through the reference solver). The
+    candidates themselves can differ: the fast line search of an
+    ``m >= 2`` full search may break an exact tie on a near-constant line
+    another way (see :mod:`repro.modeling.engine`).
 
     ``prefilter`` (a spec string like ``"mad(k=3)"``, a built
     :class:`~repro.modeling.prefilter.RobustAggregator`, or ``None``)
@@ -199,10 +248,7 @@ class ModelingPipeline:
         return outcomes
 
     def _aggregate(self, kernel: Kernel, n_params: "int | None"):
-        if len(kernel) == 0:
-            raise ValueError(f"kernel {kernel.name!r} has no measurements")
-        if n_params is None:
-            n_params = kernel.table.points.shape[1]
+        n_params = kernel_arity(kernel, n_params)
         if self.prefilter is None:
             points, values = value_table(kernel, self.aggregation)
             return n_params, points, values, 0
@@ -313,13 +359,13 @@ def _select_reference(scored, points, values):
     return select_best(scored)
 
 
-class PipelineModeler:
+class PipelineModeler(Modeler):
     """A complete modeler from just a candidate generator.
 
-    Thin adapter giving a :class:`ModelingPipeline` the common modeler
-    interface (``model_kernel`` / ``model_experiment``); used by registry
-    entries that need no extra plumbing beyond candidate generation (e.g.
-    the ``fused`` candidate-level noise switcher).
+    Runs a :class:`ModelingPipeline` over ``generator`` as a
+    :class:`Modeler`. :class:`repro.regression.modeler.RegressionModeler`
+    is one (over the full search), and so is the registry's ``fused``
+    candidate-level noise switcher.
     """
 
     def __init__(
@@ -334,11 +380,6 @@ class PipelineModeler:
         self.pipeline = ModelingPipeline(
             generator, aggregation=aggregation, engine=engine, prefilter=prefilter
         )
-
-    def model_kernel(
-        self, kernel: Kernel, n_params: "int | None" = None, rng=None, network=None
-    ) -> ModelResult:
-        return unwrap(self.model_kernels([kernel], n_params, [rng], network=network)[0])
 
     def model_kernels(
         self,
@@ -357,16 +398,3 @@ class PipelineModeler:
             method=self.method_name,
             memo=memo,
         )
-
-    def model_experiment(self, experiment: Experiment, rng=None) -> dict[str, ModelResult]:
-        rngs = [as_generator(rng)] * len(experiment.kernels)
-        return results_by_kernel(
-            experiment, self.model_kernels(experiment.kernels, experiment.n_params, rngs)
-        )
-
-
-def results_by_kernel(
-    experiment: Experiment, outcomes: "Sequence[Outcome[ModelResult]]"
-) -> dict[str, ModelResult]:
-    """``model_experiment``'s mapping; raises the first kernel's failure."""
-    return {kern.name: unwrap(outcome) for kern, outcome in zip(experiment.kernels, outcomes)}

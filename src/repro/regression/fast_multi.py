@@ -40,6 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.modeling.batch import attempt, failed
 from repro.obs import get_telemetry
 from repro.obs.trace import NULL_SPAN
 from repro.pmnf.terms import ExponentPair, require_positive
@@ -376,14 +377,8 @@ class FastMultiParameterSearch:
         out: :meth:`score` then scores it alone and raises its error there.
         The returned search lives as long as the batch that holds it.
         """
-        prepared: "list[_KernelDesigns]" = []
-        for hypotheses, points, values in jobs:
-            try:
-                prepared.append(_KernelDesigns(hypotheses, points, values))
-            # repro-lint: disable-next-line=EXC001 -- not swallowed: the
-            # job stays unscored, and score() re-raises this for its kernel.
-            except Exception:
-                continue
+        kernels = [attempt(_KernelDesigns, *job) for job in jobs]
+        prepared = [kernel for kernel in kernels if not failed(kernel)]
         prescore_batch(
             "regression.stack_scores", [kernel.group for kernel in prepared], len(prepared)
         )

@@ -37,10 +37,12 @@ full search does not come here: it scores its 43 hypotheses through
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
 
+from repro.modeling.batch import attempt, failed
 from repro.pmnf.terms import CompoundTerm, ExponentPair
 from repro.regression.fast_multi import (
     DesignGroup,
@@ -133,22 +135,14 @@ class FastSingleParameterSearch:
         :meth:`select` then scores it alone and raises its error there.
         The returned search lives as long as the batch that holds it.
         """
-        prepared: "list[_Line]" = []
-        for lines in line_sets:
-            for xs, values in lines:
-                try:
-                    prepared.append(_Line(self, xs, values))
-                # repro-lint: disable-next-line=EXC001 -- not swallowed: the
-                # line stays unscored, and select() re-raises this for it.
-                except Exception:
-                    continue
+        outcomes = [attempt(_Line, self, *line) for lines in line_sets for line in lines]
+        prepared = [line for line in outcomes if not failed(line)]
         prescore_batch(
             "regression.stack_lines",
             [line.group for line in prepared if line.group is not None],
             len(line_sets),
         )
-        search = object.__new__(FastSingleParameterSearch)
-        search.__dict__.update(self.__dict__)
+        search = copy.copy(self)
         search._scored = {
             id(line.values): line
             for line in prepared

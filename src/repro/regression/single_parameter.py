@@ -61,26 +61,20 @@ class SingleParameterModeler:
         self.pairs = list(EXPONENT_PAIRS if pairs is None else pairs)
         self.hypotheses = tuple(single_parameter_hypotheses(self.pairs))
         self.engine = resolve_fit_engine(engine)
-        self._fast = None
+        #: The fast line search, or ``None`` on the reference engine.
+        self.fast = None
         if self.engine == "fast":
             from repro.regression.fast_single import FastSingleParameterSearch
 
-            self._fast = FastSingleParameterSearch(self.pairs)
+            self.fast = FastSingleParameterSearch(self.pairs)
 
-    def prescored(
-        self, line_sets: "Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]"
-    ) -> "SingleParameterModeler":
-        """A modeler whose :meth:`model` serves these lines (one list of
-        ``(xs, values)`` per kernel) from one stacked fast-engine pass; the
-        reference engine has nothing to stack and returns itself."""
-        if self._fast is None:
-            return self
-        modeler = object.__new__(SingleParameterModeler)
-        modeler.__dict__.update(self.__dict__, _fast=self._fast.prescored(line_sets))
-        return modeler
+    def model(self, xs: np.ndarray, values: np.ndarray, search=None) -> ScoredModel:
+        """Model one measurement line (``values`` are the per-point medians).
 
-    def model(self, xs: np.ndarray, values: np.ndarray) -> ScoredModel:
-        """Model one measurement line (``values`` are the per-point medians)."""
+        ``search`` is a :meth:`FastSingleParameterSearch.prescored` search of
+        this modeler's fast engine, which serves the line from its stacked
+        pass; by default the line is scored alone.
+        """
         xs = np.asarray(xs, dtype=float)
         values = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != values.shape:
@@ -89,8 +83,9 @@ class SingleParameterModeler:
             raise ValueError(
                 f"Extra-P requires at least five measurement points per parameter, got {xs.size}"
             )
-        if self._fast is not None:
-            return self._fast.select(xs, values)
+        search = search or self.fast
+        if search is not None:
+            return search.select(xs, values)
         points = xs[:, None]
         scored = evaluate_hypotheses(self.hypotheses, points, values)
         return select_best(scored)

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.adaptive.thresholds import calibrate_thresholds, intersect_accuracy_curves
+from repro.modeling.pipeline import Modeler
 
 NOISE = [0.1, 0.2, 0.5, 1.0]
 
@@ -30,7 +31,7 @@ class TestIntersectAccuracyCurves:
             intersect_accuracy_curves(NOISE, [0.5] * 3, [0.5] * 4)
 
 
-class FakeModeler:
+class FakeModeler(Modeler):
     """Deterministic stand-in whose accuracy we control via the function it
     always returns (constant -> only correct for constant truths)."""
 
@@ -45,8 +46,8 @@ class FakeModeler:
             fn = PerformanceFunction.single_term(1.0, 1.0, [ExponentPair(exponent, 0)])
         self._result = ModelResult(function=fn, cv_smape=0.0, method="fake", seconds=0.0)
 
-    def model_kernel(self, kernel, n_params, rng=None):
-        return self._result
+    def model_kernels(self, kernels, n_params=None, rngs=None, network=None, memo=None):
+        return [self._result for _ in kernels]
 
 
 class TestCalibrateThresholds:

@@ -8,6 +8,7 @@ from repro.evaluation.sweep import (
     default_eval_functions,
     run_sweep,
 )
+from repro.modeling.pipeline import Modeler
 from repro.regression.modeler import RegressionModeler
 
 
@@ -96,9 +97,9 @@ class TestRunSweep:
         assert result.cell(0.0, "a").errors.shape == result.cell(0.0, "b").errors.shape
 
     def test_failures_counted_not_hidden(self):
-        class Exploding:
-            def model_kernel(self, kernel, n_params, rng=None):
-                raise RuntimeError("boom")
+        class Exploding(Modeler):
+            def model_kernels(self, kernels, n_params=None, rngs=None, network=None, memo=None):
+                return [RuntimeError("boom") for _ in kernels]
 
         config = SweepConfig(n_params=1, noise_levels=(0.1,), n_functions=3)
         result = run_sweep(config, {"bad": Exploding()}, rng=0)
@@ -106,6 +107,14 @@ class TestRunSweep:
         assert cell.failures == 3
         assert np.all(np.isinf(cell.distances))
         assert cell.bucket_fractions()[1 / 2] == 0.0
+
+    def test_modeler_without_batch_or_predict_refused(self):
+        class PerKernelOnly:
+            def model_kernel(self, kernel, n_params=None, rng=None):
+                raise AssertionError("never called")
+
+        with pytest.raises(TypeError, match="'per-kernel' has neither model_kernels"):
+            run_sweep(SweepConfig(n_functions=1), {"per-kernel": PerKernelOnly()}, rng=0)
 
     def test_empty_modelers_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dnn.modeler import DNNModeler
+from repro.experiment.experiment import Kernel
 from repro.experiment.measurement import value_table
+from repro.modeling.batch import GenerateJob, unwrap
 from repro.modeling.candidates import (
     AdaptiveGenerator,
     DNNTopKGenerator,
@@ -93,6 +95,12 @@ class TestPipeline:
     def test_registry_modelers_satisfy_protocol(self, spec):
         assert isinstance(create_modeler(spec), Modeler)
 
+    @pytest.mark.parametrize("n_params", [None, 1])
+    @pytest.mark.parametrize("spec", ["regression", "dnn", "adaptive", "fused"])
+    def test_empty_kernel_error_names_the_kernel(self, spec, n_params):
+        with pytest.raises(ValueError, match="kernel 'empty' has no measurements"):
+            create_modeler(spec).model_kernel(Kernel("empty"), n_params)
+
     def test_modeler_result_methods(self, clean_experiment_1p):
         results = RegressionModeler().model_experiment(clean_experiment_1p)
         (result,) = results.values()
@@ -134,7 +142,7 @@ class TestGenerators:
         generator = AdaptiveGenerator(FullSearchGenerator(), DNNTopKGenerator(dnn))
         calm_kernel = clean_experiment_1p.only_kernel()
         points, values = value_table(calm_kernel, "median")
-        calm = generator.generate(calm_kernel, 1, points, values)
+        calm = unwrap(generator.generate_many([GenerateJob(calm_kernel, 1, points, values)])[0])
         assert calm.generator == "adaptive-switch[union]"
         assert len(calm.hypotheses) == 43  # union dedups into the full search
 
@@ -150,7 +158,7 @@ class TestGenerators:
         )
         kernel = noisy_experiment_1p.only_kernel()
         points, values = value_table(kernel, "median")
-        out = generator.generate(kernel, 1, points, values)
+        out = unwrap(generator.generate_many([GenerateJob(kernel, 1, points, values)])[0])
         assert out.generator == "adaptive-switch[dnn]"
         assert len(out.hypotheses) <= 4
 

@@ -181,3 +181,22 @@ class TestConstantParameterKernels:
                 ]
                 assert fst.cv_smape == ref.cv_smape
         assert same_lines >= count // 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the fast line search breaks an exact CV tie toward a negligible-term "
+        "hypothesis, and MultiParameterModeler.lead_terms passes that hypothesis, "
+        "not the pruned function, into the combination, so the joint fit carries "
+        "the term's weight before pruning it"
+    ),
+)
+@pytest.mark.parametrize("seed", [80, 179, 226, 307])
+def test_known_engine_mismatch_prints_the_same_model(seed):
+    """The kernels on which the two engines are known to print different
+    models; a fix of the tie makes these pass and must drop the mark."""
+    kernel = constant_parameter_kernel(seed, 2)
+    fast_model = RegressionModeler(engine="fast").model_kernel(kernel, 2)
+    reference_model = RegressionModeler(engine="reference").model_kernel(kernel, 2)
+    assert fast_model.function.format() == reference_model.function.format()
