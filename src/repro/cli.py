@@ -41,9 +41,14 @@ def _enable_telemetry_env() -> None:
 
 
 def _load_experiment(path: str, keep_going: bool = False, manifest=None):
-    from repro.experiment.io import load_experiment
+    """The validated experiment at ``path``, or ``None`` after printing why it is malformed."""
+    from repro.experiment.io import ExperimentFormatError, load_experiment
 
-    experiment, quarantined = load_experiment(path, keep_going=keep_going, manifest=manifest)
+    try:
+        experiment, quarantined = load_experiment(path, keep_going=keep_going, manifest=manifest)
+    except ExperimentFormatError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return None
     for record in quarantined:
         print(
             f"warning: quarantined kernel {record.kernel!r}: {record.reason}"
@@ -118,6 +123,8 @@ def _cmd_noise(args: argparse.Namespace) -> int:
     from repro.noise.estimation import summarize_noise
 
     experiment = _load_experiment(args.experiment, keep_going=args.keep_going)
+    if experiment is None:
+        return 2
     rows = []
     for kernel in experiment.kernels:
         summary = summarize_noise(kernel)
@@ -156,6 +163,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
     experiment = _load_experiment(
         args.experiment, keep_going=args.keep_going, manifest=manifest
     )
+    if experiment is None:
+        return 2
     from repro.modeling.registry import create_modeler
 
     modeler = create_modeler(args.method)

@@ -1,6 +1,6 @@
 """On-disk formats for experiments.
 
-Two formats are supported:
+Three formats are supported:
 
 * **JSON** -- a straightforward structured dump, lossless and versioned.
 * **CSV** -- one row per repetition (``kernel, metric, <parameters...>,
@@ -20,21 +20,33 @@ Two formats are supported:
   Each ``DATA`` line carries the repetitions of one point, in ``POINTS``
   order; ``REGION`` starts a new kernel.
 
+Every format is read through one seam. A reader per format checks the
+input's structure where it reads it -- field types, numbers, point arity
+against the parameters, positive finite coordinates -- and emits each
+kernel's flat rows ``(location, point, repetitions)`` in input order,
+merging nothing. :func:`_assemble` hands a kernel's rows to
+:meth:`Kernel.add_rows`, one block per run of rows with equal repetition
+counts, and :meth:`MeasurementTable.build` merges repeated coordinates,
+repetitions in input order. Every structural defect raises
+:class:`ExperimentFormatError` naming the source and, where there is one,
+the line or the kernel and measurement.
+
 Two layers of strictness:
 
 * The per-format loaders (:func:`load_json`, :func:`load_csv`,
-  :func:`load_text`) accept anything structurally valid -- including
-  negative runtimes and ragged repetition counts -- because synthetic and
-  handwritten inputs legitimately use both.
+  :func:`load_text`) accept anything structurally valid with finite
+  values -- including negative runtimes and ragged repetition counts --
+  because synthetic and handwritten inputs legitimately use both.
 * :func:`parse_experiment` (and :func:`load_experiment`, its thin
-  path-suffix wrapper used by the CLI) additionally validates every
-  kernel's raw values -- NaN/Inf, negative runtimes, ragged repetition
-  rows -- with errors that name the offending input location. With
-  ``keep_going=True`` a bad kernel is quarantined (dropped and reported,
-  optionally journaled into a run manifest) instead of failing the load.
-  :func:`parse_experiment` works on in-memory payloads (decoded JSON
-  dicts, ``bytes``, or text in any of the three formats), which is what
-  the modeling service feeds it -- no temp-file round-trips.
+  path-suffix wrapper used by the CLI) additionally refuses NaN/Inf,
+  negative runtimes and ragged repetition counts, checked over each
+  kernel's row arrays and built table, with errors that name the
+  offending input location. With ``keep_going=True`` a bad kernel is
+  quarantined (dropped and reported, optionally journaled into a run
+  manifest) instead of failing the load. :func:`parse_experiment` works on
+  in-memory payloads (decoded JSON dicts, ``bytes``, or text in any of the
+  three formats), which is what the modeling service feeds it -- no
+  temp-file round-trips.
 
 All savers write atomically (temp file + rename), so a crash mid-save never
 leaves a truncated experiment file behind.
@@ -42,13 +54,17 @@ leaves a truncated experiment file behind.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
+import numpy as np
+
 from repro.experiment.experiment import Experiment
-from repro.experiment.measurement import Coordinate, Measurement
 from repro.util.artifacts import atomic_write_text
 
 _JSON_VERSION = 1
@@ -71,16 +87,39 @@ class QuarantineRecord:
     location: "str | None" = None
 
 
-@dataclass(frozen=True)
-class _RawKernel:
-    """Parsed-but-unvalidated kernel: raw floats, no ``Measurement`` yet."""
+@dataclass
+class _Rows:
+    """One kernel as a reader emits it: flat rows in input order, unmerged."""
 
     name: str
     metric: str
-    location: str  # where the kernel starts, e.g. "file.txt:5"
-    #: ``(location, coordinate, values)`` with repetitions at one coordinate
-    #: already merged (matching :meth:`Kernel.add` semantics).
-    points: "tuple[tuple[str, Coordinate, tuple[float, ...]], ...]"
+    locations: "list[str]" = field(default_factory=list)
+    points: "list[tuple[float, ...]]" = field(default_factory=list)
+    values: "list[tuple[float, ...]]" = field(default_factory=list)
+
+    def add(self, location: str, point: "tuple[float, ...]", values: "tuple[float, ...]") -> None:
+        self.locations.append(location)
+        self.points.append(point)
+        self.values.append(values)
+
+
+def _parameters(names) -> "list[str]":
+    """``names`` checked as parameter names: a non-empty list of distinct strings."""
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) and n for n in names):
+        raise ValueError(f"parameters must be a non-empty list of names, got {names!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"parameter names must be unique, got {names!r}")
+    return names
+
+
+def _point(raw, arity: int) -> "tuple[float, ...]":
+    """``raw`` as a point of ``arity`` positive, finite parameter values."""
+    point = tuple(float(v) for v in raw)
+    if len(point) != arity:
+        raise ValueError(f"point {point} has arity {len(point)}, expected {arity}")
+    if not all(0.0 < v < math.inf for v in point):
+        raise ValueError(f"parameter values must be positive and finite, got {point}")
+    return point
 
 
 # --------------------------------------------------------------------- JSON
@@ -106,35 +145,13 @@ def to_json_dict(experiment: Experiment) -> dict:
     }
 
 
-def _check_json_version(data: dict, path: "str | Path | None") -> None:
-    if data.get("version") != _JSON_VERSION:
-        prefix = f"{path}: " if path is not None else ""
-        raise ExperimentFormatError(
-            f"{prefix}unsupported experiment format version: "
-            f"found {data.get('version')!r}, supported {_JSON_VERSION}"
-        )
-
-
 def from_json_dict(data: dict, path: "str | Path | None" = None) -> Experiment:
     """Inverse of :func:`to_json_dict`.
 
     ``path`` (optional) is only used to prefix error messages with the
     originating file.
     """
-    _check_json_version(data, path)
-    prefix = f"{path}: " if path is not None else ""
-    exp = Experiment(data["parameters"])
-    for kern_data in data["kernels"]:
-        kern = exp.create_kernel(kern_data["name"], kern_data.get("metric", "time"))
-        for i, meas in enumerate(kern_data["measurements"]):
-            try:
-                kern.add(Measurement(Coordinate(*meas["point"]), meas["values"]))
-            except ValueError as err:
-                raise ExperimentFormatError(
-                    f"{prefix}kernel {kern.name!r}, measurement {i}: {err}"
-                ) from None
-    exp.validate()
-    return exp
+    return _assemble(*_read_json(data, None if path is None else str(path)))[0]
 
 
 def save_json(experiment: Experiment, path: "str | Path") -> None:
@@ -142,57 +159,78 @@ def save_json(experiment: Experiment, path: "str | Path") -> None:
 
 
 def load_json(path: "str | Path") -> Experiment:
-    return from_json_dict(json.loads(Path(path).read_text()), path=path)
+    return _load(path, "json")
 
 
-def _raw_json_from_text(text: str, source: str) -> "tuple[list[str], list[_RawKernel]]":
+def _read_json_text(text: str, source: str) -> "tuple[list[str], list[_Rows]]":
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ExperimentFormatError(f"{source}:{err.lineno}: invalid JSON: {err.msg}") from None
-    return _raw_json_from_data(data, source)
+    except RecursionError:
+        raise ExperimentFormatError(f"{source}: invalid JSON: nested too deeply") from None
+    return _read_json(data, source)
 
 
-def _raw_json_from_data(data, source: str) -> "tuple[list[str], list[_RawKernel]]":
+def _read_json(data, source: "str | None") -> "tuple[list[str], list[_Rows]]":
+    prefix = "" if source is None else f"{source}: "
     if not isinstance(data, dict):
         raise ExperimentFormatError(
-            f"{source}: expected a JSON object at the top level, got {type(data).__name__}"
+            f"{prefix}expected a JSON object at the top level, got {type(data).__name__}"
         )
-    _check_json_version(data, source)
-    for field in ("parameters", "kernels"):
-        if field not in data:
-            raise ExperimentFormatError(f"{source}: missing {field!r} field")
-    kernels = []
-    for kern_data in data["kernels"]:
-        name = kern_data["name"]
-        merged: dict[Coordinate, list[float]] = {}
-        locations: dict[Coordinate, str] = {}
-        for i, meas in enumerate(kern_data["measurements"]):
-            location = f"{source}: kernel {name!r}, measurement {i}"
-            try:
-                coord = Coordinate(*meas["point"])
-            except ValueError as err:
-                raise ExperimentFormatError(f"{location}: {err}") from None
-            locations.setdefault(coord, location)
-            merged.setdefault(coord, []).extend(float(v) for v in meas["values"])
-        kernels.append(
-            _RawKernel(
-                name=name,
-                metric=kern_data.get("metric", "time"),
-                location=f"{source}: kernel {name!r}",
-                points=tuple(
-                    (locations[c], c, tuple(vals)) for c, vals in merged.items()
-                ),
+    if data.get("version") != _JSON_VERSION:
+        raise ExperimentFormatError(
+            f"{prefix}unsupported experiment format version: "
+            f"found {data.get('version')!r}, supported {_JSON_VERSION}"
+        )
+    for name in ("parameters", "kernels"):
+        if name not in data:
+            raise ExperimentFormatError(f"{prefix}missing {name!r} field")
+    try:
+        parameters = _parameters(data["parameters"])
+    except ValueError as err:
+        raise ExperimentFormatError(f"{prefix}{err}") from None
+    if not isinstance(data["kernels"], list):
+        raise ExperimentFormatError(f"{prefix}'kernels' must be a list")
+    kernels: "dict[str, _Rows]" = {}
+    for k, kern_data in enumerate(data["kernels"]):
+        if not isinstance(kern_data, dict):
+            raise ExperimentFormatError(
+                f"{prefix}kernel {k}: expected an object, got {type(kern_data).__name__}"
             )
-        )
-    return list(data["parameters"]), kernels
+        name = kern_data.get("name")
+        if not isinstance(name, str):
+            raise ExperimentFormatError(
+                f"{prefix}kernel {k}: expected a string 'name', got {name!r}"
+            )
+        if name in kernels:
+            raise ExperimentFormatError(f"{prefix}kernel {k}: duplicate kernel name {name!r}")
+        where = f"{prefix}kernel {name!r}"
+        metric, measurements = kern_data.get("metric", "time"), kern_data.get("measurements")
+        if not isinstance(metric, str) or not isinstance(measurements, list):
+            raise ExperimentFormatError(
+                f"{where}: expected a string 'metric' and a 'measurements' list"
+            )
+        rows = kernels[name] = _Rows(name, metric)
+        for i, meas in enumerate(measurements):
+            location = f"{where}, measurement {i}"
+            meas = meas if isinstance(meas, dict) else {}
+            point, values = meas.get("point"), meas.get("values")
+            if not isinstance(point, list) or not isinstance(values, list) or not values:
+                raise ExperimentFormatError(
+                    f"{location}: expected an object with a 'point' list and a non-empty "
+                    "'values' list"
+                )
+            try:
+                rows.add(location, _point(point, len(parameters)), tuple(float(v) for v in values))
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ExperimentFormatError(f"{location}: {err}") from None
+    return parameters, list(kernels.values())
 
 
 # ---------------------------------------------------------------------- CSV
 def save_csv(experiment: Experiment, path: "str | Path") -> None:
     """Write one row per repetition: ``kernel,metric,<params...>,value``."""
-    import csv
-
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(["kernel", "metric", *experiment.parameters, "value"])
@@ -205,24 +243,20 @@ def save_csv(experiment: Experiment, path: "str | Path") -> None:
     atomic_write_text(path, buffer.getvalue())
 
 
-def _raw_csv_from_text(text: str, source: str) -> "tuple[list[str], list[_RawKernel]]":
-    import csv
-
+def _read_csv(text: str, source: str) -> "tuple[list[str], list[_Rows]]":
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ExperimentFormatError(f"{source}: empty CSV file") from None
+    header = next(reader, None)
+    if header is None:
+        raise ExperimentFormatError(f"{source}: empty CSV file")
     if len(header) < 4 or header[0] != "kernel" or header[1] != "metric" or header[-1] != "value":
         raise ExperimentFormatError(
             f"{source}: expected header 'kernel,metric,<parameters...>,value', got {header!r}"
         )
-    parameters = header[2:-1]
-    order: list[str] = []
-    metrics: dict[str, str] = {}
-    first_seen: dict[str, str] = {}
-    merged: dict[str, dict[Coordinate, list[float]]] = {}
-    locations: dict[str, dict[Coordinate, str]] = {}
+    try:
+        parameters = _parameters(header[2:-1])
+    except ValueError as err:
+        raise ExperimentFormatError(f"{source}:1: {err}") from None
+    kernels: "dict[str, _Rows]" = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -232,31 +266,19 @@ def _raw_csv_from_text(text: str, source: str) -> "tuple[list[str], list[_RawKer
                 f"{location}: expected {len(header)} columns, got {len(row)}"
             )
         name, metric, *rest = row
+        if name not in kernels:
+            kernels[name] = _Rows(name, metric)
+        rows = kernels[name]
+        if metric != rows.metric:
+            raise ExperimentFormatError(
+                f"{location}: kernel {name!r} has metric {rows.metric!r} "
+                f"(from {rows.locations[0]}), not {metric!r}"
+            )
         try:
-            coordinate = Coordinate(*[float(v) for v in rest[:-1]])
-            value = float(rest[-1])
+            rows.add(location, _point(rest[:-1], len(parameters)), (float(rest[-1]),))
         except ValueError as err:
             raise ExperimentFormatError(f"{location}: {err}") from None
-        if name not in metrics:
-            order.append(name)
-            metrics[name] = metric
-            first_seen[name] = location
-            merged[name] = {}
-            locations[name] = {}
-        locations[name].setdefault(coordinate, location)
-        merged[name].setdefault(coordinate, []).append(value)
-    kernels = [
-        _RawKernel(
-            name=name,
-            metric=metrics[name],
-            location=first_seen[name],
-            points=tuple(
-                (locations[name][c], c, tuple(vals)) for c, vals in merged[name].items()
-            ),
-        )
-        for name in order
-    ]
-    return parameters, kernels
+    return parameters, list(kernels.values())
 
 
 def load_csv(path: "str | Path") -> Experiment:
@@ -266,8 +288,7 @@ def load_csv(path: "str | Path") -> Experiment:
     rows may appear in any order. Parameter names are taken from the header
     (every column between ``metric`` and ``value``).
     """
-    parameters, kernels = _raw_csv_from_text(Path(path).read_text(), str(path))
-    return _assemble(parameters, kernels, path)
+    return _load(path, "csv")
 
 
 # --------------------------------------------------------------------- text
@@ -289,9 +310,8 @@ def save_text(experiment: Experiment, path: "str | Path") -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_points(spec: str) -> list[Coordinate]:
-    spec = spec.strip()
-    coords = []
+def _parse_points(spec: str, arity: int) -> "list[tuple[float, ...]]":
+    points = []
     depth, token = 0, []
     for ch in spec:
         if ch == "(":
@@ -301,7 +321,7 @@ def _parse_points(spec: str) -> list[Coordinate]:
         elif ch == ")":
             if not depth:
                 raise ValueError("unbalanced parenthesis in POINTS line")
-            coords.append(Coordinate(*[float(v) for v in "".join(token).split()]))
+            points.append(_point("".join(token).split(), arity))
             depth = 0
         elif depth:
             token.append(ch)
@@ -309,78 +329,56 @@ def _parse_points(spec: str) -> list[Coordinate]:
             raise ValueError(f"unexpected character {ch!r} in POINTS line")
     if depth:
         raise ValueError("unbalanced parenthesis in POINTS line")
-    if not coords:
+    if not points:
         raise ValueError("POINTS line contains no points")
-    return coords
+    return points
 
 
-def _raw_text_from_text(text: str, source: str) -> "tuple[list[str], list[_RawKernel]]":
+def _read_text(text: str, source: str) -> "tuple[list[str], list[_Rows]]":
     parameters: list[str] = []
-    points: "list[Coordinate] | None" = None
+    points: "list[tuple[float, ...]] | None" = None
     metric = "time"
-    kernels: list[_RawKernel] = []
-    current: "list[tuple[str, Coordinate, tuple[float, ...]]] | None" = None
+    kernels: list[_Rows] = []
     data_index = 0
-
-    def flush() -> None:
-        nonlocal current
-        if current is None:
-            return
-        # Merge repeated DATA coordinates like Kernel.add would.
-        merged: dict[Coordinate, list[float]] = {}
-        locations: dict[Coordinate, str] = {}
-        for location, coord, values in current:
-            locations.setdefault(coord, location)
-            merged.setdefault(coord, []).extend(values)
-        kernels[-1] = _RawKernel(
-            name=kernels[-1].name,
-            metric=kernels[-1].metric,
-            location=kernels[-1].location,
-            points=tuple((locations[c], c, tuple(vals)) for c, vals in merged.items()),
-        )
-        current = None
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         keyword, _, rest = line.partition(" ")
         keyword = keyword.upper()
+        location = f"{source}:{lineno}"
         try:
             if keyword == "PARAMETER":
-                if kernels:
-                    raise ValueError("PARAMETER must precede REGION")
+                if points is not None:
+                    raise ValueError("PARAMETER must precede POINTS")
                 parameters.append(rest.strip())
             elif keyword == "POINTS":
-                points = _parse_points(rest)
+                if not parameters:
+                    raise ValueError("POINTS before PARAMETER")
+                points = _parse_points(rest, len(_parameters(parameters)))
             elif keyword == "METRIC":
                 metric = rest.strip()
             elif keyword == "REGION":
                 if points is None:
                     raise ValueError("REGION before POINTS")
-                flush()
                 name = rest.strip()
                 if any(k.name == name for k in kernels):
                     raise ValueError(f"kernel {name!r} already exists")
-                kernels.append(
-                    _RawKernel(name=name, metric=metric, location=f"{source}:{lineno}", points=())
-                )
-                current = []
+                kernels.append(_Rows(name, metric))
                 data_index = 0
             elif keyword == "DATA":
-                if current is None or points is None:
+                if not kernels:
                     raise ValueError("DATA before REGION")
                 if data_index >= len(points):
                     raise ValueError("more DATA lines than POINTS")
                 values = tuple(float(v) for v in rest.split())
                 if values:
-                    current.append((f"{source}:{lineno}", points[data_index], values))
+                    kernels[-1].add(location, points[data_index], values)
                 data_index += 1
             else:
                 raise ValueError(f"unknown keyword {keyword!r}")
         except ValueError as err:
-            raise ExperimentFormatError(f"{source}:{lineno}: {err}") from None
-    flush()
+            raise ExperimentFormatError(f"{location}: {err}") from None
     if not kernels:
         raise ExperimentFormatError(f"{source}: file defines no REGION")
     return parameters, kernels
@@ -388,89 +386,64 @@ def _raw_text_from_text(text: str, source: str) -> "tuple[list[str], list[_RawKe
 
 def load_text(path: "str | Path") -> Experiment:
     """Parse the Extra-P style text format."""
-    parameters, kernels = _raw_text_from_text(Path(path).read_text(), str(path))
-    return _assemble(parameters, kernels, path)
+    return _load(path, "text")
+
+
+_READERS = {"json": _read_json_text, "csv": _read_csv, "text": _read_text}
+
+
+def _load(path: "str | Path", format: str) -> Experiment:
+    """The lenient loader of ``format``: structure checked, values only for finiteness."""
+    return _assemble(*_READERS[format](Path(path).read_text(), str(path)))[0]
 
 
 # ------------------------------------------------- validation and quarantine
 def _assemble(
-    parameters: "list[str]",
-    raw_kernels: "list[_RawKernel]",
-    path: "str | Path",
-    skip: "set[str] | None" = None,
-) -> Experiment:
-    """Build an :class:`Experiment` from raw kernels, skipping quarantined ones."""
-    experiment = Experiment(parameters)
-    for raw in raw_kernels:
-        if skip and raw.name in skip:
-            continue
-        kernel = experiment.create_kernel(raw.name, raw.metric)
-        try:
-            kernel.add_rows(
-                [coord.as_tuple() for _, coord, _ in raw.points],
-                [values for _, _, values in raw.points],
-            )
-        except ValueError:
-            # Ragged repetition counts or a bad value: add point by point,
-            # which names the location of a bad one.
-            for location, coord, values in raw.points:
-                try:
-                    kernel.add(Measurement(coord, values))
-                except ValueError as err:
-                    raise ExperimentFormatError(f"{location}: {err}") from None
-    experiment.validate()
-    return experiment
-
-
-def _validate_raw_kernel(raw: _RawKernel) -> "QuarantineRecord | None":
-    """First NaN/Inf/negative-value/ragged-repetitions defect, or ``None``."""
-    import math
-
-    for location, _coord, values in raw.points:
-        for value in values:
-            if math.isnan(value) or math.isinf(value):
-                return QuarantineRecord(raw.name, f"non-finite value {value!r}", location)
-            if value < 0:
-                return QuarantineRecord(raw.name, f"negative runtime {value!r}", location)
-    counts = {len(values) for _loc, _coord, values in raw.points}
-    if len(counts) > 1:
-        worst = min(raw.points, key=lambda p: len(p[2]))
-        return QuarantineRecord(
-            raw.name,
-            f"ragged repetition rows: {min(counts)}..{max(counts)} repetitions per point",
-            worst[0],
-        )
-    return None
-
-
-def _validate_and_assemble(
-    parameters: "list[str]",
-    raw_kernels: "list[_RawKernel]",
-    source: str,
-    keep_going: bool,
-    manifest,
+    parameters: "list[str]", kernels: "list[_Rows]", strict: bool = False
 ) -> "tuple[Experiment, list[QuarantineRecord]]":
-    """Shared validation/quarantine core of ``parse``/``load_experiment``."""
-    quarantined: list[QuarantineRecord] = []
-    for raw in raw_kernels:
-        record = _validate_raw_kernel(raw)
-        if record is None:
+    """Build an :class:`Experiment` from the readers' rows.
+
+    Each kernel's rows go to :meth:`Kernel.add_rows` in input order, one
+    block per run of rows with equal repetition counts, so the kernel's
+    :class:`MeasurementTable` merges repeated coordinates. A non-finite
+    value is refused naming its row. With ``strict``, a kernel with a
+    non-finite or negative value, or with ragged repetition counts, is left
+    out instead and returned as a :class:`QuarantineRecord`, in input order.
+    """
+    experiment = Experiment(parameters)
+    defects: list[QuarantineRecord] = []
+    for rows in kernels:
+        flat = np.concatenate(rows.values) if rows.values else np.empty(0)
+        bad = ~np.isfinite(flat)
+        if strict:
+            bad |= flat < 0
+        if bad.any():
+            # The first offending repetition, mapped back to the row holding it.
+            first = int(np.argmax(bad))
+            ends = np.cumsum([len(values) for values in rows.values])
+            location = rows.locations[int(np.searchsorted(ends, first, side="right"))]
+            value = float(flat[first])
+            if not strict:
+                raise ExperimentFormatError(f"{location}: measurement values must be finite")
+            kind = "negative runtime" if math.isfinite(value) else "non-finite value"
+            defects.append(QuarantineRecord(rows.name, f"{kind} {value!r}", location))
             continue
-        if not keep_going:
-            raise ExperimentFormatError(
-                f"{record.location}: kernel {record.kernel!r}: {record.reason} "
-                f"(use --keep-going to quarantine bad kernels and continue)"
-            )
-        quarantined.append(record)
-        if manifest is not None:
-            manifest.record_quarantine(record.kernel, record.reason, record.location)
-    skip = {r.kernel for r in quarantined}
-    if skip and len(skip) == len(raw_kernels):
-        reasons = "; ".join(f"{r.kernel}: {r.reason}" for r in quarantined)
-        raise ExperimentFormatError(
-            f"{source}: every kernel was quarantined, nothing left to model ({reasons})"
-        )
-    return _assemble(parameters, raw_kernels, source, skip=skip), quarantined
+        kernel = experiment.create_kernel(rows.name, rows.metric)
+        start = 0
+        for _, run in groupby(rows.values, key=len):
+            stop = start + sum(1 for _ in run)
+            kernel.add_rows(rows.points[start:stop], rows.values[start:stop])
+            start = stop
+        if strict and len(kernel.table.groups) > 1:
+            groups = kernel.table.groups
+            counts = [values.shape[1] for _, values in groups]
+            fewest = groups[counts.index(min(counts))][0]
+            short = set(map(tuple, kernel.table.points[fewest].tolist()))
+            location = next(at for at, p in zip(rows.locations, rows.points) if p in short)
+            reason = f"ragged repetition rows: {min(counts)}..{max(counts)} repetitions per point"
+            defects.append(QuarantineRecord(rows.name, reason, location))
+            experiment.remove_kernel(rows.name)
+    return experiment, defects
 
 
 def parse_experiment(
@@ -504,23 +477,33 @@ def parse_experiment(
         except UnicodeDecodeError as err:
             raise ExperimentFormatError(f"{label}: payload is not valid UTF-8: {err}") from None
     if isinstance(payload, dict):
-        parameters, raw_kernels = _raw_json_from_data(payload, label)
+        parameters, kernels = _read_json(payload, label)
     elif isinstance(payload, str):
-        if format == "json":
-            parameters, raw_kernels = _raw_json_from_text(payload, label)
-        elif format == "csv":
-            parameters, raw_kernels = _raw_csv_from_text(payload, label)
-        elif format == "text":
-            parameters, raw_kernels = _raw_text_from_text(payload, label)
-        else:
+        if format not in _READERS:
             raise ValueError(
                 f"unknown experiment format {format!r}: expected 'json', 'csv', or 'text'"
             )
+        parameters, kernels = _READERS[format](payload, label)
     else:
         raise TypeError(
             f"experiment payload must be a dict, str, or bytes, got {type(payload).__name__}"
         )
-    return _validate_and_assemble(parameters, raw_kernels, label, keep_going, manifest)
+    experiment, quarantined = _assemble(parameters, kernels, strict=True)
+    if quarantined and not keep_going:
+        record = quarantined[0]
+        raise ExperimentFormatError(
+            f"{record.location}: kernel {record.kernel!r}: {record.reason} "
+            f"(use --keep-going to quarantine bad kernels and continue)"
+        )
+    if manifest is not None:
+        for record in quarantined:
+            manifest.record_quarantine(record.kernel, record.reason, record.location)
+    if quarantined and len(quarantined) == len(kernels):
+        reasons = "; ".join(f"{r.kernel}: {r.reason}" for r in quarantined)
+        raise ExperimentFormatError(
+            f"{label}: every kernel was quarantined, nothing left to model ({reasons})"
+        )
+    return experiment, quarantined
 
 
 def load_experiment(
@@ -538,7 +521,7 @@ def load_experiment(
     suffix = path.suffix.lower()
     format = {"json": "json", "csv": "csv"}.get(suffix.lstrip("."), "text")
     return parse_experiment(
-        path.read_text(),
+        path.read_bytes(),
         format=format,
         source=str(path),
         keep_going=keep_going,

@@ -81,6 +81,8 @@ def parse_request(payload, request_id: "str | None" = None) -> ModelingRequest:
             payload = json.loads(payload)
         except json.JSONDecodeError as err:
             raise RequestError(f"request body is not valid JSON: {err.msg}") from None
+        except RecursionError:
+            raise RequestError("request body is not valid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise RequestError(
             f"request must be a JSON object, got {type(payload).__name__}"

@@ -56,6 +56,10 @@ class TestCsvParsing:
             ("", "empty"),
             ("foo,bar\n", "expected header"),
             ("kernel,metric,p,value\na,time,4\n", "columns"),
+            (
+                "kernel,metric,p,value\nk,time,4,1.0\nk,time,8,2.0\nk,bytes,16,4096\n",
+                r"bad\.csv:4: kernel 'k' has metric 'time' \(from .*bad\.csv:2\), not 'bytes'",
+            ),
         ],
     )
     def test_errors(self, tmp_path, content, message):

@@ -131,3 +131,183 @@ class TestQuarantineParity:
         _, quarantined = parse_experiment(data, keep_going=True, manifest=manifest)
         assert len(quarantined) == 1
         assert len(manifest.quarantined()) == 1
+
+
+def _json_payload(kernels, parameters=None):
+    return {"version": 1, "parameters": parameters or ["p"], "kernels": kernels}
+
+
+_POINTS = [{"point": [4.0], "values": [1.0, 1.1]}, {"point": [8.0], "values": [2.0, 2.1]}]
+
+
+class TestMalformedStructure:
+    """Every structural defect is an ExperimentFormatError naming where it is,
+    so the service answers 400 instead of failing on a raw KeyError/TypeError."""
+
+    @pytest.mark.parametrize(
+        "payload, format, message",
+        [
+            pytest.param(
+                _json_payload([{"measurements": _POINTS}]),
+                "json",
+                "req-1: kernel 0: expected a string 'name', got None",
+                id="kernel-without-name",
+            ),
+            pytest.param(
+                _json_payload(["k"]),
+                "json",
+                "req-1: kernel 0: expected an object, got str",
+                id="kernel-not-an-object",
+            ),
+            pytest.param(
+                _json_payload([{"name": "k", "measurements": [{"point": [4.0]}]}]),
+                "json",
+                "req-1: kernel 'k', measurement 0: expected an object with a 'point' list",
+                id="measurement-without-values",
+            ),
+            pytest.param(
+                _json_payload([{"name": "k", "measurements": [{"point": None, "values": [1.0]}]}]),
+                "json",
+                "req-1: kernel 'k', measurement 0: expected an object with a 'point' list",
+                id="null-point",
+            ),
+            pytest.param(
+                _json_payload(
+                    [{"name": "k", "measurements": [_POINTS[0], {"point": [8.0], "values": ["x"]}]}]
+                ),
+                "json",
+                "req-1: kernel 'k', measurement 1: could not convert string to float: 'x'",
+                id="non-numeric-values",
+            ),
+            pytest.param(
+                _json_payload(
+                    [{"name": "k", "measurements": _POINTS}, {"name": "k", "measurements": _POINTS}]
+                ),
+                "json",
+                "req-1: kernel 1: duplicate kernel name 'k'",
+                id="duplicate-kernel-names",
+            ),
+            pytest.param(
+                _json_payload([{"name": "k", "measurements": _POINTS}], ["p", "n"]),
+                "json",
+                "req-1: kernel 'k', measurement 0: point (4.0,) has arity 1, expected 2",
+                id="point-arity-vs-parameters",
+            ),
+            pytest.param(
+                _json_payload([{"name": "k", "measurements": _POINTS}], "pn"),
+                "json",
+                "req-1: parameters must be a non-empty list of names, got 'pn'",
+                id="parameters-as-a-string",
+            ),
+            pytest.param(
+                "[" * 100_000 + "]" * 100_000,
+                "json",
+                "req-1: invalid JSON: nested too deeply",
+                id="json-nested-too-deeply",
+            ),
+            pytest.param(
+                "POINTS (4) (8)\nREGION k\nDATA 1.0\nDATA 2.0\n",
+                "text",
+                "req-1:1: POINTS before PARAMETER",
+                id="text-without-parameter",
+            ),
+            pytest.param(
+                "PARAMETER p\nPARAMETER n\nPOINTS (4 1) (8)\nREGION k\nDATA 1.0\nDATA 2.0\n",
+                "text",
+                "req-1:3: point (8.0,) has arity 1, expected 2",
+                id="text-points-arity",
+            ),
+        ],
+    )
+    def test_refused_by_name(self, payload, format, message):
+        from repro.service.schema import RequestError, parse_request
+
+        with pytest.raises(ExperimentFormatError) as parsed:
+            parse_experiment(payload, format=format, source="req-1")
+        assert message in str(parsed.value)
+        request = {"schema": "repro.request/v1", "id": "req-1", "experiment": payload}
+        with pytest.raises(RequestError) as served:
+            parse_request({**request, "format": format})
+        assert f"request {message}" in str(served.value)
+
+
+def _repeated_formats(last=(4.0, 4.1, 4.2, 4.3)):
+    """One experiment whose points 8 and 4 each repeat, in every format.
+
+    Rows in input order: 8 -> (2.0, 2.1), 4 -> (1.0, 1.1), 8 -> (2.2, 2.3),
+    4 -> (1.2, 1.3), 16 -> ``last``.
+    """
+    rows = [(8.0, (2.0, 2.1)), (4.0, (1.0, 1.1)), (8.0, (2.2, 2.3)), (4.0, (1.2, 1.3))]
+    rows.append((16.0, tuple(last)))
+    data = _json_payload(
+        [
+            {
+                "name": "k",
+                "measurements": [{"point": [x], "values": list(v)} for x, v in rows],
+            }
+        ]
+    )
+    csv = "kernel,metric,p,value\n" + "".join(
+        f"k,time,{x!r},{value!r}\n" for x, values in rows for value in values
+    )
+    text = (
+        "PARAMETER p\nPOINTS "
+        + " ".join(f"({x!r})" for x, _ in rows)
+        + "\nREGION k\n"
+        + "".join("DATA " + " ".join(map(repr, values)) + "\n" for _, values in rows)
+    )
+    return data, csv, text
+
+
+def _tables(tmp_path, data, csv, text, strict):
+    from repro.experiment.io import from_json_dict, load_csv, load_json, load_text
+
+    for name, body in (("exp.json", json.dumps(data)), ("exp.csv", csv), ("exp.txt", text)):
+        (tmp_path / name).write_text(body)
+    experiments = [
+        from_json_dict(data),
+        load_json(tmp_path / "exp.json"),
+        load_csv(tmp_path / "exp.csv"),
+        load_text(tmp_path / "exp.txt"),
+    ]
+    if strict:
+        experiments += [
+            parse_experiment(data)[0],
+            parse_experiment(json.dumps(data))[0],
+            parse_experiment(csv, format="csv")[0],
+            parse_experiment(text, format="text")[0],
+        ]
+    return [exp.only_kernel().table for exp in experiments]
+
+
+class TestRepeatedCoordinates:
+    """A repeated coordinate merges the same way in every format and loader."""
+
+    def _assert_bitwise_equal(self, tables):
+        reference = tables[0]
+        for table in tables[1:]:
+            assert table.points.tobytes() == reference.points.tobytes()
+            assert len(table.groups) == len(reference.groups)
+            for (rows, values), (ref_rows, ref_values) in zip(table.groups, reference.groups):
+                np.testing.assert_array_equal(rows, ref_rows)
+                assert values.shape == ref_values.shape
+                assert values.tobytes() == ref_values.tobytes()
+
+    def test_every_format_merges_in_input_order(self, tmp_path):
+        tables = _tables(tmp_path, *_repeated_formats(), strict=True)
+        self._assert_bitwise_equal(tables)
+        np.testing.assert_array_equal(tables[0].points, [[4.0], [8.0], [16.0]])
+        ((rows, values),) = tables[0].groups
+        np.testing.assert_array_equal(rows, [0, 1, 2])
+        np.testing.assert_array_equal(
+            values, [[1.0, 1.1, 1.2, 1.3], [2.0, 2.1, 2.2, 2.3], [4.0, 4.1, 4.2, 4.3]]
+        )
+
+    def test_ragged_variant_through_the_lenient_loaders(self, tmp_path):
+        tables = _tables(tmp_path, *_repeated_formats(last=(4.0,)), strict=False)
+        self._assert_bitwise_equal(tables)
+        (rows4, values4), (rows1, values1) = tables[0].groups
+        np.testing.assert_array_equal(rows4, [0, 1])
+        np.testing.assert_array_equal(values4, [[1.0, 1.1, 1.2, 1.3], [2.0, 2.1, 2.2, 2.3]])
+        np.testing.assert_array_equal(rows1, [2])
+        np.testing.assert_array_equal(values1, [[4.0]])

@@ -96,6 +96,8 @@ class TestParseRequest:
             parse_request(b"\xff\xfe{}")
         with pytest.raises(RequestError, match="must be a JSON object"):
             parse_request("[1, 2]")
+        with pytest.raises(RequestError, match="nested too deeply"):
+            parse_request("[" * 100_000 + "]" * 100_000)
 
     def test_bad_experiment_names_the_request(self, clean_experiment_1p):
         broken = to_json_dict(clean_experiment_1p)

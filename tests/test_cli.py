@@ -368,6 +368,46 @@ class TestModelCommand:
             main(["model", str(tmp_path / "nope.json"), "--method", "regression"])
 
 
+class TestMalformedInput:
+    """An input error ends ``model`` and ``noise`` with one line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "name, body, message",
+        [
+            pytest.param(
+                "nan.txt",
+                "PARAMETER p\nPOINTS (4) (8)\nREGION k\nDATA 1.0 nan\nDATA 2.0 2.1\n",
+                "nan.txt:4: kernel 'k': non-finite value nan (use --keep-going",
+                id="nan-value",
+            ),
+            pytest.param(
+                "anonymous.json",
+                '{"version": 1, "parameters": ["p"], "kernels": [{"measurements": []}]}',
+                "anonymous.json: kernel 0: expected a string 'name', got None",
+                id="kernel-without-name",
+            ),
+            pytest.param(
+                "binary.json",
+                b"\xff\xfe not text",
+                "binary.json: payload is not valid UTF-8",
+                id="not-utf8",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", [["model", "--method", "regression"], ["noise"]], ids=["model", "noise"]
+    )
+    def test_one_line_error_and_exit_code_2(self, tmp_path, capsys, command, name, body, message):
+        path = tmp_path / name
+        path.write_bytes(body if isinstance(body, bytes) else body.encode())
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestServeCommand:
     def test_serve_registered_with_defaults(self):
         args = build_parser().parse_args(["serve", "--socket", "/tmp/repro.sock"])
