@@ -154,18 +154,17 @@ class ReproductionReport:
 
 def _estimator_experiment(trials: int, rng) -> float:
     from repro.experiment.experiment import Kernel
-    from repro.experiment.measurement import Coordinate, Measurement
     from repro.noise.estimation import estimate_noise_level
     from repro.noise.injection import UniformNoise
 
     errors = []
     for gen in spawn_generators(rng, trials):
         level = float(gen.uniform(0.0, 1.0))
-        kern = Kernel("k")
         noise = UniformNoise(level)
-        for i in range(25):
-            true = float(gen.uniform(1.0, 1000.0))
-            kern.add(Measurement(Coordinate(float(i + 2)), noise.apply(np.full(5, true), gen)))
+        # Each point draws its true value, then its five repetitions.
+        rows = [noise.apply(np.full(5, gen.uniform(1.0, 1000.0)), gen) for _ in range(25)]
+        kern = Kernel("k")
+        kern.add_rows(np.arange(2.0, 27.0)[:, None], rows)
         errors.append(abs(estimate_noise_level(kern) - level))
     return float(np.mean(errors))
 

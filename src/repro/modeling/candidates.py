@@ -30,16 +30,14 @@ from repro.modeling.batch import GenerateJob, Outcome, attempt, failed, unwrap
 from repro.noise.classification import NoiseClass, classify_noise
 from repro.noise.estimation import estimate_noise_level
 from repro.pmnf.terms import CompoundTerm, ExponentPair
-from repro.regression.hypothesis import Hypothesis
-from repro.regression.multi_parameter import MultiParameterModeler, combination_hypotheses
-from repro.regression.single_parameter import single_parameter_hypotheses
+from repro.regression.multi_parameter import Combinations, MultiParameterModeler, union
 
 
 @dataclass(frozen=True)
 class CandidateSet:
     """The generation stage's output: hypotheses plus provenance inputs."""
 
-    hypotheses: tuple[Hypothesis, ...]
+    hypotheses: Combinations
     generator: str = ""
     cache_hits: int = 0
 
@@ -55,6 +53,15 @@ class CandidateGenerator(Protocol):
     name: str
 
     def generate_many(self, jobs: "Sequence[GenerateJob]") -> "list[Outcome[CandidateSet]]": ...
+
+
+def _pair_combinations(rows: "Sequence[Sequence[ExponentPair]]") -> Combinations:
+    """The combinations of one exponent pair per parameter (``rows[l]``
+    lists parameter ``l``'s). At ``m = 1`` their order, constant first, is
+    no tie-break: no two single-term hypotheses share a complexity key."""
+    return Combinations.of(
+        [[None if p.is_constant else CompoundTerm.from_pair(p) for p in row] for row in rows]
+    )
 
 
 def _generate_one(
@@ -89,6 +96,7 @@ class FullSearchGenerator:
 
     def __init__(self, multi: "MultiParameterModeler | None" = None, aggregation: str = "median"):
         self.multi = multi or MultiParameterModeler(aggregation=aggregation)
+        self._single = _pair_combinations([self.multi.single.pairs])
 
     generate = _generate_one
 
@@ -117,7 +125,7 @@ class FullSearchGenerator:
                 "Extra-P requires at least five measurement points per "
                 f"parameter, got {points.shape[0]}"
             )
-        return CandidateSet(self.multi.single.hypotheses, generator=self.name)
+        return CandidateSet(self._single, generator=self.name)
 
     def _line_arrays(self, job: GenerateJob) -> "list[tuple[np.ndarray, np.ndarray]]":
         # Built once: the stacked line search finds each line by identity.
@@ -128,8 +136,7 @@ class FullSearchGenerator:
 
     def _combinations(self, search, lines) -> CandidateSet:
         models = [self.multi.single.model(xs, values, search) for xs, values in lines]
-        hypotheses = combination_hypotheses(self.multi.lead_terms(models))
-        return CandidateSet(tuple(hypotheses), generator=self.name)
+        return CandidateSet(Combinations.of(self.multi.lead_terms(models)), generator=self.name)
 
 
 class DNNTopKGenerator:
@@ -165,16 +172,10 @@ class DNNTopKGenerator:
         if job.n_params == 1:
             # Constant pair appended as a safety net: the classifier may
             # miss it, but a constant kernel must still be modelable.
-            pairs = candidates[0] + [ExponentPair(0, 0)]
-            hypotheses = single_parameter_hypotheses(pairs)
-        else:
-            hypotheses = combination_hypotheses(
-                [
-                    [None if pair.is_constant else CompoundTerm.from_pair(pair) for pair in row]
-                    for row in candidates
-                ]
-            )
-        return CandidateSet(tuple(hypotheses), generator=self.name, cache_hits=cache_hits)
+            candidates = [candidates[0] + [ExponentPair(0, 0)]]
+        return CandidateSet(
+            _pair_combinations(candidates), generator=self.name, cache_hits=cache_hits
+        )
 
 
 class AdaptiveGenerator:
@@ -233,15 +234,8 @@ class AdaptiveGenerator:
         return classify_noise(level, job.n_params, self.thresholds)
 
     def _union(self, full_set: CandidateSet, dnn_set: CandidateSet) -> CandidateSet:
-        hypotheses = list(full_set.hypotheses)
-        seen = {hyp.structure_key() for hyp in hypotheses}
-        for hyp in dnn_set.hypotheses:
-            key = hyp.structure_key()
-            if key not in seen:
-                seen.add(key)
-                hypotheses.append(hyp)
         return CandidateSet(
-            tuple(hypotheses),
+            union(full_set.hypotheses, dnn_set.hypotheses),
             generator=f"{self.name}[union]",
             cache_hits=dnn_set.cache_hits,
         )

@@ -5,13 +5,26 @@ the additive/multiplicative combination hypotheses one at a time, each
 paying a small SVD plus Python dispatch. For the DNN modeler that loop is
 the multi-parameter hot path: with top-k candidates per parameter the
 product of per-parameter choices yields up to ``k^m * Bell(m)`` hypotheses
-per kernel (~136 for k = 3, m = 3). This module scores designs in stacks:
+per kernel (136 for k = 3, m = 3). This module scores designs in stacks:
 one ``(h, n, c)`` design tensor per design shape, one batched SVD,
-vectorized leave-one-out predictions and SMAPE scores. Design columns are
-built once per kernel: each parameter column's term values come from one
-exponent basis (:func:`_exponent_basis`), and each term group's product is
-formed once, so hypotheses sharing a partition block (most of them) never
-recompute it.
+vectorized leave-one-out predictions and SMAPE scores.
+
+**Designs by index.** A kernel's candidates are a
+:class:`~repro.regression.multi_parameter.Combinations`: a combination
+template, cached by its pattern (per parameter, each slot's canonical term
+id, or -1 if constant; at most
+:data:`~repro.regression.multi_parameter.TEMPLATE_CACHE_SIZE` kept), plus
+the terms filling its slots. A hand-written hypothesis list is turned into
+one by :func:`~repro.regression.multi_parameter.indexed`, uncached.
+:func:`_design_plan` says which slot columns (from one
+:func:`_exponent_basis` per parameter) and block products a kernel needs,
+and which fill each coefficient-count bucket. A candidate carries its
+index, not a :class:`Hypothesis`. :meth:`~FastMultiParameterSearch.choose`
+takes the plausible candidates with the lowest score and breaks a tie by
+complexity key, then by index, building only the tied hypotheses (almost
+always one, the winner). The index is the last tie-break, which is why a
+template keeps the historical expansion order (see
+:func:`~repro.regression.multi_parameter.combination_template`).
 
 **Stacking across kernels.** :func:`score_stacked` scores many
 :class:`DesignGroup` s -- one kernel's hypotheses, or one measurement
@@ -35,7 +48,8 @@ random multi-parameter tasks by ``tests/regression/test_fast_multi.py``.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,12 +59,14 @@ from repro.obs import get_telemetry
 from repro.obs.trace import NULL_SPAN
 from repro.pmnf.terms import ExponentPair, require_positive
 from repro.regression.hypothesis import Hypothesis
+from repro.regression.multi_parameter import CombinationTemplate, indexed
 from repro.regression.selection import ScoredModel, _fit_and_loo
 from repro.regression.smape import smape
 
-#: One scored candidate: (implausible, cv_smape, complexity, order, hypothesis).
-#: ``min`` over the first four fields replicates the reference selection.
-Candidate = "tuple[bool, float, tuple, int, Hypothesis]"
+#: One scored candidate: (implausible, cv_smape, order, hypotheses), the
+#: hypothesis being ``hypotheses[order]``. :meth:`FastMultiParameterSearch.choose`
+#: replicates the reference selection over them.
+Candidate = "tuple[bool, float, int, Sequence[Hypothesis]]"
 
 #: Most designs one :func:`_batched_scores` call stacks. The cap bounds
 #: memory, not speed: a sweep batch's ``(125, 3)`` bucket holds ~1,150
@@ -286,10 +302,42 @@ def prescore_batch(span_name: str, groups: "Sequence[DesignGroup]", kernels: int
         span.set(calls=score_stacked(groups, isolate=True))
 
 
+def _design_plan(template: CombinationTemplate, most: int) -> tuple:
+    """A kernel's plan ``(slots, products, buckets)`` for designs of at most
+    ``most`` coefficients (``n - 1``), memoized on the template.
+
+    A kernel's columns are the term columns of ``slots`` (per parameter, in
+    order), then one product per block of several factors (``products``
+    holds, per block size, one row array per factor). ``buckets[c]`` holds
+    the ids of the hypotheses with ``c`` coefficients and their blocks'
+    columns.
+    """
+    plan = template.designs.get(most)
+    if plan is None:
+        kept = [(i, hyp) for i, hyp in enumerate(template.hypotheses) if len(hyp) < most]
+        needed = {template.blocks[b] for _, hyp in kept for b in hyp}
+        needed = sorted(needed, key=lambda block: (len(block), block))
+        members = sorted({member for block in needed for member in block})
+        column = {(member,): r for r, member in enumerate(members)}
+        products = []
+        for _, blocks in groupby((b for b in needed if len(b) > 1), key=len):
+            blocks = list(blocks)
+            products.append([np.array([column[(m,)] for m in factor]) for factor in zip(*blocks)])
+            column.update((block, len(column)) for block in blocks)
+        buckets: "dict[int, tuple[list[int], list[int]]]" = {}
+        for i, hyp in kept:
+            ids, columns = buckets.setdefault(len(hyp) + 1, ([], []))
+            ids.append(i)
+            columns.extend(column[template.blocks[b]] for b in hyp)
+        slots = [(l, [s for _, s in row]) for l, row in groupby(members, key=itemgetter(0))]
+        plan = template.designs[most] = (slots, products, buckets)
+    return plan
+
+
 class _KernelDesigns:
     """One kernel's applicable hypotheses as a :class:`DesignGroup`."""
 
-    __slots__ = ("hypotheses", "points", "values", "kept", "group")
+    __slots__ = ("hypotheses", "points", "values", "combinations", "buckets", "group")
 
     def __init__(self, hypotheses: Sequence[Hypothesis], points, values):
         self.hypotheses, self.points, self.values = hypotheses, points, values
@@ -297,36 +345,30 @@ class _KernelDesigns:
         values = np.asarray(values, dtype=float)
         if points.ndim != 2 or values.ndim != 1 or points.shape[0] != values.shape[0]:
             raise ValueError("points must be (n, m) with one value per row")
-        n = values.shape[0]
-        # Bucket hypotheses by coefficient count, skipping those with more
-        # coefficients than n - 1 points. Every distinct term group
-        # (partition block) gets its column once, from the per-parameter
-        # exponent bases.
-        by_count: dict[int, list[tuple[int, Hypothesis]]] = {}
-        for idx, hyp in enumerate(hypotheses):
-            c = hyp.n_coefficients
-            if c <= n - 1:
-                by_count.setdefault(c, []).append((idx, hyp))
-        blocks = dict.fromkeys(
-            key for bucket in by_count.values() for _, hyp in bucket for key in hyp.group_keys
-        )
-        needed: dict[int, dict[ExponentPair, None]] = {}
-        for key in blocks:
-            for l, pair in key:
-                needed.setdefault(l, {})[pair] = None
-        basis = {l: _exponent_basis(points[:, l], pairs) for l, pairs in needed.items()}
-        for key in blocks:
-            (l, pair), *rest = key
-            col = basis[l][pair]
-            for l, pair in rest:
-                col = col * basis[l][pair]
-            blocks[key] = col
-        self.kept = by_count
+        self.combinations = combinations = indexed(hypotheses)
+        terms = combinations.terms
+        slots, products, self.buckets = _design_plan(combinations.template, values.shape[0] - 1)
+        # One column per needed slot, from its parameter's exponent basis,
+        # then one per needed block of several factors: a block size at a
+        # time, multiplied elementwise in parameter order, so every column
+        # is bitwise its term group's evaluation.
+        columns = []
+        for l, row in slots:
+            pairs = [terms[l][slot].exponents for slot in row]
+            basis = _exponent_basis(points[:, l], pairs)
+            columns.extend(basis[pair] for pair in pairs)
+        if products:
+            factors = np.array(columns)
+            for first, *rest in products:
+                block = factors[first]
+                for more in rest:
+                    block *= factors[more]
+                columns.extend(block)
         self.group = DesignGroup(
             values,
             {
-                c: (len(bucket), [blocks[key] for _, hyp in bucket for key in hyp.group_keys])
-                for c, bucket in by_count.items()
+                c: (len(ids), [columns[j] for j in blocks])
+                for c, (ids, blocks) in self.buckets.items()
             },
         )
 
@@ -334,22 +376,22 @@ class _KernelDesigns:
         return self.hypotheses is hypotheses and self.points is points and self.values is values
 
     def candidates(self) -> "list[Candidate]":
-        """Candidate tuples: (implausible, cv, complexity, order) per the
-        reference select_best ordering; min() over them replicates the
-        plausible-pool preference exactly."""
+        """One :data:`Candidate` per hypothesis with a finite score."""
         candidates: "list[Candidate]" = []
-        for c, bucket in self.kept.items():
+        for c, (ids, _) in self.buckets.items():
             cv, plausible = self.group.scores[c]
-            for (idx, hyp), finite, implausible, score in zip(
-                bucket, np.isfinite(cv).tolist(), (~plausible).tolist(), cv.tolist()
+            for idx, finite, implausible, score in zip(
+                ids, np.isfinite(cv).tolist(), (~plausible).tolist(), cv.tolist()
             ):
                 if finite:
-                    candidates.append((implausible, score, hyp.complexity_key(), idx, hyp))
+                    candidates.append((implausible, score, idx, self.hypotheses))
         return candidates
 
 
 class FastMultiParameterSearch:
-    """Batched evaluation and selection over explicit hypothesis lists.
+    """Batched evaluation and selection over candidate sequences: a
+    :class:`~repro.regression.multi_parameter.Combinations` or any list of
+    hypotheses.
 
     Stateless apart from what :meth:`prescored` stacks for one batch --
     one instance can be shared by every modeler.
@@ -426,7 +468,11 @@ class FastMultiParameterSearch:
             raise ValueError("no valid hypotheses to select from")
         points = np.asarray(points, dtype=float)
         values = np.asarray(values, dtype=float)
-        _, _, _, _, winner = min(candidates, key=lambda cand: cand[:4])
+        # Plausible first, then the lowest score; ties break by complexity,
+        # then by order, so only the tied hypotheses are built.
+        top = min(cand[:2] for cand in candidates)
+        tied = [(cand[3][cand[2]], cand[2]) for cand in candidates if cand[:2] == top]
+        winner, _ = min(tied, key=lambda pair: (pair[0].complexity_key(), pair[1]))
         fitted, loo = _fit_and_loo(winner, points, values)
         return ScoredModel(fitted=fitted, cv_smape=smape(values, loo))
 

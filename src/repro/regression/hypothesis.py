@@ -48,32 +48,6 @@ class Hypothesis:
         self._complexity_key = (len(self.groups), tuple(growth))
 
     @classmethod
-    def _from_blocks(
-        cls,
-        groups: "tuple[dict[int, CompoundTerm], ...]",
-        group_keys: tuple,
-        structure_key: tuple,
-        growth: "list[tuple]",
-        n_params: int,
-    ) -> "Hypothesis":
-        """Assemble a hypothesis from prevalidated, prekeyed groups.
-
-        For expansions that build each group once and share it: every group
-        must be non-empty, ordered by parameter and free of constant terms,
-        ``group_keys`` and ``structure_key`` must be what ``__init__`` would
-        derive, and ``growth`` holds the ``(power, j)`` of every term. The
-        result equals ``Hypothesis(groups, n_params)`` attribute for
-        attribute.
-        """
-        hyp = cls.__new__(cls)
-        hyp.groups = groups
-        hyp.n_params = n_params
-        hyp.group_keys = group_keys
-        hyp._structure_key = structure_key
-        hyp._complexity_key = (len(groups), tuple(sorted(growth, reverse=True)))
-        return hyp
-
-    @classmethod
     def constant(cls, n_params: int) -> "Hypothesis":
         return cls((), n_params)
 

@@ -62,3 +62,17 @@ class TestRunReproduction:
     def test_empty_report_renders(self):
         text = ReproductionReport().to_markdown()
         assert text.startswith("# Reproduction report")
+
+
+class TestEstimatorExperiment:
+    @pytest.mark.parametrize(
+        "trials, seed, expected",
+        [(8, 0, "0x1.d45b6ad2d7d68p-5"), (30, 20210517, "0x1.389ba5fc00db7p-4")],
+    )
+    def test_error_is_pinned_bit_for_bit(self, trials, seed, expected):
+        """Each trial's kernel is built in one ``add_rows`` from the
+        generator's draws in their historical order: the mean estimator error
+        is the one the per-point build gave, to the last bit."""
+        from repro.evaluation.reporting import _estimator_experiment
+
+        assert _estimator_experiment(trials, seed).hex() == expected

@@ -58,7 +58,9 @@ def bad_kernels(n_params):
             kernel_from("huge", [(x,) for x in xs], [[1e308, 1.7e308]] * 5),
         ]
     return [
-        kernel_from("flat", [(x, 8.0) for x in xs], [[x, 1.1 * x] for x in xs]),
+        kernel_from(
+            "flat", [(x, *[8.0] * (n_params - 1)) for x in xs], [[x, 1.1 * x] for x in xs]
+        ),
         kernel_from("one-dimensional", [(x,) for x in xs], [[x, 1.1 * x] for x in xs]),
     ]
 
@@ -83,7 +85,7 @@ def sweep_modelers(tiny_network):
 
 
 class TestBadKernelsFailAlone:
-    @pytest.mark.parametrize("n_params", [1, 2])
+    @pytest.mark.parametrize("n_params", [1, 2, 3])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -116,6 +118,7 @@ class TestBadKernelsFailAlone:
                 assert str(outcome) == str(alone)
             else:
                 assert without_seconds(outcome) == without_seconds(alone)
+                assert outcome.provenance.n_candidates == alone.provenance.n_candidates
         assert sum(failed(o) for o in outcomes) == 2
 
     def test_only_the_bad_task_fails_in_a_sweep(self, sweep_modelers, monkeypatch):
@@ -205,13 +208,15 @@ class TestJobsRunOncePerBatch:
         original = FullSearchGenerator.generate_many
 
         def counting(self, jobs):
-            generated.extend(id(job.kernel) for job in jobs)
+            # The kernels themselves, not their ids: a kernel of an earlier
+            # batch may be freed, and a later one may reuse its id.
+            generated.extend(job.kernel for job in jobs)
             return original(self, jobs)
 
         monkeypatch.setattr(FullSearchGenerator, "generate_many", counting)
         config = sweep.SweepConfig(n_params=2, noise_levels=(0.01, 0.05), n_functions=4, batch_size=4)
         result = sweep.run_sweep(config, sweep_modelers, rng=3, processes=1)
-        assert len(generated) == len(set(generated)) == 8
+        assert len(generated) == len({id(kernel) for kernel in generated}) == 8
 
         kernels = [synthetic_kernel(seed, 2, 0.01) for seed in range(3)]
         memo: dict = {}

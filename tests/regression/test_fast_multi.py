@@ -173,8 +173,28 @@ class TestEdgeCases:
         points = np.array([[4.0, 4.0], [8.0, 16.0]])
         values = np.array([5.0, 9.0])
         candidates = SEARCH.score(hand_hypotheses(), points, values)
-        assert all(cand[4].n_coefficients <= 1 for cand in candidates)
+        assert all(cand[3][cand[2]].n_coefficients <= 1 for cand in candidates)
         assert_engines_agree(hand_hypotheses(), points, values)
+
+    def test_score_ties_break_by_complexity_then_order(self):
+        """Among candidates tied on plausibility and score, the simplest
+        structure wins, then the earliest; a plausible one beats any
+        implausible one, and a lower score beats any complexity."""
+        hyps = hand_hypotheses()  # 0: constant, 1: x1, 3: x1 + x2^2, 4: x1 * x2^2
+        points = np.array([[4.0, 2.0], [8.0, 3.0], [16.0, 5.0], [32.0, 7.0], [64.0, 11.0]])
+        values = 1.0 + points[:, 0]
+
+        def winner(*candidates):
+            chosen = SEARCH.choose(list(candidates), points, values)
+            return chosen.fitted.hypothesis.group_keys
+
+        assert winner((False, 1.0, 4, hyps), (False, 1.0, 3, hyps)) == hyps[4].group_keys
+        assert winner((False, 1.0, 3, hyps), (False, 1.0, 1, hyps)) == hyps[1].group_keys
+        assert winner((True, 0.5, 0, hyps), (False, 2.0, 3, hyps)) == hyps[3].group_keys
+        assert winner((False, 1.0, 0, hyps), (False, 0.5, 4, hyps)) == hyps[4].group_keys
+        same = [Hypothesis([{0: CompoundTerm(1)}], 2), Hypothesis([{0: CompoundTerm(1)}], 2)]
+        chosen = SEARCH.choose([(False, 1.0, 1, same), (False, 1.0, 0, same)], points, values)
+        assert chosen.fitted.hypothesis is same[0]
 
     def test_empty_candidates_raise(self):
         with pytest.raises(ValueError, match="no valid hypotheses"):

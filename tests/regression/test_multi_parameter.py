@@ -9,10 +9,14 @@ from repro.pmnf.function import PerformanceFunction
 from repro.pmnf.searchspace import EXPONENT_PAIRS
 from repro.pmnf.terms import CompoundTerm, ExponentPair
 from repro.regression.hypothesis import Hypothesis
+from repro.regression.fast_multi import _KernelDesigns
 from repro.regression.multi_parameter import (
+    Combinations,
     MultiParameterModeler,
     combination_hypotheses,
+    indexed,
     set_partitions,
+    union,
 )
 from repro.synthesis.measurements import grid_points, synthesize_measurements
 
@@ -133,17 +137,178 @@ class TestBlockBuiltExpansion:
         assert len(hypotheses) == 3  # constant, product, sum; the repeat adds none
         assert all(t is not again for h in hypotheses for g in h.groups for t in g.values())
 
-    def test_private_constructor_matches_public(self):
-        groups = ({0: CompoundTerm(F(3, 2), 1), 2: CompoundTerm(1)}, {1: CompoundTerm(0, 2)})
-        public = Hypothesis(groups, 3)
-        private = Hypothesis._from_blocks(
-            groups,
-            tuple(tuple((l, t.exponents) for l, t in g.items()) for g in groups),
-            tuple(sorted(tuple((l, t.exponents) for l, t in g.items()) for g in groups)),
-            [(t.power, t.j) for g in groups for t in g.values()],
-            3,
+    @pytest.mark.parametrize("n_params", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_template_matches_oracle_with_constants_and_repeats(self, n_params, k):
+        """Every ``(m, k)`` with the constant in each slot position and a
+        repeated pair: the template's hypotheses are the oracle's, in order,
+        with the first-occurrence term objects."""
+        gen = np.random.default_rng(1000 * n_params + k)
+        for constant_slot in range(k):
+            candidates = template_candidates(gen, n_params, k, constant_slot)
+            combinations = Combinations.of(candidates)
+            hypotheses = list(combinations)
+            expected = reference_combinations(candidates)
+            assert len(combinations) == len(hypotheses) == len(expected)
+            for hyp, ref in zip(hypotheses, expected):
+                assert hyp.group_keys == ref.group_keys
+                assert_same_hypothesis(hyp, ref)
+            assert [combinations[i].group_keys for i in range(len(expected))] == [
+                h.group_keys for h in expected
+            ]
+
+    @pytest.mark.parametrize("n_params", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_fast_buckets_are_the_materialized_columns(self, n_params, k):
+        """The fast engine fills its buckets from the template by index; each
+        bucket is bitwise the design columns of its materialized hypotheses."""
+        gen = np.random.default_rng(2000 * n_params + k)
+        points = gen.uniform(1.5, 64.0, size=(8, n_params))
+        values = gen.uniform(1.0, 2.0, size=8)
+        for constant_slot in range(k):
+            combinations = Combinations.of(template_candidates(gen, n_params, k, constant_slot))
+            designs = _KernelDesigns(combinations, points, values)
+            hypotheses = list(combinations)
+            assert sum(count for count, _ in designs.group.buckets.values()) == len(hypotheses)
+            for c, (count, columns) in designs.group.buckets.items():
+                ids = designs.buckets[c][0]
+                assert count == len(ids)
+                expected = [hypotheses[i].design_matrix(points)[:, 1:].T for i in ids]
+                actual = np.reshape(columns, (count, c - 1, len(values)))
+                assert actual.tobytes() == np.array(expected).reshape(actual.shape).tobytes()
+
+    def test_materialized_match_constructor(self):
+        """Every hypothesis a template builds equals the public constructor's
+        from its groups, attribute for attribute."""
+        gen = np.random.default_rng(5)
+        for n_params in (2, 3, 4):
+            combinations = Combinations.of(random_top_k(gen, n_params, k=4))
+            for hyp in combinations:
+                assert_same_hypothesis(hyp, Hypothesis(hyp.groups, n_params))
+
+    @pytest.mark.parametrize("n_params", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_is_the_structure_deduplicated_concatenation(self, n_params, seed):
+        """``union`` builds the first set's hypotheses, then each of the
+        second's with a new structure, with the first term object of each
+        exponent pair: what deduplicating the built lists gives."""
+        gen = np.random.default_rng(seed)
+        top_k = random_top_k(gen, n_params)
+        # Half the full set's terms are new objects equal to a DNN term.
+        full = Combinations.of(
+            [
+                [CompoundTerm.from_pair(row[-1].exponents) if row[-1] and l % 2 == 0 else lead[0]]
+                for l, (row, lead) in enumerate(zip(top_k, random_top_k(gen, n_params, k=1)))
+            ]
         )
-        assert_same_hypothesis(private, public)
+        dnn = Combinations.of(top_k)
+        merged = union(full, dnn)
+        expected, seen = [], set()
+        for hyp in [*full, *dnn]:
+            if hyp.structure_key() not in seen:
+                seen.add(hyp.structure_key())
+                expected.append(hyp)
+        assert len(merged) == len(expected)
+        first = {}
+        for hyp in expected:
+            for group in hyp.groups:
+                for l, term in group.items():
+                    first.setdefault((l, term.exponents), term)
+        for hyp, ref in zip(merged, expected):
+            rebuilt = Hypothesis(
+                [{l: first[l, t.exponents] for l, t in g.items()} for g in ref.groups], n_params
+            )
+            assert_same_hypothesis(hyp, rebuilt)
+
+    def test_concurrent_expansion_matches_serial(self):
+        """Threads expanding and planning the same patterns at once, from an
+        empty template cache, build what one thread builds."""
+        import sys
+        import threading
+
+        from repro.regression import multi_parameter
+
+        gen = np.random.default_rng(11)
+        points = gen.uniform(1.5, 64.0, size=(9, 3))
+        values = gen.uniform(1.0, 2.0, size=9)
+        sets = [random_top_k(gen, 3) for _ in range(12)]
+
+        def build(candidates):
+            combinations = Combinations.of(candidates)
+            designs = _KernelDesigns(combinations, points, values)
+            buckets = {c: np.array(cols).tobytes() for c, (_, cols) in designs.group.buckets.items()}
+            return [h.group_keys for h in combinations], buckets
+
+        multi_parameter._TEMPLATES.clear()
+        serial = [build(candidates) for candidates in sets]
+        results: dict = {}
+        errors = []
+
+        def worker(t, order, barrier):
+            try:
+                barrier.wait(timeout=60)
+                for i in order:
+                    results[t, int(i)] = build(sets[int(i)])
+            # repro-lint: disable-next-line=EXC001 -- not swallowed: failures
+            # cross the thread boundary through `errors` and fail the test.
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(4):
+                # Every thread takes the sets in one order: they race on each
+                # first expansion and plan.
+                multi_parameter._TEMPLATES.clear()
+                order = np.random.default_rng(round_).permutation(len(sets))
+                barrier = threading.Barrier(8)
+                threads = [
+                    threading.Thread(target=worker, args=(8 * round_ + t, order, barrier))
+                    for t in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 4 * 8 * len(sets)
+        assert all(results[t, i] == serial[i] for t, i in results)
+
+    def test_indexed_list_keeps_order_and_repeats(self):
+        """A hand-written list, repeats included, indexes to the same
+        hypotheses in the same order."""
+        a, b = CompoundTerm(1), CompoundTerm(2, 1)
+        listed = [
+            Hypothesis([{1: b}, {0: a}], 2),
+            Hypothesis.constant(2),
+            Hypothesis([{0: a, 1: b}], 2),
+            Hypothesis([{1: b}, {0: a}], 2),
+        ]
+        combinations = indexed(listed)
+        assert len(combinations) == len(listed)
+        for hyp, ref in zip(combinations, listed):
+            assert_same_hypothesis(hyp, ref)
+
+
+def template_candidates(gen, n_params: int, k: int, constant_slot: int) -> list:
+    """``k`` candidates per parameter: random pairs, a constant (``None`` or
+    the constant term, by parameter) in ``constant_slot``, and, from
+    ``k = 3``, a later slot that repeats an earlier pair as a new term."""
+    candidates = []
+    for l in range(n_params):
+        picks = gen.choice(len(EXPONENT_PAIRS) - 1, size=k, replace=False) + 1
+        row = [CompoundTerm.from_pair(EXPONENT_PAIRS[int(i)]) for i in picks]
+        row[constant_slot] = None if l % 2 else CompoundTerm(0, 0)
+        if k >= 3:
+            source = next(t for t in row if t is not None and not t.is_constant)
+            later = [s for s in range(k) if s != constant_slot and row[s] is not source]
+            row[later[-1]] = CompoundTerm.from_pair(source.exponents)
+        candidates.append(row)
+    return candidates
 
 
 class TestMultiParameterModeler:
