@@ -45,6 +45,17 @@ class Kernel:
                 f"holds {self._arity}-dimensional coordinates"
             )
 
+    def require_arity(self, arity: int) -> None:
+        """Hold ``arity``-dimensional coordinates only: refuse the kernel if
+        it holds others already, and every later add of others."""
+        if self._arity is None:
+            self._arity = arity
+        elif arity != self._arity:
+            raise ValueError(
+                f"kernel {self.name!r} has coordinate {self.coordinates[0]!r} with arity "
+                f"{self._arity}, expected {arity}"
+            )
+
     def add(self, measurement: Measurement) -> None:
         """Add a measurement; repeated adds at one coordinate merge repetitions."""
         point = measurement.coordinate.as_tuple()
@@ -209,12 +220,14 @@ class Experiment:
         if name in self._kernels:
             raise ValueError(f"kernel {name!r} already exists")
         kern = Kernel(name, metric)
+        kern.require_arity(self.n_params)
         self._kernels[name] = kern
         return kern
 
     def add_kernel(self, kernel: Kernel) -> None:
         if kernel.name in self._kernels:
             raise ValueError(f"kernel {kernel.name!r} already exists")
+        kernel.require_arity(self.n_params)
         self._kernels[kernel.name] = kernel
 
     def remove_kernel(self, name: str) -> Kernel:
@@ -250,8 +263,6 @@ class Experiment:
         """Every kernel's points stacked, duplicates kept."""
         tables = [kern.table for kern in self._kernels.values()]
         points = [table.points for table in tables if len(table)]
-        if len({p.shape[1] for p in points}) > 1:
-            raise ValueError("kernels hold coordinates of different arities; see validate()")
         return np.concatenate(points) if points else np.empty((0, self.n_params))
 
     def coordinates(self) -> list[Coordinate]:
@@ -264,16 +275,6 @@ class Experiment:
     def parameter_values(self) -> list[np.ndarray]:
         """Per-parameter sorted unique values occurring in any coordinate."""
         return [np.unique(column) for column in self._points().T]
-
-    def validate(self) -> None:
-        """Check structural invariants (arity, minimum point counts)."""
-        for kern in self._kernels.values():
-            points = kern.table.points
-            if len(points) and points.shape[1] != self.n_params:
-                raise ValueError(
-                    f"kernel {kern.name!r} has coordinate {kern.coordinates[0]!r} with arity "
-                    f"{points.shape[1]}, expected {self.n_params}"
-                )
 
     def __repr__(self) -> str:
         return (

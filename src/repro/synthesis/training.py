@@ -21,6 +21,7 @@ from repro.pmnf.terms import CompoundTerm
 from repro.preprocessing.encoding import MAX_POINTS, MIN_POINTS, encode_line, encode_lines
 from repro.synthesis.functions import COEFFICIENT_RANGE, random_coefficient
 from repro.synthesis.sequences import SequenceKind, random_sequence
+from repro.util.pcg64_replay import PCG64Replay, uniform
 from repro.util.seeding import as_generator
 
 
@@ -105,7 +106,10 @@ def _draw_sample(
     The call sequence -- point layout, ``c0``, ``c1`` (non-constant classes
     only), the repetition count, then ``config.noise.apply`` on the repeated
     truth -- is a compatibility contract: adapted networks and the pretrained
-    cache are reproducible only while it stays the same. ``terms`` caches
+    cache are reproducible only while it stays the same. Domain-adaptation
+    configs do not call this in :func:`generate_training_set`; their
+    :func:`_replay_class` recomputes this sequence's draws from raw words,
+    and this function stays the reference it must equal. ``terms`` caches
     ``label``'s term column per point layout; evaluation is pure, so a cached
     column is bit-identical to a fresh one.
     """
@@ -138,7 +142,8 @@ def synthesize_sample(
     """Generate one encoded input vector whose ground-truth class is ``label``.
 
     The per-sample reference of :func:`generate_training_set`: a loop of
-    these calls makes the same draws and the same rows.
+    these calls makes the same Generator calls, in the same order, and the
+    same rows, whether the batched generator draws them or replays them.
     """
     gen = as_generator(rng)
     xs, noisy = _draw_sample(label, config, gen, {})
@@ -168,6 +173,73 @@ def _synthesize_class(
         out[rows] = encode_lines(xs, np.concatenate(medians))
 
 
+def _replays(config: TrainingSetConfig, gen: np.random.Generator) -> bool:
+    """Whether ``config``'s classes are built by :func:`_replay_class`.
+
+    That is every domain-adaptation config (fixed value sets, a noise level
+    drawn per sample from a range) on numpy's default PCG64 generator.
+    """
+    return (
+        config.parameter_value_sets is not None
+        and type(config.noise) is UniformLevelRangeNoise
+        and type(gen.bit_generator) is np.random.PCG64
+    )
+
+
+def _replay_class(
+    label: int, config: TrainingSetConfig, gen: np.random.Generator, out: np.ndarray
+) -> None:
+    """:func:`_synthesize_class` for a :func:`_replays` config, from raw words.
+
+    A walk mirrors each sample's :func:`_draw_sample` calls on one block of
+    raw PCG64 words and records where each sample's words lie: the layout
+    and repetition draws are made there, since the repetition count decides
+    how many noise words follow. The coefficients, noise levels and noise
+    values are then computed from the recorded words in one pass per group
+    of samples sharing (layout, repetitions); every value is bitwise the
+    Generator call's, and ``gen`` ends in the state the calls leave.
+    """
+    sets = [np.asarray(values, dtype=float) for values in config.parameter_value_sets]
+    count, reps = out.shape[0], config.repetitions
+    draws = PCG64Replay(gen, count * (5 + max(xs.size for xs in sets) * reps))
+    pair = pair_for_class(label)
+    integers, take, sizes = draws.integers, draws.take, [xs.size for xs in sets]
+    coefficient_words = 1 if pair.is_constant else 2
+    layouts, repetitions, coefficients_at, noise_at = [], [], [], []
+    for _ in range(count):
+        layout = integers(0, len(sets))
+        coefficients_at.append(take(coefficient_words))
+        rep = reps if config.fixed_repetitions else integers(1, reps + 1)
+        noise_at.append(take(1 + sizes[layout] * rep))  # the level, then the values
+        layouts.append(layout)
+        repetitions.append(rep)
+    draws.commit()
+
+    words, lo, hi = draws.words, *config.coefficient_range
+    coefficients_at, noise_at = np.array(coefficients_at), np.array(noise_at)
+    layouts, repetitions = np.array(layouts), np.array(repetitions)
+    c0 = uniform(lo, hi, words[coefficients_at])[:, None]
+    c1 = None if pair.is_constant else uniform(lo, hi, words[coefficients_at + 1])[:, None]
+    half = (uniform(config.noise.lo, config.noise.hi, words[noise_at]) / 2.0)[:, None, None]
+    for layout, xs in enumerate(sets):
+        in_layout = layouts == layout
+        if not in_layout.any():
+            continue
+        term = None if c1 is None else CompoundTerm.from_pair(pair).evaluate(xs)
+        groups, medians = [], []
+        for rep in np.unique(repetitions[in_layout]):
+            group = np.flatnonzero(in_layout & (repetitions == rep))
+            at = noise_at[group, None] + 1 + np.arange(xs.size * rep)
+            noise = uniform(-half[group], half[group], words[at].reshape(group.size, xs.size, rep))
+            if c1 is None:
+                truth = np.repeat(c0[group], xs.size, axis=1)
+            else:
+                truth = c0[group] + c1[group] * term
+            groups.append(group)
+            medians.append(np.median(truth[:, :, None] * (1.0 + noise), axis=-1))
+        out[np.concatenate(groups)] = encode_lines(xs, np.concatenate(medians))
+
+
 def generate_training_set(
     config: TrainingSetConfig,
     rng: "np.random.Generator | int | None" = None,
@@ -179,15 +251,19 @@ def generate_training_set(
     class labels. Classes are balanced by construction, matching the paper's
     "fixed amount of synthetic training samples per class". The rows, the
     labels and the generator's final state equal those of a loop of
-    :func:`synthesize_sample` calls followed by ``gen.permutation``; work
-    proceeds one class at a time, so only one class's repetitions are held.
+    :func:`synthesize_sample` calls followed by ``gen.permutation``: the
+    per-sample call sequence is the contract, which domain-adaptation
+    configs replay from raw words (:func:`_replay_class`) and every other
+    config makes call by call (:func:`_synthesize_class`). Work proceeds
+    one class at a time, so only one class's repetitions are held.
     """
     gen = as_generator(rng)
     per_class = config.samples_per_class
     n = NUM_CLASSES * per_class
     X = np.empty((n, MAX_POINTS), dtype=float)
+    synthesize_class = _replay_class if _replays(config, gen) else _synthesize_class
     for label in range(NUM_CLASSES):
-        _synthesize_class(label, config, gen, X[label * per_class : (label + 1) * per_class])
+        synthesize_class(label, config, gen, X[label * per_class : (label + 1) * per_class])
     y = np.repeat(np.arange(NUM_CLASSES, dtype=np.int64), per_class)
     if shuffle:
         order = gen.permutation(n)

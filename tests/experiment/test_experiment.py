@@ -109,9 +109,9 @@ class TestExperiment:
         np.testing.assert_array_equal(values[0], [4.0, 8.0])
         np.testing.assert_array_equal(values[1], [10.0, 20.0])
 
-    def test_validate_catches_arity_mismatch(self):
+    def test_create_kernel_catches_arity_mismatch(self):
         exp = Experiment(["p", "n"])
         k = exp.create_kernel("k")
-        k.add(Measurement(Coordinate(4.0), [1.0]))
-        with pytest.raises(ValueError):
-            exp.validate()
+        with pytest.raises(ValueError, match=r"arity 1, but kernel 'k' holds 2-dimensional"):
+            k.add(Measurement(Coordinate(4.0), [1.0]))
+        assert len(k) == 0

@@ -240,25 +240,34 @@ class TestExperimentFromArrays:
         values = exp.parameter_values()
         np.testing.assert_array_equal(values[0], [2.0, 4.0, 8.0])
         np.testing.assert_array_equal(values[1], [10.0, 20.0, 30.0])
-        exp.validate()
 
-    def test_validate_names_kernel_coordinate_and_arity(self):
+    def test_add_kernel_refuses_arity_by_name(self):
         exp = Experiment(["p", "n"])
-        exp.create_kernel("k").add_rows([[8.0], [4.0]], [[1.0], [2.0]])
+        kernel = Kernel("k")
+        kernel.add_rows([[8.0], [4.0]], [[1.0], [2.0]])
         with pytest.raises(
             ValueError,
             match=r"kernel 'k' has coordinate Coordinate\(4\.0,\) with arity 1, expected 2",
         ):
-            exp.validate()
+            exp.add_kernel(kernel)
+        assert exp.kernel_names == []
+
+    def test_add_kernel_fixes_an_empty_kernels_arity(self):
+        exp = Experiment(["p", "n"])
+        kernel = Kernel("k")
+        exp.add_kernel(kernel)
+        with pytest.raises(ValueError, match=r"arity 1, but kernel 'k' holds 2-dimensional"):
+            kernel.add_rows([[4.0]], [[1.0]])
 
     def test_mixed_arities_across_kernels_refused_by_name(self):
         exp = Experiment(["p", "n"])
         exp.create_kernel("a").add_rows([[8.0, 10.0]], [[1.0]])
-        exp.create_kernel("b").add_rows([[4.0]], [[1.0]])
-        with pytest.raises(ValueError, match="different arities"):
-            exp.coordinates()
-        with pytest.raises(ValueError, match="kernel 'b' has coordinate"):
-            exp.validate()
+        with pytest.raises(
+            ValueError,
+            match=r"coordinate \(4\.0,\) has arity 1, but kernel 'b' holds 2-dimensional",
+        ):
+            exp.create_kernel("b").add_rows([[4.0]], [[1.0]])
+        assert exp.coordinates() == [Coordinate(8.0, 10.0)]
 
     def test_io_errors_keep_the_measurement_index(self):
         data = {

@@ -11,6 +11,7 @@ from repro.noise.injection import (
 from repro.pmnf.searchspace import CONSTANT_CLASS, NUM_CLASSES, class_index
 from repro.pmnf.terms import ExponentPair
 from repro.preprocessing.encoding import INPUT_SIZE
+from repro.synthesis import training
 from repro.synthesis.sequences import SequenceKind
 from repro.synthesis.training import (
     TrainingSetConfig,
@@ -178,6 +179,19 @@ REFERENCE_CONFIGS = {
     "tainted": TrainingSetConfig(
         samples_per_class=6, parameter_value_sets=[X11], noise=TaintedRepetitionNoise(0.2, p=0.3)
     ),
+    # The case-study shapes domain adaptation builds: 5-point sets, drawn
+    # repetitions, and a noise band as wide as the campaigns measure.
+    "casestudy_three_sets_wide_band": TrainingSetConfig(
+        samples_per_class=8,
+        parameter_value_sets=[X5, X5 * 3.0, np.array([10.0, 20.0, 30.0, 40.0, 50.0])],
+        noise=UniformLevelRangeNoise(0.0, 2.85),
+    ),
+    "casestudy_two_sets_reps2": TrainingSetConfig(
+        samples_per_class=8,
+        parameter_value_sets=[X5, X5 * 2.0],
+        repetitions=2,
+        noise=UniformLevelRangeNoise(0.02, 0.4),
+    ),
     "pretraining": TrainingSetConfig(samples_per_class=6),
     "pretraining_kinds": TrainingSetConfig(
         samples_per_class=6,
@@ -191,11 +205,53 @@ class TestBatchedEqualsReference:
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
     def test_rows_labels_and_generator_state(self, name, shuffle):
         config = REFERENCE_CONFIGS[name]
-        for seed in (0, 1):
+        # Seed 2 starts after one integers call: a 32-bit half is buffered.
+        for seed, advanced in ((0, False), (1, False), (2, True)):
             gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            if advanced:
+                gen.integers(7), ref_gen.integers(7)
             X, y = generate_training_set(config, gen, shuffle=shuffle)
             X_ref, y_ref = _reference_training_set(config, ref_gen, shuffle)
             assert X.tobytes() == X_ref.tobytes()
             np.testing.assert_array_equal(y, y_ref)
             assert y.dtype == y_ref.dtype
             assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+class TestReplay:
+    """Domain-adaptation configs take the raw-word replay; the rows it
+    makes are checked against the per-sample reference above."""
+
+    ADAPTATION = REFERENCE_CONFIGS["casestudy_three_sets_wide_band"]
+
+    def test_adaptation_configs_make_no_per_sample_calls(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-sample draw pass used")
+
+        monkeypatch.setattr(training, "_draw_sample", refuse)
+        X, _ = generate_training_set(self.ADAPTATION, rng=0)
+        assert X.shape == (NUM_CLASSES * self.ADAPTATION.samples_per_class, INPUT_SIZE)
+        with pytest.raises(AssertionError, match="per-sample draw pass used"):
+            generate_training_set(REFERENCE_CONFIGS["heteroscedastic"], rng=0)
+
+    def test_other_bit_generators_take_the_per_sample_pass(self):
+        gen = np.random.Generator(np.random.Philox(4))
+        ref_gen = np.random.Generator(np.random.Philox(4))
+        X, _ = generate_training_set(self.ADAPTATION, gen, shuffle=False)
+        X_ref, _ = _reference_training_set(self.ADAPTATION, ref_gen, shuffle=False)
+        assert X.tobytes() == X_ref.tobytes()
+        np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+    def test_unmirrorable_repetition_range_refused_by_name(self):
+        config = TrainingSetConfig(
+            samples_per_class=2, parameter_value_sets=[X5], repetitions=2**32 + 1
+        )
+        with pytest.raises(ValueError, match=r"integers range \[1, 4294967298\).*64-bit path"):
+            generate_training_set(config, rng=0)
+
+    def test_infinite_coefficient_range_refused_by_name(self):
+        config = TrainingSetConfig(
+            samples_per_class=2, parameter_value_sets=[X5], coefficient_range=(1.0, np.inf)
+        )
+        with pytest.raises(ValueError, match=r"uniform range \[1\.0, inf\]"):
+            generate_training_set(config, rng=0)
