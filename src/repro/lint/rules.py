@@ -30,8 +30,18 @@ from repro.lint.core import LintContext, Rule, call_name, dotted_name, register_
 
 # --------------------------------------------------------------------- RNG001
 #: Attributes of ``np.random`` that are legitimate *types* to reference
-#: (isinstance checks, annotations) rather than global-state draws.
-_NP_RANDOM_TYPES = {"Generator", "SeedSequence", "BitGenerator", "PCG64", "Philox"}
+#: (isinstance checks, annotations, an explicitly seeded bit generator)
+#: rather than global-state draws: every bit-generator type numpy ships.
+_NP_RANDOM_TYPES = {
+    "Generator",
+    "SeedSequence",
+    "BitGenerator",
+    "MT19937",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "SFC64",
+}
 
 
 @register_rule

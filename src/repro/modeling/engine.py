@@ -5,16 +5,15 @@ per-hypothesis loop (:func:`repro.regression.selection.evaluate_hypotheses`
 + :func:`repro.regression.selection.select_best`) and the batched ``fast``
 paths (:mod:`repro.regression.fast_single` for single-parameter searches,
 :mod:`repro.regression.fast_multi` for the additive/multiplicative
-combination hypotheses). Over the same hypothesis list they select
-bit-identical models (``tests/regression/test_fast_multi.py``). The fast
-line search is not bitwise: on a near-constant line an exact tie can pick
-another winner, and the kernel model built from it then keeps the
-reference's structure but not its coefficients, so the printed models can
-differ (``tests/regression/test_fast_single.py``). ``fast`` is the
-default; the reference loop is the oracle those suites (and the
-end-to-end benchmark's correctness check) compare against, selected per
-modeler with ``engine="reference"`` or the spec argument
-``regression(engine=reference)``.
+combination hypotheses). Both compute every fit and score with one
+least-squares kernel (:func:`repro.regression.fast_multi._batched_scores`,
+on a stack of one in the reference loop) and prune with one rule, so on
+every kernel they give bitwise-equal coefficients and CV-SMAPE scores and
+print the same model (``tests/regression/test_fast_multi.py``,
+``tests/regression/test_fast_single.py``). ``fast`` is the default; the
+reference loop is the oracle those suites (and the end-to-end benchmark's
+correctness check) compare against, selected per modeler with
+``engine="reference"`` or the spec argument ``regression(engine=reference)``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ base writes ``model_kernel`` and ``model_experiment`` once over it.
 
 The fit/select stages run on one of two engines (see
 :mod:`repro.modeling.engine`): the ``reference`` per-hypothesis loop or the
-batched-SVD ``fast`` path of :mod:`repro.regression.fast_multi`. Every
+stacked ``fast`` path of :mod:`repro.regression.fast_multi`. Both score
+through one least-squares kernel, so they give bitwise-equal models. Every
 result carries :class:`Provenance` -- which generator ran, which engine,
 how many candidates were evaluated, cache hits, and per-stage seconds.
 
@@ -156,12 +157,9 @@ class ModelingPipeline:
 
     ``generator`` supplies the candidate hypotheses (see
     :mod:`repro.modeling.candidates`); ``engine`` picks the fit/select
-    implementation (``'fast'``, the default, or ``'reference'``). Over the
-    same hypothesis list both engines select bit-identical models (the
-    fast path refits its winner through the reference solver). The
-    candidates themselves can differ: the fast line search of an
-    ``m >= 2`` full search may break an exact tie on a near-constant line
-    another way (see :mod:`repro.modeling.engine`).
+    implementation (``'fast'``, the default, or ``'reference'``). Both
+    select bit-identical models, coefficients and scores on every kernel
+    (see :mod:`repro.modeling.engine`).
 
     ``prefilter`` (a spec string like ``"mad(k=3)"``, a built
     :class:`~repro.modeling.prefilter.RobustAggregator`, or ``None``)
@@ -299,7 +297,7 @@ class ModelingPipeline:
                 search = self._search.prescored(fit_jobs) if len(fit_jobs) > 1 else self._search
                 fit, choose = search.score, search.choose
             else:
-                fit, choose = evaluate_hypotheses, _select_reference
+                fit, choose = evaluate_hypotheses, select_best
             scored = stage(
                 "fit",
                 started,
@@ -310,7 +308,7 @@ class ModelingPipeline:
             best = stage(
                 "select",
                 started,
-                [attempt(choose, scored[i], *tables[i][1:3]) for i in live],
+                [attempt(choose, scored[i]) for i in live],
             )
             span.set(candidates=sum(len(candidates[i].hypotheses) for i in live))
 
@@ -352,11 +350,6 @@ class ModelingPipeline:
                 metrics.counter("pipeline.prefilter.dropped").inc(
                     provenance.dropped_repetitions
                 )
-
-
-def _select_reference(scored, points, values):
-    """The reference engine's select stage (the points are in its scores)."""
-    return select_best(scored)
 
 
 class PipelineModeler(Modeler):

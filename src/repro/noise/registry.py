@@ -80,6 +80,8 @@ def register_noise(
     def _register(fn: Callable[..., NoiseModel]) -> Callable[..., NoiseModel]:
         if name in _REGISTRY and not replace:
             raise ValueError(f"noise model {name!r} is already registered")
+        if axis is not None and axis not in inspect.signature(fn).parameters:
+            raise ValueError(f"sweep axis {axis!r} is not a keyword of noise model {name!r}")
         _REGISTRY[name] = RegisteredNoise(
             name=name, factory=fn, axis=axis, description=description
         )
@@ -182,7 +184,11 @@ def create_noise(spec: "str | NoiseModel", **overrides) -> NoiseModel:
     """
     if isinstance(spec, NoiseModel):
         return spec
-    entry, kwargs = validate_noise_spec(spec, **overrides)
+    return _build(*validate_noise_spec(spec, **overrides))
+
+
+def _build(entry: RegisteredNoise, kwargs: "dict[str, object]") -> NoiseModel:
+    """The model of a validated spec, nested specs built first."""
     resolved = {
         key: create_noise(str(value)) if isinstance(value, _NestedSpec) else value
         for key, value in kwargs.items()
@@ -198,7 +204,10 @@ def create_noise(spec: "str | NoiseModel", **overrides) -> NoiseModel:
 
 def noise_axis(spec: str) -> str:
     """The sweep-axis keyword of ``spec``'s registered model (or raise)."""
-    entry, _ = validate_noise_spec(spec)
+    return _sweep_axis(validate_noise_spec(spec)[0])
+
+
+def _sweep_axis(entry: RegisteredNoise) -> str:
     if entry.axis is None:
         raise ValueError(
             f"noise model {entry.name!r} has no sweep axis; give one of "
@@ -214,9 +223,13 @@ def noise_for_level(spec: str, value: float) -> NoiseModel:
     the historical sweep behaviour -- while
     ``noise_for_level("tainted(level=0.05)", 0.2)`` is a contamination
     sweep cell with ``p=0.2``. The axis keyword always wins over a value
-    in the spec string.
+    in the spec string. The spec is validated once; the axis needs no
+    check of its own, since registration refuses an axis that is not a
+    keyword of the factory.
     """
-    return create_noise(spec, **{noise_axis(spec): float(value)})
+    entry, kwargs = validate_noise_spec(spec)
+    kwargs[_sweep_axis(entry)] = float(value)
+    return _build(entry, kwargs)
 
 
 # ------------------------------------------------------------------ builtins

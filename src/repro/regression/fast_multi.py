@@ -1,13 +1,18 @@
-"""Vectorized evaluation of multi-parameter combination hypotheses.
+"""The least-squares kernel, and vectorized evaluation of multi-parameter
+combination hypotheses.
 
-The reference implementation (:mod:`repro.regression.selection`) loops over
-the additive/multiplicative combination hypotheses one at a time, each
-paying a small SVD plus Python dispatch. For the DNN modeler that loop is
+:func:`_batched_scores` is the package's one least-squares and
+leave-one-out arithmetic: column scaling, one batched SVD with rank
+truncation, coefficients, hat-matrix LOO predictions, their SMAPE, and the
+pruning of negligible terms. Both fit engines run it. The reference loop
+(:func:`repro.regression.selection.evaluate_hypotheses`) scores one design
+at a time on a stack of one; this module scores designs in stacks, one
+``(h, n, c)`` design tensor per design shape. For the DNN modeler that is
 the multi-parameter hot path: with top-k candidates per parameter the
 product of per-parameter choices yields up to ``k^m * Bell(m)`` hypotheses
-per kernel (136 for k = 3, m = 3). This module scores designs in stacks:
-one ``(h, n, c)`` design tensor per design shape, one batched SVD,
-vectorized leave-one-out predictions and SMAPE scores.
+per kernel (136 for k = 3, m = 3). A row's outputs depend on that row
+alone, bit for bit, so both engines give every design the same score and
+the same fit, and select the same model on every kernel.
 
 **Designs by index.** A kernel's candidates are a
 :class:`~repro.regression.multi_parameter.Combinations`: a combination
@@ -18,32 +23,33 @@ the terms filling its slots. A hand-written hypothesis list is turned into
 one by :func:`~repro.regression.multi_parameter.indexed`, uncached.
 :func:`_design_plan` says which slot columns (from one
 :func:`_exponent_basis` per parameter) and block products a kernel needs,
-and which fill each coefficient-count bucket. A candidate carries its
-index, not a :class:`Hypothesis`. :meth:`~FastMultiParameterSearch.choose`
-takes the plausible candidates with the lowest score and breaks a tie by
-complexity key, then by index, building only the tied hypotheses (almost
-always one, the winner). The index is the last tie-break, which is why a
-template keeps the historical expansion order (see
+and which fill each coefficient-count bucket. A candidate carries its index
+and its bucket row, not a :class:`Hypothesis`.
+:meth:`~FastMultiParameterSearch.choose` takes the plausible candidates
+with the lowest score and breaks a tie by complexity key, then by index,
+building only the tied hypotheses (almost always one, the winner). The
+index is the last tie-break, which is why a template keeps the historical
+expansion order (see
 :func:`~repro.regression.multi_parameter.combination_template`).
 
 **Stacking across kernels.** :func:`score_stacked` scores many
 :class:`DesignGroup` s -- one kernel's hypotheses, or one measurement
-line's term pairs -- in one pass: one :func:`_batched_scores` call per
-``(n, c)`` design shape and per chunk of at most :data:`STACK_CHUNK`
-designs, each row with its own value vector. Every row's ``cv``, ``beta``
-and ``pred`` are bitwise what scoring that design alone gives (the SVD
-runs per matrix, and every reduction runs along one row), which
-``tests/regression/test_fast_multi.py`` pins across chunk boundaries.
-:meth:`FastMultiParameterSearch.prescored` stacks a whole batch's kernels
-this way and returns a search whose :meth:`~FastMultiParameterSearch.score`
-serves them; a kernel it cannot serve (one that failed to prepare, or sat
-in a chunk that raised) is scored alone on the same path, so it raises
-exactly what it raises on its own.
+line's constant and term pairs -- in one pass: one :func:`_batched_scores`
+call per ``(n, c)`` design shape and per chunk of at most
+:data:`STACK_CHUNK` designs, each row with its own value vector. Every
+row's ``cv``, ``beta`` and ``surviving`` are bitwise what scoring that
+design alone gives (the SVD runs per matrix, and every reduction runs along
+one row), which ``tests/regression/test_fast_multi.py`` pins across chunk
+boundaries. :meth:`FastMultiParameterSearch.prescored` stacks a whole
+batch's kernels this way and returns a search whose
+:meth:`~FastMultiParameterSearch.score` serves them; a kernel it cannot
+serve (one that failed to prepare, or sat in a chunk that raised) is scored
+alone on the same path, so it raises exactly what it raises on its own.
 
-The winner is then refit -- and its LOO score recomputed -- through the
-reference path, so the returned :class:`ScoredModel` is bit-identical to
-what the per-hypothesis loop produces; the equivalence is pinned across
-random multi-parameter tasks by ``tests/regression/test_fast_multi.py``.
+Each scored design keeps its coefficient row and its surviving-term mask,
+so the winner's :class:`ScoredModel` is built from them, with no refit;
+``tests/regression/test_fast_multi.py`` pins it bitwise against the
+per-hypothesis loop across random multi-parameter tasks.
 """
 
 from __future__ import annotations
@@ -58,15 +64,16 @@ from repro.modeling.batch import attempt, failed
 from repro.obs import get_telemetry
 from repro.obs.trace import NULL_SPAN
 from repro.pmnf.terms import ExponentPair, require_positive
-from repro.regression.hypothesis import Hypothesis
+from repro.regression.hypothesis import FittedModel, Hypothesis
 from repro.regression.multi_parameter import CombinationTemplate, indexed
-from repro.regression.selection import ScoredModel, _fit_and_loo
-from repro.regression.smape import smape
+from repro.regression.selection import ScoredModel
 
-#: One scored candidate: (implausible, cv_smape, order, hypotheses), the
-#: hypothesis being ``hypotheses[order]``. :meth:`FastMultiParameterSearch.choose`
-#: replicates the reference selection over them.
-Candidate = "tuple[bool, float, int, Sequence[Hypothesis]]"
+#: One scored candidate: (implausible, cv_smape, order, kernel, c, row), the
+#: hypothesis being ``kernel.hypotheses[order]`` and its fit row ``row`` of
+#: the kernel's ``c``-coefficient bucket.
+#: :meth:`FastMultiParameterSearch.choose` replicates the reference
+#: selection over them.
+Candidate = "tuple[bool, float, int, _KernelDesigns, int, int]"
 
 #: Most designs one :func:`_batched_scores` call stacks. The cap bounds
 #: memory, not speed: a sweep batch's ``(125, 3)`` bucket holds ~1,150
@@ -122,19 +129,22 @@ def _exponent_basis(
 def _batched_scores(
     designs: np.ndarray, values: np.ndarray, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CV-SMAPE, coefficients, and predictions for stacked designs.
+    """CV-SMAPE, coefficients, and surviving-term masks for stacked designs.
 
-    ``designs`` has shape ``(h, n, c)`` and ``values`` ``(h, n)``, one value
-    vector per design; returns ``(cv, beta, pred)`` of shapes ``(h,)``,
-    ``(h, c)``, ``(h, n)``. Replicates the reference
-    :func:`repro.regression.selection.loo_predictions` column scaling, SVD
-    rank truncation, and hat-matrix leverage handling, batched over ``h``.
-    Each row's outputs depend on that row alone, bit for bit. With
-    ``overwrite`` the columns are scaled in place, sparing one tensor.
+    ``designs`` has shape ``(h, n, c)``, intercept column first, and
+    ``values`` ``(h, n)``, one value vector per design; returns
+    ``(cv, beta, surviving)`` of shapes ``(h,)``, ``(h, c)``, ``(h, c)``.
+    Columns are scaled to unit max-abs for conditioning (PMNF columns span
+    many orders of magnitude), the SVD is truncated at rank, and the exact
+    LOO predictions come from the hat-matrix identity
+    ``y_i - ŷ_i^{(-i)} = e_i / (1 - h_ii)``; a design whose LOO predictions
+    are not all finite scores ``inf``. Each row's outputs depend on that row
+    alone, bit for bit. With ``overwrite`` the columns are scaled in place,
+    sparing one tensor.
     """
     h, n, c = designs.shape
-    scales = np.maximum.reduce(np.abs(designs), axis=1)  # (h, c)
-    scales[scales == 0] = 1.0
+    col_max = np.maximum.reduce(np.abs(designs), axis=1)  # (h, c)
+    scales = np.where(col_max == 0, 1.0, col_max)
     scaled = np.divide(designs, scales[:, None, :], out=designs if overwrite else None)
 
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)  # (h,n,k),(h,k),(h,k,c)
@@ -159,7 +169,16 @@ def _batched_scores(
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(denom > 0, 2.0 * np.abs(values - loo) / denom, 0.0)
     cv = np.where(finite, np.add.reduce(ratio, axis=1) / n * 100.0, np.inf)
-    return cv, beta, pred
+
+    # A term whose contribution over the measured points is negligible
+    # against the design's largest prediction is pruned: least squares on an
+    # (effectively) constant kernel otherwise leaves an epsilon-coefficient
+    # term behind, a phantom lead exponent. The intercept is never a term.
+    size = np.maximum.reduce(np.abs(pred), axis=1)  # (h,)
+    size[size == 0] = 1.0
+    surviving = np.abs(beta) * col_max > 1e-9 * size[:, None]
+    surviving[:, 0] = False
+    return cv, beta, surviving
 
 
 class DesignGroup:
@@ -167,39 +186,39 @@ class DesignGroup:
 
     ``buckets[c]`` is ``(count, columns)``: the number of designs with ``c``
     coefficients and their term columns, ``c - 1`` per design in design
-    order (the intercept column is implied). A design's term is *plausible*
-    when its coefficient is non-negative or its contribution is negligible
-    against ``scale``: a fixed value (the line search's ``max |values|``),
-    or with ``None`` the multi-parameter rule, the design's largest
-    absolute prediction. :func:`score_stacked` fills ``scores[c]`` with
-    ``(cv, plausible)`` arrays in design order, or leaves ``scores``
-    ``None`` when a chunk holding one of its designs raised.
+    order (the intercept column is implied). :func:`score_stacked` fills
+    ``scores[c]`` with ``(cv, plausible, beta, surviving)`` arrays in design
+    order, or leaves ``scores`` ``None`` when a chunk holding one of its
+    designs raised. A design is *plausible* when every surviving term's
+    coefficient is non-negative, so an epsilon-negative coefficient of a
+    pruned term still counts as plausible.
     """
 
-    __slots__ = ("values", "buckets", "scale", "scores")
+    __slots__ = ("values", "buckets", "scores")
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        buckets: "dict[int, tuple[int, list[np.ndarray]]]",
-        scale: "float | None" = None,
-    ):
+    def __init__(self, values: np.ndarray, buckets: "dict[int, tuple[int, list[np.ndarray]]]"):
         self.values = values
         self.buckets = buckets
-        self.scale = scale
-        self.scores: "dict[int, tuple[np.ndarray, np.ndarray]] | None" = None
+        self.scores: "dict[int, tuple[np.ndarray, ...]] | None" = None
 
     @property
     def designs(self) -> int:
         return sum(count for count, _ in self.buckets.values())
 
+    def scored(self, hypothesis: Hypothesis, c: int, row: int) -> ScoredModel:
+        """``hypothesis`` as design ``row`` of bucket ``c`` scored it."""
+        cv, _, beta, surviving = self.scores[c]
+        fitted = FittedModel.from_row(hypothesis, beta[row], surviving[row])
+        return ScoredModel(fitted=fitted, cv_smape=float(cv[row]))
+
 
 def _score_chunk(
     columns: "list[np.ndarray]", held: "list[tuple[DesignGroup, int]]", n: int, c: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(cv, plausible)`` of one chunk: ``held`` lists each group with rows
-    in it and how many, and ``columns`` their term columns (``c - 1`` per
-    design, in row order). The design tensor is written straight from them."""
+) -> "tuple[np.ndarray, ...]":
+    """``(cv, plausible, beta, surviving)`` of one chunk: ``held`` lists each
+    group with rows in it and how many, and ``columns`` their term columns
+    (``c - 1`` per design, in row order). The design tensor is written
+    straight from them."""
     k = sum(count for _, count in held)
     designs = np.empty((k, n, c))
     designs[:, :, 0] = 1.0
@@ -210,23 +229,9 @@ def _score_chunk(
     for group, count in held:
         values[row : row + count] = group.values
         row += count
-    col_max = np.maximum.reduce(np.abs(designs), axis=1)  # (k, c)
-    cv, beta, pred = _batched_scores(designs, values, overwrite=True)
-    # Reference pruning: a term whose contribution is numerically
-    # negligible is dropped before the plausibility check, so an
-    # epsilon-negative coefficient still counts as plausible.
-    scale = np.maximum.reduce(np.abs(pred), axis=1)  # (k,)
-    scale[scale == 0] = 1.0
-    if any(group.scale is not None for group, _ in held):
-        fixed = np.repeat(
-            [np.nan if group.scale is None else group.scale for group, _ in held],
-            [count for _, count in held],
-        )
-        scale = np.where(np.isnan(fixed), scale, fixed)
-    surviving = np.abs(beta) * col_max > 1e-9 * scale[:, None]
-    surviving[:, 0] = False  # the intercept is never a term
+    cv, beta, surviving = _batched_scores(designs, values, overwrite=True)
     plausible = np.logical_and.reduce((beta >= 0.0) | ~surviving, axis=1)
-    return cv, plausible
+    return cv, plausible, beta, surviving
 
 
 def score_stacked(groups: "Sequence[DesignGroup]", isolate: bool = False) -> int:
@@ -272,13 +277,15 @@ def score_stacked(groups: "Sequence[DesignGroup]", isolate: bool = False) -> int
                 if not isolate:
                     raise
                 failed.update(id(group) for group, _ in held)
-                chunks.append((np.full(stop - start, np.inf), np.zeros(stop - start, bool)))
+                blank = np.zeros((stop - start, c))
+                mask = blank.astype(bool)
+                chunks.append((blank[:, 0], mask[:, 0], blank, mask))
         if len(chunks) == 1:
-            cv, plausible = chunks[0]
+            parts = chunks[0]
         else:
-            cv, plausible = (np.concatenate(part) for part in zip(*chunks))
+            parts = [np.concatenate(part) for part in zip(*chunks)]
         for group, size, end in zip(members, sizes, ends):
-            group.scores[c] = (cv[end - size : end], plausible[end - size : end])
+            group.scores[c] = tuple(part[end - size : end] for part in parts)
     for group in groups:
         if id(group) in failed:
             group.scores = None
@@ -379,12 +386,11 @@ class _KernelDesigns:
         """One :data:`Candidate` per hypothesis with a finite score."""
         candidates: "list[Candidate]" = []
         for c, (ids, _) in self.buckets.items():
-            cv, plausible = self.group.scores[c]
-            for idx, finite, implausible, score in zip(
-                ids, np.isfinite(cv).tolist(), (~plausible).tolist(), cv.tolist()
-            ):
+            cv, plausible, _, _ = self.group.scores[c]
+            rows = zip(ids, np.isfinite(cv).tolist(), (~plausible).tolist(), cv.tolist())
+            for row, (idx, finite, implausible, score) in enumerate(rows):
                 if finite:
-                    candidates.append((implausible, score, idx, self.hypotheses))
+                    candidates.append((implausible, score, idx, self, c, row))
         return candidates
 
 
@@ -398,7 +404,7 @@ class FastMultiParameterSearch:
     :meth:`select` replicates the reference ordering exactly:
     hypotheses with more coefficients than ``n - 1`` points are skipped,
     non-finite LOO scores are skipped, physically plausible fits (all
-    surviving term coefficients non-negative, after the reference's
+    surviving term coefficients non-negative, after the kernel's
     negligible-term pruning) are preferred as a class, and ties break by the
     structural complexity key, then by hypothesis order.
     """
@@ -452,29 +458,23 @@ class FastMultiParameterSearch:
             score_stacked([kernel.group])
         return kernel.candidates()
 
-    def choose(
-        self,
-        candidates: "Sequence[Candidate]",
-        points: np.ndarray,
-        values: np.ndarray,
-    ) -> ScoredModel:
-        """Pick the winner among scored candidates and refit it exactly.
+    def choose(self, candidates: "Sequence[Candidate]") -> ScoredModel:
+        """Pick the winner among scored candidates.
 
-        The select stage of the pipeline. The winner is refit -- and its LOO
-        score recomputed -- through the reference solver, so the returned
-        model is bit-identical to the per-hypothesis loop's output.
+        The select stage of the pipeline. The winner's model is built from
+        the coefficients and surviving terms its stacked pass left, so it is
+        bit-identical to the per-hypothesis loop's output.
         """
         if not candidates:
             raise ValueError("no valid hypotheses to select from")
-        points = np.asarray(points, dtype=float)
-        values = np.asarray(values, dtype=float)
         # Plausible first, then the lowest score; ties break by complexity,
         # then by order, so only the tied hypotheses are built.
         top = min(cand[:2] for cand in candidates)
-        tied = [(cand[3][cand[2]], cand[2]) for cand in candidates if cand[:2] == top]
-        winner, _ = min(tied, key=lambda pair: (pair[0].complexity_key(), pair[1]))
-        fitted, loo = _fit_and_loo(winner, points, values)
-        return ScoredModel(fitted=fitted, cv_smape=smape(values, loo))
+        tied = [(cand[3].hypotheses[cand[2]], cand) for cand in candidates if cand[:2] == top]
+        winner, (_, _, _, kernel, c, row) = min(
+            tied, key=lambda pair: (pair[0].complexity_key(), pair[1][2])
+        )
+        return kernel.group.scored(winner, c, row)
 
     def select(
         self,
@@ -483,4 +483,4 @@ class FastMultiParameterSearch:
         values: np.ndarray,
     ) -> ScoredModel:
         """Fit, score, and select the CV/SMAPE winner over ``hypotheses``."""
-        return self.choose(self.score(hypotheses, points, values), points, values)
+        return self.choose(self.score(hypotheses, points, values))

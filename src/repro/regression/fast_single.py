@@ -2,30 +2,17 @@
 
 The reference implementation (:mod:`repro.regression.selection`) loops over
 the 43 hypotheses, each paying a small SVD plus Python dispatch. This module
-evaluates all two-coefficient hypotheses ``c0 + c1 * x^i log2^j x`` at once:
-the term columns come from one exponent basis of ``x``
-(:func:`repro.regression.fast_multi._exponent_basis`), stacked into
-``(h, n, 2)`` designs and scored by the shared batched-SVD and
+evaluates them all at once: the constant hypothesis as a one-column design,
+and every two-coefficient hypothesis ``c0 + c1 * x^i log2^j x`` from one
+exponent basis of ``x`` (:func:`repro.regression.fast_multi._exponent_basis`)
+as a ``(n, 2)`` design, all scored by the shared least-squares and
 leave-one-out kernel (:func:`repro.regression.fast_multi.score_stacked`).
 :meth:`FastSingleParameterSearch.prescored` stacks the lines of a whole
-batch of kernels into one such pass (one call per line length and chunk);
-a line it did not score is scored alone through the same kernel.
-
-What is and is not identical to the reference search: the winner is refit
-through the reference solver, so the returned fit is the reference's fit of
-that hypothesis (its ``cv_smape`` is the fast score). The scores are not
-the reference's bits -- the batched
-SVD and the closed-form constant LOO round differently in the last bits --
-so ``cv_smape`` agrees to about ``1e-9`` relative, and on near-constant
-lines, where hypotheses tie to within that rounding, the winning
-*hypothesis* can differ (a term with a negligible coefficient instead of
-the constant, or another such term). A kernel model built from these lines
-kept the reference's structure in every kernel tested, since the
-multi-parameter search prunes negligible terms; its coefficients are the reference's bit for bit when
-the line winners agree, and otherwise differ by the weight the pruned term
-took in the joint fit. ``tests/regression/test_fast_single.py`` pins this
-for random lines and for ``m = 2`` and ``m = 3`` kernels with a constant
-parameter.
+batch of kernels into one such pass (one call per line length, design
+width and chunk); a line it did not score is scored alone through the same
+kernel. The winner's model is built from the coefficients and surviving
+terms of that pass, so score, fit and winner are the reference's bit for
+bit, pinned by ``tests/regression/test_fast_single.py``.
 
 It runs on the per-parameter measurement lines of multi-parameter kernels
 (``m >= 2``, through :class:`repro.modeling.candidates.FullSearchGenerator`
@@ -38,6 +25,7 @@ full search does not come here: it scores its 43 hypotheses through
 from __future__ import annotations
 
 import copy
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -50,34 +38,15 @@ from repro.regression.fast_multi import (
     prescore_batch,
     score_stacked,
 )
-from repro.regression.hypothesis import Hypothesis, fit_hypothesis
+from repro.regression.hypothesis import Hypothesis
 from repro.regression.selection import ScoredModel
 
 
-def _constant_cv_smape(values: np.ndarray, kernel: str = "") -> float:
-    """LOO CV of the intercept-only model, in closed form.
-
-    Needs at least two points: each left-out point is predicted by the mean
-    of the remaining ``n - 1``. ``kernel`` (optional) names the offender in
-    the error message.
-    """
-    n = values.size
-    if n < 2:
-        label = f"kernel {kernel!r}" if kernel else "kernel"
-        raise ValueError(
-            f"{label} has {n} measurement point(s); leave-one-out "
-            "cross-validation of a constant fit needs at least 2"
-        )
-    loo = (np.sum(values) - values) / (n - 1)
-    denom = np.abs(values) + np.abs(loo)
-    ratio = np.where(denom > 0, 2.0 * np.abs(values - loo) / denom, 0.0)
-    return float(np.mean(ratio) * 100.0)
-
-
 class _Line:
-    """One measurement line's constant score and term-pair designs."""
+    """One measurement line's hypotheses as a :class:`DesignGroup`: the
+    constant as the one-column design, each term pair as a two-column one."""
 
-    __slots__ = ("xs", "values", "cv_const", "group")
+    __slots__ = ("xs", "values", "group")
 
     def __init__(self, search: "FastSingleParameterSearch", xs, values):
         self.xs, self.values = xs, values
@@ -87,25 +56,21 @@ class _Line:
             raise ValueError("xs and values must be 1-d arrays of equal length")
         if xs.size < 3:
             raise ValueError("need at least three points to cross-validate a term fit")
-        self.cv_const = _constant_cv_smape(values) if search.include_constant else None
-        self.group = None
+        buckets = {}
+        if search.include_constant:
+            buckets[1] = (1, [])
         if search.term_pairs:
             basis = _exponent_basis(xs, search.term_pairs)
-            # A pruned-to-constant fit (negligible term) counts as
-            # plausible, matching the reference's post-pruning check.
-            self.group = DesignGroup(
-                values,
-                {2: (len(search.term_pairs), [basis[pair] for pair in search.term_pairs])},
-                scale=max(abs(values).max(), 1e-300),
-            )
+            buckets[2] = (len(search.term_pairs), [basis[pair] for pair in search.term_pairs])
+        self.group = DesignGroup(values, buckets)
 
 
 class FastSingleParameterSearch:
-    """Batched evaluation of single-term hypotheses ``c0 + c1 * x^i log2^j x``.
+    """Batched evaluation of the single-parameter hypotheses: the constant
+    and ``c0 + c1 * x^i log2^j x``.
 
-    Follows the reference selection rule (see :meth:`select`) on its own
-    scores, which match the reference's to about ``1e-9`` relative, not
-    bitwise: exact ties can resolve to another hypothesis (module docs).
+    Follows the reference selection rule (see :meth:`select`) on the
+    reference's own scores, so it picks the reference's winner.
     """
 
     def __init__(self, pairs: Sequence[ExponentPair]):
@@ -115,12 +80,14 @@ class FastSingleParameterSearch:
                 seen.append(pair)
         self.term_pairs = [p for p in seen if not p.is_constant]
         self.include_constant = any(p.is_constant for p in seen)
-        self._hypotheses = [
-            Hypothesis([{0: CompoundTerm.from_pair(p)}], 1) for p in self.term_pairs
-        ]
-        # Precomputed ordering keys replicating Hypothesis.complexity_key():
-        # (#groups, growth keys descending). Constant = (0, ()).
-        self._growth = [p.growth_key() for p in self.term_pairs]
+        #: Per coefficient count, the hypotheses of a line's designs in order.
+        self._hypotheses: "dict[int, list[Hypothesis]]" = {}
+        if self.include_constant:
+            self._hypotheses[1] = [Hypothesis.constant(1)]
+        if self.term_pairs:
+            self._hypotheses[2] = [
+                Hypothesis([{0: CompoundTerm.from_pair(p)}], 1) for p in self.term_pairs
+            ]
         #: ``id(values)`` -> a line scored by :meth:`prescored`.
         self._scored: "dict[int, _Line]" = {}
 
@@ -137,16 +104,10 @@ class FastSingleParameterSearch:
         """
         outcomes = [attempt(_Line, self, *line) for lines in line_sets for line in lines]
         prepared = [line for line in outcomes if not failed(line)]
-        prescore_batch(
-            "regression.stack_lines",
-            [line.group for line in prepared if line.group is not None],
-            len(line_sets),
-        )
+        prescore_batch("regression.stack_lines", [line.group for line in prepared], len(line_sets))
         search = copy.copy(self)
         search._scored = {
-            id(line.values): line
-            for line in prepared
-            if line.group is None or line.group.scores is not None
+            id(line.values): line for line in prepared if line.group.scores is not None
         }
         return search
 
@@ -154,7 +115,7 @@ class FastSingleParameterSearch:
     def select(self, xs: np.ndarray, values: np.ndarray) -> ScoredModel:
         """Find the CV/SMAPE winner under the reference selection rule.
 
-        Ordering: physically plausible models (non-negative term
+        Ordering: physically plausible models (non-negative surviving term
         coefficient) are preferred as a class; within a class the key is
         ``(cv_smape, complexity)`` where the constant hypothesis is simplest
         and term hypotheses order by asymptotic growth. A line
@@ -164,34 +125,16 @@ class FastSingleParameterSearch:
         line = self._scored.get(id(values))
         if line is None or line.xs is not xs or line.values is not values:
             line = _Line(self, xs, values)
-            if line.group is not None:
-                score_stacked([line.group])
+            score_stacked([line.group])
 
-        candidates: list[tuple[bool, float, tuple, "Hypothesis | None"]] = []
-        if line.cv_const is not None:
-            candidates.append((True, line.cv_const, (0, ()), None))
-        if line.group is not None:
-            cv, plausible = line.group.scores[2]
-            rows = zip(
-                self._hypotheses,
-                self._growth,
-                np.isfinite(cv).tolist(),
-                plausible.tolist(),
-                cv.tolist(),
-            )
-            candidates.extend(
-                (ok, score, (1, (growth,)), hyp)
-                for hyp, growth, finite, ok, score in rows
-                if finite
-            )
+        candidates = []
+        for c, hypotheses in self._hypotheses.items():
+            cv, plausible, _, _ = line.group.scores[c]
+            rows = zip(hypotheses, np.isfinite(cv).tolist(), plausible.tolist(), cv.tolist())
+            for row, (hyp, finite, ok, score) in enumerate(rows):
+                if finite:
+                    candidates.append((not ok, score, hyp.complexity_key(), hyp, c, row))
         if not candidates:
             raise ValueError("no valid hypotheses to select from")
-
-        plausible_pool = [c for c in candidates if c[0]]
-        pool = plausible_pool if plausible_pool else candidates
-        _, best_cv, _, hypothesis = min(pool, key=lambda c: (c[1], c[2]))
-        if hypothesis is None:
-            hypothesis = Hypothesis.constant(1)
-        xs = np.asarray(xs, dtype=float)
-        fitted = fit_hypothesis(hypothesis, xs[:, None], np.asarray(values, dtype=float))
-        return ScoredModel(fitted=fitted, cv_smape=best_cv)
+        *_, hypothesis, c, row = min(candidates, key=itemgetter(0, 1, 2))
+        return line.group.scored(hypothesis, c, row)

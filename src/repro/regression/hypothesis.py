@@ -1,10 +1,12 @@
-"""PMNF hypotheses and least-squares coefficient fitting.
+"""PMNF hypotheses and their fitted models.
 
 A :class:`Hypothesis` is a function *structure*: an intercept plus a list of
 term groups, each group a product of per-parameter compound terms. Fitting
 determines the intercept and one coefficient per group by linear least
 squares on the (median) measurement values -- the PMNF is linear in its
-coefficients, which is what makes Extra-P's search cheap.
+coefficients, which is what makes Extra-P's search cheap. The least-squares
+arithmetic itself is :func:`repro.regression.fast_multi._batched_scores`,
+the one kernel both fit engines use.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from repro.pmnf.function import MultiTerm, PerformanceFunction
 from repro.pmnf.terms import CompoundTerm
-from repro.regression.smape import smape
 
 #: One term group: parameter index -> compound term (factors are multiplied).
 TermGroup = Mapping[int, CompoundTerm]
@@ -80,25 +81,26 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A hypothesis with fitted coefficients and its in-sample fit quality."""
+    """A hypothesis with its fitted coefficients, negligible terms pruned."""
 
     function: PerformanceFunction
     hypothesis: Hypothesis
-    smape: float
-    rss: float
 
-
-def _solve_scaled_lstsq(design: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Least squares with column scaling for conditioning.
-
-    PMNF basis columns span many orders of magnitude (e.g. ``x^3`` at
-    ``x = 32768``); scaling each column to unit max-abs keeps the SVD-based
-    solve well conditioned, and the scaling is undone on the coefficients.
-    """
-    scales = np.max(np.abs(design), axis=0)
-    scales[scales == 0] = 1.0
-    coef, *_ = np.linalg.lstsq(design / scales, values, rcond=None)
-    return coef / scales
+    @classmethod
+    def from_row(
+        cls, hypothesis: Hypothesis, beta: np.ndarray, surviving: np.ndarray
+    ) -> "FittedModel":
+        """``hypothesis`` fitted as one row of a stacked pass
+        (:func:`repro.regression.fast_multi._batched_scores`): ``beta`` holds
+        the intercept and one coefficient per group, ``surviving`` marks the
+        groups whose contribution is not negligible."""
+        coefficients = beta.tolist()
+        terms = [
+            MultiTerm(c, group)
+            for c, group, keep in zip(coefficients[1:], hypothesis.groups, surviving[1:].tolist())
+            if keep
+        ]
+        return cls(PerformanceFunction(coefficients[0], terms, hypothesis.n_params), hypothesis)
 
 
 def _checked_design(
@@ -119,43 +121,18 @@ def _checked_design(
     return hypothesis.design_matrix(points), values
 
 
-def _fit_design(hypothesis: Hypothesis, design: np.ndarray, values: np.ndarray) -> FittedModel:
-    """Least-squares fit of ``hypothesis`` on its evaluated design matrix."""
-    coef = _solve_scaled_lstsq(design, values)
-    predicted = design @ coef
-    # Prune terms whose contribution over the measured range is numerically
-    # negligible: least squares on an (effectively) constant kernel otherwise
-    # leaves an epsilon-coefficient term behind, and the model would report a
-    # phantom lead exponent.
-    scale = float(np.max(np.abs(predicted))) or 1.0
-    terms = [
-        MultiTerm(c, group)
-        for c, group, column in zip(coef[1:], hypothesis.groups, design.T[1:])
-        if np.max(np.abs(c * column)) > 1e-9 * scale
-    ]
-    function = PerformanceFunction(coef[0], terms, hypothesis.n_params)
-    residual = values - predicted
-    # A degenerate fit (overflowing basis columns) yields non-finite
-    # predictions; smape() refuses those, so record the fit as maximally bad
-    # instead -- selection's finite-LOO check discards it downstream.
-    in_sample = (
-        smape(values, predicted) if np.all(np.isfinite(predicted)) else float("inf")
-    )
-    return FittedModel(
-        function=function,
-        hypothesis=hypothesis,
-        smape=in_sample,
-        rss=float(residual @ residual),
-    )
-
-
 def fit_hypothesis(
     hypothesis: Hypothesis, points: np.ndarray, values: np.ndarray
 ) -> FittedModel:
     """Fit the hypothesis coefficients to ``values`` at ``points``.
 
-    Requires at least as many measurements as coefficients. Returns the
-    fitted function together with its in-sample SMAPE and residual sum of
-    squares.
+    Requires at least as many measurements as coefficients. The design is
+    scored by the stacked kernel on a stack of one, so the fit is bitwise
+    the one either engine gives this hypothesis.
     """
-    return _fit_design(hypothesis, *_checked_design(hypothesis, points, values))
+    # fast_multi imports this module: the kernel is bound at call time.
+    from repro.regression.fast_multi import _batched_scores
+
+    design, values = _checked_design(hypothesis, points, values)
+    _, beta, surviving = _batched_scores(design[None], values[None], overwrite=True)
+    return FittedModel.from_row(hypothesis, beta[0], surviving[0])

@@ -198,13 +198,13 @@ class MultiParameterModeler:
     ``aggregation`` selects the representative value of the repetitions
     (``median``/``mean``/``min``); the paper models the median.
 
-    ``engine`` picks the engine evaluating the combination hypotheses:
-    the batched-SVD fast path of :mod:`repro.regression.fast_multi`
-    (``'fast'``, the default) or the reference per-hypothesis loop
-    (``'reference'``). Over the same hypotheses both engines select
-    bit-identical models, pinned by ``tests/regression/test_fast_multi.py``;
-    the lines' single-parameter searches may break exact ties differently
-    (see :mod:`repro.regression.fast_single`).
+    ``engine`` picks the engine evaluating the line and combination
+    hypotheses: the stacked fast paths of :mod:`repro.regression.fast_single`
+    and :mod:`repro.regression.fast_multi` (``'fast'``, the default) or the
+    reference per-hypothesis loop (``'reference'``). Both fit and score
+    through one least-squares kernel and select bit-identical models, pinned
+    by ``tests/regression/test_fast_multi.py`` and
+    ``tests/regression/test_fast_single.py``.
     """
 
     def __init__(

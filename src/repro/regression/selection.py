@@ -4,7 +4,8 @@ Extra-P picks the hypothesis with the smallest *cross-validation* SMAPE, not
 the smallest in-sample error -- otherwise the fastest-growing term always
 wins by overfitting the noise. We use leave-one-out CV, computed exactly in
 closed form through the hat matrix of the least-squares fit (one SVD per
-hypothesis instead of ``n`` refits), which keeps the 43-hypothesis search
+design instead of ``n`` refits) by the stacked kernel of
+:mod:`repro.regression.fast_multi`, which keeps the 43-hypothesis search
 fast enough for the 100 000-function synthetic sweeps.
 """
 
@@ -16,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.regression.hypothesis import FittedModel, Hypothesis, _checked_design, _fit_design
-from repro.regression.smape import smape
+from repro.regression.hypothesis import FittedModel, Hypothesis, _checked_design
 
 
 @dataclass(frozen=True)
@@ -32,50 +32,23 @@ class ScoredModel:
         return self.fitted.function
 
 
-def loo_predictions(design: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Exact leave-one-out predictions of an OLS fit.
-
-    Uses the identity ``y_i - ŷ_i^{(-i)} = e_i / (1 - h_ii)`` where ``h`` is
-    the hat-matrix diagonal. Computed from the SVD of the (column-scaled)
-    design matrix, handling rank deficiency by truncating small singular
-    values. Leverages of ~1 (a point that single-handedly pins a
-    coefficient) produce large LOO errors, which correctly penalizes such
-    hypotheses.
-    """
-    scales = np.max(np.abs(design), axis=0)
-    scales[scales == 0] = 1.0
-    u, s, vt = np.linalg.svd(design / scales, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps)) if s.size else 0
-    u = u[:, :rank]
-    s = s[:rank]
-    vt = vt[:rank]
-    beta = vt.T @ ((u.T @ values) / s)
-    pred = (design / scales) @ beta
-    h = np.sum(u * u, axis=1)
-    resid = values - pred
-    denom = np.clip(1.0 - h, 1e-12, None)
-    return values - resid / denom
-
-
-def _fit_and_loo(
-    hypothesis: Hypothesis, points: np.ndarray, values: np.ndarray
-) -> tuple[FittedModel, np.ndarray]:
-    """Fit ``hypothesis`` and its exact LOO predictions from one design matrix."""
-    design, values = _checked_design(hypothesis, points, values)
-    return _fit_design(hypothesis, design, values), loo_predictions(design, values)
-
-
 def evaluate_hypotheses(
     hypotheses: Sequence[Hypothesis],
     points: np.ndarray,
     values: np.ndarray,
 ) -> list[ScoredModel]:
-    """Fit and LOO-score every applicable hypothesis.
+    """Fit and LOO-score every applicable hypothesis, one at a time.
 
+    The reference engine: each hypothesis evaluates its own design matrix,
+    scored by the stacked kernel on a stack of one, so a score and fit are
+    bitwise what the fast engine's stacked pass gives the same design.
     Hypotheses with more coefficients than ``n - 1`` measurements are
     silently skipped (they cannot be cross-validated). Hypotheses whose fit
-    produces non-finite predictions are skipped as well.
+    produces non-finite LOO predictions are skipped as well.
     """
+    # fast_multi imports this module: the kernel is bound at call time.
+    from repro.regression.fast_multi import _batched_scores
+
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -83,10 +56,11 @@ def evaluate_hypotheses(
     for hyp in hypotheses:
         if hyp.n_coefficients > n - 1:
             continue
-        fitted, loo = _fit_and_loo(hyp, points, values)
-        if not np.all(np.isfinite(loo)):
-            continue
-        scored.append(ScoredModel(fitted=fitted, cv_smape=smape(values, loo)))
+        design, _ = _checked_design(hyp, points, values)
+        cv, beta, surviving = _batched_scores(design[None], values[None], overwrite=True)
+        if np.isfinite(cv[0]):
+            fitted = FittedModel.from_row(hyp, beta[0], surviving[0])
+            scored.append(ScoredModel(fitted=fitted, cv_smape=float(cv[0])))
     return scored
 
 

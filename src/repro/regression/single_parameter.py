@@ -41,12 +41,11 @@ class SingleParameterModeler:
     Searches all exponent pairs of ``E``, fits coefficients by least
     squares, and selects via LOO cross-validation with SMAPE.
 
-    Two engines exist: the reference per-hypothesis loop and a batched-SVD
+    Two engines exist: the reference per-hypothesis loop and a batched
     fast path (:mod:`repro.regression.fast_single`, default) that evaluates
-    all hypotheses in one vectorized pass. They agree on the winner except
-    where scores tie to within rounding (near-constant lines; see that
-    module), pinned by ``tests/regression/test_fast_single.py``.
-    ``engine`` names the engine
+    all hypotheses in one stacked pass. Both fit and score through the same
+    least-squares kernel, so they return bitwise-equal models, pinned by
+    ``tests/regression/test_fast_single.py``. ``engine`` names the engine
     (``'fast'``/``'reference'``, see :mod:`repro.modeling.engine`).
     """
 

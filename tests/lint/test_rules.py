@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.lint import LintConfig, lint_source
 from tests.lint.conftest import LIBRARY_PATH
 
@@ -51,6 +53,20 @@ class TestRNG001:
     def test_from_numpy_random_import_fires(self):
         source = "from numpy.random import default_rng\n"
         assert rules_fired(source) == ["RNG001"]
+
+    @pytest.mark.parametrize(
+        "bit_generator", ["MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"]
+    )
+    def test_explicit_bit_generator_is_not_global_state(self, bit_generator):
+        source = (
+            "import numpy as np\n\n\n"
+            "def make(seed):\n"
+            f"    return np.random.Generator(np.random.{bit_generator}(seed))\n"
+        )
+        assert rules_fired(source) == []
+        # Global-state draws beside it still fire.
+        drawn = source + "\n\nnp.random.seed(0)\nnp.random.rand(3)\n"
+        assert rules_fired(drawn) == ["RNG001", "RNG001"]
 
 
 class TestIO001:

@@ -159,7 +159,8 @@ class TestStackedCalls:
             return sum(math.ceil(count / fast_multi.STACK_CHUNK) for count in shapes.values())
 
         full, dnn = FullSearchGenerator(), sweep_modelers["adaptive"].dnn.pipeline.generator
-        expected = chunks(Counter({(5, 2): 7 * 2 * 42}))  # 2 lines x 42 term pairs each
+        # 2 lines, each the constant and 42 term pairs
+        expected = chunks(Counter({(5, 1): 7 * 2, (5, 2): 7 * 2 * 42}))
         for generator in (full, dnn):
             shapes = Counter()
             for kernel in kernels:

@@ -21,6 +21,7 @@ from repro.noise.registry import (
     noise_axis,
     noise_for_level,
     parse_noise_spec,
+    register_noise,
     validate_noise_spec,
 )
 
@@ -142,6 +143,21 @@ class TestAxisBinding:
     def test_clean_has_no_axis(self):
         with pytest.raises(ValueError, match="no sweep axis"):
             noise_axis("clean")
+        with pytest.raises(ValueError, match="'clean' has no sweep axis; give one of"):
+            noise_for_level("clean", 0.1)
+
+    def test_binding_refuses_a_bad_spec(self):
+        """noise_for_level validates its spec once, with create_noise's
+        messages."""
+        with pytest.raises(ValueError, match="unknown keyword\\(s\\) bogus for noise model"):
+            noise_for_level("uniform(bogus=1)", 0.1)  # repro-lint: disable=SPEC001 -- intentionally invalid: the rejection is the test
+        with pytest.raises(ValueError, match="unknown noise model 'nosuch'"):
+            noise_for_level("nosuch", 0.1)  # repro-lint: disable=SPEC001 -- intentionally invalid: the rejection is the test
+
+    def test_registration_refuses_an_axis_the_factory_lacks(self):
+        with pytest.raises(ValueError, match="sweep axis 'level' is not a keyword"):
+            register_noise("no-level-test", lambda p=0.1: NoNoise(), axis="level")
+        assert "no-level-test" not in available_noise_models()
 
     def test_uniform_binding_matches_historical_sweep(self):
         """noise_for_level('uniform', x) is exactly UniformNoise(x) -- the

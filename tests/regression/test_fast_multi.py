@@ -1,11 +1,11 @@
 """Equivalence of the batched multi-parameter engine with the reference loop.
 
 The fast engine must select the same winner hypothesis as the reference
-per-hypothesis loop and -- because the winner is refit through the reference
-solver -- return bit-identical coefficients and CV-SMAPE. Pinned here
-across several hundred random multi-parameter tasks at multiple noise
-levels, the DNN modeler's top-k combination shape, plus explicitly
-rank-deficient designs.
+per-hypothesis loop and -- because both score every design with the same
+least-squares kernel -- return bit-identical coefficients and CV-SMAPE.
+Pinned here across several hundred random multi-parameter tasks at
+multiple noise levels, the DNN modeler's top-k combination shape, plus
+explicitly rank-deficient designs.
 """
 
 import numpy as np
@@ -82,19 +82,23 @@ def dnn_like_tasks(seed=20210517, shapes=((2, 30), (3, 20)), top_k=3):
             yield combination_hypotheses(candidates), points, values
 
 
-def assert_engines_agree(hypotheses, points, values):
-    ref = select_best(evaluate_hypotheses(hypotheses, points, values))
-    fst = SEARCH.select(hypotheses, points, values)
+def assert_same_model(fst, ref):
+    """Bit-identical: one kernel scores and fits every design."""
+    assert fst.function.format() == ref.function.format()
     assert fst.function.structure_key() == ref.function.structure_key()
-    # The winner is refit through the reference solver: bit-identical.
     assert fst.cv_smape == ref.cv_smape
     assert fst.function.constant == ref.function.constant
     np.testing.assert_array_equal(
         [t.coefficient for t in fst.function.terms],
         [t.coefficient for t in ref.function.terms],
     )
-    assert fst.fitted.smape == ref.fitted.smape
-    assert fst.fitted.rss == ref.fitted.rss
+
+
+def assert_engines_agree(hypotheses, points, values):
+    ref = select_best(evaluate_hypotheses(hypotheses, points, values))
+    fst = SEARCH.select(hypotheses, points, values)
+    assert fst.fitted.hypothesis.structure_key() == ref.fitted.hypothesis.structure_key()
+    assert_same_model(fst, ref)
 
 
 class TestEquivalence:
@@ -127,8 +131,7 @@ class TestEquivalence:
             kernel.add_rows(points, synthesize_measurements(truth, points, UniformNoise(0.2), rng=gen))
             ref = MultiParameterModeler(engine="reference").model_kernel(kernel, 2)
             fst = MultiParameterModeler(engine="fast").model_kernel(kernel, 2)
-            assert fst.function.structure_key() == ref.function.structure_key()
-            assert fst.cv_smape == ref.cv_smape
+            assert_same_model(fst, ref)
 
 
 def hand_hypotheses():
@@ -173,7 +176,7 @@ class TestEdgeCases:
         points = np.array([[4.0, 4.0], [8.0, 16.0]])
         values = np.array([5.0, 9.0])
         candidates = SEARCH.score(hand_hypotheses(), points, values)
-        assert all(cand[3][cand[2]].n_coefficients <= 1 for cand in candidates)
+        assert all(cand[3].hypotheses[cand[2]].n_coefficients <= 1 for cand in candidates)
         assert_engines_agree(hand_hypotheses(), points, values)
 
     def test_score_ties_break_by_complexity_then_order(self):
@@ -184,21 +187,28 @@ class TestEdgeCases:
         points = np.array([[4.0, 2.0], [8.0, 3.0], [16.0, 5.0], [32.0, 7.0], [64.0, 11.0]])
         values = 1.0 + points[:, 0]
 
-        def winner(*candidates):
-            chosen = SEARCH.choose(list(candidates), points, values)
-            return chosen.fitted.hypothesis.group_keys
+        def rescored(hypotheses):
+            """Each hypothesis's real candidate, with its plausibility and
+            score replaced."""
+            by_order = {cand[2]: cand for cand in SEARCH.score(hypotheses, points, values)}
+            return lambda implausible, cv, order: (implausible, cv, *by_order[order][2:])
 
-        assert winner((False, 1.0, 4, hyps), (False, 1.0, 3, hyps)) == hyps[4].group_keys
-        assert winner((False, 1.0, 3, hyps), (False, 1.0, 1, hyps)) == hyps[1].group_keys
-        assert winner((True, 0.5, 0, hyps), (False, 2.0, 3, hyps)) == hyps[3].group_keys
-        assert winner((False, 1.0, 0, hyps), (False, 0.5, 4, hyps)) == hyps[4].group_keys
+        def winner(*candidates):
+            return SEARCH.choose(list(candidates)).fitted.hypothesis.group_keys
+
+        cand = rescored(hyps)
+        assert winner(cand(False, 1.0, 4), cand(False, 1.0, 3)) == hyps[4].group_keys
+        assert winner(cand(False, 1.0, 3), cand(False, 1.0, 1)) == hyps[1].group_keys
+        assert winner(cand(True, 0.5, 0), cand(False, 2.0, 3)) == hyps[3].group_keys
+        assert winner(cand(False, 1.0, 0), cand(False, 0.5, 4)) == hyps[4].group_keys
         same = [Hypothesis([{0: CompoundTerm(1)}], 2), Hypothesis([{0: CompoundTerm(1)}], 2)]
-        chosen = SEARCH.choose([(False, 1.0, 1, same), (False, 1.0, 0, same)], points, values)
+        cand = rescored(same)
+        chosen = SEARCH.choose([cand(False, 1.0, 1), cand(False, 1.0, 0)])
         assert chosen.fitted.hypothesis is same[0]
 
     def test_empty_candidates_raise(self):
         with pytest.raises(ValueError, match="no valid hypotheses"):
-            SEARCH.choose([], np.zeros((2, 2)), np.zeros(2))
+            SEARCH.choose([])
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"\(n, m\)"):
@@ -272,19 +282,19 @@ class TestStackingInvariance:
                     len(designs),
                     [designs[k, :, j] for k in range(len(designs)) for j in range(1, c)],
                 )
-            groups.append(DesignGroup(values, buckets, scale=(None, 3.0)[size % 3 == 0]))
+            groups.append(DesignGroup(values, buckets))
         with np.errstate(all="ignore"):
             calls = score_stacked(groups)
             assert calls < sum(g.designs for g in groups)
             stacked = [dict(group.scores) for group in groups]
             for group, scores in zip(groups, stacked):
                 score_stacked([group])
-                for c, (cv, plausible) in scores.items():
-                    assert_same_bits((cv, plausible), group.scores[c])
+                for c, parts in scores.items():
+                    assert_same_bits(parts, group.scores[c])
                     design = group.buckets[c][1][: c - 1]
-                    single = DesignGroup(group.values, {c: (1, design)}, group.scale)
+                    single = DesignGroup(group.values, {c: (1, design)})
                     score_stacked([single])
-                    assert_same_bits(single.scores[c], (cv[:1], plausible[:1]))
+                    assert_same_bits(single.scores[c], [part[:1] for part in parts])
 
     def test_chunk_failure_is_isolated(self):
         """A design whose SVD cannot converge fails its chunk; with
@@ -306,7 +316,7 @@ class TestStackingInvariance:
         jobs += list(dnn_like_tasks(shapes=((3, 4),)))
         jobs = [(tuple(h), p, v) for h, p, v in jobs]
         search = SEARCH.prescored(jobs)
-        for job in jobs:
-            assert search.score(*job) == SEARCH.score(*job)
-        other = combination_task(99, 2, 0.3)
-        assert search.score(*other) == SEARCH.score(*other)
+        for job in [*jobs, combination_task(99, 2, 0.3)]:
+            stacked, alone = search.score(*job), SEARCH.score(*job)
+            assert [c[:3] + c[4:] for c in stacked] == [c[:3] + c[4:] for c in alone]
+            assert_same_model(search.choose(stacked), SEARCH.choose(alone))

@@ -1,4 +1,9 @@
-"""Equivalence of the batched fast path with the reference search."""
+"""Equivalence of the batched fast path with the reference search.
+
+Both engines fit and score through one least-squares kernel, so every
+model here must match the reference's bit for bit: printed model,
+constant, coefficients and CV-SMAPE.
+"""
 
 import numpy as np
 import pytest
@@ -6,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiment.experiment import Kernel
-from repro.experiment.lines import parameter_lines
-from repro.experiment.measurement import value_table
 from repro.noise.injection import UniformNoise
 from repro.pmnf.function import PerformanceFunction
 from repro.pmnf.searchspace import EXPONENT_PAIRS
 from repro.pmnf.terms import CompoundTerm, ExponentPair
-from repro.regression.fast_single import FastSingleParameterSearch, _constant_cv_smape
+from repro.regression.fast_multi import _batched_scores
+from repro.regression.fast_single import FastSingleParameterSearch
 from repro.regression.modeler import RegressionModeler
 from repro.regression.single_parameter import SingleParameterModeler
 from repro.synthesis.functions import random_single_parameter_function
@@ -29,6 +33,17 @@ def fast(xs, values):
     return SingleParameterModeler(engine="fast").model(xs, values)
 
 
+def assert_same_model(fst, ref):
+    """Bitwise-equal printed model, constant, coefficients and CV-SMAPE."""
+    assert fst.function.format() == ref.function.format()
+    assert fst.function.structure_key() == ref.function.structure_key()
+    assert fst.function.constant == ref.function.constant
+    assert [t.coefficient for t in fst.function.terms] == [
+        t.coefficient for t in ref.function.terms
+    ]
+    assert fst.cv_smape == ref.cv_smape
+
+
 def random_case(seed, noise=0.3, n_points=5):
     gen = as_generator(seed)
     truth = random_single_parameter_function(gen)
@@ -43,14 +58,7 @@ class TestEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_same_winner_and_score(self, seed):
         xs, values = random_case(seed)
-        ref = reference(xs, values)
-        fst = fast(xs, values)
-        assert fst.function.structure_key() == ref.function.structure_key()
-        assert fst.cv_smape == pytest.approx(ref.cv_smape, rel=1e-9, abs=1e-9)
-        pts = np.array([[xs[-1] * 4]])
-        np.testing.assert_allclose(
-            fst.function.evaluate(pts), ref.function.evaluate(pts), rtol=1e-9
-        )
+        assert_same_model(fast(xs, values), reference(xs, values))
 
     @given(
         seed=st.integers(min_value=0, max_value=500),
@@ -60,9 +68,7 @@ class TestEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_equivalence_across_scales(self, seed, noise, n_points):
         xs, values = random_case(seed, noise, n_points)
-        ref = reference(xs, values)
-        fst = fast(xs, values)
-        assert fst.function.structure_key() == ref.function.structure_key()
+        assert_same_model(fast(xs, values), reference(xs, values))
 
     def test_constant_data(self):
         xs = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
@@ -81,28 +87,34 @@ class TestEquivalence:
         (or, with no plausible candidate, the same implausible one)."""
         xs = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
         values = np.array([100.0, 90.0, 78.0, 65.0, 40.0])
-        ref = reference(xs, values)
-        fst = fast(xs, values)
-        assert fst.function.structure_key() == ref.function.structure_key()
+        assert_same_model(fast(xs, values), reference(xs, values))
 
 
 class TestConstantCv:
+    """The constant hypothesis is the one-column design of the line search."""
+
     def test_matches_explicit_loo(self):
+        """Its LOO prediction of each point is the mean of the others."""
         values = np.array([10.0, 12.0, 9.0, 11.0, 10.5])
         n = values.size
         loo = np.array([np.mean(np.delete(values, i)) for i in range(n)])
         expected = np.mean(2 * np.abs(values - loo) / (np.abs(values) + np.abs(loo))) * 100
-        assert _constant_cv_smape(values) == pytest.approx(expected)
+        cv, beta, surviving = _batched_scores(np.ones((1, n, 1)), values[None])
+        assert cv[0] == pytest.approx(expected)
+        assert beta[0, 0] == pytest.approx(np.mean(values))
+        assert not surviving.any()
 
-    def test_single_point_raises_with_kernel_name(self):
-        """n = 1 would divide by n - 1 = 0; the error names the kernel and
-        the minimum point count instead."""
-        with pytest.raises(ValueError, match=r"'solver'.*1 measurement point.*at least 2"):
-            _constant_cv_smape(np.array([7.0]), kernel="solver")
+    def test_single_point_raises(self):
+        """n = 1 leaves no other point to predict it from; a constant-only
+        line search refuses the line, naming the minimum point count."""
+        search = FastSingleParameterSearch([ExponentPair(0, 0)])
+        with pytest.raises(ValueError, match="at least three points"):
+            search.select(np.array([4.0]), np.array([7.0]))
 
     def test_empty_values_raise(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            _constant_cv_smape(np.array([]))
+        search = FastSingleParameterSearch([ExponentPair(0, 0)])
+        with pytest.raises(ValueError, match="at least three points"):
+            search.select(np.array([]), np.array([]))
 
 
 class TestSearchConstruction:
@@ -145,57 +157,28 @@ def constant_parameter_kernel(seed, n_params):
 
 
 class TestConstantParameterKernels:
-    """The fast line search's contract on near-constant lines, end to end.
+    """The engines' contract on near-constant lines, end to end.
 
-    There it may score last bits differently from the reference and, on
-    exact-tie scores, pick another winning line hypothesis. The final kernel
-    model still has the reference's structure; its coefficients are the
-    reference's bit for bit whenever the line searches chose the same lead
-    terms, and otherwise carry the weight of a pruned negligible term.
+    There every line hypothesis fits almost exactly, so scores tie to
+    within rounding; the engines share one kernel, so they break every such
+    tie alike and print the reference's model bit for bit.
     """
 
     @pytest.mark.parametrize("n_params, count", [(2, 80), (3, 12)])
     def test_final_models_match_reference(self, n_params, count):
         fast_modeler = RegressionModeler(engine="fast")
         reference_modeler = RegressionModeler(engine="reference")
-        same_lines = 0
         for seed in range(count):
             kernel = constant_parameter_kernel(seed, n_params)
             fst = fast_modeler.model_kernel(kernel, n_params)
             ref = reference_modeler.model_kernel(kernel, n_params)
-            assert fst.function.structure_key() == ref.function.structure_key(), seed
-            points, values = value_table(kernel)
-            np.testing.assert_allclose(
-                fst.function.evaluate(points), ref.function.evaluate(points), rtol=1e-4
-            )
-            lines = parameter_lines(kernel, n_params)
-            lead_terms = [
-                modeler.multi.lead_terms(modeler.multi.model_lines(lines))
-                for modeler in (fast_modeler, reference_modeler)
-            ]
-            if lead_terms[0] == lead_terms[1]:
-                same_lines += 1
-                assert fst.function.constant == ref.function.constant, seed
-                assert [t.coefficient for t in fst.function.terms] == [
-                    t.coefficient for t in ref.function.terms
-                ]
-                assert fst.cv_smape == ref.cv_smape
-        assert same_lines >= count // 2
+            assert_same_model(fst, ref)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "the fast line search breaks an exact CV tie toward a negligible-term "
-        "hypothesis, and MultiParameterModeler.lead_terms passes that hypothesis, "
-        "not the pruned function, into the combination, so the joint fit carries "
-        "the term's weight before pruning it"
-    ),
-)
 @pytest.mark.parametrize("seed", [80, 179, 226, 307])
 def test_known_engine_mismatch_prints_the_same_model(seed):
-    """The kernels on which the two engines are known to print different
-    models; a fix of the tie makes these pass and must drop the mark."""
+    """The kernels on which the engines once printed different models: an
+    exact CV tie on a near-constant line, broken another way by each."""
     kernel = constant_parameter_kernel(seed, 2)
     fast_model = RegressionModeler(engine="fast").model_kernel(kernel, 2)
     reference_model = RegressionModeler(engine="reference").model_kernel(kernel, 2)

@@ -49,8 +49,7 @@ class TestFitHypothesis:
         fitted = fit_hypothesis(hyp, XS, values)
         assert fitted.function.constant == pytest.approx(5.0)
         assert fitted.function.terms[0].coefficient == pytest.approx(2.0)
-        assert fitted.smape == pytest.approx(0.0, abs=1e-9)
-        assert fitted.rss == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(fitted.function.evaluate(XS), values, rtol=1e-12)
 
     def test_constant_fit(self):
         fitted = fit_hypothesis(Hypothesis.constant(1), XS, np.full(5, 7.0))

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from repro.pmnf.terms import CompoundTerm
+from repro.regression.fast_multi import _batched_scores
 from repro.regression.hypothesis import Hypothesis, fit_hypothesis
-from repro.regression.selection import (
-    evaluate_hypotheses,
-    loo_predictions,
-    select_best,
-)
+from repro.regression.selection import evaluate_hypotheses, select_best
 from repro.regression.smape import smape
 
 XS = np.array([[4.0], [8.0], [16.0], [32.0], [64.0]])
@@ -26,34 +23,60 @@ def explicit_loo(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def kernel_fit(design: np.ndarray, values: np.ndarray):
+    """``(cv, beta)`` of one design, scored by the kernel on a stack of one."""
+    cv, beta, _ = _batched_scores(design[None], values[None])
+    return float(cv[0]), beta[0]
+
+
+def assert_matches_explicit_refits(design: np.ndarray, values: np.ndarray):
+    """The kernel's hat-matrix LOO score agrees with actually refitting
+    without each point, and its coefficients with a full ``lstsq`` fit."""
+    cv, beta = kernel_fit(design, values)
+    assert cv == pytest.approx(smape(values, explicit_loo(design, values)), rel=1e-8)
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    np.testing.assert_allclose(beta, coef, rtol=1e-8)
+
+
 class TestLooPredictions:
+    """The stacked kernel's LOO arithmetic against the explicit oracle."""
+
     def test_matches_explicit_refits(self):
-        """The hat-matrix shortcut must agree with actually refitting."""
         gen = np.random.default_rng(0)
         design = np.stack([np.ones(5), XS[:, 0] ** 1.5], axis=1)
         values = 3.0 + 0.5 * XS[:, 0] ** 1.5 + gen.normal(0, 5.0, 5)
-        np.testing.assert_allclose(
-            loo_predictions(design, values), explicit_loo(design, values), rtol=1e-8
-        )
+        assert_matches_explicit_refits(design, values)
 
     def test_matches_on_log_design(self):
         gen = np.random.default_rng(1)
         design = np.stack([np.ones(5), np.log2(XS[:, 0])], axis=1)
         values = 2.0 + 7.0 * np.log2(XS[:, 0]) + gen.normal(0, 1.0, 5)
-        np.testing.assert_allclose(
-            loo_predictions(design, values), explicit_loo(design, values), rtol=1e-8
-        )
+        assert_matches_explicit_refits(design, values)
+
+    def test_high_leverage_point_matches_explicit_refits(self):
+        """A far point nearly pins the slope alone (leverage close to 1):
+        its LOO error is large, and still the refit's."""
+        gen = np.random.default_rng(5)
+        xs = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
+        design = np.stack([np.ones(5), xs], axis=1)
+        values = 4.0 + 0.3 * xs + gen.normal(0, 1.0, 5)
+        assert_matches_explicit_refits(design, values)
 
     def test_perfect_fit_perfect_loo(self):
         design = np.stack([np.ones(5), XS[:, 0]], axis=1)
         values = 1.0 + 2.0 * XS[:, 0]
-        np.testing.assert_allclose(loo_predictions(design, values), values, rtol=1e-9)
+        cv, beta = kernel_fit(design, values)
+        assert cv == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(beta, [1.0, 2.0], rtol=1e-9)
 
     def test_rank_deficient_handled(self):
         design = np.stack([np.ones(5), np.ones(5)], axis=1)  # duplicate columns
         values = np.full(5, 3.0)
-        out = loo_predictions(design, values)
-        assert np.all(np.isfinite(out))
+        cv, beta = kernel_fit(design, values)
+        assert cv == pytest.approx(0.0, abs=1e-9)
+        assert np.all(np.isfinite(beta))
+        # The rank-1 minimum-norm solution splits the constant evenly.
+        np.testing.assert_allclose(beta, [1.5, 1.5], rtol=1e-12)
 
 
 class TestEvaluateHypotheses:
@@ -165,9 +188,9 @@ class TestNaNGuard:
         assert np.isfinite(clean.cv_smape)
 
     def test_degenerate_fit_is_skipped_not_ranked(self):
-        """An overflowing hypothesis records in-sample SMAPE of inf (not NaN)
-        and its non-finite LOO predictions exclude it from scoring, so
-        select_best never sees NaN from this path."""
+        """A hypothesis whose LOO predictions are not all finite scores inf
+        in the kernel and is left out, so select_best never sees NaN from
+        this path."""
         huge = np.array([[1e100], [2e100], [3e100], [4e100], [5e100]])
         values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         hyps = [Hypothesis.constant(1), Hypothesis([{0: CompoundTerm(3)}], 1)]
@@ -183,7 +206,11 @@ class TestCvConsistency:
         values = 2.0 + 0.1 * XS[:, 0] ** 2 + gen.normal(0, 3.0, 5)
         hyp = Hypothesis([{0: CompoundTerm(2)}], 1)
         (scored,) = evaluate_hypotheses([hyp], XS, values)
-        loo = loo_predictions(hyp.design_matrix(XS), values)
+        loo = explicit_loo(hyp.design_matrix(XS), values)
         assert scored.cv_smape == pytest.approx(smape(values, loo))
+        # One kernel fits both: the same coefficients, bit for bit.
         refit = fit_hypothesis(hyp, XS, values)
-        assert scored.fitted.smape == pytest.approx(refit.smape)
+        assert scored.function.constant == refit.function.constant
+        assert [t.coefficient for t in scored.function.terms] == [
+            t.coefficient for t in refit.function.terms
+        ]

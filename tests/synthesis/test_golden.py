@@ -151,7 +151,7 @@ MERGED_DIGESTS = (
 )
 
 #: Digest of the served response (timings removed) for :func:`served_payload`.
-SERVICE_DIGEST = "f28e2494d71bc8298635ae33a0cba3f469e0dc5aa0f00db184d397826ceae75d"
+SERVICE_DIGEST = "8ef2729aec14ee39d9ac533411a38c48c81fdd1949a102bbc279fa90e75b523e"
 
 
 def sha256(data: bytes) -> str:
