@@ -11,7 +11,6 @@ variant (our extension) are reported side by side.
 import numpy as np
 
 from repro.experiment.experiment import Kernel
-from repro.experiment.measurement import Coordinate, Measurement
 from repro.noise.estimation import (
     estimate_noise_level,
     estimate_noise_level_corrected,
@@ -28,9 +27,10 @@ REPS = 5
 def _campaign(level: float, gen) -> Kernel:
     noise = UniformNoise(level)
     kern = Kernel("k")
-    for i in range(N_POINTS):
-        true = float(gen.uniform(1.0, 1000.0))
-        kern.add(Measurement(Coordinate(float(i + 2)), noise.apply(np.full(REPS, true), gen)))
+    kern.add_rows(
+        [[i + 2.0] for i in range(N_POINTS)],
+        [noise.apply(np.full(REPS, gen.uniform(1.0, 1000.0)), gen) for _ in range(N_POINTS)],
+    )
     return kern
 
 

@@ -40,9 +40,9 @@ print("         " + " ".join(f"{x1:3.0f}" for x1 in x1_all))
 # -------------------------------------------------- line extraction demo
 print("\nPer-parameter measurement lines found by the library:")
 exp = Experiment(["p", "n"])
+coords = grid_coordinates([X1, X2])
 kern = exp.create_kernel("demo")
-for coord in grid_coordinates([X1, X2]):
-    kern.add_values(coord, [float(coord[0] + coord[1])])
+kern.add_rows(coords, [[c[0] + c[1]] for c in coords])
 for line in parameter_lines(kern, 2):
     print(
         f"  parameter {exp.parameters[line.parameter]}: "

@@ -12,7 +12,6 @@ Run:  python examples/noise_analysis.py
 import numpy as np
 
 from repro.experiment.experiment import Kernel
-from repro.experiment.measurement import Coordinate, Measurement
 from repro.noise.estimation import (
     estimate_noise_level,
     estimate_noise_level_corrected,
@@ -27,10 +26,10 @@ noise = UniformNoise(TRUE_LEVEL)
 
 # ------------------------------------------------ build a noisy campaign
 kernel = Kernel("demo")
-for i in range(25):
-    true_runtime = float(rng.uniform(10.0, 500.0))
-    reps = noise.apply(np.full(5, true_runtime), rng)
-    kernel.add(Measurement(Coordinate(float(2 ** (i % 6 + 1)), float(i + 1)), reps))
+kernel.add_rows(
+    [(2.0 ** (i % 6 + 1), i + 1.0) for i in range(25)],
+    [noise.apply(np.full(5, rng.uniform(10.0, 500.0)), rng) for _ in range(25)],
+)
 
 # ------------------------------------------------ per-point view (Eq. 3)
 print(f"injected noise level: {TRUE_LEVEL * 100:.0f}%\n")
@@ -57,9 +56,10 @@ for _ in range(200):
     level = float(rng.uniform(0.0, 1.0))
     k = Kernel("trial")
     model = UniformNoise(level)
-    for i in range(25):
-        true = float(rng.uniform(1.0, 1000.0))
-        k.add(Measurement(Coordinate(float(i + 2)), model.apply(np.full(5, true), rng)))
+    k.add_rows(
+        [[i + 2.0] for i in range(25)],
+        [model.apply(np.full(5, rng.uniform(1.0, 1000.0)), rng) for _ in range(25)],
+    )
     errors_raw.append(abs(estimate_noise_level(k) - level))
     errors_corr.append(abs(estimate_noise_level_corrected(k) - level))
 print(f"  raw rrd:        mean abs error {np.mean(errors_raw) * 100:.2f} pp (paper: 4.93)")

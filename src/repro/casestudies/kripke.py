@@ -79,8 +79,8 @@ def kripke() -> SimulatedApplication:
         repetitions=5,
         evaluation_point=EVALUATION_POINT,
         # The paper models with every experiment except the x2 = 12 ones.
-        # repro-lint: disable-next-line=FLT001 -- exact grid membership: the
-        # coordinate is constructed from the literal value set X2 above, so
-        # 12.0 compares bit-identically; a tolerance would blur grid columns.
+        # Exact grid membership: the coordinate is constructed from the literal
+        # value set X2 above, so 12.0 compares bit-identically; a tolerance
+        # would blur grid columns.
         modeling_coordinates=lambda c: c[1] != 12.0,
     )

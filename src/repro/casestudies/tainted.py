@@ -89,8 +89,8 @@ def tainted(contamination: float = 0.1) -> SimulatedApplication:
         evaluation_point=EVALUATION_POINT,
         # Model from all but the largest process counts: extrapolation to
         # P+ = (16384, 50) is what contamination-induced misfits blow up.
-        # repro-lint: disable-next-line=FLT001 -- exact grid membership: the
-        # coordinate is constructed from the literal value set X1 above, so
-        # 16384.0 compares bit-identically; a tolerance would blur columns.
+        # Exact grid membership: the coordinate is constructed from the literal
+        # value set X1 above, so 16384.0 compares bit-identically; a tolerance
+        # would blur columns.
         modeling_coordinates=lambda c: c[0] != 16384.0,
     )

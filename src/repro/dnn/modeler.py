@@ -135,9 +135,9 @@ class DNNModeler(Modeler):
     def _store_compatible(self) -> bool:
         """Whether the attached store holds weights this modeler would train."""
         store = self.adaptation_store
-        # repro-lint: disable-next-line=FLT001 -- exact config equality: both
-        # sides are constructor-stored settings, not computed values, and any
-        # difference means the store addresses differently-trained weights.
+        # Exact config equality: both sides are constructor-stored settings,
+        # not computed values, and any difference means the store addresses
+        # differently-trained weights.
         return (
             store is not None
             and store.epochs == self.adaptation_epochs

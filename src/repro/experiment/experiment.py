@@ -18,8 +18,8 @@ class Kernel:
     The measurements are held as arrays in a :class:`MeasurementTable`
     (:attr:`table`): a sorted ``(n, m)`` point array and one ``(k, r)``
     value array per repetition count ``r``. Adds are buffered and merged
-    into a new table on the next read, so a point-by-point builder pays
-    for one stack and one sort, not one per add. :attr:`measurements`,
+    into a new table on the next read, so many adds pay for one stack and
+    one sort, not one per add. :attr:`measurements`,
     :attr:`coordinates` and :meth:`measurement_at` are read-only views of
     the table, kept for IO, the service schema and reporting.
     """
@@ -28,23 +28,12 @@ class Kernel:
         self.name = name
         self.metric = metric
         self._table = MeasurementTable.build([])
-        # Validated (points (k, m), values (k, r)) blocks not yet merged,
-        # and the (point, values) single adds since the last block.
+        # Validated (points (k, m), values (k, r)) blocks not yet merged.
         self._pending: "list[tuple[np.ndarray, np.ndarray]]" = []
-        self._added: "list[tuple[tuple[float, ...], np.ndarray]]" = []
         self._arity: "int | None" = None
         self._memo: dict = {}
 
     # ----------------------------------------------------------------- build
-    def _check_arity(self, arity: int, point: "tuple[float, ...]") -> None:
-        if self._arity is None:
-            self._arity = arity
-        elif arity != self._arity:
-            raise ValueError(
-                f"coordinate {point} has arity {arity}, but kernel {self.name!r} "
-                f"holds {self._arity}-dimensional coordinates"
-            )
-
     def require_arity(self, arity: int) -> None:
         """Hold ``arity``-dimensional coordinates only: refuse the kernel if
         it holds others already, and every later add of others."""
@@ -52,49 +41,36 @@ class Kernel:
             self._arity = arity
         elif arity != self._arity:
             raise ValueError(
-                f"kernel {self.name!r} has coordinate {self.coordinates[0]!r} with arity "
-                f"{self._arity}, expected {arity}"
+                f"coordinates of arity {arity}, but kernel {self.name!r} "
+                f"holds {self._arity}-dimensional coordinates"
             )
 
-    def add(self, measurement: Measurement) -> None:
-        """Add a measurement; repeated adds at one coordinate merge repetitions."""
-        point = measurement.coordinate.as_tuple()
-        self._check_arity(len(point), point)
-        self._added.append((point, measurement.values))
-
-    def _seal(self) -> None:
-        """Turn the single adds into blocks, keeping their order."""
-        added, self._added = self._added, []
-        if not added:
-            return
-        if len({values.size for _, values in added}) == 1:
-            points = np.array([point for point, _ in added])
-            values = np.concatenate([values for _, values in added]).reshape(len(added), -1)
-            self._pending.append((points, values))
-        else:
-            self._pending.extend((np.array([point]), values[None, :]) for point, values in added)
-
-    def add_values(self, coordinate: "Coordinate | Sequence[float]", values: Iterable[float]) -> None:
-        if not isinstance(coordinate, Coordinate):
-            coordinate = Coordinate(*coordinate)
-        self.add(Measurement(coordinate, values))
-
     def add_rows(self, points, values) -> None:
-        """Add ``values[i]`` (``r`` repetitions) at ``points[i]``, for all rows at once.
+        """Add ``values[i]`` (its repetitions) at ``points[i]``, for all rows at once.
 
         ``points`` is ``(k, m)`` (an array, or a sequence of coordinates) and
-        ``values`` is ``(k, r)``. Coordinates must be positive and finite and
-        values finite, checked in one pass; the semantics are those of
-        :meth:`add` per row, in row order.
+        ``values`` is ``(k, r)``, or a sequence of ``k`` rows of differing
+        lengths, held as one block per run of rows of one length.
+        Coordinates must be positive and finite and values finite, checked
+        before anything is added. Rows at one coordinate merge their
+        repetitions in call order, then row order.
         """
         points = np.array(points, dtype=float)
-        values = np.array(values, dtype=float)
-        if points.ndim != 2 or values.ndim != 2 or len(points) != len(values) or not (
-            points.shape[1] and values.shape[1]
+        cuts = [0, len(values)]
+        if not isinstance(values, np.ndarray):
+            lengths = [len(row) for row in values]
+            cuts[1:1] = [i for i in range(1, len(lengths)) if lengths[i] != lengths[i - 1]]
+        spans = list(zip(cuts, cuts[1:]))
+        blocks = [np.array(values[a:b], dtype=float) for a, b in spans]
+        if (
+            points.ndim != 2
+            or not points.shape[1]
+            or len(points) != sum(map(len, blocks))
+            or any(block.ndim != 2 or not block.shape[1] for block in blocks)
         ):
             raise ValueError(
                 f"add_rows needs points (k, m) and values (k, r) with m, r >= 1, got shapes "
-                f"{points.shape} and {values.shape}"
+                f"{points.shape} and {' + '.join(str(block.shape) for block in blocks)}"
             )
         bad = ~(np.isfinite(points) & (points > 0)).all(axis=1)
         if bad.any():
@@ -102,20 +78,19 @@ class Kernel:
                 "parameter values must be positive and finite, got "
                 f"{tuple(points[np.argmax(bad)].tolist())}"
             )
-        bad = ~np.isfinite(values).all(axis=1)
-        if bad.any():
-            raise ValueError(
-                f"measurement values must be finite, got {tuple(values[np.argmax(bad)].tolist())}"
-            )
+        for block in blocks:
+            bad = ~np.isfinite(block).all(axis=1)
+            if bad.any():
+                raise ValueError(
+                    f"measurement values must be finite, got {tuple(block[np.argmax(bad)].tolist())}"
+                )
         if len(points):
-            self._check_arity(points.shape[1], tuple(points[0].tolist()))
-            self._seal()
-            self._pending.append((points, values))
+            self.require_arity(points.shape[1])
+            self._pending.extend((points[a:b], block) for (a, b), block in zip(spans, blocks))
 
     # ---------------------------------------------------------------- access
     def _merge(self) -> None:
         """Merge every add so far into a new table."""
-        self._seal()
         if self._pending:
             self._table = MeasurementTable.build(self._table.blocks() + self._pending)
             self._pending = []
@@ -206,14 +181,13 @@ class Experiment:
     ) -> "Experiment":
         """Convenience constructor for a one-parameter, one-kernel experiment.
 
-        ``values[k]`` holds the repetition values measured at ``xs[k]``.
+        ``values[k]`` holds the repetition values measured at ``xs[k]``; the
+        counts may differ between points.
         """
         if len(xs) != len(values):
             raise ValueError("xs and values must have the same length")
         exp = cls([parameter])
-        kern = exp.create_kernel(kernel, metric)
-        for x, reps in zip(xs, values):
-            kern.add_values([x], reps)
+        exp.create_kernel(kernel, metric).add_rows([[x] for x in xs], values)
         return exp
 
     def create_kernel(self, name: str, metric: str = "time") -> Kernel:

@@ -59,7 +59,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -403,7 +402,7 @@ def _assemble(
 ) -> "tuple[Experiment, list[QuarantineRecord]]":
     """Build an :class:`Experiment` from the readers' rows.
 
-    Each kernel's rows go to :meth:`Kernel.add_rows` in input order, one
+    Each kernel's rows go to one :meth:`Kernel.add_rows` in input order, one
     block per run of rows with equal repetition counts, so the kernel's
     :class:`MeasurementTable` merges repeated coordinates. A non-finite
     value is refused naming its row. With ``strict``, a kernel with a
@@ -429,11 +428,8 @@ def _assemble(
             defects.append(QuarantineRecord(rows.name, f"{kind} {value!r}", location))
             continue
         kernel = experiment.create_kernel(rows.name, rows.metric)
-        start = 0
-        for _, run in groupby(rows.values, key=len):
-            stop = start + sum(1 for _ in run)
-            kernel.add_rows(rows.points[start:stop], rows.values[start:stop])
-            start = stop
+        if rows.values:
+            kernel.add_rows(rows.points, rows.values)
         if strict and len(kernel.table.groups) > 1:
             groups = kernel.table.groups
             counts = [values.shape[1] for _, values in groups]

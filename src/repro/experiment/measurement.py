@@ -122,9 +122,9 @@ class Measurement:
     def relative_deviations(self) -> np.ndarray:
         """Per-repetition relative deviation from the sample mean (Eq. 3)."""
         mean = self.mean
-        # repro-lint: disable-next-line=FLT001 -- exact 0.0 guard against the
-        # division below; only a bitwise-zero mean divides by zero, and
-        # near-zero means must still produce the true (large) deviations.
+        # Exact 0.0 guard against the division below; only a bitwise-zero mean
+        # divides by zero, and near-zero means must still produce the true
+        # (large) deviations.
         if mean == 0.0:
             return np.zeros_like(self.values)
         return (self.values - mean) / mean

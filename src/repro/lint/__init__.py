@@ -7,8 +7,9 @@ writers in :mod:`repro.util.artifacts`, and modeler spec strings must resolve
 against the registry in :mod:`repro.modeling.registry`. This package is a
 small rule-based static-analysis framework -- a shared AST walk, a rule
 registry, per-rule ``# repro-lint: disable=RULE`` suppression comments, and
-text/JSON reporters -- that checks those invariants (plus numerical-hygiene
-ones) on every file of the repository, wired into CI as a gating job.
+text/JSON reporters -- that checks those invariants (plus exception and
+search-space ones) on every file of the repository, wired into CI as a
+gating job.
 
 On top of the per-file pass sits a whole-program pass
 (:mod:`repro.lint.program`): every discovered file is parsed once into a
@@ -40,7 +41,7 @@ from repro.lint.program import (
     build_program,
     register_program_rule,
 )
-from repro.lint.report import parse_report, render_json, render_text
+from repro.lint.report import render_json, render_text
 from repro.lint.runner import LintResult, lint_file, lint_paths, lint_sources
 
 # Importing the rule catalogues registers the built-in rules.
@@ -65,7 +66,6 @@ __all__ = [
     "lint_source",
     "lint_sources",
     "load_config",
-    "parse_report",
     "register_program_rule",
     "register_rule",
     "render_json",

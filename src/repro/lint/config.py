@@ -1,25 +1,24 @@
 """Lint configuration: defaults, ``[tool.repro-lint]`` in pyproject.toml.
 
-The configuration controls *which* rules run *where*; the rules themselves
-live in :mod:`repro.lint.rules`. Recognized pyproject keys (dashes and
+The configuration controls *which* rules run and *which* files are
+linted; the rules themselves, and the paths each applies to, live in
+:mod:`repro.lint.rules`. Recognized pyproject keys (dashes and
 underscores are interchangeable)::
 
     [tool.repro-lint]
     paths = ["src", "tests"]          # default lint targets for the CLI
     select = ["RNG001", ...]          # default rule selection (omit = all)
-    ignore = ["FLT001"]               # rules dropped everywhere
+    ignore = ["IO001"]                # rules dropped everywhere
     exclude = ["tests/lint/fixtures"] # path prefixes never discovered
-    float-sentinels = [1.0]           # FLT001 whitelisted literals
     program = true                    # run the whole-program pass
     schema-module = "repro.schemas"   # SCHEMA001X canonical constants
     arch-allow = ["cycle:a<->b"]      # ARCH001 ratcheted debt list
 
-    [tool.repro-lint.per-path-ignores]
-    "tests/" = ["FLT001"]             # rules dropped under a path prefix
-
-CLI ``--select``/``--ignore`` override the config-file selection. Paths in
-the config are interpreted relative to the project root (the directory
-holding pyproject.toml).
+A selected rule runs on every linted path it scopes itself to; a
+deliberate exception is a suppression comment with its reason at the
+site, not a path-wide switch. CLI ``--select``/``--ignore`` override the
+config-file selection. Paths in the config are interpreted relative to
+the project root (the directory holding pyproject.toml).
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ class LintConfig:
     select: "tuple[str, ...] | None" = None  # None = every registered rule
     ignore: "tuple[str, ...]" = ()
     exclude: "tuple[str, ...]" = ()
-    per_path_ignores: "Mapping[str, tuple[str, ...]]" = field(default_factory=dict)
-    float_sentinels: "tuple[float, ...]" = ()
     program: bool = True
     schema_module: str = "repro.schemas"
     arch_allow: "tuple[str, ...]" = ()
@@ -69,15 +66,11 @@ class LintConfig:
             out = replace(out, program=bool(program))
         return out
 
-    def rules_for(self, relpath: str, registered: "Iterable[str]") -> "set[str]":
-        """Rule ids active for the file at ``relpath`` (posix-style)."""
+    def active_rules(self, registered: "Iterable[str]") -> "set[str]":
+        """Rule ids that run: the selection (default every registered
+        rule) less the ignored ones."""
         active = set(self.select) if self.select is not None else set(registered)
-        active -= set(self.ignore)
-        normalized = _normalize(relpath)
-        for prefix, rules in self.per_path_ignores.items():
-            if _prefix_match(normalized, prefix):
-                active -= set(rules)
-        return active
+        return active - set(self.ignore)
 
     def is_excluded(self, relpath: str) -> bool:
         normalized = _normalize(relpath)
@@ -126,10 +119,6 @@ def load_config(root: "Path | None" = None) -> LintConfig:
             data = tomllib.load(handle)
         table = data.get("tool", {}).get("repro-lint", {})
     normalized = {str(key).replace("-", "_"): value for key, value in table.items()}
-    per_path = {
-        _normalize(path): tuple(_upper(rules))
-        for path, rules in dict(normalized.get("per_path_ignores", {})).items()
-    }
     select = normalized.get("select")
     return LintConfig(
         root=root,
@@ -137,8 +126,6 @@ def load_config(root: "Path | None" = None) -> LintConfig:
         select=tuple(_upper(select)) if select is not None else None,
         ignore=tuple(_upper(normalized.get("ignore", ()))),
         exclude=tuple(_normalize(str(p)) for p in normalized.get("exclude", ())),
-        per_path_ignores=per_path,
-        float_sentinels=tuple(float(v) for v in normalized.get("float_sentinels", ())),
         program=bool(normalized.get("program", LintConfig.program)),
         schema_module=str(normalized.get("schema_module", LintConfig.schema_module)),
         arch_allow=tuple(str(v) for v in normalized.get("arch_allow", ())),

@@ -4,8 +4,8 @@ A :class:`Rule` declares the AST node types it is interested in; one walk
 over each file dispatches nodes to every active rule, so adding a rule
 never adds a traversal. Rules yield ``(node, message)`` pairs which the
 engine turns into :class:`Violation` records, then filters through the
-file's suppression comments (:mod:`repro.lint.suppressions`) and the
-configuration's per-path selection (:mod:`repro.lint.config`).
+file's suppression comments (:mod:`repro.lint.suppressions`); the
+configuration (:mod:`repro.lint.config`) selects which rules run.
 
 Files that do not parse produce a single :data:`PARSE_RULE` violation at
 the syntax error's location instead of crashing the run -- a lint pass
@@ -167,7 +167,7 @@ def lint_parsed(
     """
     config = config or LintConfig()
     registered = available_rules()
-    active_ids = config.rules_for(relpath, registered)
+    active_ids = config.active_rules(registered)
     ctx = LintContext(relpath, source, tree, config)
     active = [
         rule

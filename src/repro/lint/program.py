@@ -410,8 +410,8 @@ class ProgramRule:
     Program rules run once per lint invocation, after the per-file pass,
     and yield :class:`ProgramFinding` records; the runner turns them into
     :class:`~repro.lint.core.Violation` objects (kind ``"program"``),
-    applying the finding file's suppression comments and the
-    configuration's per-path selection exactly like per-file rules.
+    applying the finding file's suppression comments exactly like
+    per-file rules.
     """
 
     rule_id: str = ""

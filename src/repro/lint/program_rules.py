@@ -2,7 +2,7 @@
 
 Each rule sees the finished :class:`~repro.lint.program.ProgramGraph` and
 yields findings; the runner maps them back onto files, applying the same
-suppression comments and per-path selection as the per-file rules. The
+suppression comments and rule selection as the per-file rules. The
 rules deliberately stay on the conservative side of the graph's
 approximations: an unresolvable callee or receiver produces *no* finding,
 never a guessed one.

@@ -20,9 +20,7 @@ Version history:
   (``"file"`` for per-file findings, ``"program"`` for whole-program
   findings from :mod:`repro.lint.program`), and ``provenance`` (the call
   chain / module list behind a program finding, empty otherwise). v2 is a
-  strict superset of v1 -- consumers reading only the v1 keys keep
-  working -- and :func:`parse_report` accepts both versions, defaulting
-  the v2 keys when reading a v1 document.
+  strict superset of v1: consumers reading only the v1 keys keep working.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Version of the JSON report schema.
 JSON_SCHEMA_VERSION = 2
-
-#: Versions :func:`parse_report` can read back.
-SUPPORTED_VERSIONS = (1, 2)
 
 
 def render_text(result: "LintResult") -> str:
@@ -68,43 +63,6 @@ def render_json(result: "LintResult") -> str:
         "violations": [violation.to_json() for violation in result.violations],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def parse_report(text: str) -> "LintResult":
-    """Read a rendered JSON report back into a :class:`LintResult`.
-
-    Accepts any version in :data:`SUPPORTED_VERSIONS`; v1 documents get
-    the v2 defaults (``end_line=0``, ``kind="file"``, no provenance). A
-    v2 render round-trips bit-identically through this function.
-    """
-    from repro.lint.runner import LintResult
-
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError(f"lint report must be a JSON object, got {type(payload).__name__}")
-    version = payload.get("version")
-    if version not in SUPPORTED_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
-        raise ValueError(
-            f"unsupported lint report version {version!r} (supported: {supported})"
-        )
-    violations = tuple(
-        Violation(
-            path=entry["path"],
-            line=int(entry["line"]),
-            column=int(entry["column"]),
-            rule=entry["rule"],
-            message=entry["message"],
-            end_line=int(entry.get("end_line", 0)),
-            kind=str(entry.get("kind", "file")),
-            provenance=tuple(entry.get("provenance", ())),
-        )
-        for entry in payload.get("violations", ())
-    )
-    return LintResult(
-        violations=violations,
-        files_checked=int(payload.get("files_checked", 0)),
-    )
 
 
 def _counts(violations: "Iterable[Violation]") -> "Counter[str]":

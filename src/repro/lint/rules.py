@@ -7,8 +7,6 @@ IO001       no raw file writes in library code: artifacts go through the
             atomic writers in ``repro.util.artifacts``
 EXC001      no broad ``except`` that swallows silently: re-raise, log, or
             suppress with a written rationale
-FLT001      no float-literal ``==``/``!=`` comparisons outside the
-            whitelisted sentinel set
 SPEC001     modeler spec strings must parse and resolve against the
             registry at lint time
 PMNF001     exponent-pair literals must be members of the paper's 43-pair
@@ -270,53 +268,6 @@ class NoSilentBroadExcept(Rule):
                         ):
                             return True
         return False
-
-
-# --------------------------------------------------------------------- FLT001
-@register_rule
-class NoExactFloatComparison(Rule):
-    """FLT001: no ``==``/``!=`` against float literals.
-
-    Floating-point round-off makes exact equality against a literal a
-    latent bug in numerical code; comparisons belong to ``math.isclose`` /
-    ``np.isclose`` or an explicit tolerance. Literals in the configured
-    sentinel whitelist (``float-sentinels``) are exempt; deliberate exact
-    guards (``x == 0.0`` short-circuits, grid-coordinate membership) carry
-    a suppression with the rationale.
-    """
-
-    rule_id = "FLT001"
-    summary = "exact float-literal comparison; use a tolerance or whitelist the sentinel"
-    interests = ("Compare",)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> "Iterator[tuple[ast.AST, str]]":
-        operands = [node.left, *node.comparators]
-        for index, op in enumerate(node.ops):
-            if not isinstance(op, (ast.Eq, ast.NotEq)):
-                continue
-            for side in (operands[index], operands[index + 1]):
-                literal = self._float_literal(side)
-                if literal is None:
-                    continue
-                if literal in ctx.config.float_sentinels:
-                    continue
-                symbol = "==" if isinstance(op, ast.Eq) else "!="
-                yield node, (
-                    f"exact {symbol} comparison against float literal "
-                    f"{literal!r}; use math.isclose/np.isclose with an "
-                    "explicit tolerance (or whitelist the sentinel)"
-                )
-                break
-
-    @staticmethod
-    def _float_literal(node: ast.expr) -> "float | None":
-        sign = 1.0
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            sign = -1.0 if isinstance(node.op, ast.USub) else 1.0
-            node = node.operand
-        if isinstance(node, ast.Constant) and type(node.value) is float:
-            return sign * node.value
-        return None
 
 
 # -------------------------------------------------------------------- SPEC001

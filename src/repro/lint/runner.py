@@ -152,10 +152,9 @@ def _program_pass(sources: "list[SourceFile]", config: LintConfig) -> "list[Viol
     """Build the program graph once and run every selected program rule.
 
     Findings are mapped back onto files and filtered exactly like per-file
-    findings: the finding file's suppression comments apply, and so does
-    the configuration's per-path selection. A finding attributed to a file
-    outside the program (e.g. ARCH001's stale-allowlist report against
-    pyproject.toml) is only subject to rule selection for that path.
+    findings: the finding file's suppression comments apply. A finding
+    attributed to a file outside the program (e.g. ARCH001's
+    stale-allowlist report against pyproject.toml) has none to apply.
     """
     from repro.lint.program import (
         SourceModule,
@@ -166,15 +165,8 @@ def _program_pass(sources: "list[SourceFile]", config: LintConfig) -> "list[Viol
 
     program_rules = available_program_rules()
     registered_ids = list(available_rules()) + list(program_rules)
-    # Selection is per-file; a program rule runs if any linted file selects
-    # it (its findings are then filtered per file below).
-    wanted = {
-        rule_id
-        for src in sources
-        for rule_id in config.rules_for(src.relpath, registered_ids)
-        if rule_id in program_rules
-    }
-    if not wanted:
+    wanted = config.active_rules(registered_ids) & set(program_rules)
+    if not wanted or not sources:
         return []
     by_relpath = {src.relpath: src for src in sources}
     graph = build_program(
@@ -186,8 +178,6 @@ def _program_pass(sources: "list[SourceFile]", config: LintConfig) -> "list[Viol
     for rule_id in sorted(wanted):
         rule = program_rules[rule_id]
         for finding in rule.check(graph, config):
-            if rule_id not in config.rules_for(finding.relpath, registered_ids):
-                continue
             src = by_relpath.get(finding.relpath)
             if src is not None and src.tree is not None:
                 module = graph.modules.get(module_name(finding.relpath))

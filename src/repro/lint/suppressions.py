@@ -4,7 +4,7 @@ Three forms are recognized, all carrying an optional rationale after
 ``--`` (the project's suppression policy, DESIGN.md §9, requires one)::
 
     x = risky()  # repro-lint: disable=EXC001 -- failure is recorded, not lost
-    # repro-lint: disable-next-line=FLT001 -- exact sentinel comparison
+    # repro-lint: disable-next-line=IO001 -- writes into a caller's buffer
     # repro-lint: disable-file=PMNF001 -- this module builds the search space
 
 ``disable`` suppresses matching violations on the comment's own physical

@@ -93,9 +93,9 @@ class SGD(Optimizer):
         self._velocity: dict[tuple, np.ndarray] = {}
 
     def _update(self, key, param, grad) -> None:
-        # repro-lint: disable-next-line=FLT001 -- exact 0.0 guard: momentum is
-        # stored verbatim from the constructor, and the zero case must take the
-        # velocity-free fast path bit-identically, not approximately.
+        # Exact 0.0 guard: momentum is stored verbatim from the constructor,
+        # and the zero case must take the velocity-free fast path
+        # bit-identically, not approximately.
         if self.momentum == 0.0:
             param -= self.learning_rate * grad
             return

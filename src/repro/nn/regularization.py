@@ -24,9 +24,9 @@ class Dropout(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # repro-lint: disable-next-line=FLT001 -- exact 0.0 guard: rate is set
-        # verbatim from the constructor argument, never computed, so equality
-        # is the precise "dropout disabled" sentinel.
+        # Exact 0.0 guard: rate is set verbatim from the constructor argument,
+        # never computed, so equality is the precise "dropout disabled"
+        # sentinel.
         if not training or self.rate == 0.0:
             return x
         keep = 1.0 - self.rate

@@ -35,9 +35,8 @@ class TestAdaptationTask:
 
     def test_from_experiment_pools_noise(self):
         exp = experiment(0.4)
-        calm = exp.create_kernel("calm")
-        for coord in exp.kernel("synthetic").coordinates:
-            calm.add_values(coord, [1.0, 1.0, 1.0])
+        points = exp.kernel("synthetic").table.points
+        exp.create_kernel("calm").add_rows(points, np.ones((len(points), 3)))
         task = AdaptationTask.from_experiment(exp)
         assert task.noise_range[0] == 0.0  # the calm kernel contributes zero
 

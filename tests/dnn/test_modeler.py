@@ -59,7 +59,7 @@ class TestBatchedClassification:
         kernel = clean_experiment_1p.only_kernel()
         before = modeler.encode_kernel(kernel, 1).copy()
         candidates = modeler.classify_lines(kernel, 1, modeler.generic_network)
-        kernel.add_values([128.0], [1e6, 1e6, 1e6])
+        kernel.add_rows([[128.0]], [[1e6, 1e6, 1e6]])
         after = modeler.encode_kernel(kernel, 1)
         fresh = DNNModeler(network=modeler.generic_network, use_domain_adaptation=False)
         assert not np.array_equal(after, before)

@@ -11,11 +11,9 @@ from repro.experiment.filters import (
 
 def build(big_value=98.0, small_value=2.0):
     exp = Experiment(["p"])
-    big = exp.create_kernel("big")
-    small = exp.create_kernel("small")
-    for x in (4.0, 8.0, 16.0):
-        big.add_values([x], [big_value])
-        small.add_values([x], [small_value])
+    points = [[4.0], [8.0], [16.0]]
+    exp.create_kernel("big").add_rows(points, [[big_value]] * 3)
+    exp.create_kernel("small").add_rows(points, [[small_value]] * 3)
     return exp
 
 
@@ -28,7 +26,7 @@ class TestRuntimeShares:
     def test_partially_measured_kernel_not_penalized(self):
         exp = build()
         extra = exp.create_kernel("extra")
-        extra.add_values([4.0], [100.0])  # only measured at one point
+        extra.add_rows([[4.0]], [[100.0]])  # only measured at one point
         shares = runtime_shares(exp)
         # At x=4 extra contributes 100/(98+2+100) = 0.5.
         assert shares["extra"] == pytest.approx(0.5)
@@ -36,9 +34,9 @@ class TestRuntimeShares:
     def test_aggregation_respected(self):
         exp = Experiment(["p"])
         k = exp.create_kernel("k")
-        k.add_values([4.0], [1.0, 100.0, 1.0])  # median 1, mean 34
+        k.add_rows([[4.0]], [[1.0, 100.0, 1.0]])  # median 1, mean 34
         other = exp.create_kernel("o")
-        other.add_values([4.0], [1.0])
+        other.add_rows([[4.0]], [[1.0]])
         median_shares = runtime_shares(exp, "median")
         mean_shares = runtime_shares(exp, "mean")
         assert mean_shares["k"] > median_shares["k"]

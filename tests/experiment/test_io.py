@@ -18,11 +18,9 @@ def build_experiment() -> Experiment:
     exp = Experiment(["p", "n"])
     a = exp.create_kernel("sweep")
     b = exp.create_kernel("comm", metric="bytes")
-    for p in (4.0, 8.0):
-        for n in (10.0, 20.0):
-            a.add_values([p, n], [p + n, p + n + 0.5])
-            if p == 4.0:
-                b.add_values([p, n], [n])
+    points = [(p, n) for p in (4.0, 8.0) for n in (10.0, 20.0)]
+    a.add_rows(points, [[p + n, p + n + 0.5] for p, n in points])
+    b.add_rows([(4.0, n) for n in (10.0, 20.0)], [[10.0], [20.0]])
     return exp
 
 

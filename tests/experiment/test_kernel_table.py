@@ -38,6 +38,17 @@ def random_adds(seed: int, n_adds: int = 60):
     return adds
 
 
+def add_in_calls(kernel: Kernel, adds, seed: int) -> None:
+    """``adds`` in order, as ``add_rows`` calls of 1-8 rows each: ragged
+    calls, merged within a call in row order and across calls in call order."""
+    gen = np.random.default_rng(seed)
+    start = 0
+    while start < len(adds):
+        stop = start + int(gen.integers(1, 9))
+        kernel.add_rows([point for point, _ in adds[start:stop]], [v for _, v in adds[start:stop]])
+        start = stop
+
+
 def reference_merge(adds) -> "dict[tuple, np.ndarray]":
     """Per coordinate, its repetitions concatenated in add order."""
     merged: "dict[tuple, list]" = {}
@@ -51,8 +62,7 @@ class TestOrderAndMerging:
     def test_rows_sort_as_sorted_coordinates(self, seed):
         adds = random_adds(seed)
         kernel = Kernel("k")
-        for point, values in adds:
-            kernel.add(Measurement(Coordinate(*point), values))
+        add_in_calls(kernel, adds, seed)
         expected = sorted({Coordinate(*point) for point, _ in adds})
         assert kernel.coordinates == expected
         assert [tuple(row) for row in kernel.table.points.tolist()] == [
@@ -64,16 +74,15 @@ class TestOrderAndMerging:
         adds = random_adds(seed)
         merged = reference_merge(adds)
         kernel = Kernel("k")
-        for point, values in adds:
-            kernel.add_values(point, values)
+        add_in_calls(kernel, adds, seed)
         for meas in kernel.measurements:
             assert _bits(meas.values) == _bits(merged[meas.coordinate.as_tuple()])
 
-    def test_add_and_add_rows_interleave_in_call_order(self):
+    def test_add_rows_calls_merge_in_call_order(self):
         kernel = Kernel("k")
-        kernel.add_values([4.0, 1.0], [1.0, 2.0])
+        kernel.add_rows([[4.0, 1.0]], [[1.0, 2.0]])
         kernel.add_rows([[4.0, 1.0], [2.0, 1.0], [4.0, 1.0]], [[3.0], [9.0], [4.0]])
-        kernel.add_values([4.0, 1.0], [5.0])
+        kernel.add_rows([[4.0, 1.0]], [[5.0]])
         kernel.add_rows(np.array([[2.0, 1.0]]), np.array([[8.0, 7.0]]))
         assert [c.as_tuple() for c in kernel.coordinates] == [(2.0, 1.0), (4.0, 1.0)]
         np.testing.assert_array_equal(kernel.measurements[0].values, [9.0, 8.0, 7.0])
@@ -81,8 +90,8 @@ class TestOrderAndMerging:
 
     def test_groups_hold_one_array_per_repetition_count(self):
         kernel = Kernel("k")
-        for x, count in [(8.0, 3), (2.0, 5), (4.0, 3), (16.0, 1)]:
-            kernel.add_values([x], np.arange(1.0, count + 1.0))
+        counts = [3, 5, 3, 1]
+        kernel.add_rows([[8.0], [2.0], [4.0], [16.0]], [np.arange(1.0, c + 1.0) for c in counts])
         table = kernel.table
         shapes = {values.shape[1]: (rows.tolist(), values.shape) for rows, values in table.groups}
         assert shapes == {5: ([0], (1, 5)), 3: ([1, 2], (2, 3)), 1: ([3], (1, 1))}
@@ -90,21 +99,59 @@ class TestOrderAndMerging:
         assert [values.shape[1] for _, values in table.groups] == [5, 3, 1]
 
 
+class TestSingleParameter:
+    XS = [8.0, 2.0, 8.0, 4.0, 2.0, 16.0, 8.0]
+    VALUES = [[1.0, 2.0], [3.0], [4.0], [5.0, 6.0, 7.0], [8.0, 9.0], [1.5, 2.5, 3.5], [0.5]]
+
+    def _payload(self, xs, values) -> str:
+        rows = [{"point": [x], "values": reps} for x, reps in zip(xs, values)]
+        kernel = {"name": "main", "metric": "time", "measurements": rows}
+        return json.dumps({"version": 1, "parameters": ["p"], "kernels": [kernel]})
+
+    def _assert_tables_bitwise_equal(self, ours, theirs):
+        assert _bits(ours.points) == _bits(theirs.points)
+        assert len(ours.groups) == len(theirs.groups)
+        for (rows, values), (their_rows, their_values) in zip(ours.groups, theirs.groups):
+            assert rows.tolist() == their_rows.tolist()
+            assert values.shape == their_values.shape
+            assert _bits(values) == _bits(their_values)
+
+    def test_ragged_repeated_rows_match_the_parsed_table(self):
+        # Ragged rows whose merged counts agree (3 per point), as the
+        # validating parser requires.
+        xs, values = self.XS[:-1], self.VALUES[:-1]
+        table = Experiment.single_parameter("p", xs, values).only_kernel().table
+        parsed, quarantined = parse_experiment(self._payload(xs, values))
+        assert quarantined == []
+        self._assert_tables_bitwise_equal(table, parsed.only_kernel().table)
+        np.testing.assert_array_equal(table.points[:, 0], [2.0, 4.0, 8.0, 16.0])
+        np.testing.assert_array_equal(
+            table.groups[0][1], [[3.0, 8.0, 9.0], [5.0, 6.0, 7.0], [1.0, 2.0, 4.0], [1.5, 2.5, 3.5]]
+        )
+
+    def test_ragged_merged_counts_match_the_lenient_reader(self):
+        table = Experiment.single_parameter("p", self.XS, self.VALUES).only_kernel().table
+        read = from_json_dict(json.loads(self._payload(self.XS, self.VALUES)))
+        self._assert_tables_bitwise_equal(table, read.only_kernel().table)
+        assert [(rows.tolist(), v.shape) for rows, v in table.groups] == [
+            ([0, 1, 3], (3, 3)),
+            ([2], (1, 4)),
+        ]
+
+
 class TestAggregation:
     @pytest.mark.parametrize("aggregation", ["median", "mean", "min"])
     @pytest.mark.parametrize("seed", range(5))
     def test_mixed_counts_aggregate_bitwise_per_measurement(self, aggregation, seed):
         kernel = Kernel("k")
-        for point, values in random_adds(seed, n_adds=80):
-            kernel.add_values(point, values)
+        add_in_calls(kernel, random_adds(seed, n_adds=80), seed)
         expected = [m.aggregate(aggregation) for m in kernel.measurements]
         _, values = value_table(kernel, aggregation)
         assert _bits(values) == _bits(expected)
 
     def test_views_match_a_fresh_measurement(self):
         kernel = Kernel("k")
-        for point, values in random_adds(1):
-            kernel.add_values(point, values)
+        add_in_calls(kernel, random_adds(1), 1)
         for meas in kernel.measurements:
             fresh = Measurement(meas.coordinate, meas.values)
             assert fresh.median == meas.median
@@ -116,7 +163,7 @@ class TestReadsAfterAdds:
         kernel = Kernel("k")
         kernel.add_rows([[1.0], [2.0], [3.0], [4.0]], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         first_points, first_values = value_table(kernel)
-        kernel.add_values([2.0], [20.0])
+        kernel.add_rows([[2.0]], [[20.0]])
         kernel.add_rows([[5.0]], [[5.0, 5.0]])
         points, values = value_table(kernel)
         np.testing.assert_array_equal(points[:, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
@@ -133,7 +180,7 @@ class TestReadsAfterAdds:
         kernel.add_rows([[x] for x in xs], [[x] for x in xs])
         with pytest.raises(ValueError, match="only 4"):
             parameter_lines(kernel, 1)
-        kernel.add_values([64.0], [64.0])
+        kernel.add_rows([[64.0]], [[64.0]])
         (line,) = parameter_lines(kernel, 1)
         np.testing.assert_array_equal(line.xs, xs + [64.0])
         np.testing.assert_array_equal(line.medians, xs + [64.0])
@@ -152,8 +199,7 @@ class TestReadOnlyViews:
 
     def test_pickled_kernel_is_equal_and_read_only(self):
         kernel = Kernel("k")
-        for point, values in random_adds(2):
-            kernel.add_values(point, values)
+        add_in_calls(kernel, random_adds(2), 2)
         value_table(kernel)
         copy = pickle.loads(pickle.dumps(kernel))
         assert copy.coordinates == kernel.coordinates
@@ -176,8 +222,7 @@ class TestReadOnlyViews:
 class TestSubset:
     def test_subset_keeps_the_named_points(self):
         kernel = Kernel("k", metric="bytes")
-        for point, values in random_adds(4):
-            kernel.add_values(point, values)
+        add_in_calls(kernel, random_adds(4), 4)
         coords = kernel.coordinates
         keep = coords[::2] + [Coordinate(*([99.0] * len(coords[0])))]
         sub = kernel.subset(keep, name="sub")
@@ -188,7 +233,7 @@ class TestSubset:
 
     def test_empty_subset(self):
         kernel = Kernel("k")
-        kernel.add_values([1.0], [1.0])
+        kernel.add_rows([[1.0]], [[1.0]])
         assert len(kernel.subset([])) == 0
 
 
@@ -211,17 +256,35 @@ class TestErrors:
             kernel.add_rows(points, values)
         assert len(kernel) == 0
 
+    @pytest.mark.parametrize(
+        "points, values, match",
+        [
+            ([[1.0, 1.0], [2.0, -1.0]], [[1.0, 2.0], [1.0]], r"positive and finite, got \(2\.0, -1\.0\)"),
+            ([[1.0, 1.0], [2.0, 1.0]], [[1.0, 2.0], [np.nan]], r"values must be finite, got \(nan,\)"),
+            ([[1.0, 1.0], [2.0, 1.0]], [[1.0, 2.0], []], r"shapes \(2, 2\) and \(1, 2\) \+ \(1, 0\)"),
+            ([[1.0, 1.0]], [[1.0, 2.0], [1.0]], r"shapes \(1, 2\) and \(1, 2\) \+ \(1, 1\)"),
+        ],
+    )
+    def test_ragged_rows_name_the_bad_value(self, points, values, match):
+        kernel = Kernel("k")
+        kernel.add_rows([[4.0, 4.0]], [[1.0]])
+        with pytest.raises(ValueError, match=match):
+            kernel.add_rows(points, values)
+        assert kernel.coordinates == [Coordinate(4.0, 4.0)]
+
     def test_single_adds_keep_their_messages(self):
         with pytest.raises(ValueError, match=r"positive and finite, got \(2\.0, -1\.0\)"):
-            Kernel("k").add_values([2.0, -1.0], [1.0])
-        with pytest.raises(ValueError, match="measurement values must be finite"):
-            Kernel("k").add_values([2.0], [np.nan])
+            Kernel("k").add_rows([[2.0, -1.0]], [[1.0]])
+        with pytest.raises(ValueError, match=r"positive and finite, got \(-1\.0,\)"):
+            Experiment.single_parameter("p", [4.0, -1.0], [[1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match=r"values must be finite, got \(1\.0, nan\)"):
+            Experiment.single_parameter("p", [4.0, 8.0], [[1.0], [1.0, np.nan]])
 
     def test_mixed_arity_refused_at_add(self):
         kernel = Kernel("k")
-        kernel.add_values([2.0, 1.0], [1.0])
+        kernel.add_rows([[2.0, 1.0]], [[1.0]])
         with pytest.raises(ValueError, match=r"arity 1.*kernel 'k' holds 2-dimensional"):
-            kernel.add_values([2.0], [1.0])
+            kernel.add_rows([[2.0]], [[1.0]])
         with pytest.raises(ValueError, match=r"arity 3.*kernel 'k' holds 2-dimensional"):
             kernel.add_rows([[1.0, 2.0, 3.0]], [[1.0]])
 
@@ -247,7 +310,16 @@ class TestExperimentFromArrays:
         kernel.add_rows([[8.0], [4.0]], [[1.0], [2.0]])
         with pytest.raises(
             ValueError,
-            match=r"kernel 'k' has coordinate Coordinate\(4\.0,\) with arity 1, expected 2",
+            match=r"coordinates of arity 2, but kernel 'k' holds 1-dimensional coordinates",
+        ):
+            exp.add_kernel(kernel)
+        assert exp.kernel_names == []
+
+    def test_add_kernel_refuses_an_empty_kernels_fixed_arity(self):
+        kernel = Experiment(["p"]).create_kernel("k")
+        exp = Experiment(["p", "q"])
+        with pytest.raises(
+            ValueError, match=r"coordinates of arity 2, but kernel 'k' holds 1-dimensional"
         ):
             exp.add_kernel(kernel)
         assert exp.kernel_names == []
@@ -264,7 +336,7 @@ class TestExperimentFromArrays:
         exp.create_kernel("a").add_rows([[8.0, 10.0]], [[1.0]])
         with pytest.raises(
             ValueError,
-            match=r"coordinate \(4\.0,\) has arity 1, but kernel 'b' holds 2-dimensional",
+            match=r"coordinates of arity 1, but kernel 'b' holds 2-dimensional coordinates",
         ):
             exp.create_kernel("b").add_rows([[4.0]], [[1.0]])
         assert exp.coordinates() == [Coordinate(8.0, 10.0)]

@@ -3,25 +3,22 @@ import pytest
 
 from repro.experiment.experiment import Kernel
 from repro.experiment.lines import all_parameter_lines, line_coordinates, parameter_lines
-from repro.experiment.measurement import Coordinate, Measurement
+from repro.experiment.measurement import Coordinate
 
 
 def grid_kernel(xs1, xs2) -> Kernel:
     k = Kernel("k")
-    for a in xs1:
-        for b in xs2:
-            k.add(Measurement(Coordinate(a, b), [a + b]))
+    k.add_rows([(a, b) for a in xs1 for b in xs2], [[a + b] for a in xs1 for b in xs2])
     return k
 
 
 def cross_kernel(xs1, x2_fixed, x1_fixed, xs2) -> Kernel:
     """Two crossing lines, as in the FASTEST/RELeARN campaigns."""
     k = Kernel("k")
-    for a in xs1:
-        k.add(Measurement(Coordinate(a, x2_fixed), [float(a)]))
+    k.add_rows([(a, x2_fixed) for a in xs1], [[a] for a in xs1])
     for b in xs2:
         if Coordinate(x1_fixed, b) not in k:
-            k.add(Measurement(Coordinate(x1_fixed, b), [float(b)]))
+            k.add_rows([(x1_fixed, b)], [[b]])
     return k
 
 
@@ -32,8 +29,7 @@ X2 = (10.0, 20.0, 30.0, 40.0, 50.0)
 class TestParameterLines:
     def test_single_parameter_line_is_everything(self):
         k = Kernel("k")
-        for x in X1:
-            k.add(Measurement(Coordinate(x), [x]))
+        k.add_rows([[x] for x in X1], [[x] for x in X1])
         (line,) = parameter_lines(k, 1)
         assert len(line) == 5
         np.testing.assert_array_equal(line.xs, X1)
@@ -109,8 +105,7 @@ def assert_same_lines(lines, expected) -> None:
 
 def kernel_at(coordinates) -> Kernel:
     k = Kernel("k")
-    for coord in coordinates:
-        k.add(Measurement(Coordinate(*coord), [sum(coord)]))
+    k.add_rows(coordinates, [[sum(coord)] for coord in coordinates])
     return k
 
 
@@ -180,8 +175,7 @@ class TestLineMemo:
         k = grid_kernel(X1, X2[:4])
         with pytest.raises(ValueError, match="parameter 1 has only 4"):
             parameter_lines(k, 2)
-        for a in X1:
-            k.add(Measurement(Coordinate(a, 60.0), [1.0]))
+        k.add_rows([(a, 60.0) for a in X1], [[1.0]] * len(X1))
         lines = parameter_lines(k, 2)
         assert len(lines[1]) == 5
         assert_same_lines(lines, reference_lines(k, 2))
@@ -189,7 +183,7 @@ class TestLineMemo:
     def test_merging_add_invalidates(self):
         k = grid_kernel(X1, X2)
         before = parameter_lines(k, 2)
-        k.add(Measurement(Coordinate(4.0, 10.0), [99.0]))
+        k.add_rows([(4.0, 10.0)], [[99.0]])
         after = parameter_lines(k, 2)
         assert after[0].measurements[0] is k.measurement_at(Coordinate(4.0, 10.0))
         assert after[0].measurements[0] is not before[0].measurements[0]

@@ -10,8 +10,7 @@ from repro.experiment.measurement import Coordinate, Measurement, median_table, 
 
 def _kernel(measurements) -> Kernel:
     kernel = Kernel("k")
-    for meas in measurements:
-        kernel.add(meas)
+    kernel.add_rows([m.coordinate for m in measurements], [m.values for m in measurements])
     return kernel
 
 

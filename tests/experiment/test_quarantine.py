@@ -107,10 +107,8 @@ class TestQuarantine:
 
 def build_experiment() -> Experiment:
     exp = Experiment(["p", "n"])
-    kern = exp.create_kernel("sweep")
-    for p in (4.0, 8.0):
-        for n in (10.0, 20.0):
-            kern.add_values([p, n], [p + n, p + n + 0.5])
+    points = [(p, n) for p in (4.0, 8.0) for n in (10.0, 20.0)]
+    exp.create_kernel("sweep").add_rows(points, [[p + n, p + n + 0.5] for p, n in points])
     return exp
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from repro import schemas
 from repro.cli import main
-from repro.lint import LintConfig, lint_file, lint_sources, parse_report
+from repro.lint import LintConfig, lint_file, lint_sources
 
 REPO_SRC = Path(__file__).resolve().parents[3] / "src"
 
@@ -68,14 +68,12 @@ class TestCLI:
     ):
         self._project(tmp_path, monkeypatch)
         assert main(["lint", "--format", "json"]) == 1
-        out = capsys.readouterr().out
-        payload = json.loads(out)
+        payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 2
         entry = next(v for v in payload["violations"] if v["rule"] == "CONC001")
         assert entry["kind"] == "program"
         assert entry["provenance"] == ["pkg.svc._loop"]
-        parsed = parse_report(out)
-        assert parsed.violations[0].kind == "program"
+        assert payload["violations"][0]["kind"] == "program"
 
 
 class TestScopes:

@@ -4,19 +4,12 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.lint.core import Violation
-from repro.lint.report import (
-    JSON_SCHEMA_VERSION,
-    parse_report,
-    render_json,
-    render_text,
-)
+from repro.lint.report import JSON_SCHEMA_VERSION, render_json, render_text
 from repro.lint.runner import LintResult
 
 V1 = Violation(path="src/a.py", line=3, column=4, rule="RNG001", message="no ad-hoc rng")
-V2 = Violation(path="src/b.py", line=9, column=0, rule="FLT001", message="exact compare")
+V2 = Violation(path="src/b.py", line=9, column=0, rule="EXC001", message="silent broad except")
 VP = Violation(
     path="src/c.py",
     line=12,
@@ -35,9 +28,9 @@ class TestTextReporter:
         text = render_text(result)
         lines = text.splitlines()
         assert lines[0] == "src/a.py:3:4: RNG001 no ad-hoc rng"
-        assert lines[1] == "src/b.py:9:0: FLT001 exact compare"
+        assert lines[1] == "src/b.py:9:0: EXC001 silent broad except"
         assert "2 violation(s) in 5 file(s) checked" in lines[2]
-        assert "FLT001 x1" in lines[2] and "RNG001 x1" in lines[2]
+        assert "EXC001 x1" in lines[2] and "RNG001 x1" in lines[2]
 
     def test_clean_summary(self):
         text = render_text(LintResult(violations=(), files_checked=7))
@@ -51,7 +44,7 @@ class TestJsonReporter:
         assert payload["version"] == JSON_SCHEMA_VERSION == 2
         assert payload["files_checked"] == 5
         assert payload["clean"] is False
-        assert payload["counts"] == {"FLT001": 1, "RNG001": 1}
+        assert payload["counts"] == {"EXC001": 1, "RNG001": 1}
         assert payload["violations"] == [
             {
                 "rule": "RNG001",
@@ -64,11 +57,11 @@ class TestJsonReporter:
                 "provenance": [],
             },
             {
-                "rule": "FLT001",
+                "rule": "EXC001",
                 "path": "src/b.py",
                 "line": 9,
                 "column": 0,
-                "message": "exact compare",
+                "message": "silent broad except",
                 "end_line": 0,
                 "kind": "file",
                 "provenance": [],
@@ -92,47 +85,3 @@ class TestJsonReporter:
         result = LintResult(violations=(V1,), files_checked=1)
         assert render_json(result) == render_json(result)
         assert render_json(result).endswith("\n")
-
-
-class TestRoundTrip:
-    def test_v2_round_trips_exactly(self):
-        result = LintResult(violations=(V1, V2, VP), files_checked=3)
-        rendered = render_json(result)
-        parsed = parse_report(rendered)
-        assert parsed.violations == result.violations
-        assert parsed.files_checked == result.files_checked
-        # And the re-render is byte-identical: no information is lost.
-        assert render_json(parsed) == rendered
-
-    def test_v1_documents_still_parse(self):
-        # Backward compatibility: a v1 report (no end_line/kind/provenance)
-        # reads back with the v2 defaults.
-        legacy = json.dumps(
-            {
-                "version": 1,
-                "files_checked": 4,
-                "clean": False,
-                "counts": {"RNG001": 1},
-                "violations": [
-                    {
-                        "rule": "RNG001",
-                        "path": "src/a.py",
-                        "line": 3,
-                        "column": 4,
-                        "message": "no ad-hoc rng",
-                    }
-                ],
-            }
-        )
-        parsed = parse_report(legacy)
-        assert parsed.violations == (V1,)
-        assert parsed.violations[0].kind == "file"
-        assert parsed.violations[0].provenance == ()
-
-    def test_unsupported_version_rejected(self):
-        with pytest.raises(ValueError, match="unsupported lint report version"):
-            parse_report(json.dumps({"version": 99, "violations": []}))
-
-    def test_non_object_rejected(self):
-        with pytest.raises(ValueError, match="JSON object"):
-            parse_report("[1, 2]")

@@ -41,14 +41,13 @@ class TestRepositoryIsClean:
         assert not any("fixtures/" in f for f in result.files)
 
     def test_config_matches_issue_contract(self, repo_config):
-        # The shipped rules -- six per-file, five whole-program -- are
-        # selected and FLT001 is path-ignored for tests (exact asserted
-        # floats are the bit-identity contract there).
+        # The shipped rules -- five per-file, five whole-program -- are
+        # selected, and every one runs on every linted path.
         assert repo_config.select is not None
         assert set(repo_config.select) == {
-            "RNG001", "IO001", "EXC001", "FLT001", "SPEC001", "PMNF001",
+            "RNG001", "IO001", "EXC001", "SPEC001", "PMNF001",
             "CONC001", "CONC002", "RNG002", "SCHEMA001X", "ARCH001",
         }
-        assert "FLT001" in repo_config.per_path_ignores.get("tests/", ())
+        assert repo_config.ignore == ()
         assert repo_config.program is True
         assert repo_config.schema_module == "repro.schemas"

@@ -15,13 +15,13 @@ class TestParsing:
         assert entry.line == 1
         assert sup.is_suppressed("EXC001", 1)
         assert not sup.is_suppressed("EXC001", 2)
-        assert not sup.is_suppressed("FLT001", 1)
+        assert not sup.is_suppressed("IO001", 1)
 
     def test_rationale_captured(self):
         sup = parse_suppressions(
-            "y = g()  # repro-lint: disable=FLT001 -- exact sentinel, see DESIGN.md\n"
+            "y = g()  # repro-lint: disable=IO001 -- writes a caller's buffer, see DESIGN.md\n"
         )
-        assert sup.entries[0].rationale == "exact sentinel, see DESIGN.md"
+        assert sup.entries[0].rationale == "writes a caller's buffer, see DESIGN.md"
 
     def test_rationale_optional(self):
         sup = parse_suppressions("z = h()  # repro-lint: disable=IO001\n")
@@ -56,10 +56,10 @@ class TestParsing:
 
 class TestNextLineForm:
     def test_targets_following_line(self):
-        source = "# repro-lint: disable-next-line=FLT001\nx = y == 1.5\n"
+        source = "# repro-lint: disable-next-line=RNG001\nx = random.random()\n"
         sup = parse_suppressions(source)
-        assert sup.is_suppressed("FLT001", 2)
-        assert not sup.is_suppressed("FLT001", 1)
+        assert sup.is_suppressed("RNG001", 2)
+        assert not sup.is_suppressed("RNG001", 1)
 
     def test_skips_continuation_comment_lines(self):
         source = (

@@ -16,7 +16,7 @@ import pytest
 import repro.regression.fast_multi as fast_multi
 from repro.evaluation import sweep
 from repro.experiment.experiment import Kernel
-from repro.experiment.measurement import Coordinate, Measurement, value_table
+from repro.experiment.measurement import value_table
 from repro.modeling.batch import attempt, failed
 from repro.modeling.candidates import FullSearchGenerator
 from repro.modeling.registry import create_modeler, create_modelers
@@ -42,8 +42,7 @@ def synthetic_kernel(seed, n_params, noise=0.1, name="good"):
 
 def kernel_from(name, coordinates, values):
     kernel = Kernel(name)
-    for point, value in zip(coordinates, values):
-        kernel.add(Measurement(Coordinate(*point), value))
+    kernel.add_rows(coordinates, values)
     return kernel
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.experiment.experiment import Kernel
-from repro.experiment.measurement import Coordinate, Measurement, value_table
+from repro.experiment.measurement import Coordinate, value_table
 from repro.modeling.pipeline import ModelingPipeline
 from repro.modeling.candidates import FullSearchGenerator
 from repro.modeling.prefilter import (
@@ -30,8 +30,7 @@ from repro.noise.injection import TaintedRepetitionNoise
 
 def kernel_from_rows(rows) -> Kernel:
     k = Kernel("k")
-    for i, values in enumerate(rows):
-        k.add(Measurement(Coordinate(float(2 ** (i + 2))), values))
+    k.add_rows([[2.0 ** (i + 2)] for i in range(len(rows))], rows)
     return k
 
 
@@ -42,14 +41,10 @@ def tainted_kernel(seed: int = 1, n_points: int = 20):
         level=0.02, p=0.15, outlier_location=2.0, outlier_scale=0.1
     )
     gen = np.random.default_rng(seed)
+    noisy, masks = zip(*(model.apply_with_mask(np.full(5, 10.0 + i), gen) for i in range(n_points)))
     k = Kernel("k")
-    masks = []
-    for i in range(n_points):
-        true = np.full(5, 10.0 + i)
-        noisy, mask = model.apply_with_mask(true, gen)
-        k.add(Measurement(Coordinate(float(i + 2)), noisy))
-        masks.append(mask)
-    return k, masks
+    k.add_rows([[i + 2.0] for i in range(n_points)], noisy)
+    return k, list(masks)
 
 
 class TestMADOutlierRejection:
@@ -207,8 +202,7 @@ class TestPipelineIntegration:
 
         exp = Experiment(["p"])
         target = exp.create_kernel("k")
-        for m in kern.measurements:
-            target.add(m)
+        target.add_rows(kern.table.points, [m.values for m in kern.measurements])
         result = ModelingPipeline(
             FullSearchGenerator(), prefilter="mad(k=3.0)"
         ).model_kernel(target)

@@ -20,9 +20,8 @@ def noisy_kernel(level: float, n_points: int = 30, reps: int = 5, seed: int = 0)
     gen = np.random.default_rng(seed)
     noise = UniformNoise(level)
     k = Kernel("k")
-    for i in range(n_points):
-        true = 10.0 + i
-        k.add(Measurement(Coordinate(float(i + 2)), noise.apply(np.full(reps, true), gen)))
+    values = [noise.apply(np.full(reps, 10.0 + i), gen) for i in range(n_points)]
+    k.add_rows([[i + 2.0] for i in range(n_points)], values)
     return k
 
 
@@ -49,8 +48,8 @@ class TestEstimateNoiseLevel:
     def test_accepts_experiment(self):
         exp = Experiment(["p"])
         kern = exp.create_kernel("k")
-        for m in noisy_kernel(0.2).measurements:
-            kern.add(m)
+        source = noisy_kernel(0.2)
+        kern.add_rows(source.table.points, [m.values for m in source.measurements])
         assert estimate_noise_level(exp) == estimate_noise_level(kern)
 
     def test_empty_raises(self):
@@ -61,8 +60,7 @@ class TestEstimateNoiseLevel:
         """One repetition per point carries no spread information: the
         estimate degenerates to 0.0, which must be flagged, not silent."""
         kern = Kernel("k")
-        for i in range(10):
-            kern.add(Measurement(Coordinate(float(i + 2)), [10.0 + i]))
+        kern.add_rows([[i + 2.0] for i in range(10)], [[10.0 + i] for i in range(10)])
         with pytest.warns(RuntimeWarning, match="single repetition"):
             assert estimate_noise_level(kern) == 0.0
 
@@ -94,9 +92,8 @@ def tainted_kernel(
     gen = np.random.default_rng(seed)
     noise = TaintedRepetitionNoise(level=level, p=p, outlier_location=2.0)
     k = Kernel("k")
-    for i in range(n_points):
-        true = 10.0 + i
-        k.add(Measurement(Coordinate(float(i + 2)), noise.apply(np.full(reps, true), gen)))
+    values = [noise.apply(np.full(reps, 10.0 + i), gen) for i in range(n_points)]
+    k.add_rows([[i + 2.0] for i in range(n_points)], values)
     return k
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.experiment.experiment import Kernel
 from repro.experiment.lines import parameter_lines
-from repro.experiment.measurement import Coordinate, Measurement
 from repro.preprocessing.encoding import (
     INPUT_SIZE,
     MAX_POINTS,
@@ -168,8 +167,7 @@ class TestEncodeLines:
 class TestEncodeParameterLine:
     def test_matches_manual_encoding(self):
         kern = Kernel("k")
-        for x in POW2:
-            kern.add(Measurement(Coordinate(x), [2.0 * x, 2.0 * x, 2.1 * x]))
+        kern.add_rows(POW2[:, None], [[2.0 * x, 2.0 * x, 2.1 * x] for x in POW2])
         (line,) = parameter_lines(kern, 1)
         np.testing.assert_allclose(
             encode_parameter_line(line), encode_line(POW2, 2.0 * POW2)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.experiment.experiment import Kernel
-from repro.experiment.measurement import Coordinate, Measurement
+from repro.experiment.measurement import MeasurementTable
 from repro.modeling.candidates import FullSearchGenerator
 from repro.modeling.pipeline import ModelingPipeline
 from repro.pmnf.searchspace import EXPONENT_PAIRS
@@ -96,13 +96,13 @@ class TestPositivityCheck:
             FastMultiParameterSearch().score(hypotheses, points, gen.uniform(1.0, 2.0, 12))
 
     def test_pipeline_model_kernel(self, bad_value):
-        """A coordinate built without validation -- as a caller handing over
+        """A table built without validation -- as a caller handing over
         raw arrays could -- is refused by the fit stage, not modeled."""
+        xs = _column(bad_value)
         kernel = Kernel("raw")
-        for x in _column(bad_value):
-            coordinate = Coordinate.__new__(Coordinate)
-            coordinate._values = (float(x),)
-            kernel.add(Measurement(coordinate, [1.0 + abs(x), 1.5 + abs(x)]))
+        kernel._table = MeasurementTable.build(
+            [(xs[:, None], np.column_stack([1.0 + abs(xs), 1.5 + abs(xs)]))]
+        )
         pipeline = ModelingPipeline(FullSearchGenerator())
         with pytest.raises(ValueError, match=POSITIVE_ONLY):
             pipeline.model_kernel(kernel, 1)

@@ -53,14 +53,13 @@ class TestCrossCoordinates:
         five points per parameter, findable by parameter_lines()."""
         from repro.experiment.experiment import Kernel
         from repro.experiment.lines import parameter_lines
-        from repro.experiment.measurement import Measurement
         from repro.util.seeding import as_generator
 
         gen = as_generator(seed)
         sets = [random_sequence(5, None, gen) for _ in range(m)]
         kern = Kernel("k")
-        for coord in cross_coordinates(sets):
-            kern.add(Measurement(coord, [1.0]))
+        coords = cross_coordinates(sets)
+        kern.add_rows(coords, [[1.0]] * len(coords))
         lines = parameter_lines(kern, m)
         assert len(lines) == m
         for l, line in enumerate(lines):

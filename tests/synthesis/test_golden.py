@@ -19,7 +19,6 @@ import pytest
 
 from repro.experiment.experiment import Experiment
 from repro.experiment.io import save_csv, save_json, save_text, to_json_dict
-from repro.experiment.measurement import Coordinate, Measurement
 from repro.noise.injection import UniformNoise
 from repro.pmnf.parser import parse_function
 from repro.synthesis.measurements import synthesize_experiment
@@ -188,11 +187,13 @@ def merged_experiment() -> Experiment:
         ((8.0, 10.0), 1),
         ((8.0, 10.0), 2),
     ]
-    for point, count in adds:
-        first.add(Measurement(Coordinate(*point), gen.lognormal(1.0, 0.5, size=count)))
+    first.add_rows(
+        [point for point, _ in adds], [gen.lognormal(1.0, 0.5, size=count) for _, count in adds]
+    )
     second = exp.create_kernel("halo", metric="bytes")
-    for point in [(8.0, 20.0), (4.0, 10.0), (8.0, 20.0)]:
-        second.add_values(point, gen.uniform(1.0, 2.0, size=3))
+    second.add_rows(
+        [(8.0, 20.0), (4.0, 10.0), (8.0, 20.0)], [gen.uniform(1.0, 2.0, size=3) for _ in range(3)]
+    )
     return exp
 
 
