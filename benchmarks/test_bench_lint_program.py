@@ -2,7 +2,7 @@
 
 The program pass parses nothing extra -- it reuses the per-file ASTs --
 so its marginal cost over the per-file pass is graph construction plus
-the five program rules. This bench times a full-repository lint with and
+the three program rules. This bench times a full-repository lint with and
 without ``--program`` (via :class:`~repro.lint.config.LintConfig`, same
 entry point CI uses), asserts the pass stays within budget, and prints
 the numbers. Lint is not an end-to-end benchmark workload, so this

@@ -427,7 +427,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         render_text,
     )
 
-    config = load_config(find_project_root())
+    try:
+        config = load_config(find_project_root())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     select = _split_rules(args.select)
     ignore = _split_rules(args.ignore)
     known = set(available_rules()) | set(available_program_rules())

@@ -1,21 +1,19 @@
 """repro-lint: AST-based invariant checking for the reproduction's conventions.
 
-The library has three load-bearing conventions that ordinary tests cannot
-enforce: stochastic code must thread explicit ``np.random.Generator`` objects
-through :mod:`repro.util.seeding`, artifact writes must go through the atomic
-writers in :mod:`repro.util.artifacts`, and modeler spec strings must resolve
-against the registry in :mod:`repro.modeling.registry`. This package is a
-small rule-based static-analysis framework -- a shared AST walk, a rule
-registry, per-rule ``# repro-lint: disable=RULE`` suppression comments, and
-text/JSON reporters -- that checks those invariants (plus exception and
-search-space ones) on every file of the repository, wired into CI as a
-gating job.
+The library has conventions that ordinary tests cannot enforce: stochastic
+code must thread explicit ``np.random.Generator`` objects through
+:mod:`repro.util.seeding`, and a broad ``except`` must not swallow a
+failure silently. This package is a small rule-based static-analysis
+framework -- a shared AST walk, a rule registry, per-rule
+``# repro-lint: disable=RULE -- rationale`` suppression comments, and
+text/JSON reporters -- that checks those invariants on every file of the
+repository, wired into CI as a gating job.
 
 On top of the per-file pass sits a whole-program pass
 (:mod:`repro.lint.program`): every discovered file is parsed once into a
 shared project graph -- symbol table, import graph, approximate call graph --
-feeding cross-file rules (:mod:`repro.lint.program_rules`) for concurrency
-races, RNG dataflow, schema-literal drift, and import hygiene.
+feeding cross-file rules (:mod:`repro.lint.program_rules`) for thread-shared
+state, schema-literal drift, and import hygiene.
 
 Run it as ``repro-model lint [paths]``; see :mod:`repro.lint.rules` for the
 per-file rule catalogue and DESIGN.md §9 for the rationale and suppression

@@ -8,22 +8,24 @@ underscores are interchangeable)::
     [tool.repro-lint]
     paths = ["src", "tests"]          # default lint targets for the CLI
     select = ["RNG001", ...]          # default rule selection (omit = all)
-    ignore = ["IO001"]                # rules dropped everywhere
+    ignore = ["ARCH001"]              # rules dropped everywhere
     exclude = ["tests/lint/fixtures"] # path prefixes never discovered
     program = true                    # run the whole-program pass
     schema-module = "repro.schemas"   # SCHEMA001X canonical constants
     arch-allow = ["cycle:a<->b"]      # ARCH001 ratcheted debt list
 
-A selected rule runs on every linted path it scopes itself to; a
-deliberate exception is a suppression comment with its reason at the
-site, not a path-wide switch. CLI ``--select``/``--ignore`` override the
-config-file selection. Paths in the config are interpreted relative to
-the project root (the directory holding pyproject.toml).
+Any other key is refused by name (:func:`load_config` raises
+``ValueError``), so a misspelt or retired knob cannot be accepted while
+doing nothing. A selected rule runs on every linted path it scopes itself
+to; a deliberate exception is a suppression comment with its reason at
+the site, not a path-wide switch. CLI ``--select``/``--ignore`` override
+the config-file selection. Paths in the config are interpreted relative
+to the project root (the directory holding pyproject.toml).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -109,7 +111,8 @@ def load_config(root: "Path | None" = None) -> LintConfig:
 
     A missing file, missing ``[tool.repro-lint]`` table, or an interpreter
     without :mod:`tomllib` all yield the defaults -- configuration is an
-    overlay, never a requirement.
+    overlay, never a requirement. A key that names no :class:`LintConfig`
+    field raises ``ValueError`` naming it.
     """
     root = find_project_root(root) if root is None else Path(root)
     table: "Mapping[str, object]" = {}
@@ -119,6 +122,13 @@ def load_config(root: "Path | None" = None) -> LintConfig:
             data = tomllib.load(handle)
         table = data.get("tool", {}).get("repro-lint", {})
     normalized = {str(key).replace("-", "_"): value for key, value in table.items()}
+    known = {f.name for f in fields(LintConfig)} - {"root"}
+    unknown = [str(key) for key in table if str(key).replace("-", "_") not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown [tool.repro-lint] key(s) {', '.join(map(repr, unknown))} "
+            f"in {pyproject}; known: {', '.join(sorted(k.replace('_', '-') for k in known))}"
+        )
     select = normalized.get("select")
     return LintConfig(
         root=root,

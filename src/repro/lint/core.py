@@ -9,7 +9,9 @@ configuration (:mod:`repro.lint.config`) selects which rules run.
 
 Files that do not parse produce a single :data:`PARSE_RULE` violation at
 the syntax error's location instead of crashing the run -- a lint pass
-that dies on the code it is judging is useless in CI.
+that dies on the code it is judging is useless in CI. Suppression comments
+that cannot do their job -- unreadable, naming no registered rule, or
+without a rationale -- are :data:`SUPPRESSION_RULE` violations.
 """
 
 from __future__ import annotations
@@ -20,11 +22,15 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.lint.config import LintConfig
-from repro.lint.suppressions import parse_suppressions
+from repro.lint.suppressions import Suppressions, parse_suppressions
 
 #: Pseudo-rule id for files that fail to parse. Always active: a syntax
 #: error hides every other violation in the file, so it must surface.
 PARSE_RULE = "PARSE"
+
+#: Pseudo-rule id for suppression comments that cannot do their job.
+#: Always active and never itself suppressible.
+SUPPRESSION_RULE = "SUPPRESSION"
 
 
 @dataclass(frozen=True, order=True)
@@ -135,6 +141,36 @@ def parse_violation(relpath: str, exc: SyntaxError) -> Violation:
     )
 
 
+def suppression_violations(relpath: str, suppressions: Suppressions) -> "list[Violation]":
+    """The :data:`SUPPRESSION_RULE` findings for one file's comments."""
+    from repro.lint.program import available_program_rules
+
+    known = set(available_rules()) | set(available_program_rules())
+    found = [
+        (line, f"unreadable suppression comment {text!r}; "
+               "write '# repro-lint: disable=RULE -- rationale'")
+        for line, text in suppressions.malformed
+    ]
+    for entry in suppressions.entries:
+        unknown = sorted(entry.rules - known)
+        if unknown:
+            found.append((
+                entry.line,
+                f"suppression names unregistered rule(s) {', '.join(unknown)}; "
+                f"registered: {', '.join(sorted(known))}",
+            ))
+        if not entry.rationale:
+            found.append((
+                entry.line,
+                f"suppression of {', '.join(sorted(entry.rules))} has no "
+                "'-- rationale'; state why the site is safe",
+            ))
+    return [
+        Violation(path=relpath, line=line, column=0, rule=SUPPRESSION_RULE, message=message)
+        for line, message in found
+    ]
+
+
 def lint_source(
     source: str,
     relpath: str = "<string>",
@@ -143,7 +179,7 @@ def lint_source(
     """Lint one in-memory source file.
 
     ``relpath`` is the posix-style path the rules see: path-scoped rules
-    (e.g. IO001's restriction to ``src/repro``) key off it, so tests can
+    (e.g. RNG001's tightening inside ``src/repro``) key off it, so tests can
     exercise scoping with virtual paths without touching the filesystem.
     """
     try:
@@ -166,6 +202,8 @@ def lint_parsed(
     passes (:mod:`repro.lint.program`) instead of parsing twice.
     """
     config = config or LintConfig()
+    suppressions = parse_suppressions(source)
+    problems = suppression_violations(relpath, suppressions)
     registered = available_rules()
     active_ids = config.active_rules(registered)
     ctx = LintContext(relpath, source, tree, config)
@@ -175,7 +213,7 @@ def lint_parsed(
         if rule_id in active_ids and rule.start_file(ctx)
     ]
     if not active:
-        return []
+        return sorted(problems)
     by_interest: "dict[str, list[Rule]]" = {}
     for rule in active:
         for interest in rule.interests:
@@ -194,13 +232,12 @@ def lint_parsed(
                         end_line=getattr(found_node, "end_lineno", 0) or 0,
                     )
                 )
-    suppressions = parse_suppressions(source)
     kept = [
         v
         for v in raw
         if not suppressions.is_suppressed(v.rule, v.line, v.end_line or v.line)
     ]
-    return sorted(kept)
+    return sorted(kept + problems)
 
 
 # ----------------------------------------------------------- shared helpers

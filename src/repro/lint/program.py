@@ -1,12 +1,12 @@
 """Whole-program analysis: project symbol table, import graph, call graph.
 
 The per-file pass (:mod:`repro.lint.core`) sees one AST at a time, so it
-cannot notice a seeded function transitively calling global randomness two
-modules away, an unlocked counter mutated from a thread entry point, or a
-schema literal drifting from its canonical constant. This module parses
-every discovered file once (the runner shares the trees with the per-file
-pass), builds a :class:`ProgramGraph`, and feeds it to the
-:class:`ProgramRule` catalogue in :mod:`repro.lint.program_rules`.
+cannot notice an unlocked counter mutated from a thread entry point two
+modules away, a schema literal drifting from its canonical constant, or an
+import cycle. This module parses every discovered file once (the runner
+shares the trees with the per-file pass), builds a :class:`ProgramGraph`,
+and feeds it to the :class:`ProgramRule` catalogue in
+:mod:`repro.lint.program_rules`.
 
 The graph is deliberately approximate, trading soundness for a usable
 signal (DESIGN.md documents each caveat):
@@ -35,13 +35,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from repro.lint.core import dotted_name
-from repro.lint.suppressions import Suppressions, parse_suppressions
 
 #: ``repro.<name>/v<N>`` -- the wire-schema literal shape SCHEMA001X guards.
 SCHEMA_LITERAL_RE = re.compile(r"repro\.[A-Za-z0-9_.-]+/v\d+")
-
-#: numpy.random attributes that are types, not global-state draws.
-_NP_RANDOM_TYPES = {"Generator", "SeedSequence", "BitGenerator", "PCG64", "Philox"}
 
 #: Constructor targets that make an attribute a lock for CONC001 purposes.
 LOCK_TYPES = {"threading.Lock", "threading.RLock"}
@@ -84,14 +80,17 @@ MUTATOR_METHODS = {
 }
 
 #: Fully-qualified names whose calls dispatch their first argument onto
-#: worker processes (the picklability boundary CONC002 guards).
+#: worker processes: that argument gets a ``process`` edge, which the
+#: thread closure does not follow.
 POOL_DISPATCHERS = {
     "repro.parallel.engine.run_tasks",
     "repro.parallel.pool.parallel_map",
+    "repro.parallel.engine.EngineSession.run",
 }
 
-#: Attribute types whose ``.run(fn, ...)`` is a pool dispatch.
-POOL_SESSION_TYPES = {"repro.parallel.engine.EngineSession"}
+#: Edge kinds :meth:`ProgramGraph.reachable_from` follows: same-thread
+#: control flow. ``process`` edges lead into a copied address space.
+THREAD_EDGE_KINDS = ("call", "ref")
 
 
 def module_name(relpath: str) -> str:
@@ -115,21 +114,7 @@ class SourceModule:
     """One parsed input file handed to :func:`build_program`."""
 
     relpath: str
-    source: str
     tree: ast.Module
-    suppressions: "Suppressions | None" = None
-
-
-@dataclass
-class CallSite:
-    """One call expression inside a function body."""
-
-    raw: str  # the dotted callee as written (after local-alias expansion)
-    resolved: str  # absolute dotted target (project-fq or external)
-    internal: bool  # resolved names a symbol of a program module
-    node: ast.Call
-    n_args: int
-    has_kwargs: bool
 
 
 @dataclass
@@ -174,8 +159,6 @@ class FunctionInfo:
     node: "ast.FunctionDef | ast.AsyncFunctionDef"
     params: "tuple[str, ...]"
     class_name: "str | None" = None  # owning class fq when a method
-    is_nested: bool = False
-    calls: "list[CallSite]" = field(default_factory=list)
 
 
 @dataclass
@@ -195,18 +178,6 @@ class ClassInfo:
 
 
 @dataclass
-class DispatchSite:
-    """A call that ships its function argument to the worker pool."""
-
-    caller: str  # fq of the calling function (or "<module>" scope)
-    relpath: str
-    node: ast.Call
-    fn_arg: "ast.expr | None"
-    fn_resolved: "str | None"  # project-fq when the argument resolved
-    fn_kind: str  # "module-function" | "lambda" | "nested" | "method" | "unknown"
-
-
-@dataclass
 class SchemaLiteral:
     """A ``repro.*/vN`` string literal found outside a docstring."""
 
@@ -223,7 +194,6 @@ class ModuleInfo:
     name: str
     relpath: str
     tree: ast.Module
-    suppressions: Suppressions
     is_init: bool
     in_library: bool  # under src/repro/
     aliases: "dict[str, str]" = field(default_factory=dict)
@@ -254,8 +224,6 @@ class ProgramGraph:
         self.classes: "dict[str, ClassInfo]" = {}
         self.edges: "dict[str, list[Edge]]" = {}
         self.thread_roots: "dict[str, ast.AST]" = {}  # fq -> creating node
-        self.dispatch_sites: "list[DispatchSite]" = []
-        self.rng_sinks: "dict[str, list[tuple[str, ast.AST]]]" = {}
         self.references: "dict[str, set[str]]" = {}  # fq symbol -> referencing modules
         self.global_mutations: "list[GlobalMutation]" = []
 
@@ -335,10 +303,8 @@ class ProgramGraph:
         return None
 
     # ----------------------------------------------------------- reachability
-    def reachable_from(
-        self, roots: "Iterable[str]", kinds: "tuple[str, ...]" = ("call", "ref")
-    ) -> "dict[str, str | None]":
-        """BFS closure over edges of the given kinds.
+    def reachable_from(self, roots: "Iterable[str]") -> "dict[str, str | None]":
+        """BFS closure over :data:`THREAD_EDGE_KINDS` edges.
 
         Returns ``{reached_fq: parent_fq}`` (roots map to ``None``), so
         callers can rebuild the path that made a function reachable.
@@ -352,7 +318,7 @@ class ProgramGraph:
         while frontier:
             current = frontier.pop()
             for edge in self.edges.get(current, ()):
-                if edge.kind not in kinds:
+                if edge.kind not in THREAD_EDGE_KINDS:
                     continue
                 if edge.target in parents:
                     continue
@@ -452,11 +418,6 @@ def build_program(sources: "Iterable[SourceModule]") -> ProgramGraph:
             name=module_name(src.relpath),
             relpath=src.relpath,
             tree=src.tree,
-            suppressions=(
-                src.suppressions
-                if src.suppressions is not None
-                else parse_suppressions(src.source)
-            ),
             is_init=src.relpath.endswith("__init__.py"),
             in_library=src.relpath.startswith("src/repro/"),
         )
@@ -474,7 +435,7 @@ def build_program(sources: "Iterable[SourceModule]") -> ProgramGraph:
     for info in infos:
         for cls in info.classes.values():
             _resolve_class(graph, info, cls)
-    # Phase 3: function bodies -- calls, references, accesses, sinks.
+    # Phase 3: function bodies -- calls, references, accesses.
     for info in infos:
         _scan_module(graph, info)
     return graph
@@ -734,9 +695,9 @@ def _scan_module(graph: ProgramGraph, info: ModuleInfo) -> None:
 class _BodyScanner(ast.NodeVisitor):
     """One pass over a function body (or the module level).
 
-    Collects call sites, reference edges, thread roots, pool dispatches,
-    RNG sinks, ``self`` attribute accesses, and module-global mutations,
-    tracking the lexical ``with``-lock stack as it goes.
+    Collects call and reference edges, thread roots, pool dispatches,
+    ``self`` attribute accesses, and module-global mutations, tracking the
+    lexical ``with``-lock stack as it goes.
     """
 
     def __init__(
@@ -754,7 +715,6 @@ class _BodyScanner(ast.NodeVisitor):
         self.held: "list[str]" = []  # lock stack (class attrs + module locks)
         self.local_defs: "dict[str, str]" = {}  # name -> nested fq
         self.local_types: "dict[str, str]" = {}  # var -> resolved ctor
-        self.local_lambdas: "set[str]" = set()
         self._func_exprs: "set[int]" = set()  # callee exprs (not value refs)
         self._process_args: "set[int]" = set()  # pool-dispatched fn arguments
         self.local_names: "set[str]" = set()  # names bound inside this body
@@ -787,8 +747,7 @@ class _BodyScanner(ast.NodeVisitor):
                 self.visit(stmt)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # Nested function bodies belong to the nested function, not to us;
-        # record the symbol so CONC002 can flag it when pool-dispatched.
+        # Nested function bodies belong to the nested function, not to us.
         fq = f"{self.fn.qualname}.<locals>.{node.name}"
         nested = FunctionInfo(
             qualname=fq,
@@ -796,8 +755,6 @@ class _BodyScanner(ast.NodeVisitor):
             relpath=self.info.relpath,
             node=node,
             params=tuple(a.arg for a in node.args.args),
-            class_name=None,
-            is_nested=True,
         )
         self.graph.functions.setdefault(fq, nested)
         self._edge(fq, "call", node)
@@ -849,21 +806,10 @@ class _BodyScanner(ast.NodeVisitor):
         if isinstance(node.func, (ast.Name, ast.Attribute)):
             self._func_exprs.add(id(node.func))
         resolved, internal = self._resolve_callee(node, dotted)
-        if dotted is not None:
-            site = CallSite(
-                raw=dotted,
-                resolved=resolved or dotted,
-                internal=internal,
-                node=node,
-                n_args=len(node.args),
-                has_kwargs=bool(node.keywords),
-            )
-            self.fn.calls.append(site)
-            if internal and resolved is not None:
-                target = self._callable_target(resolved)
-                if target is not None:
-                    self._edge(target, "call", node)
-            self._record_rng_sink(site)
+        if internal and resolved is not None:
+            target = self._callable_target(resolved)
+            if target is not None:
+                self._edge(target, "call", node)
         self._record_thread_target(node, resolved)
         self._record_dispatch(node, resolved)
         self.generic_visit(node)
@@ -921,36 +867,6 @@ class _BodyScanner(ast.NodeVisitor):
     def _note_reference(self, fq: str) -> None:
         self.graph.references.setdefault(fq, set()).add(self.info.name)
 
-    # ------------------------------------------------------------ rng sinks
-    def _record_rng_sink(self, site: CallSite) -> None:
-        if self.info.relpath.endswith("util/seeding.py"):
-            return
-        name = site.resolved
-        message = None
-        for prefix in ("numpy.random.", "np.random."):
-            if name.startswith(prefix):
-                attr = name[len(prefix) :]
-                if attr == "default_rng":
-                    if site.n_args == 0 and not site.has_kwargs:
-                        message = "nondeterministically seeded np.random.default_rng()"
-                elif attr not in _NP_RANDOM_TYPES and "." not in attr:
-                    message = f"global-state numpy randomness {name}(...)"
-                break
-        else:
-            if name.startswith("random.") and name.count(".") == 1:
-                message = f"stdlib {name}(...) drawing from process-global state"
-        if message is None:
-            return
-        # A sink the per-file pass sanctioned (RNG001 suppression with
-        # rationale) is deliberate; RNG002 respects that decision.
-        line = site.node.lineno
-        end = getattr(site.node, "end_lineno", line) or line
-        if self.info.suppressions.is_suppressed("RNG001", line, end):
-            return
-        self.graph.rng_sinks.setdefault(self.fn.qualname, []).append(
-            (message, site.node)
-        )
-
     # -------------------------------------------------------- threads / pool
     def _record_thread_target(self, node: ast.Call, resolved: "str | None") -> None:
         if resolved != "threading.Thread":
@@ -963,76 +879,34 @@ class _BodyScanner(ast.NodeVisitor):
                 self.graph.thread_roots.setdefault(target_fq, node)
 
     def _record_dispatch(self, node: ast.Call, resolved: "str | None") -> None:
-        if resolved is None:
+        if resolved not in POOL_DISPATCHERS or not node.args:
             return
-        is_dispatch = resolved in POOL_DISPATCHERS or any(
-            resolved == f"{session}.run" for session in POOL_SESSION_TYPES
-        )
-        if not is_dispatch:
-            return
-        fn_arg = node.args[0] if node.args else None
-        fn_fq, fn_kind = self._classify_dispatch_arg(fn_arg)
-        self.graph.dispatch_sites.append(
-            DispatchSite(
-                caller=self.fn.qualname,
-                relpath=self.info.relpath,
-                node=node,
-                fn_arg=fn_arg,
-                fn_resolved=fn_fq,
-                fn_kind=fn_kind,
-            )
-        )
-        if fn_arg is not None:
-            # The argument crosses the process boundary: suppress the plain
-            # "ref" edge its Name/Attribute visit would add, or the thread
-            # closure would swallow worker-only code.
-            self._process_args.add(id(fn_arg))
+        fn_arg = node.args[0]
+        # The argument crosses the process boundary: suppress the plain
+        # "ref" edge its Name/Attribute visit would add, or the thread
+        # closure would swallow worker-only code.
+        self._process_args.add(id(fn_arg))
+        fn_fq = self._function_ref(fn_arg)
         if fn_fq is not None:
             self._edge(fn_fq, "process", node)
             self._note_reference(fn_fq)
 
-    def _classify_dispatch_arg(
-        self, arg: "ast.expr | None"
-    ) -> "tuple[str | None, str]":
-        if arg is None:
-            return None, "unknown"
-        if isinstance(arg, ast.Lambda):
-            return None, "lambda"
-        if isinstance(arg, ast.Name):
-            if arg.id in self.local_lambdas:
-                return None, "lambda"
-            if arg.id in self.local_defs:
-                return self.local_defs[arg.id], "nested"
-            resolved = self.graph.resolve_in_module(self.info, arg.id)
-            if resolved is not None and self.graph.function_at(resolved) is not None:
-                fn = self.graph.function_at(resolved)
-                return resolved, "nested" if fn.is_nested else "module-function"
-            return None, "unknown"
-        dotted = dotted_name(arg)
-        if dotted is None:
-            return None, "unknown"
-        if dotted.startswith("self."):
-            rest = dotted[len("self.") :]
-            if self.cls is not None and "." not in rest:
-                target = f"{self.cls.qualname}.{rest}"
-                if self.graph.function_at(target) is not None:
-                    return target, "method"
-            return None, "method"
-        resolved = self.graph.resolve_in_module(self.info, dotted)
-        if resolved is None:
-            return None, "unknown"
-        fn = self.graph.function_at(resolved)
-        if fn is not None:
-            if fn.class_name is not None:
-                return resolved, "method"
-            return resolved, "nested" if fn.is_nested else "module-function"
-        return None, "unknown"
-
     def _function_ref(self, expr: ast.expr) -> "str | None":
         """Resolve an expression used as a function value, if possible."""
-        fq, kind = self._classify_dispatch_arg(expr)
-        if kind in ("module-function", "nested", "method"):
-            return fq
+        dotted = dotted_name(expr)
+        if dotted is None:
+            return None
+        if dotted in self.local_defs:
+            return self.local_defs[dotted]
+        if dotted.startswith("self."):
+            rest = dotted[len("self.") :]
+            if self.cls is None or "." in rest:
+                return None
+            resolved: "str | None" = f"{self.cls.qualname}.{rest}"
+        else:
+            resolved = self.graph.resolve_in_module(self.info, dotted)
+        if resolved is not None and self.graph.function_at(resolved) is not None:
+            return resolved
         return None
 
     # -------------------------------------------------- names and references
@@ -1078,11 +952,7 @@ class _BodyScanner(ast.NodeVisitor):
 
     # ------------------------------------------------------------- mutations
     def visit_Assign(self, node: ast.Assign) -> None:
-        if isinstance(node.value, ast.Lambda):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self.local_lambdas.add(target.id)
-        elif isinstance(node.value, ast.Call):
+        if isinstance(node.value, ast.Call):
             callee = dotted_name(node.value.func)
             if callee is not None:
                 resolved = self.graph.resolve_in_module(self.info, callee)

@@ -1,4 +1,4 @@
-"""The whole-program rule catalogue (CONC / RNG002 / SCHEMA001X / ARCH001).
+"""The whole-program rule catalogue (CONC001 / SCHEMA001X / ARCH001).
 
 Each rule sees the finished :class:`~repro.lint.program.ProgramGraph` and
 yields findings; the runner maps them back onto files, applying the same
@@ -46,7 +46,7 @@ class SharedStateLockRule(ProgramRule):
     summary = "shared mutable state must be mutated under a lock"
 
     def check(self, graph: ProgramGraph, config) -> "Iterator[ProgramFinding]":
-        closure = graph.reachable_from(graph.thread_roots, kinds=("call", "ref"))
+        closure = graph.reachable_from(graph.thread_roots)
         seen: "set[tuple[str, int, str]]" = set()
 
         def emit(relpath, node, message, provenance=()):
@@ -126,104 +126,6 @@ class SharedStateLockRule(ProgramRule):
                 )
                 if finding is not None:
                     yield finding
-
-
-@register_program_rule
-class PicklableDispatchRule(ProgramRule):
-    """CONC002: callables shipped to the process pool must be module-level.
-
-    ``run_tasks(fn, ...)`` / ``parallel_map(fn, ...)`` /
-    ``EngineSession.run(fn, ...)`` pickle ``fn`` into the workers under the
-    spawn start method. Lambdas and nested functions cannot be pickled at
-    all; bound methods drag the whole instance (locks, sockets, open
-    journals) through pickle. Unresolvable arguments -- locals, parameters
-    forwarded through wrappers -- are skipped, not guessed at.
-    """
-
-    rule_id = "CONC002"
-    summary = "pool-dispatched callables must be module-level functions"
-
-    _MESSAGES = {
-        "lambda": (
-            "a lambda is dispatched to the process pool; lambdas cannot be "
-            "pickled under the spawn start method -- use a module-level function"
-        ),
-        "nested": (
-            "nested function '{fq}' is dispatched to the process pool; nested "
-            "functions cannot be pickled under the spawn start method -- move "
-            "it to module level"
-        ),
-        "method": (
-            "bound method '{fq}' is dispatched to the process pool; pickling "
-            "it ships the whole instance (locks, sockets) to every worker -- "
-            "use a module-level function taking explicit arguments"
-        ),
-    }
-
-    def check(self, graph: ProgramGraph, config) -> "Iterator[ProgramFinding]":
-        for site in graph.dispatch_sites:
-            template = self._MESSAGES.get(site.fn_kind)
-            if template is None:
-                continue
-            message = template.format(fq=site.fn_resolved or "<unresolved>")
-            yield ProgramFinding.at(
-                site.relpath,
-                site.fn_arg if site.fn_arg is not None else site.node,
-                message,
-                (site.caller,),
-            )
-
-
-@register_program_rule
-class SeededReachabilityRule(ProgramRule):
-    """RNG002: seeded code must not transitively reach global randomness.
-
-    Entry points are functions that advertise determinism -- they take an
-    ``rng`` parameter or construct generators through
-    :mod:`repro.util.seeding`. From those entries the rule walks the call
-    graph (including references and process-pool dispatch: workers inherit
-    the determinism contract) and flags any reachable draw from
-    process-global randomness: ``np.random.<fn>()`` module-state calls,
-    zero-argument ``default_rng()``, and ``random.<fn>()``. Sinks inside
-    ``repro/util/seeding.py`` or carrying an RNG001 suppression (a
-    reviewed, deliberate draw) are exempt. The finding's provenance is the
-    entry-to-sink call chain.
-    """
-
-    rule_id = "RNG002"
-    summary = "seeded entry points must not reach ad-hoc global randomness"
-
-    def check(self, graph: ProgramGraph, config) -> "Iterator[ProgramFinding]":
-        entries = set()
-        for fq, fn in graph.functions.items():
-            if "rng" in fn.params:
-                entries.add(fq)
-                continue
-            for call in fn.calls:
-                if call.resolved.startswith("repro.util.seeding."):
-                    entries.add(fq)
-                    break
-        closure = graph.reachable_from(sorted(entries), kinds=("call", "ref", "process"))
-        reported: "set[int]" = set()
-        for fq in sorted(graph.rng_sinks):
-            if fq not in closure:
-                continue
-            fn = graph.functions.get(fq)
-            if fn is None:
-                continue
-            chain = graph.chain(closure, fq)
-            for message, node in graph.rng_sinks[fq]:
-                if id(node) in reported:
-                    continue
-                reported.add(id(node))
-                yield ProgramFinding.at(
-                    fn.relpath,
-                    node,
-                    f"{message} is reachable from seeded entry point "
-                    f"'{chain[0]}' (via {' -> '.join(chain)}); thread the "
-                    f"caller's rng through instead",
-                    tuple(chain),
-                )
 
 
 @register_program_rule

@@ -28,7 +28,7 @@ from repro.lint.core import (
     lint_source,
     parse_violation,
 )
-from repro.lint.suppressions import parse_suppressions
+from repro.lint.suppressions import Suppressions, parse_suppressions
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,7 @@ def _program_pass(sources: "list[SourceFile]", config: LintConfig) -> "list[Viol
     attributed to a file outside the program (e.g. ARCH001's
     stale-allowlist report against pyproject.toml) has none to apply.
     """
-    from repro.lint.program import (
-        SourceModule,
-        available_program_rules,
-        build_program,
-        module_name,
-    )
+    from repro.lint.program import SourceModule, available_program_rules, build_program
 
     program_rules = available_program_rules()
     registered_ids = list(available_rules()) + list(program_rules)
@@ -170,24 +165,19 @@ def _program_pass(sources: "list[SourceFile]", config: LintConfig) -> "list[Viol
         return []
     by_relpath = {src.relpath: src for src in sources}
     graph = build_program(
-        SourceModule(src.relpath, src.source, src.tree)
-        for src in sources
-        if src.tree is not None
+        SourceModule(src.relpath, src.tree) for src in sources if src.tree is not None
     )
+    suppressions: "dict[str, Suppressions]" = {}  # parsed on a file's first finding
     violations: "list[Violation]" = []
     for rule_id in sorted(wanted):
         rule = program_rules[rule_id]
         for finding in rule.check(graph, config):
             src = by_relpath.get(finding.relpath)
             if src is not None and src.tree is not None:
-                module = graph.modules.get(module_name(finding.relpath))
-                suppressions = (
-                    module.suppressions
-                    if module is not None and module.relpath == finding.relpath
-                    else parse_suppressions(src.source)
-                )
+                if src.relpath not in suppressions:
+                    suppressions[src.relpath] = parse_suppressions(src.source)
                 last = finding.end_line or finding.line
-                if suppressions.is_suppressed(rule_id, finding.line, last):
+                if suppressions[src.relpath].is_suppressed(rule_id, finding.line, last):
                     continue
             violations.append(
                 Violation(

@@ -1,19 +1,20 @@
 """Parsing of ``# repro-lint: disable=RULE`` suppression comments.
 
-Three forms are recognized, all carrying an optional rationale after
-``--`` (the project's suppression policy, DESIGN.md §9, requires one)::
+Two forms are recognized, each followed by its rationale after ``--``::
 
     x = risky()  # repro-lint: disable=EXC001 -- failure is recorded, not lost
-    # repro-lint: disable-next-line=IO001 -- writes into a caller's buffer
-    # repro-lint: disable-file=PMNF001 -- this module builds the search space
+    # repro-lint: disable-next-line=RNG001 -- frozen seed of a published table
 
 ``disable`` suppresses matching violations on the comment's own physical
 line (for multi-line statements, any line the violating node spans works);
 ``disable-next-line`` suppresses them on the next *code* line -- blank
 lines and further comment lines in between are skipped, so a rationale may
-continue over several comment lines; ``disable-file`` suppresses the rule
-for the whole file. Rule lists are comma-separated; the special value
-``all`` matches every rule.
+continue over several comment lines. Rule lists are comma-separated.
+
+The parser records what each comment says; the lint pass checks it
+(:func:`repro.lint.core.suppression_violations`): a rule id that names no
+registered rule, a missing rationale, and a ``repro-lint:`` comment that
+does not parse are findings, never silently ignored.
 
 Comments are found with :mod:`tokenize`, so ``#`` characters inside string
 literals never parse as suppressions.
@@ -26,12 +27,11 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
-_COMMENT_RE = re.compile(
-    r"#\s*repro-lint:\s*(?P<kind>disable(?:-next-line|-file)?)\s*=\s*"
-    r"(?P<rules>[A-Za-z0-9_,\s]+?)\s*(?:--\s*(?P<rationale>.*\S))?\s*$"
+_DIRECTIVE_RE = re.compile(r"#\s*repro-lint:\s*(?P<body>.*?)\s*$")
+_BODY_RE = re.compile(
+    r"(?P<kind>disable(?:-next-line)?)\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+?)"
+    r"\s*(?:--\s*(?P<rationale>.*\S))?$"
 )
-
-ALL_RULES = "all"
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,12 @@ class Suppression:
     """One parsed suppression comment."""
 
     line: int  # physical line of the comment
-    kind: str  # "disable" | "disable-next-line" | "disable-file"
-    rules: "frozenset[str]"  # upper-cased rule ids, or {"ALL"}
+    kind: str  # "disable" | "disable-next-line"
+    rules: "frozenset[str]"  # upper-cased rule ids
     rationale: str = ""
 
     def matches(self, rule: str) -> bool:
-        return rule.upper() in self.rules or ALL_RULES.upper() in self.rules
+        return rule.upper() in self.rules
 
 
 @dataclass
@@ -52,23 +52,18 @@ class Suppressions:
     """All suppression comments of one source file, indexed for lookup."""
 
     entries: "list[Suppression]" = field(default_factory=list)
+    #: ``(line, comment)`` of each ``repro-lint:`` comment that did not parse.
+    malformed: "list[tuple[int, str]]" = field(default_factory=list)
     _by_line: "dict[int, list[Suppression]]" = field(default_factory=dict)
-    _file_level: "list[Suppression]" = field(default_factory=list)
 
     def add(self, suppression: Suppression, target: "int | None" = None) -> None:
         """Index ``suppression``; ``target`` is the line it applies to
         (defaults to its own line)."""
         self.entries.append(suppression)
-        if suppression.kind == "disable-file":
-            self._file_level.append(suppression)
-            return
         self._by_line.setdefault(target or suppression.line, []).append(suppression)
 
     def is_suppressed(self, rule: str, first_line: int, last_line: "int | None" = None) -> bool:
-        """True when ``rule`` is disabled on any line in ``[first_line, last_line]``
-        or for the whole file."""
-        if any(s.matches(rule) for s in self._file_level):
-            return True
+        """True when ``rule`` is disabled on any line in ``[first_line, last_line]``."""
         last = first_line if last_line is None else max(first_line, last_line)
         for line in range(first_line, last + 1):
             if any(s.matches(rule) for s in self._by_line.get(line, ())):
@@ -90,15 +85,17 @@ def parse_suppressions(source: str) -> Suppressions:
         return suppressions
     lines = source.splitlines()
     for token in comments:
-        match = _COMMENT_RE.search(token.string)
-        if not match:
+        directive = _DIRECTIVE_RE.search(token.string)
+        if not directive:
             continue
+        match = _BODY_RE.match(directive.group("body"))
         rules = frozenset(
             part.strip().upper()
-            for part in match.group("rules").split(",")
+            for part in (match.group("rules").split(",") if match else ())
             if part.strip()
         )
         if not rules:
+            suppressions.malformed.append((token.start[0], token.string))
             continue
         suppression = Suppression(
             line=token.start[0],

@@ -151,10 +151,8 @@ def validate_spec(spec: str, **overrides) -> "tuple[RegisteredModeler, dict[str,
 
     Performs the full validation :func:`create_modeler` applies -- spec
     grammar, registered name, keyword names against the factory signature
-    -- and returns the registry entry plus the merged keyword dict. This is
-    the seam the static-analysis pass (rule SPEC001 in :mod:`repro.lint`)
-    shares with the runtime, so lint-time and run-time acceptance can never
-    drift apart. Raises :class:`ValueError` naming the valid alternatives.
+    -- and returns the registry entry plus the merged keyword dict. Raises
+    :class:`ValueError` naming the valid alternatives.
     """
     _ensure_builtins()
     name, kwargs = parse_spec(spec)

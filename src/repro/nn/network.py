@@ -338,9 +338,8 @@ class Sequential:
         target = self._checkpoint_path(path)
         if isinstance(target, Path):
             buffer = io.BytesIO()
-            # repro-lint: disable-next-line=IO001 -- serializes into an
-            # in-memory buffer only; the on-disk write below goes through the
-            # atomic artifact layer (atomic_write_bytes).
+            # Serializes into an in-memory buffer only; the on-disk write below
+            # goes through the atomic artifact layer (atomic_write_bytes).
             np.savez(
                 buffer,
                 spec=np.frombuffer(spec.encode(), dtype=np.uint8),
@@ -348,9 +347,9 @@ class Sequential:
             )
             atomic_write_bytes(target, buffer.getvalue())
         else:
-            # repro-lint: disable-next-line=IO001 -- the target here is a
-            # caller-supplied BytesIO (the isinstance above routes every
-            # filesystem path through atomic_write_bytes); nothing touches disk.
+            # The target here is a caller-supplied BytesIO (the isinstance above
+            # routes every filesystem path through atomic_write_bytes); nothing
+            # touches disk.
             np.savez(
                 target,
                 spec=np.frombuffer(spec.encode(), dtype=np.uint8),

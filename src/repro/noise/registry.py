@@ -2,10 +2,9 @@
 
 The noise counterpart of :mod:`repro.modeling.registry`: one construction
 seam for every :class:`~repro.noise.injection.NoiseModel`, shared by the
-CLI (``--noise``), the degradation sweep, and the lint rule SPEC001. The
-grammar is the same -- ``name`` or ``name(key=value, ...)``, keyword-only,
-Python-literal values, bare words for strings/booleans -- with one
-extension: a value may itself be a noise spec (a nested call), so wrappers
+CLI (``--noise``) and the degradation sweep. The grammar is the same --
+``name`` or ``name(key=value, ...)``, keyword-only, Python-literal values,
+bare words for strings/booleans -- with one extension: a value may itself be a noise spec (a nested call), so wrappers
 like ``systematic(inner=gamma(shape=2.0, scale=0.13), scale=0.1)`` parse
 into composed models.
 
@@ -150,9 +149,8 @@ def validate_noise_spec(
     """Parse and resolve a spec *without* building the model.
 
     The full validation :func:`create_noise` applies -- grammar, registered
-    name, keyword names against the factory signature -- shared with the
-    lint rule SPEC001 so lint-time and run-time acceptance cannot drift.
-    Nested specs are validated recursively but left as strings.
+    name, keyword names against the factory signature. Nested specs are
+    validated recursively but left as strings.
     """
     name, kwargs = parse_noise_spec(spec)
     entry = _REGISTRY.get(name)

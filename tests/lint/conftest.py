@@ -9,7 +9,7 @@ import pytest
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Virtual library path fixtures are linted under, so path-scoped rules
-#: (IO001's src/repro restriction, RNG001's library tightening) apply.
+#: (RNG001's library tightening) apply.
 LIBRARY_PATH = "src/repro/fake/{name}"
 
 

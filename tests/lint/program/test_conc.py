@@ -1,4 +1,4 @@
-"""CONC001 (shared-state locking) and CONC002 (picklable dispatch)."""
+"""CONC001: state shared with a thread is mutated under a lock."""
 
 from __future__ import annotations
 
@@ -90,22 +90,3 @@ class TestModuleGlobals:
         source = GLOBAL_BAD.replace("threading.Thread(target=_loop).start()", "pass")
         result = lint_sources({"svc.py": source}, CONC_CONFIG)
         assert result.clean
-
-
-class TestPicklableDispatch:
-    def test_unpicklable_arguments_flagged(self, run_case):
-        result = run_case("conc_pool", ("CONC002",))
-        assert [v.path for v in result.violations] == ["app.py"] * 3
-        messages = sorted(v.message for v in result.violations)
-        assert "a lambda is dispatched" in messages[0]
-        assert "bound method 'app.Runner._bump'" in messages[1]
-        assert "nested function 'app.dispatch_nested.<locals>.inner'" in messages[2]
-
-    def test_module_function_and_unresolvable_are_silent(self, run_case):
-        result = run_case("conc_pool", ("CONC002",))
-        lines = {v.line for v in result.violations}
-        # dispatch_ok (module function) and dispatch_unresolvable (forwarded
-        # parameter) contribute no findings: resolvable-and-fine vs skipped.
-        assert len(result.violations) == 3
-        assert all(v.kind == "program" for v in result.violations)
-        assert len(lines) == 3

@@ -16,8 +16,7 @@ from repro.lint.program import SourceModule, build_program, module_name
 
 def graph_of(sources):
     return build_program(
-        SourceModule(rel, text, ast.parse(text))
-        for rel, text in sorted(sources.items())
+        SourceModule(rel, ast.parse(text)) for rel, text in sorted(sources.items())
     )
 
 
@@ -171,11 +170,9 @@ class TestThreadsAndDispatch:
         graph = graph_of({"m.py": THREADED})
         thread_closure = graph.reachable_from(graph.thread_roots)
         assert "m._worker" not in thread_closure
-        full = graph.reachable_from(
-            graph.thread_roots, kinds=("call", "ref", "process")
-        )
-        assert "m._worker" in full
-        assert graph.chain(full, "m._worker") == ["m._loop", "m._worker"]
+        edges = {(e.target, e.kind) for e in graph.edges["m._loop"]}
+        assert ("m._worker", "process") in edges
+        assert ("m._worker", "ref") not in edges
 
     def test_dispatch_argument_classification(self):
         graph = graph_of(
@@ -211,13 +208,16 @@ class TestThreadsAndDispatch:
                 )
             }
         )
-        kinds = {
-            (site.fn_kind, site.fn_resolved) for site in graph.dispatch_sites
+        # Each resolvable function argument gets a process edge; the
+        # lambda and the forwarded parameter resolve to nothing.
+        process = {
+            (source, e.target)
+            for source, edges in graph.edges.items()
+            for e in edges
+            if e.kind == "process"
         }
-        assert kinds == {
-            ("module-function", "app.job"),
-            ("lambda", None),
-            ("unknown", None),
-            ("nested", "app.go.<locals>.inner"),
-            ("method", "app.R._bump"),
+        assert process == {
+            ("app.go", "app.job"),
+            ("app.go", "app.go.<locals>.inner"),
+            ("app.R.work", "app.R._bump"),
         }

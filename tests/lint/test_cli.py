@@ -42,6 +42,33 @@ class TestExitCodes:
         assert main(["lint", "does-not-exist"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_unknown_config_key_exits_two(self, project, capsys):
+        (project / "pyproject.toml").write_text(
+            "[tool.repro-lint]\npaths = ['pkg']\nignores = ['EXC001']\n"
+            "[tool.repro-lint.per-path-ignores]\n'pkg/' = ['EXC001']\n"
+        )
+        assert main(["lint"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown [tool.repro-lint] key(s) 'ignores', 'per-path-ignores'" in err
+
+    def test_unregistered_suppression_exits_one(self, project, capsys):
+        (project / "pkg" / "stale.py").write_text(
+            "x = 1  # repro-lint: disable=FOO001 -- nothing\n"
+        )
+        assert main(["lint"]) == 1
+        out = capsys.readouterr().out
+        assert "pkg/stale.py:1:0: SUPPRESSION" in out
+        assert "unregistered rule(s) FOO001; registered: ARCH001, CONC001" in out
+
+    def test_suppression_without_rationale_exits_one(self, project, capsys):
+        (project / "pkg" / "bare.py").write_text(
+            "import random  # repro-lint: disable=RNG001\n"
+        )
+        assert main(["lint"]) == 1
+        out = capsys.readouterr().out
+        assert "pkg/bare.py:1:0: SUPPRESSION" in out
+        assert "has no '-- rationale'" in out
+
 
 class TestFlags:
     def test_explicit_paths_override_config(self, project, capsys):
@@ -57,7 +84,7 @@ class TestFlags:
 
     def test_select_restricts_rules(self, project):
         (project / "pkg" / "dirty.py").write_text(DIRTY)
-        assert main(["lint", "--select", "RNG001,IO001"]) == 0
+        assert main(["lint", "--select", "RNG001,CONC001"]) == 0
         assert main(["lint", "--select", "exc001"]) == 1
 
     def test_json_format(self, project, capsys):

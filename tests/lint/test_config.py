@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint.config import LintConfig, find_project_root, load_config
 
 PYPROJECT = """\
 [tool.repro-lint]
 paths = ["src", "tests"]
 select = ["RNG001", "exc001"]
-ignore = ["IO001"]
+ignore = ["ARCH001"]
 exclude = ["tests/lint/fixtures", "./scratch"]
 """
 
@@ -26,7 +28,7 @@ class TestLoadConfig:
         assert config.root == tmp_path
         assert config.paths == ("src", "tests")
         assert config.select == ("RNG001", "EXC001")
-        assert config.ignore == ("IO001",)
+        assert config.ignore == ("ARCH001",)
         assert config.exclude == ("tests/lint/fixtures", "scratch")
 
     def test_missing_table_yields_defaults(self, tmp_path):
@@ -41,16 +43,38 @@ class TestLoadConfig:
         assert config.select is None
         assert config.exclude == ()
 
+    def test_unknown_keys_refused_by_name(self, tmp_path):
+        write_pyproject(
+            tmp_path,
+            PYPROJECT
+            + 'ignores = ["EXC001"]\n'
+            + '[tool.repro-lint.per-path-ignores]\n"tests/" = ["EXC001"]\n',
+        )
+        with pytest.raises(ValueError) as info:
+            load_config(tmp_path)
+        message = str(info.value)
+        assert "unknown [tool.repro-lint] key(s) 'ignores', 'per-path-ignores'" in message
+        assert "known: arch-allow, exclude, ignore" in message
+
+    def test_dashed_and_underscored_keys_both_known(self, tmp_path):
+        write_pyproject(
+            tmp_path,
+            '[tool.repro-lint]\nschema-module = "a.b"\narch_allow = ["cycle:x<->y"]\n',
+        )
+        config = load_config(tmp_path)
+        assert config.schema_module == "a.b"
+        assert config.arch_allow == ("cycle:x<->y",)
+
 
 class TestRuleSelection:
-    REGISTERED = ("RNG001", "IO001", "EXC001", "SPEC001")
+    REGISTERED = ("RNG001", "EXC001", "CONC001", "ARCH001")
 
     def test_default_selects_all(self):
         config = LintConfig()
         assert config.active_rules(self.REGISTERED) == set(self.REGISTERED)
 
     def test_select_and_ignore(self):
-        config = LintConfig(select=("RNG001", "IO001"), ignore=("IO001",))
+        config = LintConfig(select=("RNG001", "ARCH001"), ignore=("ARCH001",))
         assert config.active_rules(self.REGISTERED) == {"RNG001"}
 
 
@@ -70,10 +94,10 @@ class TestExclusion:
 
 class TestOverrides:
     def test_select_replaces_ignore_extends(self):
-        config = LintConfig(select=("RNG001",), ignore=("IO001",))
-        updated = config.with_overrides(select=["exc001"], ignore=["spec001"])
+        config = LintConfig(select=("RNG001",), ignore=("ARCH001",))
+        updated = config.with_overrides(select=["exc001"], ignore=["conc001"])
         assert updated.select == ("EXC001",)
-        assert updated.ignore == ("IO001", "SPEC001")
+        assert updated.ignore == ("ARCH001", "CONC001")
 
     def test_none_keeps_configured(self):
         config = LintConfig(select=("RNG001",))

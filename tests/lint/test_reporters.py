@@ -14,8 +14,8 @@ VP = Violation(
     path="src/c.py",
     line=12,
     column=8,
-    rule="RNG002",
-    message="global randomness reachable from seeded entry",
+    rule="CONC001",
+    message="module global mutated in a thread without a lock",
     end_line=12,
     kind="program",
     provenance=("pkg.fit", "pkg.helper", "pkg.jitter"),

@@ -41,12 +41,11 @@ class TestRepositoryIsClean:
         assert not any("fixtures/" in f for f in result.files)
 
     def test_config_matches_issue_contract(self, repo_config):
-        # The shipped rules -- five per-file, five whole-program -- are
+        # The shipped rules -- two per-file, three whole-program -- are
         # selected, and every one runs on every linted path.
         assert repo_config.select is not None
         assert set(repo_config.select) == {
-            "RNG001", "IO001", "EXC001", "SPEC001", "PMNF001",
-            "CONC001", "CONC002", "RNG002", "SCHEMA001X", "ARCH001",
+            "RNG001", "EXC001", "CONC001", "SCHEMA001X", "ARCH001",
         }
         assert repo_config.ignore == ()
         assert repo_config.program is True

@@ -1,8 +1,17 @@
-"""Suppression-comment parsing: forms, rationale, and line targeting."""
+"""Suppression comments: parsing, line targeting, and the checks on them."""
 
 from __future__ import annotations
 
+from repro.lint import LintConfig, lint_source
 from repro.lint.suppressions import parse_suppressions
+
+
+def suppression_findings(source):
+    return [
+        (v.line, v.message)
+        for v in lint_source(source, "src/repro/fake/module.py", LintConfig())
+        if v.rule == "SUPPRESSION"
+    ]
 
 
 class TestParsing:
@@ -15,36 +24,37 @@ class TestParsing:
         assert entry.line == 1
         assert sup.is_suppressed("EXC001", 1)
         assert not sup.is_suppressed("EXC001", 2)
-        assert not sup.is_suppressed("IO001", 1)
+        assert not sup.is_suppressed("RNG001", 1)
 
     def test_rationale_captured(self):
         sup = parse_suppressions(
-            "y = g()  # repro-lint: disable=IO001 -- writes a caller's buffer, see DESIGN.md\n"
+            "y = g()  # repro-lint: disable=RNG001 -- frozen legacy seed, see DESIGN.md\n"
         )
-        assert sup.entries[0].rationale == "writes a caller's buffer, see DESIGN.md"
+        assert sup.entries[0].rationale == "frozen legacy seed, see DESIGN.md"
 
     def test_rationale_optional(self):
-        sup = parse_suppressions("z = h()  # repro-lint: disable=IO001\n")
-        assert sup.entries[0].rationale == ""
+        # The grammar parses a directive without a rationale (so the lint
+        # can point at it), but the lint reports it: the policy requires one.
+        source = "z = h()  # repro-lint: disable=RNG001\n"
+        assert parse_suppressions(source).entries[0].rationale == ""
+        [(line, message)] = suppression_findings(source)
+        assert line == 1
+        assert "suppression of RNG001 has no '-- rationale'" in message
 
     def test_multiple_rules_comma_separated(self):
-        sup = parse_suppressions("w = i()  # repro-lint: disable=RNG001, IO001\n")
-        assert sup.entries[0].rules == frozenset({"RNG001", "IO001"})
+        sup = parse_suppressions("w = i()  # repro-lint: disable=RNG001, EXC001\n")
+        assert sup.entries[0].rules == frozenset({"RNG001", "EXC001"})
         assert sup.is_suppressed("RNG001", 1)
-        assert sup.is_suppressed("IO001", 1)
+        assert sup.is_suppressed("EXC001", 1)
 
     def test_rule_ids_case_insensitive(self):
         sup = parse_suppressions("a = 1  # repro-lint: disable=exc001\n")
         assert sup.is_suppressed("EXC001", 1)
 
-    def test_all_wildcard(self):
-        sup = parse_suppressions("a = 1  # repro-lint: disable=all\n")
-        assert sup.is_suppressed("EXC001", 1)
-        assert sup.is_suppressed("ANYTHING", 1)
-
     def test_unrelated_comments_ignored(self):
         sup = parse_suppressions("# plain comment\nx = 1  # noqa: E501\n")
         assert sup.entries == []
+        assert sup.malformed == []
 
     def test_comment_inside_string_not_parsed(self):
         source = 's = "# repro-lint: disable=EXC001"\n'
@@ -72,23 +82,38 @@ class TestNextLineForm:
         assert sup.is_suppressed("EXC001", 4)
 
     def test_at_end_of_file(self):
-        sup = parse_suppressions("# repro-lint: disable-next-line=IO001\n")
+        sup = parse_suppressions("# repro-lint: disable-next-line=EXC001\n")
         assert sup.entries[0].kind == "disable-next-line"
-
-
-class TestFileLevelForm:
-    def test_disables_everywhere_in_file(self):
-        source = "# repro-lint: disable-file=PMNF001 -- search-space builder\nx = 1\n"
-        sup = parse_suppressions(source)
-        assert sup.is_suppressed("PMNF001", 1)
-        assert sup.is_suppressed("PMNF001", 999)
-        assert not sup.is_suppressed("RNG001", 1)
 
 
 class TestLineRanges:
     def test_multiline_statement_span(self):
         # A violation spanning lines 1-3 with the comment on the last line.
-        source = "x = call(\n    arg,\n)  # repro-lint: disable=SPEC001\n"
+        source = "x = call(\n    arg,\n)  # repro-lint: disable=EXC001\n"
         sup = parse_suppressions(source)
-        assert sup.is_suppressed("SPEC001", 1, 3)
-        assert not sup.is_suppressed("SPEC001", 1, 2)
+        assert sup.is_suppressed("EXC001", 1, 3)
+        assert not sup.is_suppressed("EXC001", 1, 2)
+
+
+class TestChecked:
+    """A suppression that cannot do its job is a finding, never ignored."""
+
+    def test_unknown_forms_are_findings(self):
+        # ``all`` is no wildcard: it reads as an unregistered rule id. Any
+        # form but disable= and disable-next-line= does not parse.
+        source = (
+            "a = 1  # repro-lint: disable=all -- everything\n"
+            "# repro-lint: disable-block=EXC001 -- whole block\n"
+            "b = 2  # repro-lint: disable=EXC001 - one dash\n"
+        )
+        found = suppression_findings(source)
+        assert [line for line, _ in found] == [1, 2, 3]
+        assert "unregistered rule(s) ALL" in found[0][1]
+        assert "unreadable suppression comment" in found[1][1]
+        assert "disable-block=EXC001" in found[1][1]
+        assert "unreadable suppression comment" in found[2][1]
+
+    def test_checked_even_when_no_rule_is_selected(self):
+        config = LintConfig(select=())
+        source = "x = 1  # repro-lint: disable=RNG001\n"
+        assert [v.rule for v in lint_source(source, "m.py", config)] == ["SUPPRESSION"]

@@ -111,16 +111,16 @@ class TestBuiltins:
 class TestErrors:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown modeler 'nope'"):
-            # repro-lint: disable-next-line=SPEC001 -- deliberately unknown
-            # name; this test asserts the registry's error message.
+            # Deliberately unknown name; this test asserts the registry's error
+            # message.
             create_modeler("nope")
         with pytest.raises(ValueError, match="registered"):
             registered_modeler("nope")
 
     def test_unknown_keyword(self):
         with pytest.raises(ValueError, match="unknown keyword.*frobnicate"):
-            # repro-lint: disable-next-line=SPEC001 -- deliberately bad keyword;
-            # this test asserts the registry's error message.
+            # Deliberately bad keyword; this test asserts the registry's error
+            # message.
             create_modeler("regression(frobnicate=1)")
 
 
@@ -131,8 +131,7 @@ class TestRegistration:
     def test_register_and_create(self):
         try:
             register_modeler("custom-test", lambda scale=1: ("custom", scale))
-            # repro-lint: disable-next-line=SPEC001 -- 'custom-test' is
-            # registered at runtime two lines up, invisible to static analysis.
+            # 'custom-test' is registered at runtime two lines up.
             assert create_modeler("custom-test(scale=3)") == ("custom", 3)
             assert "custom-test" in available_modelers()
         finally:
@@ -145,8 +144,7 @@ class TestRegistration:
             def factory():
                 return "built"
 
-            # repro-lint: disable-next-line=SPEC001 -- 'custom-deco' is
-            # registered at runtime by the decorator above.
+            # 'custom-deco' is registered at runtime by the decorator above.
             assert create_modeler("custom-deco") == "built"
             assert registered_modeler("custom-deco").description == "a test modeler"
         finally:
@@ -158,8 +156,7 @@ class TestRegistration:
             with pytest.raises(ValueError, match="already registered"):
                 register_modeler("custom-dup", lambda: 2)
             register_modeler("custom-dup", lambda: 2, replace=True)
-            # repro-lint: disable-next-line=SPEC001 -- 'custom-dup' is
-            # registered at runtime three lines up.
+            # 'custom-dup' is registered at runtime three lines up.
             assert create_modeler("custom-dup") == 2
         finally:
             self._cleanup("custom-dup")

@@ -88,15 +88,15 @@ class TestParsing:
 class TestValidation:
     def test_unknown_model_lists_registered(self):
         with pytest.raises(ValueError, match="registered models"):
-            validate_noise_spec("cosmic_rays(level=1)")  # repro-lint: disable=SPEC001 -- intentionally invalid: the rejection is the test
+            validate_noise_spec("cosmic_rays(level=1)")  # intentionally invalid: the rejection is the test
 
     def test_unknown_keyword_lists_accepted(self):
         with pytest.raises(ValueError, match="accepted keywords"):
-            validate_noise_spec("uniform(amplitude=0.2)")  # repro-lint: disable=SPEC001 -- intentionally invalid: the rejection is the test
+            validate_noise_spec("uniform(amplitude=0.2)")  # intentionally invalid: the rejection is the test
 
     def test_nested_spec_validated_recursively(self):
         with pytest.raises(ValueError, match="registered models"):
-            validate_noise_spec("systematic(inner=bogus(x=1), scale=0.1)")  # repro-lint: disable=SPEC001 -- intentionally invalid: the rejection is the test
+            validate_noise_spec("systematic(inner=bogus(x=1), scale=0.1)")  # intentionally invalid: the rejection is the test
 
     def test_registry_carries_signature(self):
         entry, _ = validate_noise_spec("tainted")
@@ -150,9 +150,9 @@ class TestAxisBinding:
         """noise_for_level validates its spec once, with create_noise's
         messages."""
         with pytest.raises(ValueError, match="unknown keyword\\(s\\) bogus for noise model"):
-            noise_for_level("uniform(bogus=1)", 0.1)  # repro-lint: disable=SPEC001 -- intentionally invalid: the rejection is the test
+            noise_for_level("uniform(bogus=1)", 0.1)  # intentionally invalid: the rejection is the test
         with pytest.raises(ValueError, match="unknown noise model 'nosuch'"):
-            noise_for_level("nosuch", 0.1)  # repro-lint: disable=SPEC001 -- intentionally invalid: the rejection is the test
+            noise_for_level("nosuch", 0.1)  # intentionally invalid: the rejection is the test
 
     def test_registration_refuses_an_axis_the_factory_lacks(self):
         with pytest.raises(ValueError, match="sweep axis 'level' is not a keyword"):

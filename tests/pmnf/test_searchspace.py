@@ -28,10 +28,10 @@ class TestSearchSpace:
 
     def test_excluded_combinations(self):
         # (3, 2) and (4/5, 1) are NOT in E.
-        # repro-lint: disable-next-line=PMNF001 -- deliberately out-of-space:
-        # this test pins exactly which combinations Eq. 2 excludes.
+        # Deliberately out-of-space: this test pins exactly which
+        # combinations Eq. 2 excludes.
         assert ExponentPair(F(3), 2) not in EXPONENT_PAIRS
-        # repro-lint: disable-next-line=PMNF001 -- deliberately out-of-space.
+        # Deliberately out-of-space.
         assert ExponentPair(F(4, 5), 1) not in EXPONENT_PAIRS
 
     def test_ordered_by_growth(self):
@@ -48,8 +48,7 @@ class TestSearchSpace:
 
     def test_unknown_pair_raises(self):
         with pytest.raises(KeyError):
-            # repro-lint: disable-next-line=PMNF001 -- deliberately out-of-space
-            # pair proving class_index rejects it.
+            # Deliberately out-of-space pair proving class_index rejects it.
             class_index(ExponentPair(F(7), 0))
 
     def test_nearest_class_exact(self):
@@ -59,8 +58,8 @@ class TestSearchSpace:
     def test_nearest_class_snaps(self):
         # 0.9 with no log is nearest to i = 1 (distance 0.1) vs 4/5 (0.1) --
         # tie resolves to the smaller growth, i.e. 4/5.
-        # repro-lint: disable-next-line=PMNF001 -- deliberately out-of-space
-        # pair: nearest_class exists precisely to snap such pairs into E.
+        # Deliberately out-of-space pair: nearest_class exists precisely to
+        # snap such pairs into E.
         snapped = pair_for_class(nearest_class(ExponentPair(F(9, 10), 0)))
         assert snapped.i == F(4, 5)
 
