@@ -103,19 +103,16 @@ def _print_trace_path(result) -> None:
 def _method_spec(spec: str) -> str:
     """Argparse type for ``--method``: any registered modeler spec string.
 
-    Validates eagerly so a typo fails at parse time with the registered
-    names, not deep inside modeling.
+    Validates the whole spec eagerly (name, keywords, nested prefilter), so
+    a typo fails at parse time with the registry's message, not deep
+    inside modeling.
     """
-    from repro.modeling.registry import available_modelers, parse_spec
+    from repro.modeling.registry import validate_spec
 
     try:
-        name, _ = parse_spec(spec)
+        validate_spec(spec)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if name not in available_modelers():
-        raise argparse.ArgumentTypeError(
-            f"unknown modeler {name!r}; registered: {', '.join(available_modelers())}"
-        )
     return spec
 
 

@@ -53,22 +53,23 @@ class NoAdHocRandomness(Rule):
 
     rule_id = "RNG001"
     summary = "randomness outside util/seeding: thread an explicit np.random.Generator"
-    interests = ("Call", "ImportFrom")
+    interests = ("Call", "Import", "ImportFrom")
 
     def start_file(self, ctx: LintContext) -> bool:
         return not ctx.matches("repro/util/seeding.py")
 
     def visit(self, node: ast.AST, ctx: LintContext) -> "Iterator[tuple[ast.AST, str]]":
-        if isinstance(node, ast.ImportFrom):
-            if node.module == "random":
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            yield node, (
+                "stdlib random imported; use numpy Generators threaded "
+                "through repro.util.seeding.as_generator instead"
+            )
+            return
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names if self._numpy_random(node, alias)]
+            if names:
                 yield node, (
-                    "stdlib random imported; use numpy Generators threaded "
-                    "through repro.util.seeding.as_generator instead"
-                )
-            elif node.module in ("numpy.random", "np.random"):
-                names = ", ".join(alias.name for alias in node.names)
-                yield node, (
-                    f"direct numpy.random import of {names}; accept an rng "
+                    f"direct numpy.random import of {', '.join(names)}; accept an rng "
                     "parameter and normalize via repro.util.seeding.as_generator"
                 )
             return
@@ -104,6 +105,20 @@ class NoAdHocRandomness(Rule):
                     f"stdlib {name}(...) draws from process-global state; use "
                     "an explicit np.random.Generator from repro.util.seeding"
                 )
+
+    @staticmethod
+    def _numpy_random(node: "ast.Import | ast.ImportFrom", alias: ast.alias) -> bool:
+        """Whether ``alias`` brings in numpy.random or one of its names.
+
+        A plain ``import numpy.random`` is left to the call checks; an
+        aliased module (``import numpy.random as npr``, ``from numpy import
+        random``) would hide its calls from the ``np.random.`` prefix.
+        """
+        if isinstance(node, ast.Import):
+            return alias.name == "numpy.random" and alias.asname is not None
+        if node.module in ("numpy.random", "np.random"):
+            return True
+        return node.module in ("numpy", "np") and alias.name == "random"
 
     @staticmethod
     def _imports_stdlib_random(ctx: LintContext) -> bool:

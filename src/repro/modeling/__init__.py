@@ -39,7 +39,6 @@ from repro.modeling.registry import (
     available_modelers,
     create_modeler,
     create_modelers,
-    parse_spec,
     register_modeler,
     registered_modeler,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "available_modelers",
     "create_modeler",
     "create_modelers",
-    "parse_spec",
     "register_modeler",
     "registered_modeler",
     "resolve_fit_engine",

@@ -28,22 +28,20 @@ aggregate stage, replacing the plain per-point
     uniform repetitions where three happen to cluster tightly) -- raise
     ``k`` or use more repetitions when that matters.
 
-The spec grammar is the registry grammar (keyword-only, literal values);
-``create_prefilter``/``validate_prefilter_spec`` are the construction and
-lint-time seams, and modeler specs embed prefilters as nested calls:
-``dnn(top_k=5, prefilter=mad(k=3))``.
+Specs follow the grammar of :mod:`repro.util.spec`, and modeler specs
+embed prefilters as nested calls: ``dnn(top_k=5, prefilter=mad(k=3))``.
 """
 
 from __future__ import annotations
 
 import abc
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.experiment.experiment import Kernel
+from repro.util.spec import SpecRegistry
 from repro.util.validation import require_in_range
 
 #: Consistency constant making ``1.4826 * MAD`` estimate a Gaussian sigma.
@@ -188,56 +186,18 @@ def apply_prefilter(
 
 
 # ------------------------------------------------------------------ registry
-_REGISTRY: "dict[str, Callable[..., RobustAggregator]]" = {}
+PREFILTERS = SpecRegistry("prefilter", builds=RobustAggregator)
 
-
-def register_prefilter(name: str, factory: "Callable[..., RobustAggregator]") -> None:
-    """Register a prefilter factory under ``name`` (plus its class name)."""
-    if name in _REGISTRY:
-        raise ValueError(f"prefilter {name!r} is already registered")
-    _REGISTRY[name] = factory
-    cls_name = getattr(factory, "__name__", "")
-    if cls_name and cls_name not in _REGISTRY:
-        _REGISTRY[cls_name] = factory
-
+register_prefilter = PREFILTERS.register
+available_prefilters = PREFILTERS.available
+validate_prefilter_spec = PREFILTERS.validate
 
 register_prefilter("median", MedianOfRepetitions)
 register_prefilter("trimmed", TrimmedMean)
 register_prefilter("mad", MADOutlierRejection)
 
 
-def available_prefilters() -> "dict[str, Callable[..., RobustAggregator]]":
-    """All registered prefilter factories, by name, in sorted order."""
-    return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
-
-
-def validate_prefilter_spec(
-    spec: str,
-) -> "tuple[Callable[..., RobustAggregator], dict[str, object]]":
-    """Parse and resolve a prefilter spec without building it (SPEC seam)."""
-    from repro.modeling.registry import parse_spec
-
-    name, kwargs = parse_spec(spec)
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown prefilter {name!r}: registered prefilters are "
-            f"{', '.join(sorted(_REGISTRY))}"
-        )
-    parameters = inspect.signature(factory).parameters
-    unknown = sorted(set(kwargs) - set(parameters))
-    if unknown:
-        raise ValueError(
-            f"unknown keyword(s) {', '.join(unknown)} for prefilter {name!r}: "
-            f"accepted keywords are {', '.join(parameters) or '(none)'}"
-        )
-    return factory, kwargs
-
-
 def create_prefilter(spec: "str | RobustAggregator | None") -> "RobustAggregator | None":
     """Build a prefilter from a spec string (``"mad(k=3)"``), pass through
     built instances and ``None``."""
-    if spec is None or isinstance(spec, RobustAggregator):
-        return spec
-    factory, kwargs = validate_prefilter_spec(spec)
-    return factory(**kwargs)
+    return None if spec is None else PREFILTERS.create(spec)

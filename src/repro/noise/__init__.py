@@ -27,7 +27,6 @@ from repro.noise.registry import (
     create_noise,
     noise_axis,
     noise_for_level,
-    parse_noise_spec,
     validate_noise_spec,
 )
 from repro.noise.estimation import (
@@ -57,7 +56,6 @@ __all__ = [
     "create_noise",
     "noise_axis",
     "noise_for_level",
-    "parse_noise_spec",
     "validate_noise_spec",
     "DEFAULT_BIAS_SEED",
     "estimate_noise_level",

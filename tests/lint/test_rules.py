@@ -66,6 +66,18 @@ class TestRNG001:
         assert rules_fired(source) == ["RNG001"]
 
     @pytest.mark.parametrize(
+        "source",
+        [
+            "import numpy.random as npr\nnpr.normal()\n",
+            "from numpy import random as npr\nnpr.normal()\n",
+        ],
+    )
+    def test_aliased_numpy_random_import_fires(self, source):
+        violations = lint_source(source, "src/repro/m.py", LintConfig())
+        assert [(v.rule, v.line) for v in violations] == [("RNG001", 1)]
+        assert "direct numpy.random import" in violations[0].message
+
+    @pytest.mark.parametrize(
         "bit_generator", ["MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"]
     )
     def test_explicit_bit_generator_is_not_global_state(self, bit_generator):

@@ -6,57 +6,14 @@ from repro.adaptive.modeler import AdaptiveModeler
 from repro.baselines.gpr import GPRModeler
 from repro.dnn.modeler import DNNModeler
 from repro.modeling.registry import (
-    _REGISTRY,
+    MODELERS,
     available_modelers,
     create_modeler,
     create_modelers,
-    parse_spec,
     register_modeler,
     registered_modeler,
 )
 from repro.regression.modeler import RegressionModeler
-
-
-class TestParseSpec:
-    def test_bare_name(self):
-        assert parse_spec("regression") == ("regression", {})
-
-    def test_keywords(self):
-        name, kwargs = parse_spec("dnn(top_k=5, aggregation='mean')")
-        assert name == "dnn"
-        assert kwargs == {"top_k": 5, "aggregation": "mean"}
-
-    def test_bare_words(self):
-        _, kwargs = parse_spec(
-            "adaptive(aggregation=median, use_domain_adaptation=false, thresholds=none)"
-        )
-        assert kwargs == {
-            "aggregation": "median",
-            "use_domain_adaptation": False,
-            "thresholds": None,
-        }
-
-    def test_container_literals(self):
-        _, kwargs = parse_spec("adaptive(thresholds={1: 0.2, 2: 0.3})")
-        assert kwargs == {"thresholds": {1: 0.2, 2: 0.3}}
-
-    def test_positional_arguments_rejected(self):
-        with pytest.raises(ValueError, match="keyword arguments only"):
-            parse_spec("dnn(5)")
-
-    def test_malformed_spec_rejected(self):
-        with pytest.raises(ValueError, match="malformed"):
-            parse_spec("dnn(top_k=")
-        with pytest.raises(ValueError, match="malformed"):
-            parse_spec("")
-
-    def test_expressions_rejected(self):
-        with pytest.raises(ValueError, match="unsupported value"):
-            parse_spec("dnn(top_k=__import__('os'))")
-
-    def test_non_string_rejected(self):
-        with pytest.raises(TypeError):
-            parse_spec(42)
 
 
 class TestBuiltins:
@@ -126,7 +83,7 @@ class TestErrors:
 
 class TestRegistration:
     def _cleanup(self, name):
-        _REGISTRY.pop(name, None)
+        MODELERS.entries.pop(name, None)
 
     def test_register_and_create(self):
         try:

@@ -57,6 +57,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["model", "f.json", "--method", "dnn(5)"])
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("regression(bogus=1)", "unknown keyword(s) bogus for modeler 'regression'"),
+            ("regression(prefilter=winsorize(k=3))", "unknown prefilter 'winsorize'"),
+        ],
+    )
+    def test_invalid_method_spec_exits_2_at_parse_time(self, spec, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["model", "f.json", "--method", spec])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMethodsCommand:
     def test_lists_every_registered_modeler(self, capsys):
