@@ -100,20 +100,30 @@ def _print_trace_path(result) -> None:
         print(f"telemetry trace: {result.trace_path} (render with 'repro-model trace')")
 
 
-def _method_spec(spec: str) -> str:
-    """Argparse type for ``--method``: any registered modeler spec string.
-
-    Validates the whole spec eagerly (name, keywords, nested prefilter), so
-    a typo fails at parse time with the registry's message, not deep
-    inside modeling.
-    """
-    from repro.modeling.registry import validate_spec
-
+def _valid_spec(validate, spec: str) -> str:
+    """``spec`` if ``validate`` accepts it, else the registry's message as
+    an argparse error, so a typo fails at parse time, not deep inside
+    modeling."""
     try:
-        validate_spec(spec)
+        validate(spec)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return spec
+
+
+def _method_spec(spec: str) -> str:
+    """Argparse type for ``--method``: any registered modeler spec string,
+    validated whole (name, keywords, nested prefilter)."""
+    from repro.modeling.registry import validate_spec
+
+    return _valid_spec(validate_spec, spec)
+
+
+def _prefilter_spec(spec: str) -> str:
+    """Argparse type for ``--prefilter``: any registered pre-filter spec."""
+    from repro.modeling.prefilter import validate_prefilter_spec
+
+    return _valid_spec(validate_prefilter_spec, spec)
 
 
 def _cmd_noise(args: argparse.Namespace) -> int:
@@ -472,9 +482,7 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
     modelers: "dict[str, object]" = {"regression": "regression", "adaptive": "adaptive"}
     if args.prefilter is not None:
         from repro.modeling.registry import create_modeler
-        from repro.modeling.prefilter import validate_prefilter_spec
 
-        validate_prefilter_spec(args.prefilter)
         for label, spec in list(modelers.items()):
             modelers[f"{label}+{args.prefilter}"] = create_modeler(
                 spec, prefilter=args.prefilter
@@ -678,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probability; default model: uniform)",
     )
     p_eval.add_argument(
-        "--prefilter", default=None,
+        "--prefilter", default=None, type=_prefilter_spec,
         help="robust pre-filter spec (e.g. 'mad(k=3)'); adds a filtered "
         "twin of every modeler for a paired degradation comparison",
     )
@@ -787,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         "study (default: 10)",
     )
     p_case.add_argument(
-        "--prefilter", default=None,
+        "--prefilter", default=None, type=_prefilter_spec,
         help="robust pre-filter spec (e.g. 'mad(k=3)'); adds a filtered "
         "twin of every modeler and a dropped-repetitions column",
     )

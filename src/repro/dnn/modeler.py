@@ -31,7 +31,7 @@ from repro.nn.metrics import top_k_classes
 from repro.nn.network import Sequential
 from repro.pmnf.searchspace import pair_for_class
 from repro.pmnf.terms import ExponentPair
-from repro.preprocessing.encoding import encode_parameter_line
+from repro.preprocessing.encoding import encode_parameter_line, encode_stacked
 from repro.util.cache import LRUCache
 from repro.util.seeding import as_generator
 
@@ -219,12 +219,76 @@ class DNNModeler(Modeler):
         entry = self._encoding_cache.get(key)
         if entry is not None and entry[0] is table:
             return entry[1]
+        return self._encode_alone(kernel, n_params)
+
+    def _encode_alone(self, kernel: Kernel, n_params: int) -> np.ndarray:
+        """Encode one kernel line by line, and cache it."""
+        table = kernel.table
         lines = parameter_lines(kernel, n_params)
         vectors = np.stack(
             [encode_parameter_line(line, aggregation=self.aggregation) for line in lines]
         )
-        self._encoding_cache[key] = (table, vectors)
+        self._encoding_cache[(id(table), n_params, self.aggregation)] = (table, vectors)
         return vectors
+
+    def _encode_batch(self, kernels: "Sequence[Kernel]", n_params: int) -> list:
+        """:meth:`encode_kernel` of every kernel, ``None`` for one that cannot
+        be encoded (its :class:`ValueError`).
+
+        The lines of the kernels the encoding cache misses are encoded in one
+        :func:`encode_stacked` pass per line length, and the cache is filled
+        from it. A kernel whose lines cannot be found, or with a line that
+        pass does not encode, is encoded alone, line by line, as
+        :meth:`encode_kernel` does, and raises there. A sole missed kernel
+        has nothing to stack with and is encoded alone too: for a single
+        line the stacked pass costs more than ``encode_line``.
+        """
+        out: list = [None] * len(kernels)
+        alone: "list[int]" = []
+        missed: "list[tuple[int, list]]" = []
+        for index, kernel in enumerate(kernels):
+            table = kernel.table
+            entry = self._encoding_cache.get((id(table), n_params, self.aggregation))
+            if entry is not None and entry[0] is table:
+                out[index] = entry[1]
+                continue
+            lines = attempt(parameter_lines, kernel, n_params)
+            if failed(lines):
+                alone.append(index)
+            else:
+                missed.append((index, lines))
+        if len(missed) == 1:
+            alone.append(missed.pop()[0])
+        #: Per line length, each line's ``(xs, values)``; a missed kernel's
+        #: lines are ``(length, row)`` places in them.
+        stacks: "dict[int, list[tuple[np.ndarray, np.ndarray]]]" = {}
+        places = []
+        for _, lines in missed:
+            places.append([])
+            for line in lines:
+                stack = stacks.setdefault(len(line), [])
+                places[-1].append((len(line), len(stack)))
+                stack.append((line.xs, line.values(self.aggregation)))
+        encoded = {
+            length: encode_stacked(
+                np.stack([xs for xs, _ in stack]), np.stack([values for _, values in stack])
+            )
+            for length, stack in stacks.items()
+        }
+        for (index, _), rows in zip(missed, places):
+            if all(encoded[length][1][row] for length, row in rows):
+                vectors = np.stack([encoded[length][0][row] for length, row in rows])
+                table = kernels[index].table
+                self._encoding_cache[(id(table), n_params, self.aggregation)] = (table, vectors)
+                out[index] = vectors
+            else:
+                alone.append(index)
+        for index in sorted(alone):
+            try:
+                out[index] = self._encode_alone(kernels[index], n_params)
+            except ValueError:
+                out[index] = None  # classify_batch's warning names it
+        return out
 
     def _candidates_from_probs(self, probs: np.ndarray) -> list[list[ExponentPair]]:
         classes = top_k_classes(probs, self.top_k)
@@ -266,14 +330,8 @@ class DNNModeler(Modeler):
         # Materialize up front: a generator argument would otherwise be
         # exhausted by this first pass and silently yield no results below.
         kernels = list(kernels)
-        encoded: list["np.ndarray | None"] = []
-        failures: list[str] = []
-        for kernel in kernels:
-            try:
-                encoded.append(self.encode_kernel(kernel, n_params))
-            except ValueError:
-                encoded.append(None)
-                failures.append(kernel.name)
+        encoded = self._encode_batch(kernels, n_params)
+        failures = [kernel.name for kernel, vectors in zip(kernels, encoded) if vectors is None]
         if failures:
             shown = ", ".join(repr(name) for name in failures[:5])
             if len(failures) > 5:

@@ -7,6 +7,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.pmnf.function import PerformanceFunction
+from repro.pmnf.terms import ExponentPair
 
 #: The paper's accuracy buckets: a model counts as correct for bucket ``d``
 #: when its lead-exponent distance is <= d.
@@ -15,7 +16,7 @@ ACCURACY_BUCKETS: tuple[float, ...] = (1 / 4, 1 / 3, 1 / 2)
 
 def lead_exponent_distance(
     model: PerformanceFunction,
-    truth: PerformanceFunction,
+    truth: "PerformanceFunction | Sequence[ExponentPair]",
     log_weight: float = 0.0,
 ) -> float:
     """Distance between the lead exponents of a model and its ground truth.
@@ -24,17 +25,17 @@ def lead_exponent_distance(
     ``|Δi| + log_weight * |Δj|``; the default compares polynomial orders
     only (see :meth:`ExponentPair.distance` and DESIGN.md). The overall
     distance is the maximum over parameters, so a model is only as correct
-    as its worst parameter.
+    as its worst parameter. ``truth`` may also be the truth's
+    :meth:`~PerformanceFunction.lead_exponents`, computed once for many
+    models.
     """
-    if model.n_params != truth.n_params:
+    if isinstance(truth, PerformanceFunction):
+        truth = truth.lead_exponents()
+    if model.n_params != len(truth):
         raise ValueError(
-            f"arity mismatch: model has {model.n_params} parameters, truth {truth.n_params}"
+            f"arity mismatch: model has {model.n_params} parameters, truth {len(truth)}"
         )
-    model_leads = model.lead_exponents()
-    truth_leads = truth.lead_exponents()
-    return max(
-        m.distance(t, log_weight) for m, t in zip(model_leads, truth_leads)
-    )
+    return max(m.distance(t, log_weight) for m, t in zip(model.lead_exponents(), truth))
 
 
 def bucket_fractions(

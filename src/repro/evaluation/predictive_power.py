@@ -10,8 +10,32 @@ from repro.experiment.measurement import Coordinate
 from repro.pmnf.function import PerformanceFunction
 
 
+def _predicted_and_reference(
+    model: "PerformanceFunction | np.ndarray",
+    truth: "PerformanceFunction | Sequence[float]",
+    points: Sequence[Coordinate],
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``model`` and ``truth`` at ``points``: a function is evaluated on the
+    stacked points, and anything else is taken as its values there."""
+    if not points:
+        raise ValueError("no evaluation points given")
+    if isinstance(model, PerformanceFunction) or isinstance(truth, PerformanceFunction):
+        pts = np.stack([p.as_array() for p in points])
+    if isinstance(model, PerformanceFunction):
+        predicted = np.atleast_1d(model.evaluate(pts))
+    else:
+        predicted = np.atleast_1d(np.asarray(model, dtype=float))
+    if isinstance(truth, PerformanceFunction):
+        reference = np.atleast_1d(truth.evaluate(pts))
+    else:
+        reference = np.asarray(truth, dtype=float)
+    if reference.shape != predicted.shape:
+        raise ValueError("one reference value per evaluation point is required")
+    return predicted, reference
+
+
 def relative_prediction_errors(
-    model: PerformanceFunction,
+    model: "PerformanceFunction | np.ndarray",
     truth: "PerformanceFunction | Sequence[float]",
     points: Sequence[Coordinate],
 ) -> np.ndarray:
@@ -20,17 +44,10 @@ def relative_prediction_errors(
     ``truth`` may be the ground-truth function (synthetic evaluation) or the
     already-known reference values at the points (case studies, where the
     reference is the measured value at the hold-out configuration).
+    ``model`` may likewise be a ready vector of predictions (a sweep
+    evaluates each model once for both of its error measures).
     """
-    if not points:
-        raise ValueError("no evaluation points given")
-    pts = np.stack([p.as_array() for p in points])
-    predicted = np.atleast_1d(model.evaluate(pts))
-    if isinstance(truth, PerformanceFunction):
-        reference = np.atleast_1d(truth.evaluate(pts))
-    else:
-        reference = np.asarray(truth, dtype=float)
-    if reference.shape != predicted.shape:
-        raise ValueError("one reference value per evaluation point is required")
+    predicted, reference = _predicted_and_reference(model, truth, points)
     if np.any(reference == 0):
         raise ValueError("reference values must be non-zero")
     return 100.0 * np.abs(predicted - reference) / np.abs(reference)
@@ -51,19 +68,7 @@ def prediction_smape(
     may also be a ready vector of predictions (predictor-only baselines
     such as GPR).
     """
-    if not points:
-        raise ValueError("no evaluation points given")
-    pts = np.stack([p.as_array() for p in points])
-    if isinstance(model, PerformanceFunction):
-        predicted = np.atleast_1d(model.evaluate(pts))
-    else:
-        predicted = np.atleast_1d(np.asarray(model, dtype=float))
-    if isinstance(truth, PerformanceFunction):
-        reference = np.atleast_1d(truth.evaluate(pts))
-    else:
-        reference = np.asarray(truth, dtype=float)
-    if reference.shape != predicted.shape:
-        raise ValueError("one reference value per evaluation point is required")
+    predicted, reference = _predicted_and_reference(model, truth, points)
     denominator = np.abs(predicted) + np.abs(reference)
     with np.errstate(invalid="ignore", divide="ignore"):
         smape = 200.0 * np.abs(predicted - reference) / denominator

@@ -29,7 +29,7 @@ import numpy as np
 from repro.evaluation.accuracy import ACCURACY_BUCKETS, bucket_fractions, lead_exponent_distance
 from repro.evaluation.predictive_power import prediction_smape, relative_prediction_errors
 from repro.experiment.experiment import Kernel
-from repro.modeling.batch import unwrap
+from repro.modeling.batch import attempt, unwrap
 from repro.modeling.registry import create_modelers
 from repro.noise.registry import noise_axis, noise_for_level
 from repro.dnn.modeler import prime_candidate_cache
@@ -285,17 +285,27 @@ def _model_batch(prepared, config: SweepConfig, modelers) -> "list[TaskOutcome]"
     """
     kernels = [kernel for _, kernel, _, _ in prepared]
     rngs = [gen for _, _, _, gen in prepared]
+    references = [attempt(_reference, truth, eval_pts) for truth, _, eval_pts, _ in prepared]
     memo: dict = {}
     out: "list[TaskOutcome]" = [{} for _ in prepared]
     for name, modeler in modelers.items():
         if not hasattr(modeler, "model_kernels"):
-            for task, (truth, kernel, eval_pts, _) in zip(out, prepared):
-                task[name] = _predicted_outcome(modeler, truth, kernel, eval_pts, config)
+            for task, (_, kernel, eval_pts, _), reference in zip(out, prepared, references):
+                task[name] = _predicted_outcome(modeler, reference, kernel, eval_pts, config)
             continue
         results = modeler.model_kernels(kernels, config.n_params, rngs, memo=memo)
-        for task, (truth, _, eval_pts, _), result in zip(out, prepared, results):
-            task[name] = _scored_outcome(result, truth, eval_pts, config)
+        for task, (_, _, eval_pts, _), reference, result in zip(
+            out, prepared, references, results
+        ):
+            task[name] = _scored_outcome(result, reference, eval_pts, config)
     return out
+
+
+def _reference(truth, eval_pts) -> tuple:
+    """``(points, values, leads)``: one function's evaluation points stacked,
+    its truth there and its lead exponents, shared by every modeler."""
+    points = np.stack([p.as_array() for p in eval_pts])
+    return points, np.atleast_1d(truth.evaluate(points)), truth.lead_exponents()
 
 
 def _sweep_modelers(modelers) -> "dict[str, object]":
@@ -308,17 +318,20 @@ def _sweep_modelers(modelers) -> "dict[str, object]":
     return modelers
 
 
-def _scored_outcome(result, truth, eval_pts, config: SweepConfig) -> tuple:
-    """One closed-form modeler's outcome on one function."""
+def _scored_outcome(result, reference, eval_pts, config: SweepConfig) -> tuple:
+    """One closed-form modeler's outcome on one function, its model
+    evaluated once at the function's :func:`_reference` points."""
     try:
         model = unwrap(result)
         function = model.function
+        points, truth, leads = unwrap(reference)
+        predicted = np.atleast_1d(function.evaluate(points))
         return (
-            lead_exponent_distance(function, truth),
-            relative_prediction_errors(function, truth, eval_pts),
+            lead_exponent_distance(function, leads),
+            relative_prediction_errors(predicted, truth, eval_pts),
             model.seconds,
             function.format(),
-            prediction_smape(function, truth, eval_pts),
+            prediction_smape(predicted, truth, eval_pts),
             model.provenance.dropped_repetitions if model.provenance is not None else 0,
         )
     # repro-lint: disable-next-line=EXC001 -- not swallowed: the failure is
@@ -328,14 +341,14 @@ def _scored_outcome(result, truth, eval_pts, config: SweepConfig) -> tuple:
         return _failed(config)
 
 
-def _predicted_outcome(modeler, truth, kernel, eval_pts, config: SweepConfig) -> tuple:
+def _predicted_outcome(modeler, reference, kernel, eval_pts, config: SweepConfig) -> tuple:
     """One predictor-only baseline's outcome on one function."""
     try:
         started = time.perf_counter()
         predicted = modeler.predict_at(kernel, eval_pts)
         elapsed = time.perf_counter() - started
-        reference = np.atleast_1d(truth.evaluate(np.stack([p.as_array() for p in eval_pts])))
-        errors = 100.0 * np.abs(predicted - reference) / np.abs(reference)
+        _, truth, _ = unwrap(reference)
+        errors = relative_prediction_errors(predicted, truth, eval_pts)
         smape = prediction_smape(predicted, truth, eval_pts)
         return (np.nan, errors, elapsed, "<predictor>", smape, 0)
     # repro-lint: disable-next-line=EXC001 -- not swallowed: recorded as a

@@ -99,12 +99,12 @@ class NoAdHocRandomness(Rule):
                         "repro.util.seeding.as_generator"
                     )
                 return
-        if name.startswith("random.") and name.count(".") == 1:
-            if self._imports_stdlib_random(ctx):
-                yield node, (
-                    f"stdlib {name}(...) draws from process-global state; use "
-                    "an explicit np.random.Generator from repro.util.seeding"
-                )
+        module, _, attr = name.partition(".")
+        if attr and "." not in attr and module in self._stdlib_random_names(ctx):
+            yield node, (
+                f"stdlib {name}(...) draws from process-global state; use "
+                "an explicit np.random.Generator from repro.util.seeding"
+            )
 
     @staticmethod
     def _numpy_random(node: "ast.Import | ast.ImportFrom", alias: ast.alias) -> bool:
@@ -121,15 +121,19 @@ class NoAdHocRandomness(Rule):
         return node.module in ("numpy", "np") and alias.name == "random"
 
     @staticmethod
-    def _imports_stdlib_random(ctx: LintContext) -> bool:
-        cached = getattr(ctx, "_imports_random", None)
+    def _stdlib_random_names(ctx: LintContext) -> "frozenset[str]":
+        """The names the file binds the stdlib ``random`` module to
+        (``import random``, ``import random as r``)."""
+        cached = getattr(ctx, "_random_names", None)
         if cached is None:
-            cached = any(
-                isinstance(stmt, ast.Import)
-                and any(alias.name == "random" and alias.asname is None for alias in stmt.names)
+            cached = frozenset(
+                alias.asname or alias.name
                 for stmt in ast.walk(ctx.tree)
+                if isinstance(stmt, ast.Import)
+                for alias in stmt.names
+                if alias.name == "random"
             )
-            ctx._imports_random = cached
+            ctx._random_names = cached
         return cached
 
 

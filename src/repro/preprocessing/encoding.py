@@ -51,29 +51,60 @@ def assign_slots(positions: np.ndarray) -> np.ndarray:
     if n > INPUT_SIZE:
         raise ValueError(f"at most {INPUT_SIZE} measurements can be encoded, got {n}")
     dist = np.abs(positions[:, None] - SAMPLE_POSITIONS[None, :])
-    order = np.dstack(np.unravel_index(np.argsort(dist, axis=None), dist.shape))[0]
-    slot_of = np.full(n, -1, dtype=int)
-    slot_used = np.zeros(INPUT_SIZE, dtype=bool)
+    slot_of = [-1] * n
+    slot_used = [False] * INPUT_SIZE
     assigned = 0
-    for meas, slot in order:
+    for flat in np.argsort(dist, axis=None).tolist():
+        meas, slot = divmod(flat, INPUT_SIZE)
         if slot_of[meas] == -1 and not slot_used[slot]:
             slot_of[meas] = slot
             slot_used[slot] = True
             assigned += 1
             if assigned == n:
                 break
-    return slot_of
+    return np.array(slot_of, dtype=int)
+
+
+def stacked_slots(positions: np.ndarray) -> np.ndarray:
+    """:func:`assign_slots` of every row of ``positions`` (``(L, n)``).
+
+    A row in which every measurement has one nearest slot, and no two
+    measurements the same one, gets those nearest slots: the greedy
+    matching takes each measurement's nearest pair before any other pair
+    of that measurement, and no other measurement can have taken that slot
+    before it, whatever order the sort puts equal distances in. Every other
+    row is matched by :func:`assign_slots` itself, so its ties break
+    exactly as they do there.
+    """
+    dist = np.abs(positions[:, :, None] - SAMPLE_POSITIONS)
+    nearest = np.argmin(dist, axis=2)
+    unique = np.add.reduce(dist == np.minimum.reduce(dist, axis=2)[:, :, None], axis=2) == 1
+    distinct = np.diff(np.sort(nearest, axis=1), axis=1) != 0
+    simple = np.logical_and.reduce(unique, axis=1) & np.logical_and.reduce(distinct, axis=1)
+    for row in np.flatnonzero(~simple).tolist():
+        nearest[row] = assign_slots(positions[row])
+    return nearest
 
 
 def _thin_to_max(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce oversized lines to MAX_POINTS, keeping endpoints, evenly spaced.
 
-    ``values`` holds one line per row; points are thinned along the last axis.
+    Points are thinned along the last axis of both arrays.
     """
-    if xs.size <= MAX_POINTS:
+    size = xs.shape[-1]
+    if size <= MAX_POINTS:
         return xs, values
-    keep = np.unique(np.round(np.linspace(0, xs.size - 1, MAX_POINTS)).astype(int))
-    return xs[keep], values[..., keep]
+    keep = np.unique(np.round(np.linspace(0, size - 1, MAX_POINTS)).astype(int))
+    return xs[..., keep], values[..., keep]
+
+
+def _scaled(xs: np.ndarray, values: np.ndarray, enrich: bool) -> np.ndarray:
+    """Sorted, thinned ``values`` rows, enriched by ``xs`` (one row, or one
+    per line) and scaled to unit max-abs."""
+    enriched = values / xs if enrich else values.copy()
+    scale = np.max(np.abs(enriched), axis=1, keepdims=True)
+    # Division by 1.0 is exact: rows whose scale is not positive stay as they are.
+    return enriched / np.where(scale > 0, scale, 1.0)
 
 
 def encode_lines(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.ndarray:
@@ -97,16 +128,51 @@ def encode_lines(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.
     if np.any(np.diff(xs) == 0):
         raise ValueError("duplicate parameter values in measurement line")
     xs, values = _thin_to_max(xs, values)
-
-    enriched = values / xs if enrich else values.copy()
-    scale = np.max(np.abs(enriched), axis=1, keepdims=True)
-    # Division by 1.0 is exact: rows whose scale is not positive stay as they are.
-    enriched = enriched / np.where(scale > 0, scale, 1.0)
-
     slots = assign_slots(normalize_positions(xs))
     vectors = np.zeros((values.shape[0], INPUT_SIZE), dtype=float)
-    vectors[:, slots] = enriched
+    vectors[:, slots] = _scaled(xs, values, enrich)
     return vectors
+
+
+def encode_stacked(
+    xs: np.ndarray, values: np.ndarray, enrich: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode measurement lines of one length, one per row of ``xs`` and ``values``.
+
+    Returns ``(vectors, encoded)``: one :data:`INPUT_SIZE` row per line, and
+    whether the line was encoded. A line :func:`encode_line` would refuse
+    (fewer than :data:`MIN_POINTS` points, a duplicate or non-positive
+    parameter value), or whose parameter values are not all finite, is not
+    encoded here: its row stays zero, and its owner encodes it alone, which
+    raises the error. The sort, the checks, enrichment, scaling and position
+    normalisation run across rows, each elementwise or along one row, and
+    :func:`stacked_slots` assigns the slots, so every encoded row is bitwise
+    ``encode_line(xs[k], values[k], enrich)``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if xs.ndim != 2 or xs.shape != values.shape:
+        raise ValueError("xs and values must be 2-d arrays of equal shape")
+    vectors = np.zeros((xs.shape[0], INPUT_SIZE), dtype=float)
+    if xs.shape[1] < MIN_POINTS:
+        return vectors, np.zeros(xs.shape[0], dtype=bool)
+    # Distinct values sort into one order, however the sort breaks ties.
+    order = np.argsort(xs, axis=1)
+    xs = np.take_along_axis(xs, order, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    encoded = (
+        np.logical_and.reduce(np.isfinite(xs), axis=1)
+        & np.logical_and.reduce(np.diff(xs, axis=1) != 0, axis=1)
+        & (xs[:, 0] > 0)
+    )
+    if not encoded.all():
+        if not encoded.any():
+            return vectors, encoded
+        xs, values = xs[encoded], values[encoded]
+    xs, values = _thin_to_max(xs, values)
+    slots = stacked_slots(xs / np.max(xs, axis=1, keepdims=True))
+    vectors[np.flatnonzero(encoded)[:, None], slots] = _scaled(xs, values, enrich)
+    return vectors, encoded
 
 
 def encode_line(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.ndarray:

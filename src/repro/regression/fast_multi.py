@@ -22,8 +22,9 @@ id, or -1 if constant; at most
 the terms filling its slots. A hand-written hypothesis list is turned into
 one by :func:`~repro.regression.multi_parameter.indexed`, uncached.
 :func:`_design_plan` says which slot columns (from one
-:func:`_exponent_basis` per parameter) and block products a kernel needs,
-and which fill each coefficient-count bucket. A candidate carries its index
+:func:`_exponent_basis` per parameter, or per column length for a whole
+batch: :func:`stacked_bases`) and block products a kernel needs, and which
+fill each coefficient-count bucket. A candidate carries its index
 and its bucket row, not a :class:`Hypothesis`.
 :meth:`~FastMultiParameterSearch.choose` takes the plausible candidates
 with the lowest score and breaks a tie by complexity key, then by index,
@@ -124,6 +125,50 @@ def _exponent_basis(
             column = column * log
         columns[pair] = column
     return columns
+
+
+def stacked_bases(
+    columns: "Sequence[np.ndarray]", pairs: "Sequence[Sequence[ExponentPair]]"
+) -> "list[np.ndarray | None]":
+    """Each column's :func:`_exponent_basis`, from one basis per column length.
+
+    ``columns[k]`` is a 1-d parameter column and ``pairs[k]`` the exponent
+    pairs it needs. Columns of one length are stacked into a ``(K, n)``
+    array, and one basis over the union of their pairs is built on it: one
+    ``np.power`` per distinct exponent and one ``np.log2`` for the whole
+    stack. ``_exponent_basis`` is elementwise, so every stacked row is
+    bitwise that column's own basis (``tests/regression/test_stacked_basis.py``
+    pins it). Returns, per column, its term columns as the rows of one
+    ``(len(pairs[k]), n)`` array, in the order of ``pairs[k]`` -- or
+    ``None`` for a column that is not a 1-d float array, holds a value
+    ``x <= 0`` or needs no pair: its owner builds its own basis, which
+    raises its own error.
+    """
+    blocks: "list[np.ndarray | None]" = [None] * len(columns)
+    by_length: "dict[int, list[int]]" = {}
+    for k, x in enumerate(columns):
+        if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float and pairs[k]:
+            by_length.setdefault(x.shape[0], []).append(k)
+    for members in by_length.values():
+        stack = np.stack([columns[k] for k in members])
+        positive = np.logical_and.reduce(stack > 0, axis=1)
+        if not positive.all():
+            members = [k for k, ok in zip(members, positive.tolist()) if ok]
+            stack = stack[positive]
+        owners: "dict[tuple[ExponentPair, ...], list[tuple[int, int]]]" = {}
+        for r, k in enumerate(members):
+            owners.setdefault(tuple(pairs[k]), []).append((r, k))
+        if not owners:
+            continue
+        basis = _exponent_basis(stack, dict.fromkeys(p for key in owners for p in key))
+        for key, rows in owners.items():
+            # Only the owners' rows: a view of a shared block would keep
+            # every other column's rows alive for the whole batch.
+            taken = [r for r, _ in rows]
+            block = np.stack([basis[pair][taken] for pair in key], axis=1)
+            for i, (_, k) in enumerate(rows):
+                blocks[k] = block[i]
+    return blocks
 
 
 def _batched_scores(
@@ -342,9 +387,19 @@ def _design_plan(template: CombinationTemplate, most: int) -> tuple:
 
 
 class _KernelDesigns:
-    """One kernel's applicable hypotheses as a :class:`DesignGroup`."""
+    """One kernel's applicable hypotheses as a :class:`DesignGroup`.
 
-    __slots__ = ("hypotheses", "points", "values", "combinations", "buckets", "group")
+    Built in two steps, so a batch can share its exponent bases: the
+    constructor plans the kernel's designs (``slots`` lists, per parameter,
+    the exponent pairs of its needed slot columns), and :meth:`build` fills
+    the group from each slot row's term columns (a :func:`stacked_bases`
+    block), built here where none is given.
+    """
+
+    __slots__ = (
+        "hypotheses", "points", "values", "columns", "combinations", "slots", "products",
+        "buckets", "group",
+    )
 
     def __init__(self, hypotheses: Sequence[Hypothesis], points, values):
         self.hypotheses, self.points, self.values = hypotheses, points, values
@@ -352,32 +407,44 @@ class _KernelDesigns:
         values = np.asarray(values, dtype=float)
         if points.ndim != 2 or values.ndim != 1 or points.shape[0] != values.shape[0]:
             raise ValueError("points must be (n, m) with one value per row")
+        self.columns, self.group = points.T, None
         self.combinations = combinations = indexed(hypotheses)
         terms = combinations.terms
-        slots, products, self.buckets = _design_plan(combinations.template, values.shape[0] - 1)
+        slots, self.products, self.buckets = _design_plan(
+            combinations.template, values.shape[0] - 1
+        )
+        self.slots = [(l, [terms[l][slot].exponents for slot in row]) for l, row in slots]
+
+    def build(self, bases: "Sequence[np.ndarray | None] | None" = None) -> "_KernelDesigns":
+        """Fill :attr:`group`; ``bases[s]`` holds the term columns of
+        ``slots[s]`` (a :func:`stacked_bases` block), or ``None`` to build
+        them here."""
         # One column per needed slot, from its parameter's exponent basis,
         # then one per needed block of several factors: a block size at a
         # time, multiplied elementwise in parameter order, so every column
         # is bitwise its term group's evaluation.
         columns = []
-        for l, row in slots:
-            pairs = [terms[l][slot].exponents for slot in row]
-            basis = _exponent_basis(points[:, l], pairs)
-            columns.extend(basis[pair] for pair in pairs)
-        if products:
+        for s, (l, pairs) in enumerate(self.slots):
+            block = bases[s] if bases is not None else None
+            if block is None:
+                basis = _exponent_basis(self.columns[l], pairs)
+                block = [basis[pair] for pair in pairs]
+            columns.extend(block)
+        if self.products:
             factors = np.array(columns)
-            for first, *rest in products:
+            for first, *rest in self.products:
                 block = factors[first]
                 for more in rest:
                     block *= factors[more]
                 columns.extend(block)
         self.group = DesignGroup(
-            values,
+            np.asarray(self.values, dtype=float),
             {
                 c: (len(ids), [columns[j] for j in blocks])
                 for c, (ids, blocks) in self.buckets.items()
             },
         )
+        return self
 
     def serves(self, hypotheses, points, values) -> bool:
         return self.hypotheses is hypotheses and self.points is points and self.values is values
@@ -425,8 +492,12 @@ class FastMultiParameterSearch:
         out: :meth:`score` then scores it alone and raises its error there.
         The returned search lives as long as the batch that holds it.
         """
-        kernels = [attempt(_KernelDesigns, *job) for job in jobs]
-        prepared = [kernel for kernel in kernels if not failed(kernel)]
+        planned = [attempt(_KernelDesigns, *job) for job in jobs]
+        planned = [kernel for kernel in planned if not failed(kernel)]
+        needs = [(kernel.columns[l], pairs) for kernel in planned for l, pairs in kernel.slots]
+        rows = iter(stacked_bases(*zip(*needs)) if needs else ())
+        built = [attempt(kernel.build, [next(rows) for _ in kernel.slots]) for kernel in planned]
+        prepared = [kernel for kernel in built if not failed(kernel)]
         prescore_batch(
             "regression.stack_scores", [kernel.group for kernel in prepared], len(prepared)
         )
@@ -454,7 +525,7 @@ class FastMultiParameterSearch:
         """
         kernel = self._scored.get((id(hypotheses), id(values)))
         if kernel is None or not kernel.serves(hypotheses, points, values):
-            kernel = _KernelDesigns(hypotheses, points, values)
+            kernel = _KernelDesigns(hypotheses, points, values).build()
             score_stacked([kernel.group])
         return kernel.candidates()
 

@@ -8,9 +8,10 @@ exponent basis of ``x`` (:func:`repro.regression.fast_multi._exponent_basis`)
 as a ``(n, 2)`` design, all scored by the shared least-squares and
 leave-one-out kernel (:func:`repro.regression.fast_multi.score_stacked`).
 :meth:`FastSingleParameterSearch.prescored` stacks the lines of a whole
-batch of kernels into one such pass (one call per line length, design
-width and chunk); a line it did not score is scored alone through the same
-kernel. The winner's model is built from the coefficients and surviving
+batch of kernels into one such pass (one basis per line length, from
+:func:`repro.regression.fast_multi.stacked_bases`, and one call per line
+length, design width and chunk); a line it did not score is scored alone
+through the same kernel. The winner's model is built from the coefficients and surviving
 terms of that pass, so score, fit and winner are the reference's bit for
 bit, pinned by ``tests/regression/test_fast_single.py``.
 
@@ -37,6 +38,7 @@ from repro.regression.fast_multi import (
     _exponent_basis,
     prescore_batch,
     score_stacked,
+    stacked_bases,
 )
 from repro.regression.hypothesis import Hypothesis
 from repro.regression.selection import ScoredModel
@@ -48,7 +50,10 @@ class _Line:
 
     __slots__ = ("xs", "values", "group")
 
-    def __init__(self, search: "FastSingleParameterSearch", xs, values):
+    def __init__(self, search: "FastSingleParameterSearch", xs, values, basis=None):
+        """``basis`` holds this line's term columns (a
+        :func:`~repro.regression.fast_multi.stacked_bases` block), or is
+        ``None`` to build them here."""
         self.xs, self.values = xs, values
         xs = np.asarray(xs, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -60,8 +65,10 @@ class _Line:
         if search.include_constant:
             buckets[1] = (1, [])
         if search.term_pairs:
-            basis = _exponent_basis(xs, search.term_pairs)
-            buckets[2] = (len(search.term_pairs), [basis[pair] for pair in search.term_pairs])
+            if basis is None:
+                columns = _exponent_basis(xs, search.term_pairs)
+                basis = [columns[pair] for pair in search.term_pairs]
+            buckets[2] = (len(search.term_pairs), list(basis))
         self.group = DesignGroup(values, buckets)
 
 
@@ -102,7 +109,9 @@ class FastSingleParameterSearch:
         :meth:`select` then scores it alone and raises its error there.
         The returned search lives as long as the batch that holds it.
         """
-        outcomes = [attempt(_Line, self, *line) for lines in line_sets for line in lines]
+        lines = [line for lines in line_sets for line in lines]
+        bases = stacked_bases([xs for xs, _ in lines], [self.term_pairs] * len(lines))
+        outcomes = [attempt(_Line, self, *line, basis) for line, basis in zip(lines, bases)]
         prepared = [line for line in outcomes if not failed(line)]
         prescore_batch("regression.stack_lines", [line.group for line in prepared], len(line_sets))
         search = copy.copy(self)

@@ -77,6 +77,17 @@ class TestRNG001:
         assert [(v.rule, v.line) for v in violations] == [("RNG001", 1)]
         assert "direct numpy.random import" in violations[0].message
 
+    def test_aliased_stdlib_random_fires(self):
+        source = "import random as r\n\n\ndef draw():\n    return r.random()\n"
+        violations = lint_source(source, "src/repro/m.py", LintConfig())
+        assert [(v.rule, v.line) for v in violations] == [("RNG001", 5)]
+        assert "stdlib r.random(...)" in violations[0].message
+
+    def test_aliased_stdlib_random_name_clean(self):
+        # ``r`` names the module only where it is imported as such.
+        source = "import secrets as r\n\n\ndef draw():\n    return r.token_hex()\n"
+        assert rules_fired(source) == []
+
     @pytest.mark.parametrize(
         "bit_generator", ["MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"]
     )

@@ -167,7 +167,7 @@ class TestBlockBuiltExpansion:
         values = gen.uniform(1.0, 2.0, size=8)
         for constant_slot in range(k):
             combinations = Combinations.of(template_candidates(gen, n_params, k, constant_slot))
-            designs = _KernelDesigns(combinations, points, values)
+            designs = _KernelDesigns(combinations, points, values).build()
             hypotheses = list(combinations)
             assert sum(count for count, _ in designs.group.buckets.values()) == len(hypotheses)
             for c, (count, columns) in designs.group.buckets.items():
@@ -235,7 +235,7 @@ class TestBlockBuiltExpansion:
 
         def build(candidates):
             combinations = Combinations.of(candidates)
-            designs = _KernelDesigns(combinations, points, values)
+            designs = _KernelDesigns(combinations, points, values).build()
             buckets = {c: np.array(cols).tobytes() for c, (_, cols) in designs.group.buckets.items()}
             return [h.group_keys for h in combinations], buckets
 

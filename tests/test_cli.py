@@ -143,9 +143,17 @@ class TestTaintedCasestudyArgs:
         with pytest.raises(SystemExit, match="tainted"):
             main(["casestudy", "kripke", "--contamination", "5"])
 
-    def test_bad_prefilter_spec_fails_fast(self):
-        with pytest.raises(ValueError, match="registered prefilters"):
+    def test_bad_prefilter_spec_fails_fast(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["casestudy", "tainted", "--prefilter", "winsorize(k=3)"])
+        assert exit_info.value.code == 2
+        assert "unknown prefilter 'winsorize': registered prefilters" in capsys.readouterr().err
+
+    def test_bad_evaluate_prefilter_spec_fails_fast(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--prefilter", "mad(j=3)"])
+        assert exit_info.value.code == 2
+        assert "unknown keyword(s) j for prefilter 'mad'" in capsys.readouterr().err
 
 
 class TestNoiseCommand:
