@@ -231,44 +231,52 @@ class DNNModeler(Modeler):
         self._encoding_cache[(id(table), n_params, self.aggregation)] = (table, vectors)
         return vectors
 
+    def _line_arrays(self, kernel: Kernel, n_params: int) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Each parameter line's ``(xs, values)`` under :attr:`aggregation`."""
+        return [(line.xs, line.values(self.aggregation)) for line in parameter_lines(kernel, n_params)]
+
     def _encode_batch(self, kernels: "Sequence[Kernel]", n_params: int) -> list:
         """:meth:`encode_kernel` of every kernel, ``None`` for one that cannot
         be encoded (its :class:`ValueError`).
 
         The lines of the kernels the encoding cache misses are encoded in one
         :func:`encode_stacked` pass per line length, and the cache is filled
-        from it. A kernel whose lines cannot be found, or with a line that
-        pass does not encode, is encoded alone, line by line, as
-        :meth:`encode_kernel` does, and raises there. A sole missed kernel
-        has nothing to stack with and is encoded alone too: for a single
-        line the stacked pass costs more than ``encode_line``.
+        from it. A kernel whose lines or their values cannot be found, or
+        with a line that pass does not encode, is encoded alone, line by
+        line, as :meth:`encode_kernel` does, and raises there. A sole missed
+        kernel has nothing to stack with and is encoded alone too: for a
+        single line the stacked pass costs more than ``encode_line``.
         """
         out: list = [None] * len(kernels)
-        alone: "list[int]" = []
-        missed: "list[tuple[int, list]]" = []
+        uncached: "list[int]" = []
         for index, kernel in enumerate(kernels):
             table = kernel.table
             entry = self._encoding_cache.get((id(table), n_params, self.aggregation))
             if entry is not None and entry[0] is table:
                 out[index] = entry[1]
-                continue
-            lines = attempt(parameter_lines, kernel, n_params)
-            if failed(lines):
-                alone.append(index)
             else:
-                missed.append((index, lines))
-        if len(missed) == 1:
-            alone.append(missed.pop()[0])
+                uncached.append(index)
+        alone: "list[int]" = []
+        missed: "list[tuple[int, list]]" = []
+        if len(uncached) == 1:
+            alone = uncached
+        else:
+            for index in uncached:
+                lines = attempt(self._line_arrays, kernels[index], n_params)
+                if failed(lines):
+                    alone.append(index)
+                else:
+                    missed.append((index, lines))
         #: Per line length, each line's ``(xs, values)``; a missed kernel's
         #: lines are ``(length, row)`` places in them.
         stacks: "dict[int, list[tuple[np.ndarray, np.ndarray]]]" = {}
         places = []
         for _, lines in missed:
             places.append([])
-            for line in lines:
-                stack = stacks.setdefault(len(line), [])
-                places[-1].append((len(line), len(stack)))
-                stack.append((line.xs, line.values(self.aggregation)))
+            for xs, values in lines:
+                stack = stacks.setdefault(xs.size, [])
+                places[-1].append((xs.size, len(stack)))
+                stack.append((xs, values))
         encoded = {
             length: encode_stacked(
                 np.stack([xs for xs, _ in stack]), np.stack([values for _, values in stack])

@@ -98,13 +98,11 @@ def _thin_to_max(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     return xs[..., keep], values[..., keep]
 
 
-def _scaled(xs: np.ndarray, values: np.ndarray, enrich: bool) -> np.ndarray:
-    """Sorted, thinned ``values`` rows, enriched by ``xs`` (one row, or one
-    per line) and scaled to unit max-abs."""
-    enriched = values / xs if enrich else values.copy()
-    scale = np.max(np.abs(enriched), axis=1, keepdims=True)
+def _scaled(rows: np.ndarray) -> np.ndarray:
+    """``rows`` scaled to unit max-abs, each on its own."""
+    scale = np.max(np.abs(rows), axis=1, keepdims=True)
     # Division by 1.0 is exact: rows whose scale is not positive stay as they are.
-    return enriched / np.where(scale > 0, scale, 1.0)
+    return rows / np.where(scale > 0, scale, 1.0)
 
 
 def encode_lines(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.ndarray:
@@ -130,14 +128,12 @@ def encode_lines(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.
     xs, values = _thin_to_max(xs, values)
     slots = assign_slots(normalize_positions(xs))
     vectors = np.zeros((values.shape[0], INPUT_SIZE), dtype=float)
-    vectors[:, slots] = _scaled(xs, values, enrich)
+    vectors[:, slots] = _scaled(values / xs if enrich else values)
     return vectors
 
 
-def encode_stacked(
-    xs: np.ndarray, values: np.ndarray, enrich: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode measurement lines of one length, one per row of ``xs`` and ``values``.
+def encode_stacked(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Encode enriched measurement lines of one length, one per row of ``xs`` and ``values``.
 
     Returns ``(vectors, encoded)``: one :data:`INPUT_SIZE` row per line, and
     whether the line was encoded. A line :func:`encode_line` would refuse
@@ -147,7 +143,7 @@ def encode_stacked(
     raises the error. The sort, the checks, enrichment, scaling and position
     normalisation run across rows, each elementwise or along one row, and
     :func:`stacked_slots` assigns the slots, so every encoded row is bitwise
-    ``encode_line(xs[k], values[k], enrich)``.
+    ``encode_line(xs[k], values[k])``.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -171,7 +167,7 @@ def encode_stacked(
         xs, values = xs[encoded], values[encoded]
     xs, values = _thin_to_max(xs, values)
     slots = stacked_slots(xs / np.max(xs, axis=1, keepdims=True))
-    vectors[np.flatnonzero(encoded)[:, None], slots] = _scaled(xs, values, enrich)
+    vectors[np.flatnonzero(encoded)[:, None], slots] = _scaled(values / xs)
     return vectors, encoded
 
 

@@ -61,8 +61,7 @@ class TestStackedSlots:
 
 class TestEncodeStacked:
     @pytest.mark.parametrize("n", [5, 6, 11, 14])
-    @pytest.mark.parametrize("enrich", [True, False])
-    def test_rows_match_encode_line_bits(self, n, enrich):
+    def test_rows_match_encode_line_bits(self, n):
         gen = as_generator(n)
         layouts = _layouts(n, 60, 100 + n)
         if n == 5:
@@ -72,11 +71,11 @@ class TestEncodeStacked:
         # Unsorted layouts are sorted per row, as encode_line sorts them.
         shuffled = np.argsort(gen.uniform(size=xs.shape), axis=1)
         xs, values = np.take_along_axis(xs, shuffled, 1), np.take_along_axis(values, shuffled, 1)
-        vectors, encoded = encode_stacked(xs, values, enrich=enrich)
+        vectors, encoded = encode_stacked(xs, values)
         assert encoded.all()
         for row, (x, v) in enumerate(zip(xs, values)):
             np.testing.assert_array_equal(
-                _bits(vectors[row]), _bits(encode_line(x, v, enrich=enrich)), err_msg=str(x)
+                _bits(vectors[row]), _bits(encode_line(x, v)), err_msg=str(x)
             )
 
     def test_refused_rows_are_left_to_encode_line(self):
@@ -143,3 +142,16 @@ class TestClassifyBatch:
         assert found[:2] + found[3:] == clean
         with pytest.raises(ValueError, match="at least 5 are required"):
             modeler.encode_kernel(short, 1)
+
+    def test_unknown_aggregation_warns_once_for_the_batch(self, tiny_network):
+        gen = as_generator(13)
+        kernels = [_kernel(f"k{i}", x, gen) for i, x in enumerate(_layouts(5, 1, 10)[:2])]
+        modeler = DNNModeler(network=tiny_network, use_domain_adaptation=False, aggregation="avg")
+        with pytest.warns(RuntimeWarning) as record:
+            found = modeler.classify_batch(kernels, 1)
+        messages = [str(w.message) for w in record if w.category is RuntimeWarning]
+        assert messages == [
+            "classify_batch: 2 of 2 kernel(s) could not be encoded and were "
+            "skipped ('k0', 'k1'); model them individually for the full error"
+        ]
+        assert found == [None, None]
