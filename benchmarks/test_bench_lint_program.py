@@ -2,10 +2,10 @@
 
 The program pass parses nothing extra -- it reuses the per-file ASTs --
 so its marginal cost over the per-file pass is graph construction plus
-the three program rules. This bench times a full-repository lint with and
-without ``--program`` (via :class:`~repro.lint.config.LintConfig`, same
-entry point CI uses), asserts the pass stays within budget, and prints
-the numbers. Lint is not an end-to-end benchmark workload, so this
+the three program rules. This bench times a full-repository lint with
+every configured rule and with the per-file rules only (selecting no
+program rule builds no graph; same entry point CI uses), asserts the pass
+stays within budget, and prints the numbers. Lint is not an end-to-end benchmark workload, so this
 budget is its only timing gate.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.lint import lint_paths, load_config
+from repro.lint import ProgramRule, available_rules, lint_paths, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,7 +24,12 @@ MAX_PROGRAM_OVERHEAD = 3.0
 
 
 def _timed_lint(program: bool):
-    config = load_config(REPO_ROOT).with_overrides(program=program)
+    config = load_config(REPO_ROOT)
+    if not program:
+        rules = available_rules()
+        config = config.with_overrides(
+            select=[r for r in config.select if not isinstance(rules[r], ProgramRule)]
+        )
     targets = [REPO_ROOT / p for p in ("src", "tests", "examples", "benchmarks")]
     start = time.perf_counter()
     result = lint_paths([p for p in targets if p.exists()], config)

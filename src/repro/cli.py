@@ -424,33 +424,15 @@ def _cmd_methods(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        available_program_rules,
-        available_rules,
-        find_project_root,
-        lint_paths,
-        load_config,
-        render_json,
-        render_text,
-    )
+    from repro.lint import find_project_root, lint_paths, load_config, render_json, render_text
 
     try:
-        config = load_config(find_project_root())
-    except ValueError as exc:
+        config = load_config(find_project_root()).with_overrides(
+            select=_split_rules(args.select), ignore=_split_rules(args.ignore)
+        )
+    except ValueError as exc:  # unknown key or rule id
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    select = _split_rules(args.select)
-    ignore = _split_rules(args.ignore)
-    known = set(available_rules()) | set(available_program_rules())
-    unknown = [r for r in (select or []) + (ignore or []) if r not in known]
-    if unknown:
-        print(
-            f"error: unknown rule(s) {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(known))}",
-            file=sys.stderr,
-        )
-        return 2
-    config = config.with_overrides(select=select, ignore=ignore, program=args.program)
     try:
         result = lint_paths(args.paths or None, config)
     except FileNotFoundError as exc:
@@ -465,7 +447,7 @@ def _split_rules(values: "list[str] | None") -> "list[str] | None":
     """Flatten repeated/comma-separated ``--select``/``--ignore`` values."""
     if not values:
         return None
-    return [part.strip().upper() for value in values for part in value.split(",") if part.strip()]
+    return [part for value in values for part in value.split(",")]
 
 
 def _cmd_casestudy(args: argparse.Namespace) -> int:
@@ -914,15 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--ignore", action="append", metavar="RULES", default=None,
         help="comma-separated rule ids to skip (extends the configured set)",
-    )
-    p_lint.add_argument(
-        "--program", dest="program", action="store_true", default=None,
-        help="run the whole-program pass (import/call graph rules) even if "
-        "the configuration disables it",
-    )
-    p_lint.add_argument(
-        "--no-program", dest="program", action="store_false",
-        help="skip the whole-program pass (per-file rules only)",
     )
     p_lint.set_defaults(func=_cmd_lint)
 

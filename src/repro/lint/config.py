@@ -2,25 +2,25 @@
 
 The configuration controls *which* rules run and *which* files are
 linted; the rules themselves, and the paths each applies to, live in
-:mod:`repro.lint.rules`. Recognized pyproject keys (dashes and
-underscores are interchangeable)::
+:mod:`repro.lint.rules` and :mod:`repro.lint.program_rules`. Recognized
+pyproject keys::
 
     [tool.repro-lint]
     paths = ["src", "tests"]          # default lint targets for the CLI
     select = ["RNG001", ...]          # default rule selection (omit = all)
     ignore = ["ARCH001"]              # rules dropped everywhere
     exclude = ["tests/lint/fixtures"] # path prefixes never discovered
-    program = true                    # run the whole-program pass
-    schema-module = "repro.schemas"   # SCHEMA001X canonical constants
-    arch-allow = ["cycle:a<->b"]      # ARCH001 ratcheted debt list
 
-Any other key is refused by name (:func:`load_config` raises
+Any other key, and any rule id in ``select``/``ignore`` that names no
+registered rule, is refused by name (:func:`load_config` raises
 ``ValueError``), so a misspelt or retired knob cannot be accepted while
-doing nothing. A selected rule runs on every linted path it scopes itself
-to; a deliberate exception is a suppression comment with its reason at
-the site, not a path-wide switch. CLI ``--select``/``--ignore`` override
-the config-file selection. Paths in the config are interpreted relative
-to the project root (the directory holding pyproject.toml).
+doing nothing. CLI ``--select``/``--ignore`` override the config-file
+selection and go through the same rule-id check. The whole-program pass
+runs exactly when a selected rule is a program rule. A selected rule runs
+on every linted path it scopes itself to; a deliberate exception is a
+suppression comment with its reason at the site, not a path-wide switch.
+Paths in the config are interpreted relative to the project root (the
+directory holding pyproject.toml).
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping
+
+from repro.lint.core import available_rules
 
 try:  # Python >= 3.11
     import tomllib
@@ -47,25 +49,21 @@ class LintConfig:
     select: "tuple[str, ...] | None" = None  # None = every registered rule
     ignore: "tuple[str, ...]" = ()
     exclude: "tuple[str, ...]" = ()
-    program: bool = True
-    schema_module: str = "repro.schemas"
-    arch_allow: "tuple[str, ...]" = ()
 
     def with_overrides(
         self,
         select: "Iterable[str] | None" = None,
         ignore: "Iterable[str] | None" = None,
-        program: "bool | None" = None,
     ) -> "LintConfig":
-        """CLI-level overrides: ``--select`` replaces, ``--ignore`` extends,
-        ``--program/--no-program`` forces the whole-program pass on or off."""
+        """CLI-level overrides: ``--select`` replaces, ``--ignore`` extends.
+
+        Raises ``ValueError`` naming any id that is no registered rule.
+        """
         out = self
         if select is not None:
-            out = replace(out, select=tuple(_upper(select)))
+            out = replace(out, select=_rule_ids(select, "--select"))
         if ignore is not None:
-            out = replace(out, ignore=tuple(self.ignore) + tuple(_upper(ignore)))
-        if program is not None:
-            out = replace(out, program=bool(program))
+            out = replace(out, ignore=tuple(self.ignore) + _rule_ids(ignore, "--ignore"))
         return out
 
     def active_rules(self, registered: "Iterable[str]") -> "set[str]":
@@ -81,8 +79,17 @@ class LintConfig:
         return any(_prefix_match(normalized, prefix) for prefix in self.exclude)
 
 
-def _upper(rules: Iterable[str]) -> "list[str]":
-    return [r.strip().upper() for r in rules if r.strip()]
+def _rule_ids(rules: Iterable[str], source: str) -> "tuple[str, ...]":
+    """Upper-cased rule ids, refusing any that names no registered rule."""
+    ids = tuple(str(r).strip().upper() for r in rules if str(r).strip())
+    known = available_rules()
+    unknown = [r for r in ids if r not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown rule(s) {', '.join(unknown)} in {source}; "
+            f"available: {', '.join(known)}"
+        )
+    return ids
 
 
 def _normalize(path: str) -> str:
@@ -112,7 +119,8 @@ def load_config(root: "Path | None" = None) -> LintConfig:
     A missing file, missing ``[tool.repro-lint]`` table, or an interpreter
     without :mod:`tomllib` all yield the defaults -- configuration is an
     overlay, never a requirement. A key that names no :class:`LintConfig`
-    field raises ``ValueError`` naming it.
+    field, or a ``select``/``ignore`` id that names no registered rule,
+    raises ``ValueError`` naming it.
     """
     root = find_project_root(root) if root is None else Path(root)
     table: "Mapping[str, object]" = {}
@@ -121,22 +129,19 @@ def load_config(root: "Path | None" = None) -> LintConfig:
         with open(pyproject, "rb") as handle:
             data = tomllib.load(handle)
         table = data.get("tool", {}).get("repro-lint", {})
-    normalized = {str(key).replace("-", "_"): value for key, value in table.items()}
     known = {f.name for f in fields(LintConfig)} - {"root"}
-    unknown = [str(key) for key in table if str(key).replace("-", "_") not in known]
+    unknown = [str(key) for key in table if key not in known]
     if unknown:
         raise ValueError(
             f"unknown [tool.repro-lint] key(s) {', '.join(map(repr, unknown))} "
-            f"in {pyproject}; known: {', '.join(sorted(k.replace('_', '-') for k in known))}"
+            f"in {pyproject}; known: {', '.join(sorted(known))}"
         )
-    select = normalized.get("select")
+    select = table.get("select")
+    where = f"[tool.repro-lint] of {pyproject}"
     return LintConfig(
         root=root,
-        paths=tuple(str(p) for p in normalized.get("paths", LintConfig.paths)),
-        select=tuple(_upper(select)) if select is not None else None,
-        ignore=tuple(_upper(normalized.get("ignore", ()))),
-        exclude=tuple(_normalize(str(p)) for p in normalized.get("exclude", ())),
-        program=bool(normalized.get("program", LintConfig.program)),
-        schema_module=str(normalized.get("schema_module", LintConfig.schema_module)),
-        arch_allow=tuple(str(v) for v in normalized.get("arch_allow", ())),
+        paths=tuple(str(p) for p in table.get("paths", LintConfig.paths)),
+        select=_rule_ids(select, f"select of {where}") if select is not None else None,
+        ignore=_rule_ids(table.get("ignore", ()), f"ignore of {where}"),
+        exclude=tuple(_normalize(str(p)) for p in table.get("exclude", ())),
     )

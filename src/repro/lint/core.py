@@ -1,11 +1,14 @@
 """The lint engine: violation model, rule registry, and the shared AST walk.
 
-A :class:`Rule` declares the AST node types it is interested in; one walk
-over each file dispatches nodes to every active rule, so adding a rule
-never adds a traversal. Rules yield ``(node, message)`` pairs which the
-engine turns into :class:`Violation` records, then filters through the
-file's suppression comments (:mod:`repro.lint.suppressions`); the
-configuration (:mod:`repro.lint.config`) selects which rules run.
+One registry holds both kinds of rule. A per-file :class:`Rule` declares
+the AST node types it is interested in; one walk over each file dispatches
+nodes to every active rule, so adding a rule never adds a traversal. A
+:class:`~repro.lint.program.ProgramRule` instead sees the whole-program
+graph (:mod:`repro.lint.program`) once per run. Both kinds yield
+:class:`Violation` records built by :meth:`Violation.at`; the runner
+(:mod:`repro.lint.runner`) filters them through each file's suppression
+comments (:mod:`repro.lint.suppressions`), and the configuration
+(:mod:`repro.lint.config`) selects which rules run.
 
 Files that do not parse produce a single :data:`PARSE_RULE` violation at
 the syntax error's location instead of crashing the run -- a lint pass
@@ -18,11 +21,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.lint.config import LintConfig
-from repro.lint.suppressions import Suppressions, parse_suppressions
+from repro.lint.suppressions import Suppressions
 
 #: Pseudo-rule id for files that fail to parse. Always active: a syntax
 #: error hides every other violation in the file, so it must surface.
@@ -53,6 +54,28 @@ class Violation:
     kind: str = "file"
     provenance: "tuple[str, ...]" = ()
 
+    @classmethod
+    def at(
+        cls,
+        relpath: str,
+        node: "ast.AST | None",
+        rule: str,
+        message: str,
+        kind: str = "file",
+        provenance: "Iterable[str]" = (),
+    ) -> "Violation":
+        """The finding located at ``node`` (line 1 when it has no position)."""
+        return cls(
+            path=relpath,
+            line=getattr(node, "lineno", 1),
+            column=getattr(node, "col_offset", 0),
+            rule=rule,
+            message=message,
+            end_line=getattr(node, "end_lineno", 0) or 0,
+            kind=kind,
+            provenance=tuple(provenance),
+        )
+
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.column}: {self.rule} {self.message}"
 
@@ -72,11 +95,9 @@ class Violation:
 class LintContext:
     """Per-file state shared by all rules during one walk."""
 
-    def __init__(self, relpath: str, source: str, tree: ast.AST, config: LintConfig):
+    def __init__(self, relpath: str, tree: ast.AST):
         self.relpath = relpath
-        self.source = source
         self.tree = tree
-        self.config = config
 
     @property
     def in_library(self) -> bool:
@@ -89,7 +110,7 @@ class LintContext:
 
 
 class Rule:
-    """Base class for lint rules.
+    """Base class for per-file lint rules.
 
     Subclasses set :attr:`rule_id` and :attr:`summary`, list the AST node
     class names they want in :attr:`interests`, and implement :meth:`visit`
@@ -124,8 +145,9 @@ def register_rule(cls: "type[Rule]") -> "type[Rule]":
 
 
 def available_rules() -> "dict[str, Rule]":
-    """All registered rules by id, sorted (imports the builtin catalogue)."""
-    from repro.lint import rules as _rules  # noqa: F401  (registration side effect)
+    """Every registered rule, per-file and program, sorted by id (imports
+    the built-in catalogues)."""
+    from repro.lint import program_rules, rules  # noqa: F401  (registration)
 
     return {rule_id: _RULES[rule_id] for rule_id in sorted(_RULES)}
 
@@ -141,23 +163,23 @@ def parse_violation(relpath: str, exc: SyntaxError) -> Violation:
     )
 
 
-def suppression_violations(relpath: str, suppressions: Suppressions) -> "list[Violation]":
-    """The :data:`SUPPRESSION_RULE` findings for one file's comments."""
-    from repro.lint.program import available_program_rules
-
-    known = set(available_rules()) | set(available_program_rules())
+def suppression_violations(
+    relpath: str, suppressions: Suppressions, known: "list[str]"
+) -> "list[Violation]":
+    """The :data:`SUPPRESSION_RULE` findings for one file's comments;
+    ``known`` is every registered rule id, sorted."""
     found = [
         (line, f"unreadable suppression comment {text!r}; "
                "write '# repro-lint: disable=RULE -- rationale'")
         for line, text in suppressions.malformed
     ]
     for entry in suppressions.entries:
-        unknown = sorted(entry.rules - known)
+        unknown = sorted(entry.rules.difference(known))
         if unknown:
             found.append((
                 entry.line,
                 f"suppression names unregistered rule(s) {', '.join(unknown)}; "
-                f"registered: {', '.join(sorted(known))}",
+                f"registered: {', '.join(known)}",
             ))
         if not entry.rationale:
             found.append((
@@ -171,73 +193,25 @@ def suppression_violations(relpath: str, suppressions: Suppressions) -> "list[Vi
     ]
 
 
-def lint_source(
-    source: str,
-    relpath: str = "<string>",
-    config: "LintConfig | None" = None,
-) -> "list[Violation]":
-    """Lint one in-memory source file.
+def file_findings(tree: ast.AST, relpath: str, rules: "Iterable[Rule]") -> "list[Violation]":
+    """The per-file pass: one walk of ``tree`` dispatching to ``rules``.
 
-    ``relpath`` is the posix-style path the rules see: path-scoped rules
-    (e.g. RNG001's tightening inside ``src/repro``) key off it, so tests can
-    exercise scoping with virtual paths without touching the filesystem.
+    Findings are unfiltered; the runner applies the file's suppressions.
     """
-    try:
-        tree = ast.parse(source, filename=relpath)
-    except SyntaxError as exc:
-        return [parse_violation(relpath, exc)]
-    return lint_parsed(source, tree, relpath, config)
-
-
-def lint_parsed(
-    source: str,
-    tree: ast.AST,
-    relpath: str = "<string>",
-    config: "LintConfig | None" = None,
-) -> "list[Violation]":
-    """The per-file pass over an already-parsed tree.
-
-    This is :func:`lint_source` minus the parse, so the whole-tree runner
-    can share one AST per file between the per-file and whole-program
-    passes (:mod:`repro.lint.program`) instead of parsing twice.
-    """
-    config = config or LintConfig()
-    suppressions = parse_suppressions(source)
-    problems = suppression_violations(relpath, suppressions)
-    registered = available_rules()
-    active_ids = config.active_rules(registered)
-    ctx = LintContext(relpath, source, tree, config)
-    active = [
-        rule
-        for rule_id, rule in registered.items()
-        if rule_id in active_ids and rule.start_file(ctx)
-    ]
-    if not active:
-        return sorted(problems)
+    ctx = LintContext(relpath, tree)
     by_interest: "dict[str, list[Rule]]" = {}
-    for rule in active:
-        for interest in rule.interests:
-            by_interest.setdefault(interest, []).append(rule)
-    raw: "list[Violation]" = []
-    for node in ast.walk(tree):
-        for rule in by_interest.get(type(node).__name__, ()):
-            for found_node, message in rule.visit(node, ctx):
-                raw.append(
-                    Violation(
-                        path=relpath,
-                        line=getattr(found_node, "lineno", 1),
-                        column=getattr(found_node, "col_offset", 0),
-                        rule=rule.rule_id,
-                        message=message,
-                        end_line=getattr(found_node, "end_lineno", 0) or 0,
-                    )
-                )
-    kept = [
-        v
-        for v in raw
-        if not suppressions.is_suppressed(v.rule, v.line, v.end_line or v.line)
+    for rule in rules:
+        if rule.start_file(ctx):
+            for interest in rule.interests:
+                by_interest.setdefault(interest, []).append(rule)
+    if not by_interest:
+        return []
+    return [
+        Violation.at(relpath, found_node, rule.rule_id, message)
+        for node in ast.walk(tree)
+        for rule in by_interest.get(type(node).__name__, ())
+        for found_node, message in rule.visit(node, ctx)
     ]
-    return sorted(kept + problems)
 
 
 # ----------------------------------------------------------- shared helpers
@@ -256,8 +230,3 @@ def dotted_name(node: ast.AST) -> "str | None":
 def call_name(node: ast.Call) -> "str | None":
     """The dotted name a call targets, or ``None`` for dynamic callees."""
     return dotted_name(node.func)
-
-
-def iter_paths(paths: "Iterable[str | Path]") -> "Iterator[Path]":
-    for path in paths:
-        yield Path(path)

@@ -5,8 +5,7 @@ cannot notice an unlocked counter mutated from a thread entry point two
 modules away, a schema literal drifting from its canonical constant, or an
 import cycle. This module parses every discovered file once (the runner
 shares the trees with the per-file pass), builds a :class:`ProgramGraph`,
-and feeds it to the :class:`ProgramRule` catalogue in
-:mod:`repro.lint.program_rules`.
+and feeds it to the program rules in :mod:`repro.lint.program_rules`.
 
 The graph is deliberately approximate, trading soundness for a usable
 signal (DESIGN.md documents each caveat):
@@ -14,11 +13,10 @@ signal (DESIGN.md documents each caveat):
 * **Names, not values.** Resolution follows import aliases (absolute and
   relative, including ``__init__`` re-exports) and lexical symbols;
   dynamic dispatch, monkey-patching, and ``getattr`` strings are invisible.
-* **Calls + references.** ``f(x)`` adds a *call* edge; passing ``f`` as a
-  value (a thread target, a pool function, a callback) adds a *reference*
-  edge. Functions handed to the parallel engine cross a process boundary,
-  so those references are tagged ``process`` and excluded from same-thread
-  reachability.
+* **Calls + references.** ``f(x)`` and passing ``f`` as a value (a thread
+  target, a callback) both add an edge ``caller -> f``. A function handed
+  to the parallel engine crosses a process boundary, so it gets no edge --
+  same-thread reachability must not follow it -- only a reference.
 * **``self`` only.** Method resolution covers ``self.m()`` (including
   project base classes) and ``self.attr.m()`` where ``attr`` was assigned
   a resolvable constructor; arbitrary receiver expressions are skipped.
@@ -34,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from repro.lint.core import dotted_name
+from repro.lint.core import Rule, Violation, dotted_name
 
 #: ``repro.<name>/v<N>`` -- the wire-schema literal shape SCHEMA001X guards.
 SCHEMA_LITERAL_RE = re.compile(r"repro\.[A-Za-z0-9_.-]+/v\d+")
@@ -80,17 +78,13 @@ MUTATOR_METHODS = {
 }
 
 #: Fully-qualified names whose calls dispatch their first argument onto
-#: worker processes: that argument gets a ``process`` edge, which the
-#: thread closure does not follow.
+#: worker processes: that argument gets no edge, so the thread closure
+#: does not follow it.
 POOL_DISPATCHERS = {
     "repro.parallel.engine.run_tasks",
     "repro.parallel.pool.parallel_map",
     "repro.parallel.engine.EngineSession.run",
 }
-
-#: Edge kinds :meth:`ProgramGraph.reachable_from` follows: same-thread
-#: control flow. ``process`` edges lead into a copied address space.
-THREAD_EDGE_KINDS = ("call", "ref")
 
 
 def module_name(relpath: str) -> str:
@@ -115,16 +109,6 @@ class SourceModule:
 
     relpath: str
     tree: ast.Module
-
-
-@dataclass
-class Edge:
-    """A directed call-graph edge between two project functions."""
-
-    source: str
-    target: str
-    kind: str  # "call" | "ref" | "process"
-    node: ast.AST
 
 
 @dataclass
@@ -178,16 +162,6 @@ class ClassInfo:
 
 
 @dataclass
-class SchemaLiteral:
-    """A ``repro.*/vN`` string literal found outside a docstring."""
-
-    value: str
-    module: str
-    relpath: str
-    node: ast.Constant
-
-
-@dataclass
 class ModuleInfo:
     """Everything the program pass knows about one module."""
 
@@ -205,7 +179,8 @@ class ModuleInfo:
     lock_globals: "set[str]" = field(default_factory=set)
     exports: "list[str] | None" = None
     exports_node: "ast.AST | None" = None
-    schema_literals: "list[SchemaLiteral]" = field(default_factory=list)
+    #: ``repro.*/vN`` string constants outside docstrings, in walk order.
+    schema_literals: "list[ast.Constant]" = field(default_factory=list)
 
     @property
     def package(self) -> str:
@@ -222,8 +197,10 @@ class ProgramGraph:
         self.modules: "dict[str, ModuleInfo]" = {}
         self.functions: "dict[str, FunctionInfo]" = {}
         self.classes: "dict[str, ClassInfo]" = {}
-        self.edges: "dict[str, list[Edge]]" = {}
-        self.thread_roots: "dict[str, ast.AST]" = {}  # fq -> creating node
+        #: caller fq -> callee fqs in source order (a list, not a set, so
+        #: reachability and its provenance chains never depend on hashing).
+        self.edges: "dict[str, list[str]]" = {}
+        self.thread_roots: "list[str]" = []  # thread target fqs, first seen first
         self.references: "dict[str, set[str]]" = {}  # fq symbol -> referencing modules
         self.global_mutations: "list[GlobalMutation]" = []
 
@@ -304,7 +281,7 @@ class ProgramGraph:
 
     # ----------------------------------------------------------- reachability
     def reachable_from(self, roots: "Iterable[str]") -> "dict[str, str | None]":
-        """BFS closure over :data:`THREAD_EDGE_KINDS` edges.
+        """Closure over :attr:`edges` (same-thread control flow).
 
         Returns ``{reached_fq: parent_fq}`` (roots map to ``None``), so
         callers can rebuild the path that made a function reachable.
@@ -317,13 +294,10 @@ class ProgramGraph:
                 frontier.append(root)
         while frontier:
             current = frontier.pop()
-            for edge in self.edges.get(current, ()):
-                if edge.kind not in THREAD_EDGE_KINDS:
-                    continue
-                if edge.target in parents:
-                    continue
-                parents[edge.target] = current
-                frontier.append(edge.target)
+            for target in self.edges.get(current, ()):
+                if target not in parents:
+                    parents[target] = current
+                    frontier.append(target)
         return parents
 
     @staticmethod
@@ -341,71 +315,26 @@ class ProgramGraph:
 
 
 # ---------------------------------------------------------------- rule model
-@dataclass(frozen=True)
-class ProgramFinding:
-    """One whole-program finding before it becomes a :class:`Violation`."""
+class ProgramRule(Rule):
+    """Base class for rules that see the whole program graph.
 
-    relpath: str
-    line: int
-    column: int
-    message: str
-    end_line: int = 0
-    provenance: "tuple[str, ...]" = ()
+    A program rule runs once per lint run, after the graph is built, and
+    yields ``kind="program"`` :class:`Violation` records (see
+    :meth:`finding`). It has no per-file interests, so the per-file walk
+    never dispatches to it.
+    """
 
-    @classmethod
-    def at(
-        cls,
+    def check(self, graph: ProgramGraph) -> "Iterator[Violation]":
+        return iter(())
+
+    def finding(
+        self,
         relpath: str,
         node: "ast.AST | None",
         message: str,
-        provenance: "tuple[str, ...]" = (),
-    ) -> "ProgramFinding":
-        return cls(
-            relpath=relpath,
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0),
-            message=message,
-            end_line=getattr(node, "end_lineno", 0) or 0,
-            provenance=provenance,
-        )
-
-
-class ProgramRule:
-    """Base class for rules that see the whole :class:`ProgramGraph`.
-
-    Program rules run once per lint invocation, after the per-file pass,
-    and yield :class:`ProgramFinding` records; the runner turns them into
-    :class:`~repro.lint.core.Violation` objects (kind ``"program"``),
-    applying the finding file's suppression comments exactly like
-    per-file rules.
-    """
-
-    rule_id: str = ""
-    summary: str = ""
-
-    def check(self, graph: ProgramGraph, config) -> "Iterator[ProgramFinding]":
-        return iter(())
-
-
-_PROGRAM_RULES: "dict[str, ProgramRule]" = {}
-
-
-def register_program_rule(cls: "type[ProgramRule]") -> "type[ProgramRule]":
-    """Class decorator adding a program rule to the registry."""
-    rule = cls()
-    if not rule.rule_id:
-        raise ValueError(f"program rule {cls.__name__} has no rule_id")
-    if rule.rule_id in _PROGRAM_RULES:
-        raise ValueError(f"program rule {rule.rule_id} is already registered")
-    _PROGRAM_RULES[rule.rule_id] = rule
-    return cls
-
-
-def available_program_rules() -> "dict[str, ProgramRule]":
-    """All registered program rules by id (imports the builtin catalogue)."""
-    from repro.lint import program_rules as _rules  # noqa: F401  (registration)
-
-    return {rule_id: _PROGRAM_RULES[rule_id] for rule_id in sorted(_PROGRAM_RULES)}
+        provenance: "Iterable[str]" = (),
+    ) -> Violation:
+        return Violation.at(relpath, node, self.rule_id, message, "program", provenance)
 
 
 # ------------------------------------------------------------- graph builder
@@ -443,7 +372,7 @@ def build_program(sources: "Iterable[SourceModule]") -> ProgramGraph:
 
 # --------------------------------------------------------- phase 1: structure
 def _collect_module(info: ModuleInfo) -> None:
-    _collect_aliases(info)
+    _walk_module(info)
     _collect_top_imports(info)
     for stmt in info.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -463,17 +392,6 @@ def _collect_module(info: ModuleInfo) -> None:
             info.classes[stmt.name] = cls
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             _collect_global_assign(info, stmt)
-    docstrings = _docstring_nodes(info.tree)
-    for node in ast.walk(info.tree):
-        if (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-            and SCHEMA_LITERAL_RE.fullmatch(node.value)
-        ):
-            info.schema_literals.append(
-                SchemaLiteral(node.value, info.name, info.relpath, node)
-            )
 
 
 def _function_info(
@@ -500,18 +418,37 @@ def _function_info(
     )
 
 
-def _collect_aliases(info: ModuleInfo) -> None:
-    """Import bindings, module-wide (function-level lazy imports included).
+def _walk_module(info: ModuleInfo) -> None:
+    """The one whole-module walk: import aliases and schema literals.
 
-    Module-level bindings win on collision; lazy in-function imports fill
-    the gaps so call resolution can see e.g. ``validate_spec`` imported
-    inside a method.
+    Aliases are module-wide (function-level lazy imports included):
+    module-level bindings win on collision, and lazy in-function imports
+    fill the gaps so call resolution can see e.g. ``validate_spec``
+    imported inside a method. Schema literals skip docstrings; the walk
+    is breadth-first, so a docstring's owner is always seen before it.
     """
+    top_level = {id(stmt) for stmt in info.tree.body}
     lazy: "dict[str, str]" = {}
+    docstrings: "set[int]" = set()
     for node in ast.walk(info.tree):
-        top = node in info.tree.body
-        sink = info.aliases if top else lazy
-        if isinstance(node, ast.Import):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                docstrings.add(id(body[0].value))
+        elif isinstance(node, ast.Constant):
+            if (
+                isinstance(node.value, str)
+                and id(node) not in docstrings
+                and SCHEMA_LITERAL_RE.fullmatch(node.value)
+            ):
+                info.schema_literals.append(node)
+        elif isinstance(node, ast.Import):
+            sink = info.aliases if id(node) in top_level else lazy
             for alias in node.names:
                 if alias.asname is not None:
                     sink.setdefault(alias.asname, alias.name)
@@ -519,13 +456,13 @@ def _collect_aliases(info: ModuleInfo) -> None:
                     head = alias.name.split(".")[0]
                     sink.setdefault(head, head)
         elif isinstance(node, ast.ImportFrom):
+            sink = info.aliases if id(node) in top_level else lazy
             base = _import_base(info, node)
             if base is None:
                 continue
             for alias in node.names:
-                if alias.name == "*":
-                    continue
-                sink.setdefault(alias.asname or alias.name, f"{base}.{alias.name}")
+                if alias.name != "*":
+                    sink.setdefault(alias.asname or alias.name, f"{base}.{alias.name}")
     for name, target in lazy.items():
         info.aliases.setdefault(name, target)
 
@@ -605,22 +542,6 @@ def _collect_global_assign(info: ModuleInfo, stmt: "ast.Assign | ast.AnnAssign")
             callee = dotted_name(value.func)
             if callee in ("dict", "list", "set", "collections.defaultdict", "defaultdict"):
                 info.mutable_globals.add(target.id)
-
-
-def _docstring_nodes(tree: ast.Module) -> "set[int]":
-    """ids of Constant nodes sitting in docstring position."""
-    found: "set[int]" = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            body = node.body
-            if (
-                body
-                and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)
-            ):
-                found.add(id(body[0].value))
-    return found
 
 
 # ----------------------------------------------- phase 2: class-level typing
@@ -757,7 +678,7 @@ class _BodyScanner(ast.NodeVisitor):
             params=tuple(a.arg for a in node.args.args),
         )
         self.graph.functions.setdefault(fq, nested)
-        self._edge(fq, "call", node)
+        self._edge(fq)
         sub = _BodyScanner(self.graph, self.info, nested)
         sub.scan()
 
@@ -809,7 +730,7 @@ class _BodyScanner(ast.NodeVisitor):
         if internal and resolved is not None:
             target = self._callable_target(resolved)
             if target is not None:
-                self._edge(target, "call", node)
+                self._edge(target)
         self._record_thread_target(node, resolved)
         self._record_dispatch(node, resolved)
         self.generic_visit(node)
@@ -859,10 +780,8 @@ class _BodyScanner(ast.NodeVisitor):
             self._note_reference(resolved)
         return None
 
-    def _edge(self, target: str, kind: str, node: ast.AST) -> None:
-        self.graph.edges.setdefault(self.fn.qualname, []).append(
-            Edge(self.fn.qualname, target, kind, node)
-        )
+    def _edge(self, target: str) -> None:
+        self.graph.edges.setdefault(self.fn.qualname, []).append(target)
 
     def _note_reference(self, fq: str) -> None:
         self.graph.references.setdefault(fq, set()).add(self.info.name)
@@ -875,20 +794,19 @@ class _BodyScanner(ast.NodeVisitor):
             if kw.arg != "target":
                 continue
             target_fq = self._function_ref(kw.value)
-            if target_fq is not None:
-                self.graph.thread_roots.setdefault(target_fq, node)
+            if target_fq is not None and target_fq not in self.graph.thread_roots:
+                self.graph.thread_roots.append(target_fq)
 
     def _record_dispatch(self, node: ast.Call, resolved: "str | None") -> None:
         if resolved not in POOL_DISPATCHERS or not node.args:
             return
         fn_arg = node.args[0]
-        # The argument crosses the process boundary: suppress the plain
-        # "ref" edge its Name/Attribute visit would add, or the thread
-        # closure would swallow worker-only code.
+        # The argument crosses the process boundary: suppress the edge its
+        # Name/Attribute visit would add, or the thread closure would
+        # swallow worker-only code. ARCH001 still sees the reference.
         self._process_args.add(id(fn_arg))
         fn_fq = self._function_ref(fn_arg)
         if fn_fq is not None:
-            self._edge(fn_fq, "process", node)
             self._note_reference(fn_fq)
 
     def _function_ref(self, expr: ast.expr) -> "str | None":
@@ -915,12 +833,12 @@ class _BodyScanner(ast.NodeVisitor):
             return
         if isinstance(node.ctx, ast.Load) and id(node) not in self._func_exprs:
             if node.id in self.local_defs:
-                self._edge(self.local_defs[node.id], "ref", node)
+                self._edge(self.local_defs[node.id])
             else:
                 resolved = self.graph.resolve_in_module(self.info, node.id)
                 if resolved is not None and self.graph.is_internal(resolved):
                     if self.graph.function_at(resolved) is not None:
-                        self._edge(resolved, "ref", node)
+                        self._edge(resolved)
                     self._note_reference(resolved)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -934,12 +852,12 @@ class _BodyScanner(ast.NodeVisitor):
                     if self.cls is not None and "." not in rest:
                         target = f"{self.cls.qualname}.{rest}"
                         if self.graph.function_at(target) is not None:
-                            self._edge(target, "ref", node)
+                            self._edge(target)
                 else:
                     resolved = self.graph.resolve_in_module(self.info, dotted)
                     if resolved is not None and self.graph.is_internal(resolved):
                         if self.graph.function_at(resolved) is not None:
-                            self._edge(resolved, "ref", node)
+                            self._edge(resolved)
                         self._note_reference(resolved)
         # self.X accesses (reads); writes arrive via visit_Assign/AugAssign.
         if (

@@ -1,8 +1,8 @@
 """The whole-program rule catalogue (CONC001 / SCHEMA001X / ARCH001).
 
 Each rule sees the finished :class:`~repro.lint.program.ProgramGraph` and
-yields findings; the runner maps them back onto files, applying the same
-suppression comments and rule selection as the per-file rules. The
+yields ``kind="program"`` violations; the runner applies the same
+suppression comments and rule selection as to the per-file rules. The
 rules deliberately stay on the conservative side of the graph's
 approximations: an unresolvable callee or receiver produces *no* finding,
 never a guessed one.
@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.program import (
-    ProgramFinding,
-    ProgramGraph,
-    ProgramRule,
-    register_program_rule,
-)
+from repro.lint.core import Violation, register_rule
+from repro.lint.program import ProgramGraph, ProgramRule
 
-@register_program_rule
+#: The one module allowed to spell wire-schema literals (SCHEMA001X).
+SCHEMA_MODULE = "repro.schemas"
+
+
+@register_rule
 class SharedStateLockRule(ProgramRule):
     """CONC001: state shared with a thread must be mutated under a lock.
 
@@ -45,7 +45,7 @@ class SharedStateLockRule(ProgramRule):
     rule_id = "CONC001"
     summary = "shared mutable state must be mutated under a lock"
 
-    def check(self, graph: ProgramGraph, config) -> "Iterator[ProgramFinding]":
+    def check(self, graph: ProgramGraph) -> "Iterator[Violation]":
         closure = graph.reachable_from(graph.thread_roots)
         seen: "set[tuple[str, int, str]]" = set()
 
@@ -54,7 +54,7 @@ class SharedStateLockRule(ProgramRule):
             if key in seen:
                 return None
             seen.add(key)
-            return ProgramFinding.at(relpath, node, message, tuple(provenance))
+            return self.finding(relpath, node, message, provenance)
 
         for cls in graph.classes.values():
             thread_methods = {
@@ -76,10 +76,8 @@ class SharedStateLockRule(ProgramRule):
             if mutation.locks:
                 continue
             chain = graph.chain(closure, mutation.function)
-            fn = graph.functions.get(mutation.function)
-            relpath = fn.relpath if fn is not None else ""
             finding = emit(
-                relpath,
+                graph.functions[mutation.function].relpath,
                 mutation.node,
                 f"module global '{mutation.name}' is mutated in thread-reachable "
                 f"'{mutation.function}' without holding a module-level lock "
@@ -128,13 +126,12 @@ class SharedStateLockRule(ProgramRule):
                     yield finding
 
 
-@register_program_rule
+@register_rule
 class SchemaLiteralDriftRule(ProgramRule):
     """SCHEMA001X: every ``repro.*/vN`` literal resolves to one constant.
 
-    The canonical module (``schema-module`` in ``[tool.repro-lint]``,
-    default ``repro.schemas``) defines each wire-schema string exactly
-    once. Everywhere else:
+    The canonical module (:data:`SCHEMA_MODULE`, ``repro.schemas``) defines
+    each wire-schema string exactly once. Everywhere else:
 
     * library code (``src/repro/``) repeating a canonical value must import
       the constant instead -- duplicated spellings are how schema bumps
@@ -152,48 +149,47 @@ class SchemaLiteralDriftRule(ProgramRule):
     rule_id = "SCHEMA001X"
     summary = "wire-schema literals must resolve to the canonical constants"
 
-    def check(self, graph: ProgramGraph, config) -> "Iterator[ProgramFinding]":
-        canonical_name = config.schema_module
-        canonical = graph.modules.get(canonical_name)
+    def check(self, graph: ProgramGraph) -> "Iterator[Violation]":
+        canonical = graph.modules.get(SCHEMA_MODULE)
         if canonical is None:
             return
         values: "dict[str, int]" = {}
         for literal in canonical.schema_literals:
             values[literal.value] = values.get(literal.value, 0) + 1
             if values[literal.value] > 1:
-                yield ProgramFinding.at(
-                    literal.relpath,
-                    literal.node,
+                yield self.finding(
+                    canonical.relpath,
+                    literal,
                     f"schema literal '{literal.value}' appears more than once "
-                    f"in canonical module {canonical_name}; each wire schema "
+                    f"in canonical module {SCHEMA_MODULE}; each wire schema "
                     f"must have exactly one constant",
                 )
         for module in graph.modules.values():
-            if module.name == canonical_name:
+            if module is canonical:
                 continue
             for literal in module.schema_literals:
                 if literal.value in values:
                     if module.in_library:
-                        yield ProgramFinding.at(
-                            literal.relpath,
-                            literal.node,
+                        yield self.finding(
+                            module.relpath,
+                            literal,
                             f"schema literal '{literal.value}' duplicates a "
                             f"canonical constant; import it from "
-                            f"{canonical_name} instead of respelling it",
+                            f"{SCHEMA_MODULE} instead of respelling it",
                         )
                 else:
-                    yield ProgramFinding.at(
-                        literal.relpath,
-                        literal.node,
+                    yield self.finding(
+                        module.relpath,
+                        literal,
                         f"schema literal '{literal.value}' matches no constant "
-                        f"in {canonical_name}; the schema has drifted or the "
+                        f"in {SCHEMA_MODULE}; the schema has drifted or the "
                         f"literal is typo'd",
                     )
 
 
-@register_program_rule
+@register_rule
 class ImportHygieneRule(ProgramRule):
-    """ARCH001: no import cycles, no dead public exports -- ratcheted.
+    """ARCH001: no import cycles, no dead public exports.
 
     Cycles are computed over module-level imports only (lazy in-function
     imports cannot deadlock import time), with each import edge pointing at
@@ -203,36 +199,19 @@ class ImportHygieneRule(ProgramRule):
     runs when the linted program extends beyond the library (tests,
     examples), since the library alone cannot witness its own consumers.
 
-    Both checks ratchet through ``arch-allow`` in ``[tool.repro-lint]``:
-    entries are ``cycle:a<->b`` (members sorted) and ``export:mod.name``.
-    An allowlist entry matching nothing is itself a violation, so the debt
-    list can only shrink.
+    A deliberate exception is a suppression comment with its rationale at
+    the reported site: the cycle's first import, or the ``__all__``.
     """
 
     rule_id = "ARCH001"
-    summary = "import cycles and dead public exports (ratcheted allowlist)"
+    summary = "import cycles and dead public exports"
 
-    def check(self, graph: ProgramGraph, config) -> "Iterator[ProgramFinding]":
-        allow = set(config.arch_allow)
-        used: "set[str]" = set()
-        yield from self._cycles(graph, allow, used)
-        exports_checked = any(not m.in_library for m in graph.modules.values())
-        if exports_checked:
-            yield from self._dead_exports(graph, allow, used)
-        for entry in sorted(allow - used):
-            if entry.startswith("export:") and not exports_checked:
-                continue
-            yield ProgramFinding(
-                relpath="pyproject.toml",
-                line=1,
-                column=0,
-                message=(
-                    f"stale arch-allow entry '{entry}' matches no current "
-                    f"finding; remove it to keep the ratchet tight"
-                ),
-            )
+    def check(self, graph: ProgramGraph) -> "Iterator[Violation]":
+        yield from self._cycles(graph)
+        if any(not m.in_library for m in graph.modules.values()):
+            yield from self._dead_exports(graph)
 
-    def _cycles(self, graph, allow, used):
+    def _cycles(self, graph):
         edges: "dict[str, dict[str, object]]" = {}
         for info in graph.modules.values():
             out = edges.setdefault(info.name, {})
@@ -244,24 +223,19 @@ class ImportHygieneRule(ProgramRule):
             if len(component) < 2:
                 continue
             members = sorted(component)
-            key = "cycle:" + "<->".join(members)
-            if key in allow:
-                used.add(key)
-                continue
             first = members[0]
-            info = graph.modules[first]
             stmt = next(
                 (s for dep, s in edges[first].items() if dep in component), None
             )
-            yield ProgramFinding.at(
-                info.relpath,
+            yield self.finding(
+                graph.modules[first].relpath,
                 stmt,
-                f"import cycle between {', '.join(members)}; break it or "
-                f"allowlist '{key}' under [tool.repro-lint] arch-allow",
-                tuple(members),
+                f"import cycle between {', '.join(members)}; break it, or "
+                f"suppress ARCH001 at this import with a rationale",
+                members,
             )
 
-    def _dead_exports(self, graph, allow, used):
+    def _dead_exports(self, graph):
         for name in sorted(graph.modules):
             info = graph.modules[name]
             if not info.in_library or not info.exports:
@@ -278,16 +252,12 @@ class ImportHygieneRule(ProgramRule):
                 ) - {info.name, graph.module_of(resolved) or ""}
                 if refs:
                     continue
-                key = f"export:{fq}"
-                if key in allow:
-                    used.add(key)
-                    continue
-                yield ProgramFinding.at(
+                yield self.finding(
                     info.relpath,
                     info.exports_node,
                     f"public export '{export}' of {info.name} is referenced "
-                    f"nowhere else in the program; drop it from __all__ or "
-                    f"allowlist '{key}' under [tool.repro-lint] arch-allow",
+                    f"nowhere else in the program; drop it from __all__, or "
+                    f"suppress ARCH001 at __all__ with a rationale",
                     (fq,),
                 )
 

@@ -126,14 +126,21 @@ class NoAdHocRandomness(Rule):
         (``import random``, ``import random as r``)."""
         cached = getattr(ctx, "_random_names", None)
         if cached is None:
-            cached = frozenset(
-                alias.asname or alias.name
-                for stmt in ast.walk(ctx.tree)
-                if isinstance(stmt, ast.Import)
-                for alias in stmt.names
-                if alias.name == "random"
-            )
-            ctx._random_names = cached
+            # Imports are statements, so only statement lists need walking
+            # (``handlers`` and ``cases`` hold the except and match bodies).
+            names = set()
+            stack = list(ctx.tree.body)
+            while stack:
+                stmt = stack.pop()
+                if isinstance(stmt, ast.Import):
+                    names.update(
+                        alias.asname or alias.name
+                        for alias in stmt.names
+                        if alias.name == "random"
+                    )
+                for block in ("body", "orelse", "finalbody", "handlers", "cases"):
+                    stack.extend(getattr(stmt, block, ()))
+            cached = ctx._random_names = frozenset(names)
         return cached
 
 

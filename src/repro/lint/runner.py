@@ -1,16 +1,16 @@
-"""File discovery and the whole-tree lint entry point.
+"""File discovery and the two lint entry points.
 
 :func:`lint_paths` is what the CLI and CI call: it expands the requested
 paths (files or directory trees) into Python sources, skips the
 configuration's excluded prefixes, parses each file exactly once, runs the
-per-file pass (:mod:`repro.lint.core`) and -- when enabled -- the
-whole-program pass (:mod:`repro.lint.program`) over the shared trees, and
-returns a :class:`LintResult` with deterministic (path, line) ordering
-regardless of filesystem enumeration order.
+per-file pass (:mod:`repro.lint.core`) and -- when a selected rule needs
+it -- the whole-program pass (:mod:`repro.lint.program`) over the shared
+trees, and returns a :class:`LintResult` with deterministic (path, line)
+ordering regardless of filesystem enumeration order.
 
-:func:`lint_sources` is the same two-pass engine over an in-memory
-``{relpath: source}`` mapping, so tests can exercise cross-file rules on
-virtual mini-projects without touching the filesystem.
+:func:`lint_sources` is the same engine over an in-memory
+``{relpath: source}`` mapping, so tests can lint single files and virtual
+mini-projects without touching the filesystem.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from repro.lint.config import LintConfig
 from repro.lint.core import (
     Violation,
     available_rules,
-    lint_parsed,
-    lint_source,
+    file_findings,
     parse_violation,
+    suppression_violations,
 )
+from repro.lint.program import ProgramRule, SourceModule, build_program
 from repro.lint.suppressions import Suppressions, parse_suppressions
 
 
@@ -91,14 +92,6 @@ def load_source(relpath: str, source: str) -> SourceFile:
     return SourceFile(relpath, source, tree)
 
 
-def lint_file(path: "str | Path", config: "LintConfig | None" = None) -> "list[Violation]":
-    """Lint one on-disk file (per-file rules only; no program pass)."""
-    config = config or LintConfig()
-    path = Path(path)
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, relative_path(path, config), config)
-
-
 def lint_paths(
     paths: "Iterable[str | Path] | None" = None,
     config: "LintConfig | None" = None,
@@ -133,62 +126,40 @@ def lint_sources(
 
 
 def _lint_loaded(sources: "list[SourceFile]", config: LintConfig) -> LintResult:
-    violations: "list[Violation]" = []
+    """Both passes over parsed sources, filtered through one suppression map.
+
+    Each file's suppression comments are parsed once and apply to the
+    per-file and the whole-program findings alike. The program graph is
+    built only when a selected rule is a program rule.
+    """
+    registered = available_rules()
+    active = config.active_rules(registered)
+    selected = [rule for rule_id, rule in registered.items() if rule_id in active]
+    known = list(registered)
+    suppressions: "dict[str, Suppressions]" = {}
+    findings: "list[Violation]" = []
+    checked: "list[Violation]" = []  # PARSE and SUPPRESSION: never suppressed
     for src in sources:
         if src.error is not None:
-            violations.append(src.error)
-        else:
-            violations.extend(lint_parsed(src.source, src.tree, src.relpath, config))
-    if config.program:
-        violations.extend(_program_pass(sources, config))
+            checked.append(src.error)
+            continue
+        suppressions[src.relpath] = parse_suppressions(src.source)
+        checked.extend(suppression_violations(src.relpath, suppressions[src.relpath], known))
+        findings.extend(file_findings(src.tree, src.relpath, selected))
+    program_rules = [rule for rule in selected if isinstance(rule, ProgramRule)]
+    if program_rules:
+        graph = build_program(
+            SourceModule(src.relpath, src.tree) for src in sources if src.error is None
+        )
+        for rule in program_rules:
+            findings.extend(rule.check(graph))
+    kept = [
+        v
+        for v in findings
+        if not suppressions[v.path].is_suppressed(v.rule, v.line, v.end_line or v.line)
+    ]
     return LintResult(
-        violations=tuple(sorted(violations)),
+        violations=tuple(sorted(kept + checked)),
         files_checked=len(sources),
         files=tuple(src.relpath for src in sources),
     )
-
-
-def _program_pass(sources: "list[SourceFile]", config: LintConfig) -> "list[Violation]":
-    """Build the program graph once and run every selected program rule.
-
-    Findings are mapped back onto files and filtered exactly like per-file
-    findings: the finding file's suppression comments apply. A finding
-    attributed to a file outside the program (e.g. ARCH001's
-    stale-allowlist report against pyproject.toml) has none to apply.
-    """
-    from repro.lint.program import SourceModule, available_program_rules, build_program
-
-    program_rules = available_program_rules()
-    registered_ids = list(available_rules()) + list(program_rules)
-    wanted = config.active_rules(registered_ids) & set(program_rules)
-    if not wanted or not sources:
-        return []
-    by_relpath = {src.relpath: src for src in sources}
-    graph = build_program(
-        SourceModule(src.relpath, src.tree) for src in sources if src.tree is not None
-    )
-    suppressions: "dict[str, Suppressions]" = {}  # parsed on a file's first finding
-    violations: "list[Violation]" = []
-    for rule_id in sorted(wanted):
-        rule = program_rules[rule_id]
-        for finding in rule.check(graph, config):
-            src = by_relpath.get(finding.relpath)
-            if src is not None and src.tree is not None:
-                if src.relpath not in suppressions:
-                    suppressions[src.relpath] = parse_suppressions(src.source)
-                last = finding.end_line or finding.line
-                if suppressions[src.relpath].is_suppressed(rule_id, finding.line, last):
-                    continue
-            violations.append(
-                Violation(
-                    path=finding.relpath,
-                    line=finding.line,
-                    column=finding.column,
-                    rule=rule_id,
-                    message=finding.message,
-                    end_line=finding.end_line,
-                    kind="program",
-                    provenance=finding.provenance,
-                )
-            )
-    return violations

@@ -78,6 +78,8 @@ def parse_suppressions(source: str) -> Suppressions:
     an empty suppression set; the parse error itself is reported separately.
     """
     suppressions = Suppressions()
+    if "repro-lint:" not in source:  # every directive spells it; skip tokenizing
+        return suppressions
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         comments = [t for t in tokens if t.type == tokenize.COMMENT]

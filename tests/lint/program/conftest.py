@@ -26,9 +26,9 @@ collect_ignore = ["fixtures"]
 def run_case():
     """Lint one fixture project with only the given rules selected."""
 
-    def _run(name: str, select: "tuple[str, ...]", **overrides):
+    def _run(name: str, select: "tuple[str, ...]"):
         case = FIXTURES / name
-        config = LintConfig(root=case, select=select, program=True, **overrides)
+        config = LintConfig(root=case, select=select)
         return lint_paths([case], config)
 
     return _run

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.lint import LintConfig, lint_sources
 
-CONC_CONFIG = LintConfig(select=("CONC001",), program=True)
+CONC_CONFIG = LintConfig(select=("CONC001",))
 
 GLOBAL_BAD = '''\
 import threading

@@ -1,13 +1,15 @@
-"""Program pass end to end: suppressions, CLI flags, JSON v2, regressions."""
+"""Program pass end to end: suppressions, CLI selection, JSON v2, regressions."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
+import pytest
+
 from repro import schemas
 from repro.cli import main
-from repro.lint import LintConfig, lint_file, lint_sources
+from repro.lint import LintConfig, lint_sources, runner
 
 REPO_SRC = Path(__file__).resolve().parents[3] / "src"
 
@@ -31,10 +33,9 @@ RACY_SUPPRESSED = RACY.replace(
     '    _CACHE["n"]',
 )
 
-
 class TestSuppressions:
     def test_program_findings_respect_disable_comments(self):
-        config = LintConfig(select=("CONC001",), program=True)
+        config = LintConfig(select=("CONC001",))
         assert not lint_sources({"svc.py": RACY}, config).clean
         assert lint_sources({"svc.py": RACY_SUPPRESSED}, config).clean
 
@@ -48,20 +49,27 @@ class TestCLI:
         monkeypatch.chdir(tmp_path)
         return tmp_path
 
-    def test_no_program_flag_disables_the_pass(self, tmp_path, monkeypatch, capsys):
+    def test_per_file_selection_skips_the_graph_pass(self, tmp_path, monkeypatch, capsys):
         self._project(tmp_path, monkeypatch)
         assert main(["lint"]) == 1
         assert "CONC001" in capsys.readouterr().out
-        assert main(["lint", "--no-program"]) == 0
 
-    def test_program_flag_overrides_config_off(self, tmp_path, monkeypatch):
+        def no_graph(sources):
+            raise AssertionError("graph built for per-file rules only")
+
+        monkeypatch.setattr(runner, "build_program", no_graph)
+        assert main(["lint", "--select", "RNG001,EXC001"]) == 0
+
+    def test_retired_program_switch_refused(self, tmp_path, monkeypatch, capsys):
         self._project(
             tmp_path,
             monkeypatch,
             config="[tool.repro-lint]\npaths = ['pkg']\nprogram = false\n",
         )
-        assert main(["lint"]) == 0
-        assert main(["lint", "--program"]) == 1
+        assert main(["lint"]) == 2
+        assert "unknown [tool.repro-lint] key(s) 'program'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["lint", "--no-program"])
 
     def test_json_output_round_trips_program_findings(
         self, tmp_path, monkeypatch, capsys
@@ -76,15 +84,6 @@ class TestCLI:
         assert payload["violations"][0]["kind"] == "program"
 
 
-class TestScopes:
-    def test_lint_file_is_per_file_only(self, tmp_path):
-        # One file cannot witness cross-file properties; lint_file stays a
-        # fast per-file check and reports no program findings.
-        path = tmp_path / "svc.py"
-        path.write_text(RACY)
-        assert lint_file(path, LintConfig(root=tmp_path)) == []
-
-
 class TestSeededRegressions:
     """The acceptance drills: re-introducing a defect must fail the lint."""
 
@@ -94,13 +93,13 @@ class TestSeededRegressions:
             "src/repro/schemas.py": schemas_src,
             "src/repro/rogue.py": f'SCHEMA = "{schemas.REQUEST_SCHEMA}"\n',
         }
-        config = LintConfig(select=("SCHEMA001X",), program=True)
+        config = LintConfig(select=("SCHEMA001X",))
         result = lint_sources(sources, config)
         assert [v.rule for v in result.violations] == ["SCHEMA001X"]
         assert result.violations[0].path == "src/repro/rogue.py"
 
     def test_dropping_a_lock_fails(self):
-        config = LintConfig(select=("CONC001",), program=True)
+        config = LintConfig(select=("CONC001",))
         locked = RACY.replace(
             "_CACHE = {}",
             "_CACHE = {}\n_LOCK = threading.Lock()",

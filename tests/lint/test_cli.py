@@ -38,6 +38,17 @@ class TestExitCodes:
         assert main(["lint", "--select", "NOPE999"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
+    def test_unknown_rule_in_config_exits_two(self, project, capsys):
+        # A misspelt id must not turn the lint off: the project has a real
+        # RNG001 violation that select = ["RNG01"] would otherwise hide.
+        (project / "pkg" / "draw.py").write_text("import random\nrandom.random()\n")
+        assert main(["lint"]) == 1
+        (project / "pyproject.toml").write_text(
+            "[tool.repro-lint]\npaths = ['pkg']\nselect = ['RNG01']\n"
+        )
+        assert main(["lint"]) == 2
+        assert "unknown rule(s) RNG01 in select of [tool.repro-lint]" in capsys.readouterr().err
+
     def test_missing_path_exits_two(self, project, capsys):
         assert main(["lint", "does-not-exist"]) == 2
         assert "does not exist" in capsys.readouterr().err

@@ -44,26 +44,34 @@ class TestLoadConfig:
         assert config.exclude == ()
 
     def test_unknown_keys_refused_by_name(self, tmp_path):
-        write_pyproject(
-            tmp_path,
-            PYPROJECT
-            + 'ignores = ["EXC001"]\n'
-            + '[tool.repro-lint.per-path-ignores]\n"tests/" = ["EXC001"]\n',
-        )
+        cases = [
+            (
+                'ignores = ["EXC001"]\n'
+                '[tool.repro-lint.per-path-ignores]\n"tests/" = ["EXC001"]\n',
+                "'ignores', 'per-path-ignores'",
+            ),
+            # Retired knobs: the graph pass follows the selection, the
+            # schema module is fixed, ARCH001 debt is a site suppression.
+            ("program = false\n", "'program'"),
+            ('schema-module = "repro.schemas"\n', "'schema-module'"),
+            ("arch-allow = []\n", "'arch-allow'"),
+        ]
+        for extra, named in cases:
+            write_pyproject(tmp_path, PYPROJECT + extra)
+            with pytest.raises(ValueError) as info:
+                load_config(tmp_path)
+            message = str(info.value)
+            assert f"unknown [tool.repro-lint] key(s) {named} in" in message
+            assert "known: exclude, ignore, paths, select" in message
+
+    @pytest.mark.parametrize("key", ["select", "ignore"])
+    def test_unknown_rule_ids_refused_by_name(self, tmp_path, key):
+        write_pyproject(tmp_path, f'[tool.repro-lint]\n{key} = ["RNG001", "rng01"]\n')
         with pytest.raises(ValueError) as info:
             load_config(tmp_path)
         message = str(info.value)
-        assert "unknown [tool.repro-lint] key(s) 'ignores', 'per-path-ignores'" in message
-        assert "known: arch-allow, exclude, ignore" in message
-
-    def test_dashed_and_underscored_keys_both_known(self, tmp_path):
-        write_pyproject(
-            tmp_path,
-            '[tool.repro-lint]\nschema-module = "a.b"\narch_allow = ["cycle:x<->y"]\n',
-        )
-        config = load_config(tmp_path)
-        assert config.schema_module == "a.b"
-        assert config.arch_allow == ("cycle:x<->y",)
+        assert f"unknown rule(s) RNG01 in {key} of [tool.repro-lint]" in message
+        assert "available: ARCH001, CONC001, EXC001, RNG001, SCHEMA001X" in message
 
 
 class TestRuleSelection:

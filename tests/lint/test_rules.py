@@ -7,12 +7,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.lint import LintConfig, lint_source
+from repro.lint import LintConfig, lint_sources
 from tests.lint.conftest import LIBRARY_PATH
 
 
+def lint_one(source, relpath, config=None):
+    return lint_sources({relpath: source}, config or LintConfig()).violations
+
+
 def rules_fired(source, relpath="src/repro/fake/module.py", config=None):
-    return [v.rule for v in lint_source(source, relpath, config or LintConfig())]
+    return [v.rule for v in lint_one(source, relpath, config)]
 
 
 def lint_fixture(read, name, relpath=None, config=None):
@@ -46,9 +50,30 @@ class TestRNG001:
             "b = np.random.default_rng(seed=3)\n"
             "c = np.random.default_rng()\n"
         )
-        violations = lint_source(source, "tests/fake/test_x.py", LintConfig())
+        violations = lint_one(source, "tests/fake/test_x.py")
         assert [(v.rule, v.line) for v in violations] == [("RNG001", 4)]
         assert "OS entropy" in violations[0].message
+
+    def test_only_zero_arg_default_rng_is_a_sink(self):
+        # Outside the library, a generator built from a caller's seed is
+        # fine even when the seed arrives through a helper's parameter.
+        source = (
+            "import numpy as np\n\n\n"
+            "def fit(values, rng):\n"
+            "    make_unseeded()\n"
+            "    make_seeded(3)\n"
+            "    return values\n\n\n"
+            "def make_unseeded():\n"
+            "    return np.random.default_rng()\n\n\n"
+            "def make_seeded(seed):\n"
+            "    return np.random.default_rng(seed)\n"
+        )
+        config = LintConfig(select=("RNG001",))
+        violations = lint_one(source, "examples/gen.py", config)
+        assert [(v.rule, v.path, v.line) for v in violations] == [
+            ("RNG001", "examples/gen.py", 11)
+        ]
+        assert "default_rng" in violations[0].message
 
     def test_seeding_module_is_exempt(self, fixture_source):
         fired = lint_fixture(
@@ -73,13 +98,13 @@ class TestRNG001:
         ],
     )
     def test_aliased_numpy_random_import_fires(self, source):
-        violations = lint_source(source, "src/repro/m.py", LintConfig())
+        violations = lint_one(source, "src/repro/m.py")
         assert [(v.rule, v.line) for v in violations] == [("RNG001", 1)]
         assert "direct numpy.random import" in violations[0].message
 
     def test_aliased_stdlib_random_fires(self):
         source = "import random as r\n\n\ndef draw():\n    return r.random()\n"
-        violations = lint_source(source, "src/repro/m.py", LintConfig())
+        violations = lint_one(source, "src/repro/m.py")
         assert [(v.rule, v.line) for v in violations] == [("RNG001", 5)]
         assert "stdlib r.random(...)" in violations[0].message
 
@@ -171,7 +196,7 @@ class TestLiveViolationRegressions:
 
 class TestParseErrors:
     def test_syntax_error_reported_not_raised(self):
-        violations = lint_source("def broken(:\n", "src/repro/x.py", LintConfig())
+        violations = lint_one("def broken(:\n", "src/repro/x.py")
         assert [v.rule for v in violations] == ["PARSE"]
         assert violations[0].line == 1
 

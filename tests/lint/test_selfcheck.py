@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths, load_config
+from repro.lint import ProgramRule, available_rules, lint_paths, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -48,5 +48,6 @@ class TestRepositoryIsClean:
             "RNG001", "EXC001", "CONC001", "SCHEMA001X", "ARCH001",
         }
         assert repo_config.ignore == ()
-        assert repo_config.program is True
-        assert repo_config.schema_module == "repro.schemas"
+        # Selecting program rules is what runs the graph pass.
+        rules = available_rules()
+        assert any(isinstance(rules[r], ProgramRule) for r in repo_config.select)

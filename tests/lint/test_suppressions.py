@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.lint import LintConfig, lint_source
+from repro.lint import LintConfig, lint_sources
 from repro.lint.suppressions import parse_suppressions
 
 
 def suppression_findings(source):
     return [
         (v.line, v.message)
-        for v in lint_source(source, "src/repro/fake/module.py", LintConfig())
+        for v in lint_sources({"src/repro/fake/module.py": source}).violations
         if v.rule == "SUPPRESSION"
     ]
 
@@ -116,4 +116,5 @@ class TestChecked:
     def test_checked_even_when_no_rule_is_selected(self):
         config = LintConfig(select=())
         source = "x = 1  # repro-lint: disable=RNG001\n"
-        assert [v.rule for v in lint_source(source, "m.py", config)] == ["SUPPRESSION"]
+        found = lint_sources({"m.py": source}, config).violations
+        assert [v.rule for v in found] == ["SUPPRESSION"]
