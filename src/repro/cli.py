@@ -321,7 +321,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if stages:
         breakdown = ", ".join(
             f"{stage} {stages[stage]:.2f}s"
-            for stage in ("adapt", "synthesize", "classify", "fit", "total")
+            for stage in ("adapt", "synthesize", "classify", "fit", "score", "total")
             if stage in stages
         )
         print(f"\nstage wall-time: {breakdown}")

@@ -15,7 +15,7 @@ ACCURACY_BUCKETS: tuple[float, ...] = (1 / 4, 1 / 3, 1 / 2)
 
 
 def lead_exponent_distance(
-    model: PerformanceFunction,
+    model: "PerformanceFunction | Sequence[ExponentPair]",
     truth: "PerformanceFunction | Sequence[ExponentPair]",
     log_weight: float = 0.0,
 ) -> float:
@@ -25,17 +25,17 @@ def lead_exponent_distance(
     ``|Δi| + log_weight * |Δj|``; the default compares polynomial orders
     only (see :meth:`ExponentPair.distance` and DESIGN.md). The overall
     distance is the maximum over parameters, so a model is only as correct
-    as its worst parameter. ``truth`` may also be the truth's
-    :meth:`~PerformanceFunction.lead_exponents`, computed once for many
-    models.
+    as its worst parameter. Either side may also be given as its
+    :meth:`~PerformanceFunction.lead_exponents` (a sweep finds a whole
+    batch's leads at once).
     """
+    if isinstance(model, PerformanceFunction):
+        model = model.lead_exponents()
     if isinstance(truth, PerformanceFunction):
         truth = truth.lead_exponents()
-    if model.n_params != len(truth):
-        raise ValueError(
-            f"arity mismatch: model has {model.n_params} parameters, truth {len(truth)}"
-        )
-    return max(m.distance(t, log_weight) for m, t in zip(model.lead_exponents(), truth))
+    if len(model) != len(truth):
+        raise ValueError(f"arity mismatch: model has {len(model)} parameters, truth {len(truth)}")
+    return max(m.distance(t, log_weight) for m, t in zip(model, truth))
 
 
 def bucket_fractions(

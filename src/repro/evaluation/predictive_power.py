@@ -17,7 +17,7 @@ def _predicted_and_reference(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """``model`` and ``truth`` at ``points``: a function is evaluated on the
     stacked points, and anything else is taken as its values there."""
-    if not points:
+    if len(points) == 0:
         raise ValueError("no evaluation points given")
     if isinstance(model, PerformanceFunction) or isinstance(truth, PerformanceFunction):
         pts = np.stack([p.as_array() for p in points])
@@ -44,8 +44,11 @@ def relative_prediction_errors(
     ``truth`` may be the ground-truth function (synthetic evaluation) or the
     already-known reference values at the points (case studies, where the
     reference is the measured value at the hold-out configuration).
-    ``model`` may likewise be a ready vector of predictions (a sweep
-    evaluates each model once for both of its error measures).
+    ``model`` may likewise be a ready vector of predictions. A sweep
+    passes a whole batch: ``(K, n)`` predictions and reference values, one
+    row per function, with ``points`` their ``(K, n, m)`` points; every
+    operation is elementwise, so each row is what that function alone
+    gives.
     """
     predicted, reference = _predicted_and_reference(model, truth, points)
     if np.any(reference == 0):
@@ -66,7 +69,8 @@ def prediction_smape(
     errors let a single blow-up dominate any mean while SMAPE saturates --
     the same reason the pipeline's model selection uses SMAPE. ``model``
     may also be a ready vector of predictions (predictor-only baselines
-    such as GPR).
+    such as GPR), or a batch of them as for
+    :func:`relative_prediction_errors`.
     """
     predicted, reference = _predicted_and_reference(model, truth, points)
     denominator = np.abs(predicted) + np.abs(reference)

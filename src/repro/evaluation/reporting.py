@@ -128,7 +128,7 @@ class ReproductionReport:
             ]
         if any(sweep.stage_seconds for sweep in self.sweeps.values()):
             rows = []
-            stage_names = ("synthesize", "classify", "fit", "total")
+            stage_names = ("synthesize", "classify", "fit", "score", "total")
             for m, sweep in sorted(self.sweeps.items()):
                 rows.append(
                     [f"m={m}"]

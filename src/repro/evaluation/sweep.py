@@ -29,13 +29,16 @@ import numpy as np
 from repro.evaluation.accuracy import ACCURACY_BUCKETS, bucket_fractions, lead_exponent_distance
 from repro.evaluation.predictive_power import prediction_smape, relative_prediction_errors
 from repro.experiment.experiment import Kernel
-from repro.modeling.batch import attempt, unwrap
+from repro.experiment.measurement import Coordinate
+from repro.modeling.batch import attempt, failed
 from repro.modeling.registry import create_modelers
 from repro.noise.registry import noise_axis, noise_for_level
 from repro.dnn.modeler import prime_candidate_cache
 from repro.parallel.engine import EngineConfig, EngineSession, Progress, TaskFailure
 from repro.run.lifecycle import RunLifecycle, merge_stage_seconds, worker_task
-from repro.synthesis.evaluation_points import evaluation_points
+from repro.pmnf.terms import ExponentPair
+from repro.regression.fast_multi import stacked_bases
+from repro.synthesis.evaluation_points import evaluation_grid
 from repro.synthesis.functions import (
     random_multi_parameter_function,
     random_single_parameter_function,
@@ -189,7 +192,7 @@ class SweepResult:
 
     config: SweepConfig
     cells: dict[tuple[float, str], CellResult]
-    #: Wall-clock seconds per pipeline stage (synthesize / classify / fit,
+    #: Wall-clock seconds per pipeline stage (synthesize / classify / fit / score,
     #: summed over workers) plus the engine's end-to-end ``total``.
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Tasks the engine marked failed (worker crash / chunk timeout), i.e.
@@ -244,8 +247,20 @@ def _init_worker(config: SweepConfig, modelers: Mapping[str, object]) -> None:
     _WORKER_STATE["modelers"] = modelers
 
 
-def _synthesize_task(noise: float, gen: np.random.Generator, config: SweepConfig):
-    """Draw one ground truth and simulate its noisy campaign."""
+def _noise_models(config: SweepConfig, tasks) -> dict:
+    """Each distinct noise level of ``tasks`` bound to its noise model, once.
+
+    A model holds only its constructor's settings and draws from the
+    generator each call is given, so every task of one level shares it.
+    """
+    levels = dict.fromkeys(noise for noise, _ in tasks)
+    return {noise: noise_for_level(config.noise, noise) for noise in levels}
+
+
+def _synthesize_task(noise_model, gen: np.random.Generator, config: SweepConfig):
+    """Draw one ground truth and simulate its noisy campaign under
+    ``noise_model``; returns ``(truth, kernel, P+ points, gen)`` with the
+    points an ``(n_eval_points, m)`` array."""
     m = config.n_params
     if m == 1:
         truth = random_single_parameter_function(gen)
@@ -263,49 +278,195 @@ def _synthesize_task(noise: float, gen: np.random.Generator, config: SweepConfig
         points = grid_points(value_sets)
     kernel = Kernel("synthetic")
     kernel.add_rows(
-        points,
-        synthesize_measurements(
-            truth, points, noise_for_level(config.noise, noise), config.repetitions, gen
-        ),
+        points, synthesize_measurements(truth, points, noise_model, config.repetitions, gen)
     )
-    eval_pts = evaluation_points(value_sets, config.n_eval_points)
-    return truth, kernel, eval_pts, gen
+    return truth, kernel, evaluation_grid(value_sets, config.n_eval_points), gen
 
 
-def _model_batch(prepared, config: SweepConfig, modelers) -> "list[TaskOutcome]":
-    """Model a batch of synthesized functions, one modeler at a time.
+def _model_batch(prepared, config: SweepConfig, modelers) -> "dict[str, list]":
+    """Every modeler's outcome on every function of a batch, one modeler
+    at a time.
 
     Closed-form modelers model the whole batch in one ``model_kernels``
     call, sharing one job memo: a ``(pipeline, kernel)`` job runs once per
     batch, however many modelers use it (the adaptive modeler's calm-kernel
-    regression is the sibling regression modeler's). Predictor-only
-    baselines (GPR's ``predict_at``) contribute prediction errors and SMAPE
-    but no lead-exponent distance (recorded as NaN -- model accuracy is
-    undefined for a black-box posterior, not failed).
+    regression is the sibling regression modeler's). Their outcomes are
+    :class:`~repro.modeling.pipeline.ModelResult` s; a predictor-only
+    baseline's (GPR's ``predict_at``) are ``(predictions, seconds)`` pairs.
+    Each outcome may instead be the exception its function raised.
     """
     kernels = [kernel for _, kernel, _, _ in prepared]
     rngs = [gen for _, _, _, gen in prepared]
-    references = [attempt(_reference, truth, eval_pts) for truth, _, eval_pts, _ in prepared]
     memo: dict = {}
-    out: "list[TaskOutcome]" = [{} for _ in prepared]
+    modeled: "dict[str, list]" = {}
     for name, modeler in modelers.items():
-        if not hasattr(modeler, "model_kernels"):
-            for task, (_, kernel, eval_pts, _), reference in zip(out, prepared, references):
-                task[name] = _predicted_outcome(modeler, reference, kernel, eval_pts, config)
-            continue
-        results = modeler.model_kernels(kernels, config.n_params, rngs, memo=memo)
-        for task, (_, _, eval_pts, _), reference, result in zip(
-            out, prepared, references, results
-        ):
-            task[name] = _scored_outcome(result, reference, eval_pts, config)
+        if hasattr(modeler, "model_kernels"):
+            modeled[name] = modeler.model_kernels(kernels, config.n_params, rngs, memo=memo)
+        else:
+            modeled[name] = [
+                attempt(_predict, modeler, kernel, points) for _, kernel, points, _ in prepared
+            ]
+    return modeled
+
+
+def _predict(modeler, kernel, points: np.ndarray) -> tuple:
+    """A predictor-only baseline's ``(predictions, seconds)`` at ``points``."""
+    coordinates = [Coordinate(*point) for point in points]
+    started = time.perf_counter()
+    predicted = modeler.predict_at(kernel, coordinates)
+    return predicted, time.perf_counter() - started
+
+
+def _stacked_predictions(groups, points: np.ndarray) -> tuple:
+    """Every function of ``groups`` at its row's ``P+`` points, from one
+    :func:`~repro.regression.fast_multi.stacked_bases` call.
+
+    ``points`` has shape ``(K, n, m)``, positive and finite as
+    :func:`evaluation_grid` makes them, and ``groups[g][k]`` is the
+    :class:`~repro.pmnf.function.PerformanceFunction` to evaluate at
+    ``points[k]``, or ``None``. Returns ``(pairs, results)``, with one
+    ``(values, ok, leads)`` per group: ``values`` ``(K, n)``; ``ok`` ``(K,)``,
+    false where a function is ``None`` or has another arity (``evaluate``
+    would raise); ``leads`` ``(K, m)``, the index into ``pairs`` of each
+    parameter's lead exponent pair, as
+    :meth:`~repro.pmnf.function.PerformanceFunction.lead_exponents` picks it.
+
+    A term column is bitwise the factor's own evaluation, and terms are
+    combined in ``evaluate``'s elementwise order: each term is its
+    coefficient times its factors in parameter order, an absent factor
+    being an exact ``1.0``; the terms are added to the constant one at a
+    time, a missing term being an exact ``-0.0``.
+    """
+    K, n, m = points.shape
+    # pairs[0] is the constant factor; a factor's pair index is its
+    # position here, and its column (k, l) an index into ``columns``.
+    pairs: "dict[ExponentPair, int]" = {ExponentPair(0, 0): 0}
+    columns: "dict[tuple[int, int], int]" = {}
+    plans = []
+    for group in groups:
+        usable = [f is not None and f.n_params == m for f in group]
+        width = max((len(f.terms) for f, ok in zip(group, usable) if ok), default=0)
+        slots = [0] * (K * width * m)  # pair index, 0 where a factor is absent
+        where = [0] * (K * width * m)  # column index
+        coefficients = [-0.0] * (K * width)
+        constants = [0.0] * K
+        for k, (function, ok) in enumerate(zip(group, usable)):
+            if not ok:
+                continue
+            constants[k] = function.constant
+            for t, term in enumerate(function.terms, start=k * width):
+                coefficients[t] = term.coefficient
+                for l, factor in term.factors.items():
+                    slots[t * m + l] = pairs.setdefault(factor.exponents, len(pairs))
+                    where[t * m + l] = columns.setdefault((k, l), len(columns))
+        plans.append((usable, width, slots, where, coefficients, constants))
+    union = list(pairs)[1:]
+    keys = list(columns)
+    blocks = stacked_bases([points[k, :, l] for k, l in keys], [union] * len(keys))
+    # One table of term columns: row 0 holds ones, then one block of
+    # len(union) rows per column, the row of column j's pair index p
+    # being j * len(union) + p.
+    table = np.concatenate([np.ones((1, n)), *blocks])
+    growth = [pair.growth_key() for pair in pairs]
+    ranking = {key: r for r, key in enumerate(sorted(set(growth)))}
+    rank = np.array([ranking[key] for key in growth])
+    results = []
+    for usable, width, slots, where, coefficients, constants in plans:
+        slots = np.array(slots, dtype=np.intp).reshape(K, width, m)
+        where = np.array(where, dtype=np.intp).reshape(K, width, m)
+        rows = np.where(slots > 0, where * len(union) + slots, 0)
+        values = np.repeat(np.array(constants)[:, None], n, axis=1)
+        leads = np.zeros((K, m), dtype=np.intp)
+        if width:
+            factors = table[rows]  # (K, width, m, n)
+            terms = np.array(coefficients).reshape(K, width, 1) * factors[:, :, 0]
+            for l in range(1, m):
+                terms *= factors[:, :, l]
+            for t in range(width):
+                values += terms[:, t]
+            ranks = rank[slots]
+            best = ranks.argmax(axis=1)[:, None, :]  # the first of the fastest-growing
+            grows = np.take_along_axis(ranks, best, axis=1)[:, 0] > rank[0]
+            leads = np.where(grows, np.take_along_axis(slots, best, axis=1)[:, 0], 0)
+        results.append((values, np.array(usable), leads))
+    return list(pairs), results
+
+
+def _score_batch(
+    prepared, modeled: "dict[str, list]", modelers, config: SweepConfig
+) -> "list[TaskOutcome]":
+    """Score every modeler's outcomes on a batch, one array pass per modeler.
+
+    The truths and every closed-form model are evaluated at their
+    function's ``P+`` points together (:func:`_stacked_predictions`); the
+    relative errors and SMAPE of a modeler are one ``(K, n)`` operation
+    each. A function whose truth cannot be evaluated, or is 0 at a ``P+``
+    point, fails for every modeler; a failed or unevaluable model fails for
+    its modeler alone. Predictor-only baselines contribute errors and SMAPE
+    but no lead-exponent distance (NaN -- model accuracy is undefined for a
+    black-box posterior, not failed).
+    """
+    points = np.stack([pts for _, _, pts, _ in prepared])
+    K, n, _ = points.shape
+    closed = [name for name in modeled if hasattr(modelers[name], "model_kernels")]
+    pairs, ((truth, truth_ok, truth_leads), *fitted) = _stacked_predictions(
+        [
+            [truth for truth, _, _, _ in prepared],
+            *([None if failed(o) else o.function for o in modeled[name]] for name in closed),
+        ],
+        points,
+    )
+    truth_ok &= np.logical_and.reduce(truth != 0, axis=1)
+    predictions = dict(zip(closed, fitted))
+    distances: "dict[tuple, float]" = {}  # per (model leads, truth leads)
+    truth_leads = [tuple(row) for row in truth_leads.tolist()]
+    out: "list[TaskOutcome]" = [{} for _ in prepared]
+    for name, outcomes in modeled.items():
+        if name in predictions:
+            predicted, ok, leads = predictions[name]
+            leads = [tuple(row) for row in leads.tolist()]
+        else:
+            predicted, ok = np.full((K, n), np.nan), np.zeros(K, dtype=bool)
+            for k, outcome in enumerate(outcomes):
+                row = outcome if failed(outcome) else attempt(_as_row, outcome[0], n)
+                if not failed(row):
+                    predicted[k], ok[k] = row, True
+        ok &= truth_ok
+        # A row that fails is scored against ones and then blanked.
+        reference = np.where(ok[:, None], truth, 1.0)
+        errors = relative_prediction_errors(predicted, reference, points)
+        smape = prediction_smape(predicted, reference, points)
+        errors[~ok] = smape[~ok] = np.nan
+        for k, (task, outcome) in enumerate(zip(out, outcomes)):
+            if not ok[k]:
+                task[name] = _failed(config)
+            elif name not in predictions:
+                task[name] = (np.nan, errors[k], outcome[1], "<predictor>", smape[k], 0)
+            else:
+                key = (leads[k], truth_leads[k])
+                distance = distances.get(key)
+                if distance is None:
+                    distance = distances[key] = lead_exponent_distance(
+                        [pairs[i] for i in key[0]], [pairs[i] for i in key[1]]
+                    )
+                provenance = outcome.provenance
+                task[name] = (
+                    distance,
+                    errors[k],
+                    outcome.seconds,
+                    outcome.function.format(),
+                    smape[k],
+                    provenance.dropped_repetitions if provenance is not None else 0,
+                )
     return out
 
 
-def _reference(truth, eval_pts) -> tuple:
-    """``(points, values, leads)``: one function's evaluation points stacked,
-    its truth there and its lead exponents, shared by every modeler."""
-    points = np.stack([p.as_array() for p in eval_pts])
-    return points, np.atleast_1d(truth.evaluate(points)), truth.lead_exponents()
+def _as_row(predicted, n: int) -> np.ndarray:
+    """A baseline's predictions as a row of ``n`` values, or raise."""
+    row = np.atleast_1d(np.asarray(predicted, dtype=float))
+    if row.shape != (n,):
+        raise ValueError("one prediction per evaluation point is required")
+    return row
 
 
 def _sweep_modelers(modelers) -> "dict[str, object]":
@@ -316,45 +477,6 @@ def _sweep_modelers(modelers) -> "dict[str, object]":
         if not (hasattr(modeler, "model_kernels") or hasattr(modeler, "predict_at")):
             raise TypeError(f"modeler {label!r} has neither model_kernels nor predict_at")
     return modelers
-
-
-def _scored_outcome(result, reference, eval_pts, config: SweepConfig) -> tuple:
-    """One closed-form modeler's outcome on one function, its model
-    evaluated once at the function's :func:`_reference` points."""
-    try:
-        model = unwrap(result)
-        function = model.function
-        points, truth, leads = unwrap(reference)
-        predicted = np.atleast_1d(function.evaluate(points))
-        return (
-            lead_exponent_distance(function, leads),
-            relative_prediction_errors(predicted, truth, eval_pts),
-            model.seconds,
-            function.format(),
-            prediction_smape(predicted, truth, eval_pts),
-            model.provenance.dropped_repetitions if model.provenance is not None else 0,
-        )
-    # repro-lint: disable-next-line=EXC001 -- not swallowed: the failure is
-    # recorded as a maximally-wrong outcome (inf distance, NaN errors) so it
-    # degrades the modeler's score instead of silently shrinking the sample.
-    except Exception:
-        return _failed(config)
-
-
-def _predicted_outcome(modeler, reference, kernel, eval_pts, config: SweepConfig) -> tuple:
-    """One predictor-only baseline's outcome on one function."""
-    try:
-        started = time.perf_counter()
-        predicted = modeler.predict_at(kernel, eval_pts)
-        elapsed = time.perf_counter() - started
-        _, truth, _ = unwrap(reference)
-        errors = relative_prediction_errors(predicted, truth, eval_pts)
-        smape = prediction_smape(predicted, truth, eval_pts)
-        return (np.nan, errors, elapsed, "<predictor>", smape, 0)
-    # repro-lint: disable-next-line=EXC001 -- not swallowed: recorded as a
-    # maximally-wrong outcome, as for the closed-form modelers.
-    except Exception:
-        return _failed(config)
 
 
 def _failed(config: SweepConfig) -> tuple:
@@ -375,20 +497,24 @@ def _run_batch(batch: "list[tuple[float, np.random.Generator]]") -> tuple:
     batched classification pass only *precomputes* what the per-kernel path
     would compute anyway (the DNN's top-k candidates), priming the
     modeler's candidate cache; each modeler then models the batch stage by
-    stage (:func:`_model_batch`).
+    stage (:func:`_model_batch`), and the batch is scored in one array pass
+    (:func:`_score_batch`).
     """
     config: SweepConfig = _WORKER_STATE["config"]
     modelers: Mapping[str, object] = _WORKER_STATE["modelers"]
     with worker_task("sweep.batch", functions=len(batch)) as task:
         with task.stage("synthesize", "batch.synthesize"):
-            prepared = [_synthesize_task(noise, gen, config) for noise, gen in batch]
+            noise_models = _noise_models(config, batch)
+            prepared = [_synthesize_task(noise_models[noise], gen, config) for noise, gen in batch]
         with task.stage("classify", "batch.classify"):
             kernels = [kernel for _, kernel, _, _ in prepared]
             prime_candidate_cache(
                 (modeler, kernels, config.n_params) for modeler in modelers.values()
             )
         with task.stage("fit", "batch.fit"):
-            outcomes = _model_batch(prepared, config, modelers)
+            modeled = _model_batch(prepared, config, modelers)
+        with task.stage("score", "batch.score"):
+            outcomes = _score_batch(prepared, modeled, modelers, config)
     return task.envelope(outcomes)
 
 
@@ -412,8 +538,9 @@ def _adaptation_keys(config: SweepConfig, tasks, resolution: float) -> list:
     from repro.dnn.domain_adaptation import AdaptationTask
 
     keys = []
+    noise_models = _noise_models(config, tasks)
     for noise, gen in tasks:
-        _, kernel, _, _ = _synthesize_task(noise, clone_generator(gen), config)
+        _, kernel, _, _ = _synthesize_task(noise_models[noise], clone_generator(gen), config)
         keys.append(AdaptationTask.from_kernel(kernel, config.n_params).key(resolution))
     return keys
 

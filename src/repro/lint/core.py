@@ -112,14 +112,13 @@ class LintContext:
 class Rule:
     """Base class for per-file lint rules.
 
-    Subclasses set :attr:`rule_id` and :attr:`summary`, list the AST node
-    class names they want in :attr:`interests`, and implement :meth:`visit`
-    as a generator of ``(node, message)`` findings. :meth:`start_file` can
+    Subclasses set :attr:`rule_id`, list the AST node class names they
+    want in :attr:`interests`, and implement :meth:`visit` as a generator
+    of ``(node, message)`` findings. :meth:`start_file` can
     veto a file entirely (return ``False``) or reset per-file state.
     """
 
     rule_id: str = ""
-    summary: str = ""
     interests: "tuple[str, ...]" = ()
 
     def start_file(self, ctx: LintContext) -> bool:

@@ -43,7 +43,6 @@ class SharedStateLockRule(ProgramRule):
     """
 
     rule_id = "CONC001"
-    summary = "shared mutable state must be mutated under a lock"
 
     def check(self, graph: ProgramGraph) -> "Iterator[Violation]":
         closure = graph.reachable_from(graph.thread_roots)
@@ -147,7 +146,6 @@ class SchemaLiteralDriftRule(ProgramRule):
     """
 
     rule_id = "SCHEMA001X"
-    summary = "wire-schema literals must resolve to the canonical constants"
 
     def check(self, graph: ProgramGraph) -> "Iterator[Violation]":
         canonical = graph.modules.get(SCHEMA_MODULE)
@@ -204,7 +202,6 @@ class ImportHygieneRule(ProgramRule):
     """
 
     rule_id = "ARCH001"
-    summary = "import cycles and dead public exports"
 
     def check(self, graph: ProgramGraph) -> "Iterator[Violation]":
         yield from self._cycles(graph)

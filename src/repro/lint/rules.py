@@ -52,7 +52,6 @@ class NoAdHocRandomness(Rule):
     """
 
     rule_id = "RNG001"
-    summary = "randomness outside util/seeding: thread an explicit np.random.Generator"
     interests = ("Call", "Import", "ImportFrom")
 
     def start_file(self, ctx: LintContext) -> bool:
@@ -166,7 +165,6 @@ class NoSilentBroadExcept(Rule):
     """
 
     rule_id = "EXC001"
-    summary = "broad except swallows the failure; re-raise, log, or justify"
     interests = ("ExceptHandler",)
 
     def visit(self, node: ast.AST, ctx: LintContext) -> "Iterator[tuple[ast.AST, str]]":

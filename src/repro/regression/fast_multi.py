@@ -24,13 +24,13 @@ one by :func:`~repro.regression.multi_parameter.indexed`, uncached.
 :func:`_design_plan` says which slot columns (from one
 :func:`_exponent_basis` per parameter, or per column length for a whole
 batch: :func:`stacked_bases`) and block products a kernel needs, and which
-fill each coefficient-count bucket. A candidate carries its index
-and its bucket row, not a :class:`Hypothesis`.
-:meth:`~FastMultiParameterSearch.choose` takes the plausible candidates
-with the lowest score and breaks a tie by complexity key, then by index,
-building only the tied hypotheses (almost always one, the winner). The
-index is the last tie-break, which is why a template keeps the historical
-expansion order (see
+fill each coefficient-count bucket. A scored design is a row of its
+bucket's score arrays, not a :class:`Hypothesis`.
+:meth:`~FastMultiParameterSearch.choose` takes the smallest
+``(implausible, cv)`` straight from those arrays and breaks an exact tie by
+complexity key, then by index, building only the tied hypotheses (almost
+always one, the winner). The index is the last tie-break, which is why a
+template keeps the historical expansion order (see
 :func:`~repro.regression.multi_parameter.combination_template`).
 
 **Stacking across kernels.** :func:`score_stacked` scores many
@@ -68,13 +68,6 @@ from repro.pmnf.terms import ExponentPair, require_positive
 from repro.regression.hypothesis import FittedModel, Hypothesis
 from repro.regression.multi_parameter import CombinationTemplate, indexed
 from repro.regression.selection import ScoredModel
-
-#: One scored candidate: (implausible, cv_smape, order, kernel, c, row), the
-#: hypothesis being ``kernel.hypotheses[order]`` and its fit row ``row`` of
-#: the kernel's ``c``-coefficient bucket.
-#: :meth:`FastMultiParameterSearch.choose` replicates the reference
-#: selection over them.
-Candidate = "tuple[bool, float, int, _KernelDesigns, int, int]"
 
 #: Most designs one :func:`_batched_scores` call stacks. The cap bounds
 #: memory, not speed: a sweep batch's ``(125, 3)`` bucket holds ~1,150
@@ -156,15 +149,20 @@ def stacked_bases(
             members = [k for k, ok in zip(members, positive.tolist()) if ok]
             stack = stack[positive]
         owners: "dict[tuple[ExponentPair, ...], list[tuple[int, int]]]" = {}
+        # One pair list shared by many columns is hashed once.
+        shared: "dict[int, list[tuple[int, int]]]" = {}
         for r, k in enumerate(members):
-            owners.setdefault(tuple(pairs[k]), []).append((r, k))
+            rows = shared.get(id(pairs[k]))
+            if rows is None:
+                rows = shared[id(pairs[k])] = owners.setdefault(tuple(pairs[k]), [])
+            rows.append((r, k))
         if not owners:
             continue
         basis = _exponent_basis(stack, dict.fromkeys(p for key in owners for p in key))
         for key, rows in owners.items():
             # Only the owners' rows: a view of a shared block would keep
             # every other column's rows alive for the whole batch.
-            taken = [r for r, _ in rows]
+            taken = [r for r, _ in rows] if len(owners) > 1 else slice(None)
             block = np.stack([basis[pair][taken] for pair in key], axis=1)
             for i, (_, k) in enumerate(rows):
                 blocks[k] = block[i]
@@ -449,17 +447,6 @@ class _KernelDesigns:
     def serves(self, hypotheses, points, values) -> bool:
         return self.hypotheses is hypotheses and self.points is points and self.values is values
 
-    def candidates(self) -> "list[Candidate]":
-        """One :data:`Candidate` per hypothesis with a finite score."""
-        candidates: "list[Candidate]" = []
-        for c, (ids, _) in self.buckets.items():
-            cv, plausible, _, _ = self.group.scores[c]
-            rows = zip(ids, np.isfinite(cv).tolist(), (~plausible).tolist(), cv.tolist())
-            for row, (idx, finite, implausible, score) in enumerate(rows):
-                if finite:
-                    candidates.append((implausible, score, idx, self, c, row))
-        return candidates
-
 
 class FastMultiParameterSearch:
     """Batched evaluation and selection over candidate sequences: a
@@ -514,37 +501,56 @@ class FastMultiParameterSearch:
         hypotheses: Sequence[Hypothesis],
         points: np.ndarray,
         values: np.ndarray,
-    ) -> "list[Candidate]":
+    ) -> _KernelDesigns:
         """Batch-fit and LOO-score every applicable hypothesis.
 
-        The fit stage of the pipeline. Mirrors the reference
-        ``evaluate_hypotheses``: hypotheses with more coefficients than
-        ``n - 1`` points or with non-finite LOO predictions are skipped
-        (possibly leaving an empty list). A kernel :meth:`prescored` stacked
-        is served from that pass; any other is stacked alone.
+        The fit stage of the pipeline; returns the kernel's scored designs.
+        Mirrors the reference ``evaluate_hypotheses``: hypotheses with more
+        coefficients than ``n - 1`` points have no design, and a design with
+        non-finite LOO predictions scores ``inf`` (:meth:`choose` skips it).
+        A kernel :meth:`prescored` stacked is served from that pass; any
+        other is stacked alone.
         """
         kernel = self._scored.get((id(hypotheses), id(values)))
         if kernel is None or not kernel.serves(hypotheses, points, values):
             kernel = _KernelDesigns(hypotheses, points, values).build()
             score_stacked([kernel.group])
-        return kernel.candidates()
+        return kernel
 
-    def choose(self, candidates: "Sequence[Candidate]") -> ScoredModel:
-        """Pick the winner among scored candidates.
+    def choose(self, kernel: _KernelDesigns) -> ScoredModel:
+        """Pick the winner among a kernel's scored designs.
 
-        The select stage of the pipeline. The winner's model is built from
-        the coefficients and surviving terms its stacked pass left, so it is
+        The select stage of the pipeline, read from the bucket arrays: the
+        plausible designs with a finite score if there are any, else all
+        with a finite score; the lowest score among them; an exact tie
+        broken by complexity key, then by hypothesis index, so only the tied
+        hypotheses are built. The winner's model is built from the
+        coefficients and surviving terms its stacked pass left, so it is
         bit-identical to the per-hypothesis loop's output.
         """
-        if not candidates:
+        buckets = [(c, ids) for c, (ids, _) in kernel.buckets.items()]
+        scores = [kernel.group.scores[c][:2] for c, _ in buckets]
+        finite = np.empty(0, dtype=bool)
+        if scores:
+            cv, plausible = (np.concatenate(part) for part in zip(*scores))
+            finite = np.isfinite(cv)
+        if not finite.any():
             raise ValueError("no valid hypotheses to select from")
-        # Plausible first, then the lowest score; ties break by complexity,
-        # then by order, so only the tied hypotheses are built.
-        top = min(cand[:2] for cand in candidates)
-        tied = [(cand[3].hypotheses[cand[2]], cand) for cand in candidates if cand[:2] == top]
-        winner, (_, _, _, kernel, c, row) = min(
-            tied, key=lambda pair: (pair[0].complexity_key(), pair[1][2])
-        )
+        pool = finite & plausible
+        if not pool.any():
+            pool = finite
+        tied = []  # (c, row, hypothesis index) of each design at the minimum
+        for flat in (pool & (cv == cv[pool].min())).nonzero()[0].tolist():
+            for c, ids in buckets:
+                if flat < len(ids):
+                    tied.append((c, flat, ids[flat]))
+                    break
+                flat -= len(ids)
+        if len(tied) == 1:
+            c, row, idx = tied[0]
+            return kernel.group.scored(kernel.hypotheses[idx], c, row)
+        ranked = [(kernel.hypotheses[idx], c, row, idx) for c, row, idx in tied]
+        winner, c, row, _ = min(ranked, key=lambda t: (t[0].complexity_key(), t[3]))
         return kernel.group.scored(winner, c, row)
 
     def select(

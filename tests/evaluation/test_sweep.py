@@ -131,24 +131,26 @@ class TestFixedLayout:
 
     def test_fixed_layout_used_for_every_function(self):
         from repro.evaluation.sweep import _synthesize_task
+        from repro.noise.registry import noise_for_level
 
         config = SweepConfig(
             n_params=1, noise_levels=(0.1,), parameter_value_sets=self.LAYOUT
         )
         gen = np.random.default_rng(0)
         for _ in range(3):
-            _, kernel, _, gen = _synthesize_task(0.1, gen, config)
+            _, kernel, _, gen = _synthesize_task(noise_for_level(config.noise, 0.1), gen, config)
             values = sorted({m.coordinate[0] for m in kernel.measurements})
             assert values == list(self.LAYOUT[0])
 
     def test_random_layouts_differ_across_functions(self):
         from repro.evaluation.sweep import _synthesize_task
+        from repro.noise.registry import noise_for_level
 
         config = SweepConfig(n_params=1, noise_levels=(0.1,))
         gen = np.random.default_rng(0)
         layouts = []
         for _ in range(3):
-            _, kernel, _, gen = _synthesize_task(0.1, gen, config)
+            _, kernel, _, gen = _synthesize_task(noise_for_level(config.noise, 0.1), gen, config)
             layouts.append(tuple(sorted({m.coordinate[0] for m in kernel.measurements})))
         assert len(set(layouts)) > 1
 

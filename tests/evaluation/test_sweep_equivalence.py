@@ -59,7 +59,7 @@ class TestSweepEquivalence:
 
     def test_stage_seconds_recorded(self, serial_reference):
         stages = serial_reference.stage_seconds
-        assert {"synthesize", "classify", "fit", "total"} <= set(stages)
+        assert {"synthesize", "classify", "fit", "score", "total"} <= set(stages)
         assert all(seconds >= 0.0 for seconds in stages.values())
         assert serial_reference.engine_failures == 0
 

@@ -152,7 +152,10 @@ class TestStackedCalls:
         one ``_batched_scores`` call per ``(n, c)`` shape per 256 designs."""
         config = sweep.SweepConfig(n_params=2, noise_levels=(0.05,), n_functions=7, batch_size=7)
         tasks = [(0.05, np.random.default_rng(100 + seed)) for seed in range(7)]
-        kernels = [sweep._synthesize_task(n, clone_generator(g), config)[1] for n, g in tasks]
+        models = sweep._noise_models(config, tasks)
+        kernels = [
+            sweep._synthesize_task(models[n], clone_generator(g), config)[1] for n, g in tasks
+        ]
 
         def chunks(shapes: Counter) -> int:
             return sum(math.ceil(count / fast_multi.STACK_CHUNK) for count in shapes.values())

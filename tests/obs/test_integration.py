@@ -94,7 +94,7 @@ class TestTraceArtifact:
         records = read_trace(result.trace_path)
         stages = {r["stage"]: r["seconds"] for r in records if r["type"] == "stage"}
         spans = [r for r in records if r["type"] == "span"]
-        assert set(stages) == {"synthesize", "classify", "fit", "total"}
+        assert set(stages) == {"synthesize", "classify", "fit", "score", "total"}
         assert stages == _stage_span_sums(spans)
 
     def test_span_tree_is_connected(self, telemetry_on, tmp_path):
@@ -161,7 +161,7 @@ class TestStageScopes:
         monkeypatch.setattr(obs_trace.Tracer, "__init__", track_tracer)
         monkeypatch.setattr(obs_trace.Span, "__init__", track_span)
         result = run_sweep(CONFIG, MODELERS, rng=1, processes=1)
-        assert set(result.stage_seconds) == {"synthesize", "classify", "fit", "total"}
+        assert set(result.stage_seconds) == {"synthesize", "classify", "fit", "score", "total"}
         assert all(tracer.export() == [] for tracer in created["tracers"])
         assert created["spans"] == 0
         assert obs_trace.TIMING_TRACER.export() == []

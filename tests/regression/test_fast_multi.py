@@ -94,6 +94,19 @@ def assert_same_model(fst, ref):
     )
 
 
+def scored_designs(kernel):
+    """``(implausible, cv, index, c, row)`` of each of a scored kernel's
+    designs with a finite score: hypothesis ``index``, scored as row ``row``
+    of its ``c``-coefficient bucket."""
+    designs = []
+    for c, (ids, _) in kernel.buckets.items():
+        cv, plausible, _, _ = kernel.group.scores[c]
+        for row, idx in enumerate(ids):
+            if np.isfinite(cv[row]):
+                designs.append((not plausible[row], float(cv[row]), idx, c, row))
+    return designs
+
+
 def assert_engines_agree(hypotheses, points, values):
     ref = select_best(evaluate_hypotheses(hypotheses, points, values))
     fst = SEARCH.select(hypotheses, points, values)
@@ -175,40 +188,58 @@ class TestEdgeCases:
         the reference's c > n - 1 rule."""
         points = np.array([[4.0, 4.0], [8.0, 16.0]])
         values = np.array([5.0, 9.0])
-        candidates = SEARCH.score(hand_hypotheses(), points, values)
-        assert all(cand[3].hypotheses[cand[2]].n_coefficients <= 1 for cand in candidates)
+        kernel = SEARCH.score(hand_hypotheses(), points, values)
+        assert all(
+            kernel.hypotheses[idx].n_coefficients <= 1 for ids, _ in kernel.buckets.values()
+            for idx in ids
+        )
         assert_engines_agree(hand_hypotheses(), points, values)
+
+    #: A tie-break case's points and values (a plain linear kernel).
+    TIE_POINTS = np.array([[4.0, 2.0], [8.0, 3.0], [16.0, 5.0], [32.0, 7.0], [64.0, 11.0]])
+
+    def rescored(self, hypotheses, *candidates):
+        """The kernel of ``hypotheses`` as scored, with every design's score
+        made non-finite except the ``(implausible, cv, order)`` candidates,
+        whose plausibility and score are replaced."""
+        kernel = SEARCH.score(hypotheses, self.TIE_POINTS, 1.0 + self.TIE_POINTS[:, 0])
+        scores = kernel.group.scores
+        for c, (cv, plausible, beta, surviving) in scores.items():
+            scores[c] = (np.full_like(cv, np.inf), plausible.copy(), beta, surviving)
+        where = {
+            idx: (c, row) for c, (ids, _) in kernel.buckets.items() for row, idx in enumerate(ids)
+        }
+        for implausible, cv, order in candidates:
+            c, row = where[order]
+            scores[c][0][row], scores[c][1][row] = cv, not implausible
+        return kernel
 
     def test_score_ties_break_by_complexity_then_order(self):
         """Among candidates tied on plausibility and score, the simplest
         structure wins, then the earliest; a plausible one beats any
         implausible one, and a lower score beats any complexity."""
         hyps = hand_hypotheses()  # 0: constant, 1: x1, 3: x1 + x2^2, 4: x1 * x2^2
-        points = np.array([[4.0, 2.0], [8.0, 3.0], [16.0, 5.0], [32.0, 7.0], [64.0, 11.0]])
-        values = 1.0 + points[:, 0]
-
-        def rescored(hypotheses):
-            """Each hypothesis's real candidate, with its plausibility and
-            score replaced."""
-            by_order = {cand[2]: cand for cand in SEARCH.score(hypotheses, points, values)}
-            return lambda implausible, cv, order: (implausible, cv, *by_order[order][2:])
 
         def winner(*candidates):
-            return SEARCH.choose(list(candidates)).fitted.hypothesis.group_keys
+            return SEARCH.choose(self.rescored(hyps, *candidates)).fitted.hypothesis.group_keys
 
-        cand = rescored(hyps)
-        assert winner(cand(False, 1.0, 4), cand(False, 1.0, 3)) == hyps[4].group_keys
-        assert winner(cand(False, 1.0, 3), cand(False, 1.0, 1)) == hyps[1].group_keys
-        assert winner(cand(True, 0.5, 0), cand(False, 2.0, 3)) == hyps[3].group_keys
-        assert winner(cand(False, 1.0, 0), cand(False, 0.5, 4)) == hyps[4].group_keys
+        assert winner((False, 1.0, 4), (False, 1.0, 3)) == hyps[4].group_keys
+        assert winner((False, 1.0, 3), (False, 1.0, 1)) == hyps[1].group_keys
+        assert winner((True, 0.5, 0), (False, 2.0, 3)) == hyps[3].group_keys
+        assert winner((False, 1.0, 0), (False, 0.5, 4)) == hyps[4].group_keys
         same = [Hypothesis([{0: CompoundTerm(1)}], 2), Hypothesis([{0: CompoundTerm(1)}], 2)]
-        cand = rescored(same)
-        chosen = SEARCH.choose([cand(False, 1.0, 1), cand(False, 1.0, 0)])
+        chosen = SEARCH.choose(self.rescored(same, (False, 1.0, 1), (False, 1.0, 0)))
         assert chosen.fitted.hypothesis is same[0]
 
     def test_empty_candidates_raise(self):
+        """A kernel without a finite-scored design -- or without any design
+        -- has nothing to choose from."""
         with pytest.raises(ValueError, match="no valid hypotheses"):
-            SEARCH.choose([])
+            SEARCH.choose(self.rescored(hand_hypotheses()))
+        kernel = SEARCH.score(hand_hypotheses(), np.array([[4.0, 4.0]]), np.array([5.0]))
+        assert not kernel.buckets
+        with pytest.raises(ValueError, match="no valid hypotheses"):
+            SEARCH.choose(kernel)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"\(n, m\)"):
@@ -318,5 +349,5 @@ class TestStackingInvariance:
         search = SEARCH.prescored(jobs)
         for job in [*jobs, combination_task(99, 2, 0.3)]:
             stacked, alone = search.score(*job), SEARCH.score(*job)
-            assert [c[:3] + c[4:] for c in stacked] == [c[:3] + c[4:] for c in alone]
+            assert scored_designs(stacked) == scored_designs(alone)
             assert_same_model(search.choose(stacked), SEARCH.choose(alone))

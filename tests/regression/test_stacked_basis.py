@@ -20,7 +20,7 @@ from repro.regression.fast_single import FastSingleParameterSearch
 from repro.synthesis.sequences import random_sequence
 from repro.util.seeding import as_generator
 
-from tests.regression.test_fast_multi import assert_same_model, dnn_like_tasks
+from tests.regression.test_fast_multi import assert_same_model, dnn_like_tasks, scored_designs
 from tests.regression.test_fast_single import random_case
 
 
@@ -112,7 +112,7 @@ class TestPrescoredMatchesScore:
         assert len(stacked._scored) == len(jobs)
         for job in jobs:
             mine, alone = stacked.score(*job), search.score(*job)
-            assert [c[:3] + c[4:] for c in mine] == [c[:3] + c[4:] for c in alone]
+            assert scored_designs(mine) == scored_designs(alone)
             assert_same_model(stacked.choose(mine), search.choose(alone))
 
     def test_single_parameter_search(self):
