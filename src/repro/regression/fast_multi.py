@@ -529,18 +529,21 @@ class FastMultiParameterSearch:
         bit-identical to the per-hypothesis loop's output.
         """
         buckets = [(c, ids) for c, (ids, _) in kernel.buckets.items()]
-        scores = [kernel.group.scores[c][:2] for c, _ in buckets]
-        finite = np.empty(0, dtype=bool)
-        if scores:
-            cv, plausible = (np.concatenate(part) for part in zip(*scores))
-            finite = np.isfinite(cv)
-        if not finite.any():
+        scores = [kernel.group.scores[c] for c, _ in buckets]
+        cv = np.concatenate([score[0] for score in scores] or [np.empty(0)])
+        plausible = np.concatenate([score[1] for score in scores] or [np.empty(0, dtype=bool)])
+        finite = np.isfinite(cv)
+        # The plausible finite scores if any, else all finite ones; every
+        # other design scores inf here, so a finite minimum is a candidate's.
+        for pool in (finite & plausible, finite):
+            pool = np.where(pool, cv, np.inf)
+            best = np.minimum.reduce(pool, initial=np.inf)
+            if best < np.inf:
+                break
+        else:
             raise ValueError("no valid hypotheses to select from")
-        pool = finite & plausible
-        if not pool.any():
-            pool = finite
         tied = []  # (c, row, hypothesis index) of each design at the minimum
-        for flat in (pool & (cv == cv[pool].min())).nonzero()[0].tolist():
+        for flat in (pool == best).nonzero()[0].tolist():
             for c, ids in buckets:
                 if flat < len(ids):
                     tied.append((c, flat, ids[flat]))
