@@ -11,7 +11,7 @@ import pytest
 
 from repro.dnn.config import NetworkConfig
 from repro.dnn.factory import build_network
-from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optimizers import AdaMax
 
 BATCH = 256
@@ -37,12 +37,11 @@ def test_forward_inference(fast_net, batch, benchmark):
 
 def test_training_step(fast_net, batch, benchmark):
     x, y = batch
-    loss = SoftmaxCrossEntropy()
     optimizer = AdaMax()
 
     def step():
         out = fast_net.forward(x, training=True)
-        fast_net.backward(loss.gradient(out, y))
+        fast_net.backward(softmax_cross_entropy(out, y)[1])
         optimizer.step(fast_net.parameters())
 
     benchmark(step)

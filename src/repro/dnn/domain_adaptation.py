@@ -22,7 +22,6 @@ from repro.experiment.lines import all_parameter_lines
 from repro.noise.estimation import noise_levels_per_point
 from repro.noise.injection import UniformLevelRangeNoise
 from repro.nn.network import Sequential
-from repro.nn.optimizers import AdaMax
 from repro.obs import get_telemetry
 from repro.preprocessing.encoding import MAX_POINTS
 from repro.synthesis.training import TrainingSetConfig, generate_training_set
@@ -221,7 +220,7 @@ def adapt_network(
             y,
             epochs=epochs,
             batch_size=batch_size,
-            optimizer=AdaMax(learning_rate),
+            learning_rate=learning_rate,
             rng=gen,
             checkpoint_every=checkpoint_every if checkpoint_path is not None else None,
             checkpoint_path=checkpoint_path,
@@ -270,11 +269,10 @@ def adapt_networks_fused(
     rows) are stacked and trained through :func:`repro.nn.fused.fit_fused`,
     amortizing the framework's matmul dispatch; each cluster keeps its
     key-derived RNG stream, so the resulting weights are bit-identical to
-    adapting every cluster separately via :func:`adapt_network_for_key`.
-    Architectures the fused trainer does not support fall back to exactly
-    that sequential path.
+    adapting every cluster separately via :func:`adapt_network_for_key`,
+    which also serves a single cluster directly.
     """
-    from repro.nn.fused import fit_fused, supports_fused
+    from repro.nn.fused import fit_fused
 
     unique: list[AdaptationKey] = []
     for key in keys:
@@ -282,7 +280,7 @@ def adapt_networks_fused(
             unique.append(key)
     if not unique:
         return {}
-    if len(unique) == 1 or not supports_fused(network):
+    if len(unique) == 1:
         return {
             key: adapt_network_for_key(
                 network,

@@ -16,7 +16,6 @@ from pathlib import Path
 from repro.dnn.config import PretrainConfig
 from repro.dnn.factory import build_network
 from repro.nn.network import Sequential, TrainingHistory
-from repro.nn.optimizers import AdaMax
 from repro.synthesis.training import TrainingSetConfig, generate_training_set
 from repro.util.seeding import as_generator
 
@@ -61,7 +60,7 @@ def pretrain_network(
         y,
         epochs=config.epochs,
         batch_size=config.batch_size,
-        optimizer=AdaMax(config.learning_rate),
+        learning_rate=config.learning_rate,
         rng=gen,
         checkpoint_every=checkpoint_every if checkpoint_path is not None else None,
         checkpoint_path=checkpoint_path,

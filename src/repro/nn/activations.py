@@ -1,4 +1,4 @@
-"""Elementwise activation layers."""
+"""The hidden-layer activation."""
 
 from __future__ import annotations
 
@@ -29,87 +29,3 @@ class Tanh(Layer):
 
     def __repr__(self) -> str:
         return "Tanh()"
-
-
-class ReLU(Layer):
-    """Rectified linear unit."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._mask = x > 0
-        return np.maximum(x, 0)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before a training-mode forward")
-        out = grad * self._mask
-        self._mask = None
-        return out
-
-    def __repr__(self) -> str:
-        return "ReLU()"
-
-
-class LeakyReLU(Layer):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, alpha: float = 0.01) -> None:
-        super().__init__()
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        self.alpha = float(alpha)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._mask = x > 0
-        return np.where(x > 0, x, self.alpha * x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before a training-mode forward")
-        out = np.where(self._mask, grad, self.alpha * grad)
-        self._mask = None
-        return out
-
-    def spec(self) -> dict:
-        return {"type": "LeakyReLU", "alpha": self.alpha}
-
-    def __repr__(self) -> str:
-        return f"LeakyReLU({self.alpha})"
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-x))
-        if training:
-            self._out = out
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before a training-mode forward")
-        out = grad * self._out * (1.0 - self._out)
-        self._out = None
-        return out
-
-    def __repr__(self) -> str:
-        return "Sigmoid()"
-
-
-ACTIVATIONS = {
-    "Tanh": Tanh,
-    "ReLU": ReLU,
-    "LeakyReLU": LeakyReLU,
-    "Sigmoid": Sigmoid,
-}

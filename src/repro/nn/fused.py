@@ -10,17 +10,19 @@ The fused path is bit-identical to K independent ``fit`` calls, which the
 adaptation cache's determinism contract depends on. That holds because
 
 - every tensor op used here (batched matmul including transposed-stride
-  operands, elementwise activations, axis reductions over the contiguous
-  trailing axes) produces the same bits as its per-slice 2-d counterpart,
+  operands, tanh, reductions over the contiguous trailing axes) produces the
+  same bits as its per-slice 2-d counterpart,
 - each cluster keeps its own RNG stream for the epoch permutations, and
-- scalar bookkeeping (epoch loss, the AdaMax bias-correction step) is
-  computed per cluster exactly as the unfused loop does.
+- the optimizer (:class:`AdaMax`, elementwise on the stacks) and the loss
+  (:func:`softmax_cross_entropy`, reduced over the trailing axes) are the
+  ones ``fit`` runs, and scalar bookkeeping (epoch loss) is computed per
+  cluster exactly as the unfused loop does.
 
 All datasets must have the same sample count and the networks identical
 architectures -- both guaranteed by the adaptation layer, which generates
 ``43 * samples_per_class`` rows per cluster from copies of one network.
-Supported layers are :class:`Dense` and the elementwise activations; use
-:func:`supports_fused` to gate and fall back to sequential fits.
+The networks are built from :class:`Dense` and :class:`Tanh` layers, the
+only layers this package has.
 """
 
 from __future__ import annotations
@@ -29,55 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.activations import LeakyReLU, ReLU, Tanh
+from repro.nn.activations import Tanh
 from repro.nn.layers import Dense, Layer
-from repro.nn.losses import softmax
+from repro.nn.losses import softmax_cross_entropy
 from repro.nn.network import Sequential, TrainingHistory
+from repro.nn.optimizers import AdaMax
 from repro.obs import get_telemetry
 from repro.util.seeding import as_generator
-
-_ELEMENTWISE = (Tanh, ReLU, LeakyReLU)
-
-
-def supports_fused(network: Sequential) -> bool:
-    """Whether the stacked trainer can drive this architecture."""
-    return all(isinstance(layer, (Dense,) + _ELEMENTWISE) for layer in network.layers)
-
-
-class _StackedAdaMax:
-    """AdaMax over ``(K, ...)`` parameter stacks.
-
-    Mirrors :class:`repro.nn.optimizers.AdaMax` exactly: the moment updates
-    are elementwise, so applying them to the stacked tensors produces the
-    same bits per slice as K independent optimizers. One shared iteration
-    counter is correct because all clusters step in lockstep (same sample
-    count, same batch size), so every unfused optimizer would hold the same
-    count at each step.
-    """
-
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
-        self.learning_rate = float(learning_rate)
-        self.beta1, self.beta2, self.epsilon = float(beta1), float(beta2), float(epsilon)
-        self.iterations = 0
-        self._m: dict[tuple, np.ndarray] = {}
-        self._u: dict[tuple, np.ndarray] = {}
-
-    def step(self, triples: list[tuple[tuple, np.ndarray, np.ndarray]]) -> None:
-        self.iterations += 1
-        for key, param, grad in triples:
-            m = self._m.setdefault(key, np.zeros_like(param))
-            u = self._u.setdefault(key, np.zeros_like(param))
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            np.maximum(self.beta2 * u, np.abs(grad), out=u)
-            step = self.learning_rate / (1 - self.beta1**self.iterations)
-            param -= step * m / (u + self.epsilon)
 
 
 class _FusedStack:
@@ -88,6 +48,9 @@ class _FusedStack:
         for net in networks[1:]:
             if [layer.spec() for layer in net.layers] != spec0:
                 raise ValueError("fused training requires identical architectures")
+        for layer in networks[0].layers:
+            if not isinstance(layer, (Dense, Tanh)):
+                raise TypeError(f"fused training cannot run a {type(layer).__name__} layer")
         self.networks = list(networks)
         self.layers: list[Layer] = networks[0].layers
         #: (layer index, name) -> (K, ...) stacks of the live parameters.
@@ -110,18 +73,9 @@ class _FusedStack:
                 out = np.matmul(out, self.params[(idx, "W")]) + self.params[(idx, "b")][
                     :, None, :
                 ]
-            elif isinstance(layer, Tanh):
+            else:  # Tanh
                 out = np.tanh(out)
                 self._cache[idx] = out
-            elif isinstance(layer, ReLU):
-                self._cache[idx] = out > 0
-                out = np.maximum(out, 0)
-            elif isinstance(layer, LeakyReLU):
-                mask = out > 0
-                self._cache[idx] = mask
-                out = np.where(mask, out, layer.alpha * out)
-            else:  # pragma: no cover - guarded by supports_fused
-                raise TypeError(f"unsupported fused layer {type(layer).__name__}")
         return out
 
     def backward(self, grad: np.ndarray) -> None:
@@ -133,12 +87,8 @@ class _FusedStack:
                 self.grads[(idx, "W")] = np.matmul(cached.transpose(0, 2, 1), grad)
                 self.grads[(idx, "b")] = grad.sum(axis=1)
                 grad = np.matmul(grad, self.params[(idx, "W")].transpose(0, 2, 1))
-            elif isinstance(layer, Tanh):
+            else:  # Tanh
                 grad = grad * (1.0 - cached * cached)
-            elif isinstance(layer, ReLU):
-                grad = grad * cached
-            elif isinstance(layer, LeakyReLU):
-                grad = np.where(cached, grad, layer.alpha * grad)
 
     def triples(self) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
         return [(key, param, self.grads[key]) for key, param in self.params.items()]
@@ -158,7 +108,6 @@ def fit_fused(
     batch_size: int = 128,
     learning_rate: float = 0.002,
     rngs: "Sequence | None" = None,
-    shuffle: bool = True,
 ) -> list[TrainingHistory]:
     """Train K networks on K datasets through one stacked loop.
 
@@ -173,9 +122,6 @@ def fit_fused(
         raise ValueError("one dataset (x, y) is required per network")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
-    for net in networks:
-        if not supports_fused(net):
-            raise ValueError(f"architecture not fusable: {net!r}")
     x_stack = np.stack([np.asarray(x, dtype=np.float32) for x in xs])
     y_stack = np.stack([np.asarray(y) for y in ys])
     n_networks, n, _ = x_stack.shape
@@ -186,7 +132,7 @@ def fit_fused(
         raise ValueError("one rng is required per network")
 
     stack = _FusedStack(networks)
-    optimizer = _StackedAdaMax(learning_rate)
+    optimizer = AdaMax(learning_rate)
     histories = [TrainingHistory() for _ in range(n_networks)]
     rows = np.arange(n_networks)[:, None]
     telemetry = get_telemetry()
@@ -194,9 +140,7 @@ def fit_fused(
         "nn.fit_fused", clusters=n_networks, epochs=epochs, samples=n, batch_size=batch_size
     ):
         for _ in range(epochs):
-            orders = np.stack(
-                [gen.permutation(n) if shuffle else np.arange(n) for gen in gens]
-            )
+            orders = np.stack([gen.permutation(n) for gen in gens])
             epoch_loss = [0.0] * n_networks
             epoch_correct = [0.0] * n_networks
             for start in range(0, n, batch_size):
@@ -204,19 +148,14 @@ def fit_fused(
                 xb = x_stack[rows, idx]
                 yb = y_stack[rows, idx]
                 out = stack.forward(xb)
-                n_classes = out.shape[-1]
-                probs = softmax(out.reshape(-1, n_classes)).reshape(out.shape)
-                picked = probs[rows, np.arange(idx.shape[1])[None, :], yb]
-                losses = -np.mean(np.log(np.clip(picked, 1e-12, None)), axis=1)
+                losses, grad = softmax_cross_entropy(out, yb)
                 if not np.all(np.isfinite(losses)):
                     bad = int(np.flatnonzero(~np.isfinite(losses))[0])
                     raise RuntimeError(
                         f"training diverged (non-finite loss) in fused cluster {bad}; "
                         "lower the learning rate or check the input normalization"
                     )
-                grad = probs.copy()
-                grad[rows, np.arange(idx.shape[1])[None, :], yb] -= 1.0
-                stack.backward(grad / idx.shape[1])
+                stack.backward(grad)
                 optimizer.step(stack.triples())
                 for k in range(n_networks):
                     epoch_loss[k] += float(losses[k]) * idx.shape[1]

@@ -20,27 +20,6 @@ def glorot_uniform(
     return gen.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def glorot_normal(fan_in: int, fan_out: int, rng=None, dtype=np.float32) -> np.ndarray:
-    """Glorot/Xavier normal: ``N(0, 2 / (in + out))``."""
-    gen = as_generator(rng)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return (gen.normal(0.0, std, size=(fan_in, fan_out))).astype(dtype)
-
-
-def he_uniform(fan_in: int, fan_out: int, rng=None, dtype=np.float32) -> np.ndarray:
-    """He uniform, for ReLU-family activations."""
-    gen = as_generator(rng)
-    limit = np.sqrt(6.0 / fan_in)
-    return gen.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-
 def zeros(*shape: int, dtype=np.float32) -> np.ndarray:
     """All-zero initializer (biases)."""
     return np.zeros(shape, dtype=dtype)
-
-
-INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "glorot_normal": glorot_normal,
-    "he_uniform": he_uniform,
-}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.initializers import INITIALIZERS, zeros
+from repro.nn.initializers import glorot_uniform, zeros
 
 
 class Layer:
@@ -37,26 +37,16 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer: ``y = x @ W + b``."""
+    """Fully connected layer: ``y = x @ W + b``, ``W`` Glorot-uniform."""
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        initializer: str = "glorot_uniform",
-        rng=None,
-        dtype=np.float32,
-    ):
+    def __init__(self, in_features: int, out_features: int, rng=None, dtype=np.float32):
         super().__init__()
         if in_features < 1 or out_features < 1:
             raise ValueError("layer dimensions must be positive")
-        if initializer not in INITIALIZERS:
-            raise ValueError(f"unknown initializer {initializer!r}")
         self.in_features = in_features
         self.out_features = out_features
-        self.initializer = initializer
         self.dtype = np.dtype(dtype)
-        self.params["W"] = INITIALIZERS[initializer](in_features, out_features, rng, dtype)
+        self.params["W"] = glorot_uniform(in_features, out_features, rng, dtype)
         self.params["b"] = zeros(out_features, dtype=dtype)
         self._x: np.ndarray | None = None
 
@@ -88,11 +78,13 @@ class Dense(Layer):
         return self.out_features
 
     def spec(self) -> dict:
+        # The initializer entry is constant, but it stays: the spec is hashed
+        # into weights digests and stored in every ``.npz`` checkpoint.
         return {
             "type": "Dense",
             "in_features": self.in_features,
             "out_features": self.out_features,
-            "initializer": self.initializer,
+            "initializer": "glorot_uniform",
             "dtype": self.dtype.name,
         }
 

@@ -1,8 +1,9 @@
-"""Loss functions.
+"""The classification loss: softmax cross-entropy over integer class labels.
 
-The classification loss combines softmax and cross-entropy in one object so
-the backward pass can use the numerically exact ``probs - onehot`` gradient
-instead of differentiating through an explicit softmax layer.
+Softmax and cross-entropy are computed together so the backward pass can
+use the numerically exact ``probs - onehot`` gradient instead of
+differentiating through an explicit softmax layer, and so one softmax per
+batch serves both the loss value and the gradient.
 """
 
 from __future__ import annotations
@@ -11,56 +12,30 @@ import numpy as np
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted for numerical stability."""
-    z = logits - np.max(logits, axis=1, keepdims=True)
+    """Softmax over the last (class) axis, shifted for numerical stability."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-class Loss:
-    """Base: ``value`` computes the scalar loss, ``gradient`` dL/d(output)."""
+def softmax_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Mean cross-entropy of ``softmax(logits)`` and its gradient.
 
-    def value(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SoftmaxCrossEntropy(Loss):
-    """Softmax + categorical cross-entropy over integer class labels."""
-
-    def _check(self, logits: np.ndarray, labels: np.ndarray) -> None:
-        if logits.ndim != 2:
-            raise ValueError("logits must be 2-d (batch, classes)")
-        if labels.shape != (logits.shape[0],):
-            raise ValueError("labels must be 1-d integer class indices")
-
-    def value(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        self._check(outputs, targets)
-        probs = softmax(outputs)
-        picked = probs[np.arange(len(targets)), targets]
-        return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
-
-    def gradient(self, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        self._check(outputs, targets)
-        grad = softmax(outputs)
-        grad[np.arange(len(targets)), targets] -= 1.0
-        return grad / len(targets)
-
-
-class MeanSquaredError(Loss):
-    """Plain MSE for regression heads."""
-
-    def _check(self, outputs: np.ndarray, targets: np.ndarray) -> None:
-        if outputs.shape != targets.shape:
-            raise ValueError(f"shape mismatch: {outputs.shape} vs {targets.shape}")
-
-    def value(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        self._check(outputs, targets)
-        diff = outputs - targets
-        return float(np.mean(diff * diff))
-
-    def gradient(self, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        self._check(outputs, targets)
-        return 2.0 * (outputs - targets) / outputs.size
+    ``logits`` is ``(..., batch, classes)`` and ``labels`` the matching
+    ``(..., batch)`` integer classes, so one call serves a single network's
+    batch and the fused trainer's ``(K, batch, classes)`` stack alike.
+    Returns the per-batch mean loss (shape ``(...)``) and dL/d(logits).
+    """
+    if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
+        raise ValueError(
+            f"labels of shape {labels.shape} do not match logits of shape "
+            f"{logits.shape} (expected one integer class per logits row)"
+        )
+    probs = softmax(logits)
+    at = labels[..., None]
+    picked = np.take_along_axis(probs, at, axis=-1)
+    loss = -np.mean(np.log(np.clip(picked[..., 0], 1e-12, None)), axis=-1)
+    np.put_along_axis(probs, at, picked - 1.0, axis=-1)
+    return loss, probs / labels.shape[-1]

@@ -11,11 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nn.activations import ACTIVATIONS
+from repro.nn.activations import Tanh
 from repro.nn.layers import Dense, Layer
-from repro.nn.losses import Loss, SoftmaxCrossEntropy, softmax
-from repro.nn.metrics import accuracy
-from repro.nn.optimizers import AdaMax, Optimizer
+from repro.nn.losses import softmax, softmax_cross_entropy
+from repro.nn.optimizers import AdaMax
 from repro.obs import get_telemetry
 from repro.util.artifacts import atomic_write_bytes
 from repro.util.seeding import as_generator
@@ -54,8 +53,6 @@ class TrainingHistory:
 
     loss: list[float] = field(default_factory=list)
     accuracy: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    val_accuracy: list[float] = field(default_factory=list)
 
     @property
     def epochs(self) -> int:
@@ -103,45 +100,27 @@ class Sequential:
         y: np.ndarray,
         epochs: int = 1,
         batch_size: int = 128,
-        loss: "Loss | None" = None,
-        optimizer: "Optimizer | None" = None,
-        validation: "tuple[np.ndarray, np.ndarray] | None" = None,
+        learning_rate: float = 0.002,
         rng=None,
-        shuffle: bool = True,
-        schedule=None,
-        early_stopping_patience: "int | None" = None,
         checkpoint_every: "int | None" = None,
         checkpoint_path: "str | Path | None" = None,
         resume_from: "str | Path | None" = None,
     ) -> TrainingHistory:
-        """Mini-batch gradient training.
+        """Mini-batch training as in the paper: softmax cross-entropy, AdaMax.
 
-        Defaults follow the paper: softmax cross-entropy loss and the AdaMax
-        optimizer. Returns per-epoch loss/accuracy (and validation metrics
-        when a validation set is given).
-
-        ``schedule`` (a :class:`repro.nn.schedules.Schedule`) adjusts the
-        optimizer's learning rate per epoch. ``early_stopping_patience``
-        stops training when the validation loss has not improved for that
-        many consecutive epochs (requires ``validation``); the best-epoch
-        weights are restored on stop.
+        Each epoch visits the samples in an order drawn from ``rng``.
+        Returns the per-epoch training loss and accuracy.
 
         ``checkpoint_every=N`` atomically persists a training checkpoint to
         ``checkpoint_path`` after every N epochs: weights, optimizer
-        moments, the RNG bit-generator state, per-epoch history, and the
-        early-stopping bookkeeping. ``resume_from`` restores such a
-        checkpoint (a missing file silently starts fresh) and continues at
-        the recorded epoch; because the RNG state is restored, an
-        interrupted-and-resumed training run produces bit-identical weights
-        to an uninterrupted one.
+        moments, the RNG bit-generator state, and the per-epoch history.
+        ``resume_from`` restores such a checkpoint (a missing file silently
+        starts fresh) and continues at the recorded epoch; because the RNG
+        state is restored, an interrupted-and-resumed training run produces
+        bit-identical weights to an uninterrupted one.
         """
         if epochs < 1 or batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if early_stopping_patience is not None:
-            if validation is None:
-                raise ValueError("early stopping requires a validation set")
-            if early_stopping_patience < 1:
-                raise ValueError("patience must be positive")
         if checkpoint_every is not None:
             if checkpoint_every < 1:
                 raise ValueError("checkpoint_every must be positive")
@@ -151,14 +130,10 @@ class Sequential:
         y = np.asarray(y)
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
             raise ValueError("x must be (n, features) with one label per row")
-        loss = loss or SoftmaxCrossEntropy()
-        optimizer = optimizer or AdaMax()
+        optimizer = AdaMax(learning_rate)
         gen = as_generator(rng)
         history = TrainingHistory()
         n = x.shape[0]
-        best_val = np.inf
-        best_weights = None
-        stale_epochs = 0
         start_epoch = 0
         if resume_from is not None:
             checkpoint = load_training_checkpoint(resume_from)
@@ -175,54 +150,31 @@ class Sequential:
                 gen.bit_generator.state = checkpoint["rng_state"]
                 history.loss = list(checkpoint["history"]["loss"])
                 history.accuracy = list(checkpoint["history"]["accuracy"])
-                history.val_loss = list(checkpoint["history"]["val_loss"])
-                history.val_accuracy = list(checkpoint["history"]["val_accuracy"])
-                best_val = checkpoint["best_val"]
-                best_weights = checkpoint["best_weights"]
-                stale_epochs = checkpoint["stale_epochs"]
                 start_epoch = int(checkpoint["epoch"])
         telemetry = get_telemetry()
         with telemetry.tracer.span(
             "nn.fit", epochs=epochs, samples=n, batch_size=batch_size
         ) as fit_span:
             for epoch in range(start_epoch, epochs):
-                if schedule is not None:
-                    schedule.apply(optimizer, epoch)
-                order = gen.permutation(n) if shuffle else np.arange(n)
+                order = gen.permutation(n)
                 epoch_loss = 0.0
                 epoch_correct = 0.0
                 for start in range(0, n, batch_size):
                     idx = order[start : start + batch_size]
                     xb, yb = x[idx], y[idx]
                     out = self.forward(xb, training=True)
-                    batch_loss = loss.value(out, yb)
+                    batch_loss, grad = softmax_cross_entropy(out, yb)
                     if not np.isfinite(batch_loss):
                         raise RuntimeError(
                             "training diverged (non-finite loss); lower the learning "
                             "rate or check the input normalization"
                         )
-                    epoch_loss += batch_loss * len(idx)
-                    if out.ndim == 2 and out.shape[1] > 1:
-                        epoch_correct += np.sum(np.argmax(out, axis=1) == yb)
-                    self.backward(loss.gradient(out, yb))
+                    epoch_loss += float(batch_loss) * len(idx)
+                    epoch_correct += np.sum(np.argmax(out, axis=1) == yb)
+                    self.backward(grad)
                     optimizer.step(self.parameters())
                 history.loss.append(epoch_loss / n)
                 history.accuracy.append(float(epoch_correct) / n)
-                if validation is not None:
-                    xv, yv = validation
-                    out = self.forward(np.asarray(xv, dtype=np.float32))
-                    val_loss = loss.value(out, np.asarray(yv))
-                    history.val_loss.append(val_loss)
-                    history.val_accuracy.append(accuracy(out, np.asarray(yv)))
-                    if early_stopping_patience is not None:
-                        if val_loss < best_val - 1e-12:
-                            best_val = val_loss
-                            best_weights = self.get_weights()
-                            stale_epochs = 0
-                        else:
-                            stale_epochs += 1
-                            if stale_epochs >= early_stopping_patience:
-                                break
                 if checkpoint_every is not None and (epoch + 1) % checkpoint_every == 0:
                     save_training_checkpoint(
                         checkpoint_path,
@@ -236,17 +188,10 @@ class Sequential:
                             "history": {
                                 "loss": list(history.loss),
                                 "accuracy": list(history.accuracy),
-                                "val_loss": list(history.val_loss),
-                                "val_accuracy": list(history.val_accuracy),
                             },
-                            "best_val": best_val,
-                            "best_weights": best_weights,
-                            "stale_epochs": stale_epochs,
                         },
                     )
             fit_span.set(epochs_trained=history.epochs)
-        if best_weights is not None:
-            self.set_weights(best_weights)
         if telemetry.enabled:
             telemetry.metrics.absorb_training_history(history)
         return history
@@ -265,9 +210,6 @@ class Sequential:
     def predict_proba(self, x: np.ndarray, batch_size: int = 4096) -> np.ndarray:
         """Class probabilities (softmax over the output layer)."""
         return softmax(self.predict_logits(x, batch_size))
-
-    def predict_classes(self, x: np.ndarray, batch_size: int = 4096) -> np.ndarray:
-        return np.argmax(self.predict_logits(x, batch_size), axis=1)
 
     # ------------------------------------------------------------ checkpoint
     def get_weights(self) -> list[np.ndarray]:
@@ -373,18 +315,11 @@ class Sequential:
                     Dense(
                         entry["in_features"],
                         entry["out_features"],
-                        initializer=entry.get("initializer", "glorot_uniform"),
                         dtype=entry.get("dtype", "float32"),
                     )
                 )
-            elif kind == "LeakyReLU":
-                layers.append(ACTIVATIONS[kind](entry["alpha"]))
-            elif kind == "Dropout":
-                from repro.nn.regularization import Dropout
-
-                layers.append(Dropout(entry["rate"]))
-            elif kind in ACTIVATIONS:
-                layers.append(ACTIVATIONS[kind]())
+            elif kind == "Tanh":
+                layers.append(Tanh())
             else:
                 raise ValueError(f"unknown layer type {kind!r} in checkpoint")
         net = cls(layers)

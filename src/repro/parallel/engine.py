@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import pickle
 import time
 import traceback
 from dataclasses import dataclass
@@ -81,7 +82,6 @@ class EngineConfig:
     max_retries: int = 1
     chunk_timeout: "float | None" = None
     on_error: str = "raise"
-    start_method: "str | None" = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -293,7 +293,7 @@ class EngineSession:
 
     def _ensure_pool(self, n_procs: int):
         if self._pool is None:
-            ctx = pool_context(self.config.start_method)
+            ctx = pool_context()
             self._pool = ctx.Pool(
                 n_procs,
                 initializer=_init_engine_worker,
@@ -421,12 +421,16 @@ class EngineSession:
             self._ensure_serial_init()
         for index in pending:
             item = items[index]
+            # A retry must see the item as the first attempt did, as on the
+            # pool path, which ships a fresh pickle per attempt: a task may
+            # consume its item (advance a generator) before it raises.
+            shipped = pickle.dumps(item) if config.max_retries > 0 else None
             attempts = 0
             while True:
                 attempts += 1
                 try:
                     faults.fault_point("engine.task")
-                    results[index] = fn(item)
+                    results[index] = fn(item if attempts == 1 else pickle.loads(shipped))
                     state.completed += 1
                     if journal is not None:
                         journal.record_task(index, results[index])

@@ -67,21 +67,18 @@ def execution_profile(processes: "int | None" = None) -> dict:
     }
 
 
-def pool_context(start_method: "str | None" = None) -> multiprocessing.context.BaseContext:
+def pool_context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context used for sweep pools.
 
     Prefers ``fork`` so workers inherit read-only state (the pretrained
     network, the sweep config) copy-on-write. Where ``fork`` is unavailable
-    (Windows) -- or when it is unsafe because threads already exist and the
-    caller opts out -- the platform default (``spawn``) is used. Determinism
+    (Windows) the platform default (``spawn``) is used. Determinism
     is unaffected by the start method: tasks carry pre-spawned RNGs and
     results are reassembled in task order. The practical differences are
     that ``spawn`` re-imports worker modules (slower startup, no
     copy-on-write sharing) and requires every task function, initializer,
     and argument to be picklable.
     """
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()

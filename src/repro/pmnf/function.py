@@ -33,9 +33,6 @@ class MultiTerm:
             out *= term.evaluate(points[:, l])
         return out
 
-    def with_coefficient(self, coefficient: float) -> "MultiTerm":
-        return MultiTerm(coefficient, self.factors)
-
     def structure_key(self) -> tuple[tuple[int, ExponentPair], ...]:
         """Hashable key identifying the term structure (ignores coefficient)."""
         return tuple((l, t.exponents) for l, t in self.factors.items())

@@ -37,3 +37,13 @@ class TestBuildNetwork:
         """~3.6 M weights, as implied by the Sec. IV-D architecture."""
         net = build_network(NetworkConfig.paper(), rng=0)
         assert 3.5e6 < net.n_parameters() < 3.8e6
+
+    def test_fast_network_digest_pinned(self):
+        """Architecture spec and Glorot-uniform init, byte for byte.
+
+        The digest names cached generic networks and adaptation-store files,
+        so a change to ``Dense.spec()`` or to the initializer's draws would
+        silently orphan every store on disk.
+        """
+        net = build_network(NetworkConfig.fast(), rng=0)
+        assert net.weights_digest() == "b9435c1847830711"

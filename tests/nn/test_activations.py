@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.activations import Tanh
 
 
 def check_gradient(layer, x, eps=1e-6):
@@ -30,27 +30,10 @@ class TestForwardValues:
     def test_tanh(self):
         np.testing.assert_allclose(Tanh().forward(X), np.tanh(X))
 
-    def test_relu(self):
-        np.testing.assert_allclose(ReLU().forward(X), np.maximum(X, 0))
-
-    def test_leaky_relu(self):
-        out = LeakyReLU(0.1).forward(X)
-        np.testing.assert_allclose(out, np.where(X > 0, X, 0.1 * X))
-
-    def test_sigmoid_range(self):
-        out = Sigmoid().forward(X * 10)
-        assert np.all((out > 0) & (out < 1))
-
 
 class TestGradients:
-    @pytest.mark.parametrize("layer", [Tanh(), Sigmoid(), LeakyReLU(0.05)])
-    def test_smooth_activations(self, layer):
-        check_gradient(layer, X.copy())
-
-    def test_relu_gradient_off_kink(self):
-        x = X.copy()
-        x[np.abs(x) < 0.1] = 0.5  # avoid the kink where numeric diff is invalid
-        check_gradient(ReLU(), x)
+    def test_tanh_gradient(self):
+        check_gradient(Tanh(), X.copy())
 
     def test_backward_requires_training_forward(self):
         t = Tanh()
@@ -60,9 +43,5 @@ class TestGradients:
 
 
 class TestValidation:
-    def test_leaky_relu_negative_alpha(self):
-        with pytest.raises(ValueError):
-            LeakyReLU(-0.1)
-
     def test_stateless_params(self):
         assert Tanh().params == {}

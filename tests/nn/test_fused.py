@@ -10,16 +10,15 @@ produced.
 import numpy as np
 import pytest
 
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
-from repro.nn.layers import Dense
+from repro.nn.activations import Tanh
+from repro.nn.layers import Dense, Layer
 from repro.nn.network import Sequential
-from repro.nn.optimizers import AdaMax
-from repro.nn.fused import fit_fused, supports_fused
+from repro.nn.fused import fit_fused
 
 
-def _net(seed=0, activation=Tanh):
+def _net(seed=0):
     rng = np.random.default_rng(seed)
-    return Sequential([Dense(6, 16, rng=rng), activation(), Dense(16, 4, rng=rng)])
+    return Sequential([Dense(6, 16, rng=rng), Tanh(), Dense(16, 4, rng=rng)])
 
 
 def _dataset(seed, n=96):
@@ -39,7 +38,7 @@ def _fit_reference(base, datasets, seeds, epochs=2, batch_size=32, lr=0.002):
             y,
             epochs=epochs,
             batch_size=batch_size,
-            optimizer=AdaMax(lr),
+            learning_rate=lr,
             rng=np.random.default_rng(seed),
         )
         adapted.append(net)
@@ -47,9 +46,8 @@ def _fit_reference(base, datasets, seeds, epochs=2, batch_size=32, lr=0.002):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("activation", [Tanh, ReLU, LeakyReLU])
-    def test_fused_equals_separate_fits(self, activation):
-        base = _net(seed=7, activation=activation)
+    def test_fused_equals_separate_fits(self):
+        base = _net(seed=7)
         seeds = [11, 22, 33]
         datasets = [_dataset(s) for s in seeds]
         reference = _fit_reference(base, datasets, seeds)
@@ -94,7 +92,7 @@ class TestBitIdentity:
         x, y = _dataset(9)
         ref = base.copy()
         history = ref.fit(
-            x, y, epochs=2, batch_size=32, optimizer=AdaMax(0.002),
+            x, y, epochs=2, batch_size=32, learning_rate=0.002,
             rng=np.random.default_rng(9),
         )
         (fused_history,) = fit_fused(
@@ -103,16 +101,6 @@ class TestBitIdentity:
         )
         assert fused_history.loss == pytest.approx(history.loss, abs=0.0)
         assert fused_history.accuracy == pytest.approx(history.accuracy, abs=0.0)
-
-
-class TestSupport:
-    def test_supported_architectures(self):
-        assert supports_fused(_net(activation=Tanh))
-        assert supports_fused(_net(activation=ReLU))
-        assert supports_fused(_net(activation=LeakyReLU))
-
-    def test_unsupported_layer_detected(self):
-        assert not supports_fused(_net(activation=Sigmoid))
 
 
 class TestValidation:
@@ -136,6 +124,17 @@ class TestValidation:
         x2, y2 = _dataset(2, n=96)
         with pytest.raises(ValueError):
             fit_fused([a, b], [x1, x2], [y1, y2])
+
+    def test_foreign_layer_rejected(self):
+        class Identity(Layer):
+            def forward(self, x, training=False):
+                return x
+
+        rng = np.random.default_rng(0)
+        net = Sequential([Dense(6, 4, rng=rng), Identity()])
+        x, y = _dataset(0)
+        with pytest.raises(TypeError, match="cannot run a Identity layer"):
+            fit_fused([net], [x], [y], rngs=[np.random.default_rng(0)])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from repro.nn.initializers import glorot_normal, glorot_uniform, he_uniform, zeros
+from repro.nn.initializers import glorot_uniform, zeros
 
 
 class TestGlorotUniform:
@@ -18,18 +17,6 @@ class TestGlorotUniform:
 
     def test_deterministic(self):
         np.testing.assert_array_equal(glorot_uniform(5, 5, rng=1), glorot_uniform(5, 5, rng=1))
-
-
-class TestGlorotNormal:
-    def test_std(self):
-        w = glorot_normal(200, 200, rng=0)
-        assert np.std(w) == pytest.approx(np.sqrt(2.0 / 400), rel=0.1)
-
-
-class TestHeUniform:
-    def test_bounds(self):
-        w = he_uniform(50, 10, rng=0)
-        assert np.all(np.abs(w) <= np.sqrt(6.0 / 50))
 
 
 class TestZeros:

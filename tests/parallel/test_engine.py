@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.parallel.engine import (
@@ -41,6 +42,17 @@ def flaky(x):
         marker.write_text("")
         raise RuntimeError(f"transient failure for {x}")
     return x
+
+
+def draw_then_fail_once(gen):
+    """Consumes its item (a generator draw), then fails on the first task
+    attempt in the whole run only."""
+    value = gen.random()
+    marker = _FLAKY_DIR["path"] / "drawn"
+    if not marker.exists():
+        marker.write_text("")
+        raise RuntimeError("transient failure after a draw")
+    return value
 
 
 def sleepy(x):
@@ -126,6 +138,19 @@ class TestRetries:
             initargs=(tmp_path,),
         )
         assert out == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_retry_runs_on_the_item_as_submitted(self, tmp_path, processes):
+        """A retry sees the item as the first attempt did, not as that
+        attempt left it: the same stream in serial and pool mode."""
+        out = run_tasks(
+            draw_then_fail_once,
+            [np.random.default_rng(5), np.random.default_rng(6)],
+            EngineConfig(processes=processes, max_retries=1, chunksize=1),
+            initializer=_set_flaky_dir,
+            initargs=(tmp_path,),
+        )
+        assert out == [np.random.default_rng(5).random(), np.random.default_rng(6).random()]
 
     def test_retries_are_bounded(self):
         with pytest.raises(TaskError) as exc_info:

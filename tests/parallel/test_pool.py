@@ -77,9 +77,6 @@ class TestPoolContext:
         assert pool_context() is sentinel
         assert calls == [None]  # asked for the default, never for "fork"
 
-    def test_explicit_start_method_honored(self):
-        assert pool_context("spawn").get_start_method() == "spawn"
-
 
 class TestParallelMap:
     def test_serial_order_preserved(self):
